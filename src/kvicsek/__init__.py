@@ -4,7 +4,6 @@ from .spectral import (
     AngularProfile,
     SpectralField,
     TorusGrid,
-    convolve_xtheta,
     norm,
     read_snapshot,
     remainder,
@@ -32,7 +31,7 @@ from .linear import (
     speed_decaying,
     step_mode,
 )
-from .kinetic import KineticParams, alignment_L, default_initial, run_experiment, step_kinetic
+from .kinetic import KineticParams, default_initial, run_experiment, step_kinetic
 from .homogeneous import (
     HomogeneousState,
     bessel_ratio,

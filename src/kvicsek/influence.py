@@ -76,6 +76,11 @@ def uniform_phi() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     return phi
 
 
+# Relative cutoff for the support of Psihat.  Off the support the built-in
+# factors leave round-off (<= 1e-16 of max|Psihat|); on it they have >= 0.125.
+PSI_SUPPORT_RTOL = 1e-12
+
+
 @dataclass(frozen=True)
 class InfluencePair:
     """The (Phi, Psi) kernel pair with precomputed spectra on a grid."""
@@ -106,6 +111,27 @@ class InfluencePair:
         phi_neg = np.conj(self.phi_coeffs)
         psi_neg = np.conj(self.angular.psi.coeffs)
         return TWO_PI**3 * phi_neg[:, :, None] * psi_neg[None, None, :]
+
+    @cached_property
+    def psi_support(self) -> np.ndarray:
+        """Angular modes 0 <= l <= n_theta/2 where Psihat is nonzero; read-only.
+
+        Nonzero means above PSI_SUPPORT_RTOL * max|Psihat|.  Psi is real, so
+        its support is symmetric in l and this half describes it.
+        """
+        psi = np.abs(self.angular.psi.coeffs[: self.grid.n_theta // 2 + 1])
+        out = np.flatnonzero(psi > PSI_SUPPORT_RTOL * np.max(psi))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def support_multiplier(self) -> np.ndarray:
+        """The multiplier's planes l in psi_support: multiplier[:, :, psi_support]; read-only."""
+        phi_neg = np.conj(self.phi_coeffs)
+        psi_neg = np.conj(self.angular.psi.coeffs[self.psi_support])
+        out = TWO_PI**3 * phi_neg[:, :, None] * psi_neg[None, None, :]
+        out.flags.writeable = False
+        return out
 
     def apply(self, f: SpectralField) -> SpectralField:
         if f.grid != self.grid:

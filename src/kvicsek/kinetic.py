@@ -10,6 +10,20 @@ with exact transport and diffusion sub-propagators; the alignment flux
 is advanced by Heun's method, evaluated pseudospectrally with 2/3-rule
 dealiasing in all three indices, which keeps the total mass invariant
 to round-off.
+
+f is real, so the step works on the half spectrum k2 >= 0 (the layout of
+``np.fft.rfftn(..., axes=(0, 2, 1))``): it slices that half out of the
+full coefficients on entry and rebuilds the k2 < 0 columns by conjugate
+symmetry on exit.  Transport acts in mixed (k, theta) form on the half;
+the flux product uses real-to-complex transforms.  L[f] is built in real
+space from the angular planes where Psihat is nonzero
+(``InfluencePair.psi_support``): one 2-D x-transform per plane, then one
+real theta-transform.  For Psi = sin that is a single plane; for a dense
+Psihat it is an ordinary inverse real transform.  Everything the step
+reuses is cached read-only: the half-grid geometry, the dealias mask,
+the theta-derivative, the diffusion factor, the transport factor for
+each repeated v h (one for a constant speed) and the support planes of
+the multiplier (on the InfluencePair).
 """
 
 from __future__ import annotations
@@ -33,6 +47,7 @@ from .spectral import (
     remainder,
     write_snapshot,
     x_average,
+    x_points,
 )
 
 
@@ -70,54 +85,117 @@ class KineticParams:
         return self.kappa <= self.c_dagger * self.nu
 
 
+# The half spectrum k2 >= 0 in the layout of np.fft.rfftn(..., axes=_AXES):
+# full transforms over k1 and l, the real one over x2.
+_AXES = (0, 2, 1)
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=8)
-def _transport_geometry(grid: TorusGrid) -> np.ndarray:
-    """p(theta).k = k1 cos(theta) + k2 sin(theta) on the (k1,k2,theta) array."""
-    return (
-        grid.k1[:, None, None] * np.cos(grid.theta)[None, None, :]
-        + grid.k2[None, :, None] * np.sin(grid.theta)[None, None, :]
-    ).astype(np.float64)
+def _half_geometry(grid: TorusGrid) -> np.ndarray:
+    """p(phi).k on the (k1, k2 >= 0, phi) array, phi_j = 2 pi j / n_theta.
+
+    An inverse FFT over l without the (-1)^l grid-offset phase samples f
+    at phi_j = theta_j + pi, so the mixed form works on those angles.
+    """
+    k2 = grid.k2[: grid.n_x2 // 2 + 1]
+    phi = x_points(grid.n_theta)
+    return _readonly(
+        grid.k1[:, None, None] * np.cos(phi)[None, None, :]
+        + k2[None, :, None] * np.sin(phi)[None, None, :]
+    )
+
+
+@lru_cache(maxsize=4)
+def _transport_factor(grid: TorusGrid, shift: float) -> np.ndarray:
+    """exp(-i shift p(phi).k) for shift = v h; a constant speed reuses one."""
+    return _readonly(np.exp(-1j * shift * _half_geometry(grid)))
+
+
+@lru_cache(maxsize=8)
+def _half_mask(grid: TorusGrid) -> np.ndarray:
+    return _readonly(grid.dealias_mask[:, : grid.n_x2 // 2 + 1, :].copy())
 
 
 @lru_cache(maxsize=8)
 def _theta_derivative(grid: TorusGrid) -> np.ndarray:
-    l = grid.l.astype(np.float64).copy()
+    l = grid.l.astype(np.float64)
     l[grid.n_theta // 2] = 0.0
-    return 1j * l
+    return _readonly(1j * l)
 
 
-def alignment_L(f: SpectralField, kernels: InfluencePair) -> SpectralField:
-    """The alignment operator L[f], a diagonal multiplier in coefficients."""
-    return kernels.apply(f)
+@lru_cache(maxsize=8)
+def _flux_factor(grid: TorusGrid) -> np.ndarray:
+    """The dealiased theta-derivative, applied to the flux f L[f]."""
+    return _readonly(_theta_derivative(grid)[None, None, :] * _half_mask(grid))
 
 
-def _transport_half(coeffs: np.ndarray, grid: TorusGrid, v_eff: float, half_dt: float) -> np.ndarray:
-    phase = grid.theta_phase[None, None, :]
-    mixed = np.fft.ifft(coeffs * phase, axis=2) * grid.n_theta
-    mixed *= np.exp(-1j * v_eff * half_dt * _transport_geometry(grid))
-    out = np.fft.fft(mixed, axis=2) / grid.n_theta * phase
+@lru_cache(maxsize=8)
+def _diffusion_factor(grid: TorusGrid, nu: float, dt: float) -> np.ndarray:
+    l = grid.l.astype(np.float64)
+    return _readonly(np.exp(-nu * l**2 * dt))
+
+
+@lru_cache(maxsize=8)
+def _reflection(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of -k1 and of the k2 >= 0 columns mirroring k2 < 0."""
+    neg_k1 = (-np.arange(grid.n_x1)) % grid.n_x1
+    mirror = np.arange(grid.n_x2 // 2 - 1, 0, -1)
+    return _readonly(neg_k1), _readonly(mirror)
+
+
+def _unfold(half: np.ndarray, grid: TorusGrid, l_index: np.ndarray) -> np.ndarray:
+    """Full (k1, k2) coefficients at the angular indices l_index of a real field.
+
+    The k2 < 0 columns follow from fhat(k, l) = conj(fhat(-k, -l)).
+    """
+    n2h = half.shape[1]
+    out = np.empty((grid.n_x1, grid.n_x2, len(l_index)), dtype=np.complex128)
+    out[:, :n2h] = half[:, :, l_index]
+    neg_k1, mirror = _reflection(grid)
+    neg_l = (-l_index) % grid.n_theta
+    np.conjugate(half[np.ix_(neg_k1, mirror, neg_l)], out=out[:, n2h:])
+    return out
+
+
+def _transport_half(half: np.ndarray, grid: TorusGrid, v_eff: float, half_dt: float) -> np.ndarray:
+    mixed = np.fft.ifft(half, axis=2)
+    mixed *= _transport_factor(grid, v_eff * half_dt)
+    out = np.fft.fft(mixed, axis=2)
     # p.k vanishes identically at k=(0,0): keep that slice exactly, so the
     # x-average (and with it the total mass) never sees FFT round-off
-    out[0, 0, :] = coeffs[0, 0, :]
+    out[0, 0, :] = half[0, 0, :]
     return out
 
 
 def _alignment_rhs(
-    coeffs: np.ndarray,
+    half: np.ndarray,
     grid: TorusGrid,
-    multiplier: np.ndarray,
+    kernels: InfluencePair,
     kappa: float,
 ) -> tuple[np.ndarray, float]:
-    """-kappa d_theta(f L[f]) in coefficients, dealiased flux form."""
-    mask = grid.dealias_mask
-    phase = grid.theta_phase[None, None, :]
-    fd = np.where(mask, coeffs, 0.0)
-    ld = np.where(mask, multiplier * coeffs, 0.0)
-    fv = np.fft.ifftn(fd * phase) * grid.size
-    lv = np.fft.ifftn(ld * phase) * grid.size
-    prod = np.fft.fftn(fv * lv) / grid.size * phase
-    rhs = -kappa * _theta_derivative(grid)[None, None, :] * np.where(mask, prod, 0.0)
-    return rhs, float(np.max(np.abs(lv)))
+    """-kappa d_theta(f L[f]) on the k2 >= 0 half, dealiased flux form.
+
+    L[f] is synthesised from the angular planes in the support of Psihat
+    only: one 2-D x-transform per plane, then a real theta-transform that
+    zero-pads the modes above the support.  Returns the right-hand side
+    and max|L[f]| on the collocation grid.
+    """
+    # The product is pointwise, so the (-1)^l grid-offset phase cancels
+    # between the inverse and forward transforms and is left out.
+    fd = half * _half_mask(grid)
+    fv = np.fft.irfftn(fd, axes=_AXES) * grid.size
+    support = kernels.psi_support
+    planes = _unfold(fd, grid, support) * kernels.support_multiplier
+    lhat = np.zeros((grid.n_x1, grid.n_x2, support.max(initial=0) + 1), dtype=np.complex128)
+    lhat[:, :, support] = np.fft.ifft2(planes, axes=(0, 1))
+    lv = np.fft.irfft(lhat, n=grid.n_theta, axis=2) * grid.size
+    prod = np.fft.rfftn(fv * lv, axes=_AXES) / grid.size
+    return -kappa * _flux_factor(grid) * prod, float(np.max(np.abs(lv)))
 
 
 def step_kinetic(
@@ -128,45 +206,49 @@ def step_kinetic(
 ) -> SpectralField:
     """One Strang step: transport / alignment / diffusion / alignment / transport.
 
-    Raises StepSizeError when dt violates the explicit alignment guard
-    dt <= 0.5 / (kappa l_max max|L[f]| + 1), and NumericsError on NaN.
+    The step reads and evolves the k2 >= 0 half of f's coefficients; the
+    k2 < 0 columns of the result follow by conjugate symmetry.  Raises StepSizeError when dt violates the
+    explicit alignment guard dt <= 0.5 / (kappa l_max max|L[f]| + 1), and
+    NumericsError on NaN.
     """
     grid = f.grid
     dt = params.dt
-    c = f.coeffs
+    n2h = grid.n_x2 // 2 + 1
+    c = f.coeffs[:, :n2h, :]
 
     c = _transport_half(c, grid, params.v(t + 0.25 * dt), 0.5 * dt)
 
     if params.kappa != 0.0:
-        mult = kernels.multiplier
+        if kernels.grid != grid:
+            raise ValueError("kernels live on a different grid")
         l_max = grid.n_theta // 2
 
         def align_half(c):
             h = 0.5 * dt
-            r1, l_inf = _alignment_rhs(c, grid, mult, params.kappa)
+            r1, l_inf = _alignment_rhs(c, grid, kernels, params.kappa)
             if dt > 0.5 / (params.kappa * l_max * l_inf + 1.0):
                 raise StepSizeError(
                     f"dt={dt} violates the alignment guard at t={t} (|L[f]|max={l_inf:.3g})"
                 )
-            r2, _ = _alignment_rhs(c + h * r1, grid, mult, params.kappa)
+            r2, _ = _alignment_rhs(c + h * r1, grid, kernels, params.kappa)
             return c + 0.5 * h * (r1 + r2)
 
         c = align_half(c)
 
-    l = grid.l.astype(np.float64)
-    c = c * np.exp(-params.nu * l**2 * dt)[None, None, :]
+    c = c * _diffusion_factor(grid, params.nu, dt)
 
     if params.kappa != 0.0:
         c = align_half(c)
 
     c = _transport_half(c, grid, params.v(t + 0.75 * dt), 0.5 * dt)
 
-    if not np.all(np.isfinite(c)):
+    # the k2 < 0 columns of f were not read: check them here too
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(f.coeffs[:, n2h:, :]))):
         raise NumericsError(
             f"NaN detected at t={t + dt}: mass={TWO_PI**3 * c[0, 0, 0]!r}, "
             f"max|fhat|={np.max(np.abs(c[np.isfinite(c)])) if np.any(np.isfinite(c)) else 'n/a'}"
         )
-    return SpectralField(grid, c)
+    return SpectralField(grid, _unfold(c, grid, np.arange(grid.n_theta)))
 
 
 # ---------------------------------------------------------------------------

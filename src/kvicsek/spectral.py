@@ -121,20 +121,34 @@ class TorusGrid:
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        """|k|^2 + l^2 on the full coefficient array."""
-        return (
+        """|k|^2 + l^2 on the full coefficient array; read-only."""
+        out = (
             self.k1[:, None, None] ** 2
             + self.k2[None, :, None] ** 2
             + self.l[None, None, :] ** 2
         ).astype(np.float64)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def hm1_weights(self) -> np.ndarray:
+        """1/(|k|^2 + l^2) off the k=(0,0) slice and 0 on it; read-only."""
+        out = np.zeros(self.shape)
+        nonzero = np.ones(self.shape, dtype=bool)
+        nonzero[0, 0, :] = False
+        out[nonzero] = 1.0 / self.k_squared[nonzero]
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: True on retained modes, all three indices."""
+        """2/3-rule mask: True on retained modes, all three indices; read-only."""
         keep1 = np.abs(self.k1) <= self.n_x1 // 3
         keep2 = np.abs(self.k2) <= self.n_x2 // 3
         keep3 = np.abs(self.l) <= self.n_theta // 3
-        return keep1[:, None, None] & keep2[None, :, None] & keep3[None, None, :]
+        out = keep1[:, None, None] & keep2[None, :, None] & keep3[None, None, :]
+        out.flags.writeable = False
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -338,28 +352,17 @@ def norm(f: SpectralField, kind: str = "L2", s: float | None = None) -> float:
             raise ValueError(
                 "Hm1_nonzero requires the x-average removed; pass remainder(f)"
             )
-        weights = np.zeros(g.shape)
-        nonzero = np.ones(g.shape, dtype=bool)
-        nonzero[0, 0, :] = False
-        weights[nonzero] = 1.0 / g.k_squared[nonzero]
-        return float(np.sqrt(TWO_PI**3 * np.sum(weights * np.abs(f.coeffs) ** 2)))
+        return float(np.sqrt(TWO_PI**3 * np.sum(g.hm1_weights * np.abs(f.coeffs) ** 2)))
     raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def convolve_xtheta(multiplier: np.ndarray, f: SpectralField) -> SpectralField:
-    """Apply a convolution kernel given as its coefficient multiplier.
-
-    For the alignment kernel Phi(x)Psi(theta) the multiplier is
-    (2pi)^3 Phihat(-k) Psihat(-l); see influence.InfluencePair.multiplier.
-    """
-    if multiplier.shape != f.grid.shape:
-        raise ValueError("kernel multiplier computed on a different grid")
-    return SpectralField(f.grid, multiplier * f.coeffs)
 
 
 # ---------------------------------------------------------------------------
 # Snapshot I/O: one JSON header line, then raw little-endian payload
 # ---------------------------------------------------------------------------
+
+
+SNAPSHOT_DTYPE = "float64 little-endian"
+SNAPSHOT_ORDER = "(k1,k2,l) complex interleaved"
 
 
 def write_snapshot(path, f: SpectralField, time: float = 0.0, parameters: dict | None = None) -> None:
@@ -370,8 +373,8 @@ def write_snapshot(path, f: SpectralField, time: float = 0.0, parameters: dict |
         "time": time,
         "parameters": parameters or {},
         "layout": "row-major",
-        "dtype": "float64 little-endian",
-        "order": "(k1,k2,l) complex interleaved",
+        "dtype": SNAPSHOT_DTYPE,
+        "order": SNAPSHOT_ORDER,
     }
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
@@ -382,6 +385,14 @@ def read_snapshot(path) -> tuple[SpectralField, dict]:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
         payload = fh.read()
+    for key, expected in (("dtype", SNAPSHOT_DTYPE), ("order", SNAPSHOT_ORDER)):
+        if header.get(key) != expected:
+            raise ValueError(f"{path}: snapshot {key} {header.get(key)!r}, expected {expected!r}")
     grid = TorusGrid(header["n_x1"], header["n_x2"], header["n_theta"])
+    expected_bytes = 16 * grid.size
+    if len(payload) != expected_bytes:
+        raise ValueError(
+            f"{path}: snapshot payload is {len(payload)} bytes, expected {expected_bytes}"
+        )
     coeffs = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
     return SpectralField(grid, coeffs.astype(np.complex128)), header

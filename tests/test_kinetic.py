@@ -6,15 +6,15 @@ import pytest
 from kvicsek.errors import NumericsError, StepSizeError
 from kvicsek.homogeneous import HomogeneousState, step_homogeneous
 from kvicsek.influence import angular_kernel, make_influence, validate_kernels
+from kvicsek import kinetic
 from kvicsek.kinetic import (
     KineticParams,
     _alignment_rhs,
-    alignment_L,
     default_initial,
     run_experiment,
     step_kinetic,
 )
-from kvicsek.linear import ModeState, step_mode
+from kvicsek.linear import ModeState, speed_decaying, step_mode
 from kvicsek.presets import perturbed_profile
 from kvicsek.spectral import (
     TWO_PI,
@@ -83,7 +83,7 @@ class TestAlignmentOperator:
         pair = make_influence(grid)
         g = perturbed_profile(32, 0.4, seed=0)
         f = SpectralField.from_values(grid, np.broadcast_to(g.values.real, grid.shape))
-        L = alignment_L(f, pair)
+        L = pair.apply(f)
         off = L.coeffs.copy()
         off[0, 0, :] = 0.0
         assert np.max(np.abs(off)) < 1e-14 * np.max(np.abs(L.coeffs))
@@ -92,7 +92,7 @@ class TestAlignmentOperator:
         grid = TorusGrid(8, 8, 16)
         pair = make_influence(grid)
         f = SpectralField.from_function(grid, lambda x1, x2, th: np.full_like(x1 + x2 + th, 0.7))
-        assert np.max(np.abs(alignment_L(f, pair).coeffs)) < 1e-15
+        assert np.max(np.abs(pair.apply(f).coeffs)) < 1e-15
 
     def test_narrow_bump_against_quadrature(self):
         # concentrated (von Mises-like) angular bump at theta0: spectral L
@@ -179,7 +179,7 @@ class TestStepKinetic:
         pair = make_influence(grid)
         rng = np.random.default_rng(5)
         f = SpectralField.from_values(grid, 1.0 + 0.5 * rng.standard_normal(grid.shape))
-        rhs, _ = _alignment_rhs(f.coeffs, grid, pair.multiplier, kappa=0.3)
+        rhs, _ = _alignment_rhs(f.coeffs[:, : grid.n_x2 // 2 + 1], grid, pair, kappa=0.3)
         assert rhs[0, 0, 0] == 0.0
 
     def test_step_guard(self):
@@ -216,13 +216,165 @@ class TestStepKinetic:
             prev = cur
 
 
+# ---------------------------------------------------------------------------
+# Full-complex reference step: the step as first written, with 3-D complex
+# transforms over every mode.  The half-spectrum step must reproduce it.
+# ---------------------------------------------------------------------------
+
+
+def _reference_transport_half(coeffs, grid, v_eff, half_dt):
+    geometry = (
+        grid.k1[:, None, None] * np.cos(grid.theta)[None, None, :]
+        + grid.k2[None, :, None] * np.sin(grid.theta)[None, None, :]
+    )
+    phase = grid.theta_phase[None, None, :]
+    mixed = np.fft.ifft(coeffs * phase, axis=2) * grid.n_theta
+    mixed *= np.exp(-1j * v_eff * half_dt * geometry)
+    out = np.fft.fft(mixed, axis=2) / grid.n_theta * phase
+    out[0, 0, :] = coeffs[0, 0, :]
+    return out
+
+
+def _reference_alignment_rhs(coeffs, grid, multiplier, kappa):
+    l = grid.l.astype(np.float64)
+    l[grid.n_theta // 2] = 0.0
+    mask = grid.dealias_mask
+    phase = grid.theta_phase[None, None, :]
+    fd = np.where(mask, coeffs, 0.0)
+    ld = np.where(mask, multiplier * coeffs, 0.0)
+    fv = np.fft.ifftn(fd * phase) * grid.size
+    lv = np.fft.ifftn(ld * phase) * grid.size
+    prod = np.fft.fftn(fv * lv) / grid.size * phase
+    rhs = -kappa * (1j * l)[None, None, :] * np.where(mask, prod, 0.0)
+    return rhs, float(np.max(np.abs(lv)))
+
+
+def _reference_step(coeffs, params, pair, t):
+    grid, dt = params.grid, params.dt
+    c = _reference_transport_half(coeffs, grid, params.v(t + 0.25 * dt), 0.5 * dt)
+
+    def align_half(c):
+        h = 0.5 * dt
+        r1, _ = _reference_alignment_rhs(c, grid, pair.multiplier, params.kappa)
+        r2, _ = _reference_alignment_rhs(c + h * r1, grid, pair.multiplier, params.kappa)
+        return c + 0.5 * h * (r1 + r2)
+
+    c = align_half(c)
+    c = c * np.exp(-params.nu * grid.l.astype(np.float64) ** 2 * dt)[None, None, :]
+    c = align_half(c)
+    return _reference_transport_half(c, grid, params.v(t + 0.75 * dt), 0.5 * dt)
+
+
+# Psi = sin (support l = 1), (1 + cos)^2 (l = 1..3), and an even factor
+# 1/(5/4 - cos) whose Psihat is dense on these grids.
+PSI_FACTORS = {
+    "one": "one",
+    "cos_squared": "cos_squared",
+    "dense": lambda th: 1.0 / (1.25 - np.cos(th)),
+}
+ORACLE_GRIDS = [(8, 12, 32), (16, 8, 64)]
+
+
+class TestHalfSpectrumStep:
+    @pytest.mark.parametrize("shape", ORACLE_GRIDS)
+    @pytest.mark.parametrize("psi", sorted(PSI_FACTORS))
+    def test_rhs_matches_full_complex_reference(self, shape, psi):
+        grid = TorusGrid(*shape)
+        pair = make_influence(grid, phi="bump", sigma=0.8, psi_factor=PSI_FACTORS[psi])
+        rng = np.random.default_rng(21)
+        f = SpectralField.from_values(grid, 1.0 + 0.5 * rng.standard_normal(grid.shape))
+        n2h = grid.n_x2 // 2 + 1
+        rhs, l_inf = _alignment_rhs(f.coeffs[:, :n2h], grid, pair, kappa=0.3)
+        ref, ref_l_inf = _reference_alignment_rhs(f.coeffs, grid, pair.multiplier, kappa=0.3)
+        assert np.max(np.abs(rhs - ref[:, :n2h])) <= 1e-13 * np.max(np.abs(ref))
+        assert abs(l_inf - ref_l_inf) <= 1e-13 * ref_l_inf
+
+    def test_support_of_psi(self):
+        grid = TorusGrid(8, 8, 64)
+        support = {
+            name: make_influence(grid, psi_factor=pf).psi_support.tolist()
+            for name, pf in PSI_FACTORS.items()
+        }
+        assert support["one"] == [1]
+        assert support["cos_squared"] == [1, 2, 3]
+        assert support["dense"] == list(range(1, 32))  # the odd Psi has no Nyquist mode
+
+    @pytest.mark.parametrize(
+        "shape,psi,speed",
+        [
+            ((8, 12, 32), "one", None),
+            ((16, 8, 64), "cos_squared", None),
+            ((8, 12, 32), "dense", None),
+            ((16, 8, 64), "one", speed_decaying(0.2)),
+        ],
+    )
+    def test_trajectory_matches_full_complex_reference(self, shape, psi, speed):
+        # The reference transport treats the Nyquist rows k1 = -n/2 as
+        # unpaired and lets a real field drift off conjugate symmetry there,
+        # so the data carry no Nyquist content (the 2/3 rule removes it).
+        grid = TorusGrid(*shape)
+        pair = make_influence(grid, phi="bump", sigma=0.8, psi_factor=PSI_FACTORS[psi])
+        extra = {} if speed is None else {"v": speed}
+        params = KineticParams(kappa=0.3, nu=0.05, grid=grid, dt=0.01, t_end=0.5, **extra)
+        rng = np.random.default_rng(22)
+        f = SpectralField.from_values(grid, 1.0 + 0.3 * rng.standard_normal(grid.shape)).dealiased()
+        ref = f.coeffs
+        t = 0.0
+        for _ in range(50):
+            f = step_kinetic(f, params, pair, t)
+            ref = _reference_step(ref, params, pair, t)
+            t += params.dt
+        assert np.max(np.abs(f.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert f.is_real(1e-12)
+
+    def test_nan_in_unread_half_is_detected(self):
+        grid = TorusGrid(8, 8, 16)
+        pair = make_influence(grid)
+        params = KineticParams(kappa=0.1, nu=0.1, grid=grid, dt=0.01, t_end=1.0)
+        c = default_initial(grid, 0.1 / TWO_PI**3, seed=0).coeffs.copy()
+        c[1, -1, 1] = np.nan
+        with pytest.raises(NumericsError):
+            step_kinetic(SpectralField(grid, c), params, pair, 0.0)
+
+    def test_kernels_on_another_grid_rejected(self):
+        grid = TorusGrid(8, 8, 32)
+        params = KineticParams(kappa=0.1, nu=0.1, grid=grid, dt=0.01, t_end=1.0)
+        f = default_initial(grid, 0.1 / TWO_PI**3, seed=0)
+        with pytest.raises(ValueError):
+            step_kinetic(f, params, make_influence(TorusGrid(8, 8, 16)), 0.0)
+
+    def test_cached_factors_are_read_only(self):
+        grid = TorusGrid(8, 12, 32)
+        pair = make_influence(grid, psi_factor="cos_squared")
+        step_kinetic(
+            default_initial(grid, 0.1 / TWO_PI**3),
+            KineticParams(kappa=0.1, nu=0.1, grid=grid, dt=0.01, t_end=1.0),
+            pair,
+            0.0,
+        )
+        cached = [
+            kinetic._half_geometry(grid),
+            kinetic._transport_factor(grid, 0.005),
+            kinetic._half_mask(grid),
+            kinetic._theta_derivative(grid),
+            kinetic._flux_factor(grid),
+            kinetic._diffusion_factor(grid, 0.1, 0.01),
+            *kinetic._reflection(grid),
+            pair.psi_support,
+            pair.support_multiplier,
+        ]
+        for arr in cached:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0
+
+
 class TestAlignmentBounds:
     def test_average_commutes_with_alignment_in_coefficients(self):
         grid = TorusGrid(8, 8, 32)
         pair = make_influence(grid)
         rng = np.random.default_rng(13)
         f = SpectralField.from_values(grid, 1.0 + 0.4 * rng.standard_normal(grid.shape))
-        left = x_average(alignment_L(f, pair)).coeffs
+        left = x_average(pair.apply(f)).coeffs
         right = pair.multiplier[0, 0, :] * x_average(f).coeffs
         assert np.array_equal(left, right)
 
@@ -233,7 +385,7 @@ class TestAlignmentBounds:
         pair = make_influence(grid, phi="bump", sigma=0.7)
         rng = np.random.default_rng(14)
         f = SpectralField.from_values(grid, np.abs(1.0 + 0.5 * rng.standard_normal(grid.shape)))
-        L = alignment_L(f, pair)
+        L = pair.apply(f)
         bound = pair.phi_max * pair.psi_max * norm(f, "L1")
         assert np.max(np.abs(L.values.real)) <= bound * (1 + 1e-10)
 

@@ -1,5 +1,7 @@
 """Spectral core: transforms, averages, norms, convolution, snapshots."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,43 @@ def test_snapshot_roundtrip(tmp_path):
     assert header["layout"] == "row-major"
     assert np.array_equal(back.coeffs, f.coeffs)
     assert back.grid == grid
+
+
+def _corrupt_snapshot(path, edit_header=None, payload_edit=None):
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline().decode("utf-8"))
+        payload = fh.read()
+    if edit_header:
+        header.update(edit_header)
+    if payload_edit:
+        payload = payload_edit(payload)
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header) + "\n").encode("utf-8"))
+        fh.write(payload)
+
+
+@pytest.mark.parametrize(
+    "edit_header,payload_edit,match",
+    [
+        (None, lambda p: p[:-16], "payload is 12272 bytes, expected 12288"),
+        (None, lambda p: p + b"\0" * 8, "payload is 12296 bytes, expected 12288"),
+        ({"dtype": "float32 little-endian"}, None, "dtype"),
+        ({"order": "(l,k2,k1) complex interleaved"}, None, "order"),
+    ],
+    ids=["truncated", "extra-bytes", "wrong-dtype", "wrong-order"],
+)
+def test_snapshot_read_rejects_inconsistent_files(tmp_path, edit_header, payload_edit, match):
+    grid = TorusGrid(8, 8, 12)
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, random_real_field(grid, np.random.default_rng(9)))
+    _corrupt_snapshot(path, edit_header, payload_edit)
+    with pytest.raises(ValueError, match=match) as err:
+        read_snapshot(path)
+    assert str(path) in str(err.value)
+
+
+def test_grid_caches_are_read_only():
+    grid = TorusGrid(8, 12, 16)
+    for arr in (grid.dealias_mask, grid.k_squared, grid.hm1_weights):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1
