@@ -9,6 +9,17 @@ N agents carry a position on T^2 and a heading on T:
 The angular noise is additive, so the Ito and Stratonovich readings of
 the sphere-projected formulation coincide; the projection-form drift is
 kept available as a consistency check.
+
+The drift is a Fourier sum over the series of Phi and the support of
+Psihat against the empirical characteristic function of the agents,
+O(N K^2) per angular mode, where K is the smallest cutoff that leaves
+every dropped coefficient of Phi below PHI_SERIES_RTOL * max|Phi|
+(influence.PHI_SERIES_RTOL).  K is 14 for the bump at sigma = 1, 21 at
+sigma = 0.5, 30 at sigma = 0.3 and 0 for a uniform Phi; it grows like
+1/sigma.  Phi must therefore be smooth: a Phi with no such series on a
+PHI_SERIES_MAX_GRID grid (a jump, or a bump narrower than sigma ~ 0.03)
+is rejected with ValueError.  The kernel density estimate uses the same
+characteristic-function sums.
 """
 
 from __future__ import annotations
@@ -31,6 +42,13 @@ def _make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _copy_rng(rng: np.random.Generator) -> np.random.Generator:
+    """A new Generator at rng's bit-generator state; rng itself never moves."""
+    bit_generator = type(rng.bit_generator)(0)
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator)
+
+
 def _box_muller(rng: np.random.Generator, n: int) -> np.ndarray:
     """Standard normals from the counter-based uniform stream."""
     u1 = 1.0 - rng.random(n)  # in (0, 1]
@@ -40,7 +58,11 @@ def _box_muller(rng: np.random.Generator, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AgentEnsemble:
-    """N agents with a seeded counter-based RNG stream."""
+    """N agents with a seeded counter-based RNG stream.
+
+    The ensemble is a value: em_step never advances ``rng``, it draws from
+    a copy of its state and hands the advanced copy to the result.
+    """
 
     x: np.ndarray       # (N, 2) positions in [0, 2pi)^2
     theta: np.ndarray   # (N,) headings in [-pi, pi)
@@ -130,48 +152,76 @@ def ensemble_from_density(
 # ---------------------------------------------------------------------------
 
 
-def angular_drift(e: AgentEnsemble, pairwise: bool | None = None) -> np.ndarray:
+def angular_drift(e: AgentEnsemble) -> np.ndarray:
     """Per-agent drift (kappa/N) sum_j Phi(x^j - x^i) Psi(theta^j - theta^i).
 
-    The O(N^2) pairwise sum is the default route.  When Phi is spatially
-    uniform the sum factorizes exactly over the (band-limited) Fourier
-    modes of Psi, an O(N) evaluation used automatically unless
-    ``pairwise=True`` forces the direct path.
+    Evaluated as the Fourier sum
+
+        kappa sum_{k, l} Phihat_k Psihat_l e^{-i(k.x^i + l theta^i)} S_{k,l},
+        S_{k,l} = (1/N) sum_j e^{i(k.x^j + l theta^j)},
+
+    in O(N K^2) per angular mode instead of O(N^2).  Phihat is the series
+    of the influence's phi_fn over |k1|, |k2| <= K, with K chosen from a
+    tolerance on max|Phi| (``InfluencePair.phi_series``); Phi must be
+    smooth, and one that no grid resolves raises ValueError.  A uniform Phi
+    is the case K = 0.  The angular modes are the support of Psihat
+    (``InfluencePair.psi_support``); Phi and Psi are real, so the l > 0
+    terms are doubled in place of the l < 0 half.
     """
-    if pairwise is None:
-        pairwise = not e.influence.phi_is_uniform
-    if not pairwise:
-        return _drift_uniform_phi(e)
-    return _drift_pairwise(e)
-
-
-def _drift_uniform_phi(e: AgentEnsemble) -> np.ndarray:
-    phi0 = float(e.influence.phi_values[0, 0])
+    ks, phihat = e.influence.phi_series
+    support = e.influence.psi_support
     psi = e.influence.angular.psi
-    amax = max(float(np.max(np.abs(psi.coeffs))), 1e-300)
-    out = np.zeros(e.n, dtype=np.complex128)
-    for l, c in zip(psi.l, psi.coeffs):
-        if np.abs(c) > 1e-15 * amax:
-            s_l = np.mean(np.exp(1j * l * e.theta))
-            out += c * s_l * np.exp(-1j * l * e.theta)
-    return e.kappa * phi0 * out.real
+    ls = psi.l[support]
+    # l = 0 and the Nyquist mode have no partner in the l >= 0 half
+    weight = np.where((support == 0) | (support == psi.n // 2), 1.0, 2.0)
+    e1 = _phases(e.x[:, 0], ks)
+    e2 = _phases(e.x[:, 1], ks)
+    e3 = _phases(e.theta, ls)
+    s = _characteristic(e1, e2, e3)
+    coeffs = weight * psi.coeffs[support]
+    out = np.zeros(e.n)
+    for c in range(len(ls)):
+        # the real part of the conjugated sum, which needs no conjugated factors
+        m = np.conj(coeffs[c] * phihat * s[:, :, c])
+        out += (np.einsum("ij,ij->i", e1 @ m, e2) * e3[:, c]).real
+    return e.kappa * out
 
 
-def _drift_pairwise(e: AgentEnsemble) -> np.ndarray:
-    psi = e.influence.angular.psi
-    drift = np.empty(e.n)
-    for start in range(0, e.n, _PAIRWISE_CHUNK):
-        stop = min(start + _PAIRWISE_CHUNK, e.n)
-        dx1 = e.x[None, :, 0] - e.x[start:stop, None, 0]
-        dx2 = e.x[None, :, 1] - e.x[start:stop, None, 1]
-        dth = e.theta[None, :] - e.theta[start:stop, None]
-        w = e.influence.phi_fn(dx1, dx2) * psi.eval(dth).real
-        drift[start:stop] = w.sum(axis=1)
-    return e.kappa / e.n * drift
+def _phases(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """exp(i ks[c] u[j]) as an (N, len(ks)) array.
+
+    Built from running products of exp(i u): one complex exponential per
+    point instead of one per entry, at a phase error that grows like |k|
+    ulps, as the rounding of the argument k u does for the direct form.
+    """
+    k_max = int(np.max(np.abs(ks), initial=0))
+    powers = np.ones((k_max + 1, u.shape[0]), dtype=np.complex128)
+    if k_max:
+        z = np.exp(1j * u)
+        for k in range(1, k_max + 1):
+            np.multiply(powers[k - 1], z, out=powers[k])
+    rows = powers[np.abs(ks)]
+    np.conjugate(rows, out=rows, where=(ks < 0)[:, None])
+    return rows.T
+
+
+def _characteristic(e1: np.ndarray, e2: np.ndarray, e3: np.ndarray) -> np.ndarray:
+    """S[a, b, c] = (1/N) sum_j e1[j, a] e2[j, b] e3[j, c].
+
+    The separable factors of the empirical characteristic function; one
+    GEMM over the agents per column of e3.
+    """
+    s = np.empty((e1.shape[1], e2.shape[1], e3.shape[1]), dtype=np.complex128)
+    for c in range(e3.shape[1]):
+        s[:, :, c] = (e1 * e3[:, c, None]).T @ e2
+    return s / e1.shape[0]
 
 
 def em_step(e: AgentEnsemble, dt: float, noise: np.ndarray | None = None) -> AgentEnsemble:
     """One Euler-Maruyama step; noise may be injected for testing.
+
+    Stepping the same ensemble twice gives the same result: the noise is
+    drawn from a copy of e.rng, which the returned ensemble carries.
 
     Guard: dt * kappa * max|Phi| * max|Psi| <= 0.1.
     """
@@ -180,24 +230,25 @@ def em_step(e: AgentEnsemble, dt: float, noise: np.ndarray | None = None) -> Age
     if dt * e.kappa * e.influence.phi_max * e.influence.psi_max > 0.1:
         raise StepSizeError("dt violates the drift guard dt*kappa*max|Phi Psi| <= 0.1")
     drift = angular_drift(e)
+    rng = _copy_rng(e.rng)
     if noise is None:
-        noise = _box_muller(e.rng, e.n)
+        noise = _box_muller(rng, e.n)
     speed = e.v(e.t)
     x_new = e.x + speed * dt * np.column_stack([np.cos(e.theta), np.sin(e.theta)])
     theta_new = e.theta + drift * dt + np.sqrt(2.0 * e.nu * dt) * noise
-    return replace(e, x=np.mod(x_new, TWO_PI), theta=wrap_angle(theta_new), t=e.t + dt)
+    return replace(e, x=np.mod(x_new, TWO_PI), theta=wrap_angle(theta_new), t=e.t + dt, rng=rng)
 
 
 def projection_drift_check(e: AgentEnsemble) -> float:
     """Max discrepancy between the sphere-projection and angular drifts.
 
-    The projection form -kappa P(v^i) mean_j Phi (v^i - v^j) psi must
-    match the angular drift times the unit tangent (-sin, cos); the
-    identity rests on psi being even.
+    The projection form -kappa P(v^i) mean_j Phi (v^i - v^j) psi, summed
+    over pairs here, must match the angular drift that em_step uses times
+    the unit tangent (-sin, cos); the identity rests on psi being even.
     """
     cos_t, sin_t = np.cos(e.theta), np.sin(e.theta)
     vvec = np.column_stack([cos_t, sin_t])
-    a = angular_drift(e, pairwise=True)
+    a = angular_drift(e)
 
     psi_factor = e.influence.angular.psi_factor
     s = np.zeros((e.n, 2))
@@ -243,16 +294,7 @@ def empirical_density(e: AgentEnsemble, grid: TorusGrid, bandwidth: float = 0.3)
     w2 = axis_weights(grid.k2)
     w3 = axis_weights(grid.l)
 
-    s12l = np.zeros((grid.n_x1 * grid.n_x2, grid.n_theta), dtype=np.complex128)
-    chunk = max(1, int(2e6) // (grid.n_x1 * grid.n_x2))
-    for start in range(0, e.n, chunk):
-        stop = min(start + chunk, e.n)
-        e1 = np.exp(-1j * np.outer(e.x[start:stop, 0], grid.k1))
-        e2 = np.exp(-1j * np.outer(e.x[start:stop, 1], grid.k2))
-        e3 = np.exp(-1j * np.outer(e.theta[start:stop], grid.l))
-        d = (e1[:, :, None] * e2[:, None, :]).reshape(stop - start, -1)
-        s12l += d.T @ e3
-    s = s12l.reshape(grid.n_x1, grid.n_x2, grid.n_theta) / e.n
+    s = _characteristic(_phases(e.x[:, 0], -grid.k1), _phases(e.x[:, 1], -grid.k2), _phases(e.theta, -grid.l))
 
     kernel = (
         w1[:, None, None] * w2[None, :, None] * w3[None, None, :] / TWO_PI**3

@@ -19,7 +19,9 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     _reflect,
+    fft_wavenumbers,
     theta_points,
+    x_points,
 )
 
 
@@ -80,6 +82,15 @@ def uniform_phi() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 # factors leave round-off (<= 1e-16 of max|Psihat|); on it they have >= 0.125.
 PSI_SUPPORT_RTOL = 1e-12
 
+# Cutoff for the Fourier series of Phi, relative to max|Phi| (not max|Phihat|,
+# which for a peaked Phi lies far below max|Phi| and would put the cutoff
+# under the FFT round-off of the samples).  A dropped coefficient moves no
+# value of Phi by more than half an ulp of its maximum.
+PHI_SERIES_RTOL = 1e-16
+
+# Largest sampling grid (per axis) tried for the series of Phi.
+PHI_SERIES_MAX_GRID = 1024
+
 
 @dataclass(frozen=True)
 class InfluencePair:
@@ -89,7 +100,6 @@ class InfluencePair:
     phi_values: np.ndarray
     phi_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     angular: AngularKernel
-    phi_is_uniform: bool = False
 
     def __post_init__(self):
         pv = np.ascontiguousarray(self.phi_values, dtype=np.float64)
@@ -133,6 +143,43 @@ class InfluencePair:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def phi_series(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fourier series of phi_fn as (ks, Phihat), |k1|, |k2| <= K; read-only.
+
+        ``Phihat[a, b]`` is the coefficient of exp(i (ks[a] x1 + ks[b] x2)).
+        phi_fn is sampled on m x m grids, m = 16, 32, ..., until every
+        coefficient with max(|k1|, |k2|) >= m/4 is at most PHI_SERIES_RTOL *
+        max|Phi|; K is the largest shell max(|k1|, |k2|) still above that.
+        Raises ValueError when no grid up to PHI_SERIES_MAX_GRID resolves
+        Phi: a Phi that is not smooth has no short series.
+        """
+        m = 16
+        while True:
+            x = x_points(m)
+            samples = np.broadcast_to(self.phi_fn(x[:, None], x[None, :]), (m, m))
+            coeffs = np.fft.fft2(samples) / m**2
+            k = fft_wavenumbers(m)
+            shell = np.maximum(np.abs(k)[:, None], np.abs(k)[None, :])
+            tail = shell >= m // 4
+            above = np.abs(coeffs) > PHI_SERIES_RTOL * float(np.max(np.abs(samples)))
+            if not np.any(above & tail):
+                break
+            if m >= PHI_SERIES_MAX_GRID:
+                residual = float(np.max(np.abs(coeffs[tail])) / np.max(np.abs(samples)))
+                raise ValueError(
+                    f"Phi has no Fourier series to relative tolerance {PHI_SERIES_RTOL:g} on a "
+                    f"{m}x{m} grid: coefficients with max(|k1|,|k2|) >= {m // 4} reach "
+                    f"{residual:.3e} of max|Phi|; Phi must be smooth (for the bump, widen sigma)"
+                )
+            m *= 2
+        big_k = int(np.max(shell[above], initial=0))
+        ks = np.arange(-big_k, big_k + 1)
+        phihat = coeffs[np.ix_(ks % m, ks % m)]
+        ks.flags.writeable = False
+        phihat.flags.writeable = False
+        return ks, phihat
+
     def apply(self, f: SpectralField) -> SpectralField:
         if f.grid != self.grid:
             raise ValueError("field lives on a different grid")
@@ -163,7 +210,6 @@ def make_influence(
     psi_factor : "one" (Psi = sin), "cos_squared" ((1+cos)^2), or callable
     normalize : rescale Phi so its discrete integral is exactly 1
     """
-    uniform = phi == "uniform"
     if phi == "bump":
         phi_fn = bump_phi(sigma)
     elif phi == "uniform":
@@ -195,7 +241,6 @@ def make_influence(
         phi_values=pv,
         phi_fn=phi_fn,
         angular=angular_kernel(grid.n_theta, pf),
-        phi_is_uniform=uniform,
     )
 
 

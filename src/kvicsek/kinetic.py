@@ -101,11 +101,17 @@ def _half_geometry(grid: TorusGrid) -> np.ndarray:
 
     An inverse FFT over l without the (-1)^l grid-offset phase samples f
     at phi_j = theta_j + pi, so the mixed form works on those angles.
+    The Nyquist rows k1 = -n1/2 and k2 = -n2/2 are their own reflections:
+    only a zero wavenumber there keeps a real field's coefficients
+    conjugate-symmetric, as for l in _theta_derivative.
     """
-    k2 = grid.k2[: grid.n_x2 // 2 + 1]
+    k1 = grid.k1.astype(np.float64)
+    k1[grid.n_x1 // 2] = 0.0
+    k2 = grid.k2[: grid.n_x2 // 2 + 1].astype(np.float64)
+    k2[grid.n_x2 // 2] = 0.0
     phi = x_points(grid.n_theta)
     return _readonly(
-        grid.k1[:, None, None] * np.cos(phi)[None, None, :]
+        k1[:, None, None] * np.cos(phi)[None, None, :]
         + k2[None, :, None] * np.sin(phi)[None, None, :]
     )
 

@@ -285,10 +285,16 @@ def _agents(cfg: ExperimentConfig) -> list[Path]:
     n_theta = o.i("n_theta", 64)
     amplitude = o.f("amplitude", 0.2)
     n_x = max(4, o.i("n_x", 8))
+    if not sigma > 0:
+        raise ConfigError(f"sigma must be positive, got {sigma}")
+    try:
+        grid = TorusGrid(n_x, n_x, n_theta)
+        influence = make_influence(grid, phi=phi, sigma=sigma)
+        influence.phi_series  # the drift's series of Phi: resolve it before any output
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     write_manifest(cfg.out_dir, cfg.preset, cfg.seed, o.resolved)
 
-    grid = TorusGrid(n_x, n_x, n_theta)
-    influence = make_influence(grid, phi=phi, sigma=sigma)
     g0 = perturbed_profile(n_theta, amplitude, cfg.seed)
     e = ag.ensemble_from_profile(n, g0, influence, kappa=kappa, nu=nu, seed=cfg.seed)
 

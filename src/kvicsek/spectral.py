@@ -292,7 +292,14 @@ class SpectralField:
 
     @property
     def real_values(self) -> np.ndarray:
-        return self.values.real
+        """Collocation values of a real field, from its k2 >= 0 half.
+
+        One real-to-complex inverse transform; equals ``values.real`` when
+        the coefficients are conjugate-symmetric.
+        """
+        g = self.grid
+        c = self.coeffs[:, : g.n_x2 // 2 + 1, :] * g.theta_phase[None, None, :]
+        return np.fft.irfftn(c, s=(g.n_x1, g.n_theta, g.n_x2), axes=(0, 2, 1)) * g.size
 
     @property
     def mass(self) -> float:

@@ -1,5 +1,7 @@
 """Agent SDE: drift forms, noise statistics, density estimation."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.special import ive
@@ -18,8 +20,24 @@ from kvicsek.agents import (
     sample_angles,
 )
 from kvicsek.errors import StepSizeError
-from kvicsek.influence import make_influence
+from kvicsek.influence import AngularKernel, InfluencePair, make_influence
 from kvicsek.spectral import TWO_PI, AngularProfile, TorusGrid, norm, remainder, theta_points
+
+_PAIRWISE_CHUNK = 512
+
+
+def _drift_pairwise(e):
+    """The O(N^2) pairwise sum (kappa/N) sum_j Phi(x^j - x^i) Psi(theta^j - theta^i): the oracle."""
+    psi = e.influence.angular.psi
+    drift = np.empty(e.n)
+    for start in range(0, e.n, _PAIRWISE_CHUNK):
+        stop = min(start + _PAIRWISE_CHUNK, e.n)
+        dx1 = e.x[None, :, 0] - e.x[start:stop, None, 0]
+        dx2 = e.x[None, :, 1] - e.x[start:stop, None, 1]
+        dth = e.theta[None, :] - e.theta[start:stop, None]
+        w = e.influence.phi_fn(dx1, dx2) * psi.eval(dth).real
+        drift[start:stop] = w.sum(axis=1)
+    return e.kappa / e.n * drift
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +142,8 @@ class TestDrift:
     def test_fast_path_matches_pairwise(self, uniform_influence):
         rng = np.random.default_rng(5)
         e = make_ensemble(rng, 257, uniform_influence, kappa=0.7)
-        d_pair = angular_drift(e, pairwise=True)
-        d_fast = angular_drift(e, pairwise=False)
+        d_pair = _drift_pairwise(e)
+        d_fast = angular_drift(e)
         assert np.max(np.abs(d_pair - d_fast)) < 1e-14
 
     def test_exchangeability_uniform_phi(self, uniform_influence):
@@ -165,6 +183,72 @@ class TestDrift:
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
 
+    def test_stepping_does_not_advance_the_ensemble_rng(self, bump_influence):
+        e = make_ensemble(np.random.default_rng(12), 64, bump_influence, seed=13)
+        before = copy.deepcopy(e.rng)
+        a, b = em_step(e, 0.02), em_step(e, 0.02)
+        assert np.array_equal(e.rng.random(4), before.random(4))
+        assert np.array_equal(a.theta, b.theta) and np.array_equal(a.x, b.x)
+        # the result carries the advanced stream, one value per ensemble
+        assert np.array_equal(em_step(a, 0.02).theta, em_step(b, 0.02).theta)
+
+
+def _dense_factor(th):
+    return 1.0 / (1.25 - np.cos(th))
+
+
+class TestFourierDrift:
+    """The production Fourier-sum drift against the pairwise oracle."""
+
+    @pytest.mark.parametrize("n", [1, 257])
+    @pytest.mark.parametrize("psi_factor", ["one", "cos_squared", _dense_factor])
+    @pytest.mark.parametrize("phi,sigma", [("bump", 1.0), ("bump", 0.5), ("bump", 0.3), ("uniform", 1.0)])
+    def test_matches_pairwise(self, phi, sigma, psi_factor, n):
+        influence = make_influence(TorusGrid(8, 8, 64), phi=phi, sigma=sigma, psi_factor=psi_factor)
+        if phi == "uniform":
+            assert influence.phi_series[0].tolist() == [0]  # K = 0
+        e = make_ensemble(np.random.default_rng(int(100 * sigma) + n), n, influence, kappa=0.7)
+        d_pair = _drift_pairwise(e)
+        # one agent exerts nothing on itself (Psi(0) = 0): scale by one pull's bound
+        scale = max(np.max(np.abs(d_pair)), e.kappa * influence.phi_max * influence.psi_max / n)
+        assert np.max(np.abs(angular_drift(e) - d_pair)) <= 1e-13 * scale
+
+    def test_matches_pairwise_with_mean_and_nyquist_modes(self, bump_influence):
+        # Psi = sin * psi never has them; a bare kernel checks the l = 0 and
+        # Nyquist weights, which have no partner in the l >= 0 half
+        th = theta_points(64)
+        prof = AngularProfile.from_values(0.3 + np.sin(th) + 0.5 * np.cos(32 * th))
+        influence = InfluencePair(
+            grid=bump_influence.grid,
+            phi_values=bump_influence.phi_values,
+            phi_fn=bump_influence.phi_fn,
+            angular=AngularKernel(psi=prof, psi_factor=prof, primitive=prof),
+        )
+        assert influence.psi_support.tolist() == [0, 1, 32]
+        e = make_ensemble(np.random.default_rng(3), 257, influence, kappa=0.7)
+        d_pair = _drift_pairwise(e)
+        assert np.max(np.abs(angular_drift(e) - d_pair)) <= 1e-13 * np.max(np.abs(d_pair))
+
+    def test_series_cutoff_of_the_bump(self):
+        grid = TorusGrid(8, 8, 16)
+        cutoffs = [len(make_influence(grid, sigma=s).phi_series[0]) // 2 for s in (1.0, 0.5, 0.3)]
+        assert cutoffs == [14, 21, 30]
+
+    def test_discontinuous_phi_rejected(self):
+        box = lambda x1, x2: ((np.cos(x1) > 0.5) & (np.cos(x2) > 0.5)).astype(float)
+        influence = make_influence(TorusGrid(8, 8, 16), phi=box)
+        with pytest.raises(ValueError, match="smooth"):
+            influence.phi_series
+        e = make_ensemble(np.random.default_rng(1), 8, influence)
+        with pytest.raises(ValueError):
+            angular_drift(e)
+
+    def test_phi_series_read_only(self, bump_influence):
+        ks, phihat = bump_influence.phi_series
+        for a in (ks, phihat):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
 
 class TestProjectionForm:
     def test_aligned_agents_have_zero_drift(self, bump_influence):
@@ -178,7 +262,7 @@ class TestProjectionForm:
             influence=bump_influence,
             rng=_make_rng(4),
         )
-        assert np.max(np.abs(angular_drift(e, pairwise=True))) < 1e-14
+        assert np.max(np.abs(angular_drift(e))) < 1e-14
         assert projection_drift_check(e) < 1e-14
 
     def test_hundred_random_configurations(self, bump_influence):
@@ -199,7 +283,7 @@ class TestProjectionForm:
             influence=uniform_influence,
             rng=_make_rng(5),
         )
-        assert np.max(np.abs(angular_drift(e, pairwise=True))) < 1e-12
+        assert np.max(np.abs(angular_drift(e))) < 1e-12
 
 
 class TestOrderParameter:

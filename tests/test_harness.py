@@ -229,6 +229,14 @@ class TestCli:
                      "--n-theta", "64", "--dt", "0.01"])
         assert code == 4
 
+    @pytest.mark.parametrize("sigma", ["0.005", "0", "-1"])
+    def test_agents_bad_width_exit_2_before_output(self, tmp_path, capsys, sigma):
+        out = tmp_path / "ag"
+        code = main(["agents", "--out", str(out), "--phi", "bump", "--sigma", sigma])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_happy_path_kinetic(self, tmp_path, capsys):
         code = main([
             "kinetic", "--out", str(tmp_path), "--grid", "8,8,32",

@@ -327,6 +327,20 @@ class TestHalfSpectrumStep:
         assert np.max(np.abs(f.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert f.is_real(1e-12)
 
+    def test_nyquist_content_stays_conjugate_symmetric(self):
+        # Data that are not dealiased carry content in the rows k1 = -n1/2
+        # and k2 = -n2/2, each its own reflection; transport must keep it real.
+        grid = TorusGrid(8, 8, 16)
+        params = KineticParams(kappa=0.0, nu=0.05, grid=grid, dt=0.05, t_end=1.0)
+        rng = np.random.default_rng(23)
+        f = SpectralField.from_values(grid, rng.standard_normal(grid.shape))
+        t = 0.0
+        for _ in range(10):
+            f = step_kinetic(f, params, make_influence(grid), t)
+            t += params.dt
+        assert f.is_real(1e-12)
+        assert np.max(np.abs(f.values.imag)) <= 1e-12 * np.max(np.abs(f.values))
+
     def test_nan_in_unread_half_is_detected(self):
         grid = TorusGrid(8, 8, 16)
         pair = make_influence(grid)

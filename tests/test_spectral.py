@@ -56,6 +56,14 @@ class TestGridAndTransforms:
         err = np.max(np.abs(back.values - v))
         assert err < 1e-12 * np.max(np.abs(v))
 
+    @pytest.mark.parametrize("shape", [(8, 8, 16), (16, 12, 20), (6, 10, 8)])
+    def test_real_values_from_half_spectrum(self, shape):
+        grid = TorusGrid(*shape)
+        # unfiltered: the Nyquist rows carry content too
+        f = SpectralField.from_values(grid, np.random.default_rng(sum(shape)).standard_normal(grid.shape))
+        full = f.values.real
+        assert np.max(np.abs(f.real_values - full)) <= 1e-14 * np.max(np.abs(full))
+
     def test_single_mode_coefficients(self):
         grid = TorusGrid(8, 8, 16)
         f = SpectralField.from_function(grid, lambda x1, x2, th: np.cos(x1 + 2 * th))
