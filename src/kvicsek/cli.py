@@ -1,8 +1,7 @@
 """Command-line entry point with one subcommand per experiment preset.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical assertion
-failure, 4 I/O error.  VICSEK_THREADS bounds the worker pool used by
-parameter sweeps.
+failure, 4 I/O error.
 """
 
 from __future__ import annotations

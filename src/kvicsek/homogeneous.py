@@ -9,24 +9,32 @@ decays at the rate given by the Fisher information
 int g |nu d_theta log g + kappa Psi*g|^2.  For Psi = sin the constant
 state loses stability at kappa/nu = 2, where a branch of von Mises
 profiles parameterized by the order parameter appears.
+
+The step is ``spectral.split_step`` without transport (the kinetic step
+restricted to x-independent data): Heun alignment half-steps around
+exact diffusion, with the alignment RHS evaluated in 2/3-dealiased flux
+form and the kinetic solver's step-size guard.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
-from .errors import NumericsError, StepSizeError
+from .errors import NumericsError
 from .influence import AngularKernel
 from .spectral import (
     TWO_PI,
     AngularProfile,
-    fft_wavenumbers,
+    dealias_keep,
+    diffusion_factor,
     profile_coeffs_from_values,
     profile_values_from_coeffs,
+    split_step,
+    theta_derivative,
     theta_points,
 )
 
@@ -55,70 +63,25 @@ def constant_state(n_theta: int, kappa: float, nu: float) -> HomogeneousState:
     return HomogeneousState(AngularProfile.from_values(vals), 0.0, kappa, nu)
 
 
-def _dealias_mask(n: int) -> np.ndarray:
-    return np.abs(fft_wavenumbers(n)) <= n // 3
-
-
-def _derivative_factor(n: int) -> np.ndarray:
-    l = fft_wavenumbers(n).astype(np.float64)
-    l[n // 2] = 0.0
-    return 1j * l
-
-
-@lru_cache(maxsize=32)
-def _step_tables(n: int, nu: float, dt: float):
-    mask = _dealias_mask(n)
-    deriv = _derivative_factor(n)
-    l = fft_wavenumbers(n).astype(np.float64)
-    heat = np.exp(-nu * l**2 * dt)
-    for arr in (mask, deriv, heat):
-        arr.flags.writeable = False
-    return mask, deriv, heat
-
-
 def _alignment_rhs(
-    g_coeffs: np.ndarray,
-    psi_coeffs: np.ndarray,
-    kappa: float,
-    mask: np.ndarray,
-    deriv: np.ndarray,
+    g_coeffs: np.ndarray, psi_coeffs: np.ndarray, kappa: float
 ) -> tuple[np.ndarray, float]:
     """kappa d_theta(g (Psi*g)) in coefficients, 2/3-dealiased flux form."""
+    n = g_coeffs.shape[-1]
+    mask = dealias_keep(n)
     gd = np.where(mask, g_coeffs, 0.0)
     conv = np.where(mask, TWO_PI * psi_coeffs * g_coeffs, 0.0)
     gv = profile_values_from_coeffs(gd)
     cv = profile_values_from_coeffs(conv)
     prod = profile_coeffs_from_values(gv * cv)
-    rhs = kappa * deriv * np.where(mask, prod, 0.0)
+    rhs = kappa * theta_derivative(n) * np.where(mask, prod, 0.0)
     return rhs, float(np.max(np.abs(cv)))
 
 
-def _step_coeffs(c: np.ndarray, psi_coeffs: np.ndarray, kappa: float, dt: float, tables) -> np.ndarray:
-    mask, deriv, heat = tables
-    n = c.shape[0]
-
-    def align_half(c):
-        h = 0.5 * dt
-        r1, conv_max = _alignment_rhs(c, psi_coeffs, kappa, mask, deriv)
-        if dt > 0.5 / (kappa * (n // 2) * conv_max + 1.0):
-            raise StepSizeError(
-                f"dt={dt} violates the alignment sub-step guard (|Psi*g|max={conv_max:.3g})"
-            )
-        r2, _ = _alignment_rhs(c + h * r1, psi_coeffs, kappa, mask, deriv)
-        return c + 0.5 * h * (r1 + r2)
-
-    if kappa != 0.0:
-        c = align_half(c)
-    c = c * heat
-    if kappa != 0.0:
-        c = align_half(c)
-    return c
-
-
 def step_homogeneous(s: HomogeneousState, kernel: AngularKernel, dt: float) -> HomogeneousState:
-    """Strang step: Heun alignment half / exact diffusion / Heun alignment half."""
-    tables = _step_tables(s.g.n, s.nu, dt)
-    c = _step_coeffs(s.g.coeffs, kernel.psi.coeffs, s.kappa, dt, tables)
+    """One ``split_step`` without transport: Heun alignment half / diffusion / alignment half."""
+    rhs = partial(_alignment_rhs, psi_coeffs=kernel.psi.coeffs, kappa=s.kappa)
+    c = split_step(s.g.coeffs, s.t, dt, diffusion_factor(s.g.n, s.nu, dt), rhs=rhs, kappa=s.kappa)
     if not np.all(np.isfinite(c)):
         raise NumericsError(f"NaN in homogeneous step at t={s.t}")
     return replace(s, g=AngularProfile(c), t=s.t + dt)
@@ -142,8 +105,8 @@ def evolve_homogeneous(
     record_energy: bool = False,
 ) -> HomogeneousTrajectory:
     """Advance the homogeneous dynamics, sampling m(t) (and optionally F, D)."""
-    tables = _step_tables(s.g.n, s.nu, dt)
-    psi_coeffs = kernel.psi.coeffs
+    heat = diffusion_factor(s.g.n, s.nu, dt)
+    rhs = partial(_alignment_rhs, psi_coeffs=kernel.psi.coeffs, kappa=s.kappa)
     c = s.g.coeffs
     t0 = s.t
     ts, ms = [s.t], [s.order_parameter]
@@ -161,7 +124,7 @@ def evolve_homogeneous(
 
     state = s
     for i in range(n_steps):
-        c = _step_coeffs(c, psi_coeffs, s.kappa, dt, tables)
+        c = split_step(c, t0 + i * dt, dt, heat, rhs=rhs, kappa=s.kappa)
         if (i + 1) % sample_every == 0 or i == n_steps - 1:
             if not np.all(np.isfinite(c)):
                 raise NumericsError(f"NaN in homogeneous evolution near t={t0 + (i + 1) * dt}")

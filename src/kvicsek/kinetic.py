@@ -5,11 +5,11 @@ The density f(t, x, theta) obeys
     d/dt f + v(t) p(theta) . grad_x f + kappa d_theta(f L[f])
         = nu d^2/dtheta^2 f,
 
-with L[f] the (Phi, Psi) convolution.  The step is a Strang composition
-with exact transport and diffusion sub-propagators; the alignment flux
-is advanced by Heun's method, evaluated pseudospectrally with 2/3-rule
-dealiasing in all three indices, which keeps the total mass invariant
-to round-off.
+with L[f] the (Phi, Psi) convolution.  The step is ``spectral.split_step``,
+the Strang composition shared with the homogeneous and per-mode solvers:
+exact transport and diffusion sub-propagators, and Heun's method for the
+alignment flux, evaluated here pseudospectrally with 2/3-rule dealiasing
+in all three indices, which keeps the total mass invariant to round-off.
 
 f is real, so the step works on the half spectrum k2 >= 0 (the layout of
 ``np.fft.rfftn(..., axes=(0, 2, 1))``): it slices that half out of the
@@ -21,9 +21,8 @@ space from the angular planes where Psihat is nonzero
 real theta-transform.  For Psi = sin that is a single plane; for a dense
 Psihat it is an ordinary inverse real transform.  Everything the step
 reuses is cached read-only: the half-grid geometry, the dealias mask,
-the theta-derivative, the diffusion factor, the transport factor for
-each repeated v h (one for a constant speed) and the support planes of
-the multiplier (on the InfluencePair).
+the flux factor, the transport factor for each repeated v h (one for a
+constant speed) and the support planes of the multiplier (on the InfluencePair).
 """
 
 from __future__ import annotations
@@ -36,15 +35,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericsError, StepSizeError
+from .errors import NumericsError
 from .influence import InfluencePair
 from .linear import speed_constant
 from .spectral import (
     TWO_PI,
     SpectralField,
     TorusGrid,
+    _readonly,
+    diffusion_factor,
     norm,
     remainder,
+    split_step,
+    theta_derivative,
     write_snapshot,
     x_average,
     x_points,
@@ -90,11 +93,6 @@ class KineticParams:
 _AXES = (0, 2, 1)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @lru_cache(maxsize=8)
 def _half_geometry(grid: TorusGrid) -> np.ndarray:
     """p(phi).k on the (k1, k2 >= 0, phi) array, phi_j = 2 pi j / n_theta.
@@ -103,7 +101,7 @@ def _half_geometry(grid: TorusGrid) -> np.ndarray:
     at phi_j = theta_j + pi, so the mixed form works on those angles.
     The Nyquist rows k1 = -n1/2 and k2 = -n2/2 are their own reflections:
     only a zero wavenumber there keeps a real field's coefficients
-    conjugate-symmetric, as for l in _theta_derivative.
+    conjugate-symmetric, as for l in spectral.theta_derivative.
     """
     k1 = grid.k1.astype(np.float64)
     k1[grid.n_x1 // 2] = 0.0
@@ -128,22 +126,9 @@ def _half_mask(grid: TorusGrid) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _theta_derivative(grid: TorusGrid) -> np.ndarray:
-    l = grid.l.astype(np.float64)
-    l[grid.n_theta // 2] = 0.0
-    return _readonly(1j * l)
-
-
-@lru_cache(maxsize=8)
 def _flux_factor(grid: TorusGrid) -> np.ndarray:
     """The dealiased theta-derivative, applied to the flux f L[f]."""
-    return _readonly(_theta_derivative(grid)[None, None, :] * _half_mask(grid))
-
-
-@lru_cache(maxsize=8)
-def _diffusion_factor(grid: TorusGrid, nu: float, dt: float) -> np.ndarray:
-    l = grid.l.astype(np.float64)
-    return _readonly(np.exp(-nu * l**2 * dt))
+    return _readonly(theta_derivative(grid.n_theta)[None, None, :] * _half_mask(grid))
 
 
 @lru_cache(maxsize=8)
@@ -210,43 +195,27 @@ def step_kinetic(
     kernels: InfluencePair,
     t: float,
 ) -> SpectralField:
-    """One Strang step: transport / alignment / diffusion / alignment / transport.
+    """One ``split_step``: transport / alignment / diffusion / alignment / transport.
 
     The step reads and evolves the k2 >= 0 half of f's coefficients; the
-    k2 < 0 columns of the result follow by conjugate symmetry.  Raises StepSizeError when dt violates the
-    explicit alignment guard dt <= 0.5 / (kappa l_max max|L[f]| + 1), and
-    NumericsError on NaN.
+    k2 < 0 columns of the result follow by conjugate symmetry.  Raises
+    StepSizeError when dt violates the explicit alignment guard
+    dt <= 0.5 / (kappa l_max max|L[f]| + 1), and NumericsError on NaN.
     """
     grid = f.grid
     dt = params.dt
+    if params.kappa != 0.0 and kernels.grid != grid:
+        raise ValueError("kernels live on a different grid")
     n2h = grid.n_x2 // 2 + 1
-    c = f.coeffs[:, :n2h, :]
-
-    c = _transport_half(c, grid, params.v(t + 0.25 * dt), 0.5 * dt)
-
-    if params.kappa != 0.0:
-        if kernels.grid != grid:
-            raise ValueError("kernels live on a different grid")
-        l_max = grid.n_theta // 2
-
-        def align_half(c):
-            h = 0.5 * dt
-            r1, l_inf = _alignment_rhs(c, grid, kernels, params.kappa)
-            if dt > 0.5 / (params.kappa * l_max * l_inf + 1.0):
-                raise StepSizeError(
-                    f"dt={dt} violates the alignment guard at t={t} (|L[f]|max={l_inf:.3g})"
-                )
-            r2, _ = _alignment_rhs(c + h * r1, grid, kernels, params.kappa)
-            return c + 0.5 * h * (r1 + r2)
-
-        c = align_half(c)
-
-    c = c * _diffusion_factor(grid, params.nu, dt)
-
-    if params.kappa != 0.0:
-        c = align_half(c)
-
-    c = _transport_half(c, grid, params.v(t + 0.75 * dt), 0.5 * dt)
+    c = split_step(
+        f.coeffs[:, :n2h, :],
+        t,
+        dt,
+        diffusion_factor(grid.n_theta, params.nu, dt),
+        transport=lambda c, s: _transport_half(c, grid, params.v(s), 0.5 * dt),
+        rhs=lambda c: _alignment_rhs(c, grid, kernels, params.kappa),
+        kappa=params.kappa,
+    )
 
     # the k2 < 0 columns of f were not read: check them here too
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(f.coeffs[:, n2h:, :]))):

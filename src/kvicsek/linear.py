@@ -16,14 +16,15 @@ with the time ramp zeta = min(1, (nu |k|)^{1/2} t), certifies decay at
 the enhanced rate (nu |k|)^{1/2}; the comparison bounds sandwich F
 between the 1/2- and 3/2-weighted diagonal parts whenever
 beta^2 <= alpha gamma.
+
+``step_mode`` is ``spectral.split_step`` at kappa = 0 on one mode: the
+kinetic step restricted to a single x-Fourier mode.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,9 +33,10 @@ from .fitting import fit_rate
 from .spectral import (
     TWO_PI,
     AngularProfile,
-    fft_wavenumbers,
+    diffusion_factor,
     profile_coeffs_from_values,
     profile_values_from_coeffs,
+    split_step,
     theta_points,
 )
 
@@ -104,7 +106,7 @@ class ModeState:
 
 
 def step_mode(s: ModeState, dt: float) -> ModeState:
-    """One Strang step with exact transport and diffusion sub-propagators.
+    """One ``split_step`` with exact transport and diffusion sub-propagators.
 
     Transport multiplies pointwise in theta-collocation space by
     exp(-i v p(theta).k dt/2); diffusion multiplies coefficients by
@@ -116,15 +118,14 @@ def step_mode(s: ModeState, dt: float) -> ModeState:
     n = s.eta.n
     th = theta_points(n)
     pk = s.k[0] * np.cos(th) + s.k[1] * np.sin(th)
-    l = fft_wavenumbers(n).astype(np.float64)
 
-    values = s.eta.values
-    values = values * np.exp(-1j * s.v(s.t + 0.25 * dt) * pk * (0.5 * dt))
-    coeffs = profile_coeffs_from_values(values)
-    coeffs *= np.exp(-s.nu * l**2 * dt)
-    values = profile_values_from_coeffs(coeffs)
-    values *= np.exp(-1j * s.v(s.t + 0.75 * dt) * pk * (0.5 * dt))
-    return replace(s, eta=AngularProfile.from_values(values), t=s.t + dt)
+    def transport(coeffs, t_mid):
+        values = profile_values_from_coeffs(coeffs)
+        values *= np.exp(-1j * s.v(t_mid) * pk * (0.5 * dt))
+        return profile_coeffs_from_values(values)
+
+    coeffs = split_step(s.eta.coeffs, s.t, dt, diffusion_factor(n, s.nu, dt), transport=transport)
+    return replace(s, eta=AngularProfile(coeffs), t=s.t + dt)
 
 
 def mode_hm1_norm(s: ModeState) -> float:
@@ -366,27 +367,3 @@ def cutoff_chi(n: int, theta_k: float, width: float = TWO_PI / 3.0) -> np.ndarra
     inside = np.abs(u) < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Parallel job map (independent per-k work; bounded by VICSEK_THREADS)
-# ---------------------------------------------------------------------------
-
-
-def pool_size() -> int:
-    env = os.environ.get("VICSEK_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(4, os.cpu_count() or 1))
-
-
-def map_mode_jobs(fn: Callable, jobs: Sequence) -> list:
-    """Run fn over independent jobs on a bounded thread pool, order preserved."""
-    workers = pool_size()
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))

@@ -8,7 +8,7 @@ fails.
 
 from __future__ import annotations
 
-import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +22,7 @@ from .config import Options, write_csv, write_manifest
 from .errors import ConfigError, NumericsError
 from .fitting import fit_rate
 from .influence import angular_kernel, make_influence
-from .spectral import TWO_PI, AngularProfile, TorusGrid, theta_points
+from .spectral import TWO_PI, AngularProfile, TorusGrid, theta_points, write_header_and_payload
 
 
 @dataclass
@@ -41,6 +41,20 @@ def run_preset(cfg: ExperimentConfig) -> list[Path]:
             f"unknown preset {cfg.preset!r}; choose from {sorted(_PRESETS)}"
         ) from None
     return runner(cfg)
+
+
+@contextmanager
+def _config_errors():
+    """Report a ValueError of a constructor that rejects an option as ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not value > 0:
+        raise ConfigError(f"{name} must be positive, got {value}")
 
 
 def _parse_k_list(text: str) -> list[tuple[int, int]]:
@@ -74,35 +88,29 @@ def perturbed_profile(n_theta: int, amplitude: float = 0.2, seed: int = 0) -> An
 
 def _linear_ed(cfg: ExperimentConfig) -> list[Path]:
     o = Options(cfg.options)
-    ks = _parse_k_list(o.s("k_list", "1,0"))
-    nus = [float(x) for x in o.s("nu_list", "1e-3,3e-4,1e-4,3e-5").split(",")]
     n_theta = o.i("n_theta", 512)
     horizon_factor = o.f("horizon_factor", 5.0)
     beta = o.f("beta", lin.MAX_BETA)
+    with _config_errors():
+        ks = _parse_k_list(o.s("k_list", "1,0"))
+        nus = [float(x) for x in o.s("nu_list", "1e-3,3e-4,1e-4,3e-5").split(",")]
+        eta0 = AngularProfile.from_function(np.cos, n_theta)
+        weights = lin.HypoWeights(beta)
+        states = [lin.ModeState(k=k, eta=eta0, t=0.0, nu=nu) for k in ks for nu in nus]
     write_manifest(cfg.out_dir, cfg.preset, cfg.seed, o.resolved)
 
-    eta0 = AngularProfile.from_function(np.cos, n_theta)
-    weights = lin.HypoWeights(beta)
-
-    def job(item):
-        k, nu = item
-        k_norm = float(np.hypot(*k))
-        t_ed = 1.0 / np.sqrt(nu * k_norm)
+    paths = []
+    summary = []
+    for state in states:
+        k, nu = state.k, state.nu
+        t_ed = 1.0 / np.sqrt(nu * state.k_norm)
         dt = min(0.05, t_ed / 50.0)
-        horizon = horizon_factor * t_ed
-        n_steps = int(np.ceil(horizon / dt))
-        state = lin.ModeState(k=k, eta=eta0, t=0.0, nu=nu)
+        n_steps = int(np.ceil(horizon_factor * t_ed / dt))
         _, series = lin.evolve_mode(
             state, dt, n_steps, weights=weights, sample_every=max(1, n_steps // 2000)
         )
         keep = (series.t >= t_ed) & (series.norm_l2 > lin.UNDERFLOW_FLOOR * series.norm_l2[0])
         slope, stderr = fit_rate(series.t[keep], series.norm_l2[keep])
-        return k, nu, series, -slope, stderr
-
-    results = lin.map_mode_jobs(job, [(k, nu) for k in ks for nu in nus])
-    paths = []
-    summary = []
-    for k, nu, series, rate, stderr in results:
         name = f"mode_k{k[0]}_{k[1]}_nu{nu:g}.csv"
         rows = zip(
             series.t, series.norm_l2, series.norm_hm1,
@@ -115,7 +123,7 @@ def _linear_ed(cfg: ExperimentConfig) -> list[Path]:
                 rows,
             )
         )
-        summary.append((k[0], k[1], nu, rate, stderr))
+        summary.append((k[0], k[1], nu, -slope, stderr))
     paths.append(
         write_csv(cfg.out_dir / "rates.csv", ["k1", "k2", "nu", "rate", "stderr"], summary)
     )
@@ -124,14 +132,16 @@ def _linear_ed(cfg: ExperimentConfig) -> list[Path]:
 
 def _mixing(cfg: ExperimentConfig) -> list[Path]:
     o = Options(cfg.options)
-    ks = _parse_k_list(o.s("k_list", "1,0"))
     nu = o.f("nu", 1e-4)
+    _require_positive("nu", nu)
     n_theta = o.i("n_theta", 512)
     dt = o.f("dt", 0.05)
     horizon = o.f("horizon", 1.0 / np.sqrt(nu))
+    with _config_errors():
+        ks = _parse_k_list(o.s("k_list", "1,0"))
+        eta0 = AngularProfile.from_function(np.cos, n_theta)
     write_manifest(cfg.out_dir, cfg.preset, cfg.seed, o.resolved)
 
-    eta0 = AngularProfile.from_function(np.cos, n_theta)
     paths = []
     summary = []
     for k in ks:
@@ -163,11 +173,12 @@ def _kinetic(cfg: ExperimentConfig) -> list[Path]:
     snapshot_every = o.i("snapshot_every", 0)
     eps_rel = o.f("eps_rel", 0.5)
     sigma = o.f("sigma", 1.0)
+    with _config_errors():
+        grid = TorusGrid(n1, n2, nth)
+        params = kin.KineticParams(kappa=kappa, nu=nu, grid=grid, dt=dt, t_end=t_end, seed=cfg.seed)
+        kernels = make_influence(grid, phi="bump", sigma=sigma)
     write_manifest(cfg.out_dir, cfg.preset, cfg.seed, o.resolved)
 
-    grid = TorusGrid(n1, n2, nth)
-    kernels = make_influence(grid, phi="bump", sigma=sigma)
-    params = kin.KineticParams(kappa=kappa, nu=nu, grid=grid, dt=dt, t_end=t_end, seed=cfg.seed)
     run = kin.run_experiment(
         params,
         kernels,
@@ -206,11 +217,13 @@ def _homogeneous(cfg: ExperimentConfig) -> list[Path]:
     t_end = o.f("t_end", 50.0)
     amplitude = o.f("amplitude", 0.2)
     sample_every = o.i("sample_every", 10)
+    _require_positive("nu", nu)
+    with _config_errors():
+        kernel = angular_kernel(n_theta)
+        g0 = perturbed_profile(n_theta, amplitude, cfg.seed)
+        state = hom.HomogeneousState(g=g0, t=0.0, kappa=kappa, nu=nu)
     write_manifest(cfg.out_dir, cfg.preset, cfg.seed, o.resolved)
 
-    kernel = angular_kernel(n_theta)
-    g0 = perturbed_profile(n_theta, amplitude, cfg.seed)
-    state = hom.HomogeneousState(g=g0, t=0.0, kappa=kappa, nu=nu)
     traj = hom.evolve_homogeneous(
         state, kernel, dt, int(round(t_end / dt)),
         sample_every=sample_every, record_energy=True,
@@ -237,21 +250,19 @@ def _phase_diagram(cfg: ExperimentConfig) -> list[Path]:
     dt = o.f("dt", 0.01)
     t_end = o.f("t_end", 120.0)
     amplitude = o.f("amplitude", 0.2)
+    _require_positive("nu", nu)
+    with _config_errors():
+        kernel = angular_kernel(n_theta)
+        g0 = perturbed_profile(n_theta, amplitude, cfg.seed)
     write_manifest(cfg.out_dir, cfg.preset, cfg.seed, o.resolved)
 
-    kernel = angular_kernel(n_theta)
-    ratios = np.linspace(ratio_min, ratio_max, ratio_steps)
-    g0 = perturbed_profile(n_theta, amplitude, cfg.seed)
-
-    def job(ratio):
+    rows = []
+    for ratio in np.linspace(ratio_min, ratio_max, ratio_steps):
         root = hom.solve_compatibility(float(ratio))
         state = hom.HomogeneousState(g=g0, t=0.0, kappa=float(ratio) * nu, nu=nu)
         traj = hom.evolve_homogeneous(state, kernel, dt, int(round(t_end / dt)), sample_every=50)
         stab = hom.linear_stability(kernel, float(ratio) * nu, nu, l_max=8)
-        final_m = abs(traj.order_parameter[-1])
-        return (float(ratio), root.r2 or 0.0, final_m, stab.stable)
-
-    rows = lin.map_mode_jobs(job, list(ratios))
+        rows.append((float(ratio), root.r2 or 0.0, abs(traj.order_parameter[-1]), stab.stable))
     rows.sort(key=lambda r: r[0])
     path = write_csv(cfg.out_dir / "phase_diagram.csv", ["ratio", "r2", "final_abs_m", "stable"], rows)
     return [path]
@@ -260,15 +271,6 @@ def _phase_diagram(cfg: ExperimentConfig) -> list[Path]:
 # ---------------------------------------------------------------------------
 # agents presets
 # ---------------------------------------------------------------------------
-
-
-def _write_agents_snapshot(path: Path, e: ag.AgentEnsemble) -> Path:
-    header = {"n": e.n, "time": e.t, "layout": "rows (x1,x2,theta) float64 little-endian"}
-    payload = np.column_stack([e.x, e.theta]).astype("<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(payload)
-    return path
 
 
 def _agents(cfg: ExperimentConfig) -> list[Path]:
@@ -285,14 +287,11 @@ def _agents(cfg: ExperimentConfig) -> list[Path]:
     n_theta = o.i("n_theta", 64)
     amplitude = o.f("amplitude", 0.2)
     n_x = max(4, o.i("n_x", 8))
-    if not sigma > 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
-    try:
+    _require_positive("sigma", sigma)
+    with _config_errors():
         grid = TorusGrid(n_x, n_x, n_theta)
         influence = make_influence(grid, phi=phi, sigma=sigma)
         influence.phi_series  # the drift's series of Phi: resolve it before any output
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     write_manifest(cfg.out_dir, cfg.preset, cfg.seed, o.resolved)
 
     g0 = perturbed_profile(n_theta, amplitude, cfg.seed)
@@ -309,7 +308,10 @@ def _agents(cfg: ExperimentConfig) -> list[Path]:
             m = ag.order_parameter(e)
             rows.append((e.t, m.real, m.imag, abs(m)))
         if snapshot_every > 0 and ((i + 1) % snapshot_every == 0 or i == n_steps - 1):
-            paths.append(_write_agents_snapshot(cfg.out_dir / f"agents_{i + 1:08d}.bin", e))
+            header = {"n": e.n, "time": e.t, "layout": "rows (x1,x2,theta) float64 little-endian"}
+            payload = np.column_stack([e.x, e.theta]).astype("<f8")
+            path = cfg.out_dir / f"agents_{i + 1:08d}.bin"
+            paths.append(write_header_and_payload(path, header, payload))
     paths.append(write_csv(cfg.out_dir / "agents.csv", ["t", "re_m", "im_m", "abs_m"], rows))
     return paths
 

@@ -9,6 +9,10 @@ Functions on the domain T^2 x T (positions on [0, 2pi)^2, angles on
 Coefficient arrays use the FFT frequency layout (``numpy.fft.fftfreq``
 ordering).  Because the angular grid starts at -pi rather than 0, the
 angular axis of every transform carries an extra (-1)^l phase.
+
+``split_step`` is the one Strang/Heun step of the three PDE solvers
+(per-mode, homogeneous, kinetic), with the cached angular factors it and
+they share: the theta-derivative, the diffusion factor and the 2/3 mask.
 """
 
 from __future__ import annotations
@@ -20,7 +24,14 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import StepSizeError
+
 TWO_PI = 2.0 * np.pi
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def theta_points(n: int) -> np.ndarray:
@@ -47,6 +58,27 @@ def _theta_phase(n: int) -> np.ndarray:
     out = np.where(fft_wavenumbers(n) % 2 == 0, 1.0, -1.0)
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=64)
+def theta_derivative(n: int) -> np.ndarray:
+    """1j*l, the theta-derivative; Nyquist dropped for odd-order derivatives."""
+    l = fft_wavenumbers(n).astype(np.float64)
+    l[n // 2] = 0.0
+    return _readonly(1j * l)
+
+
+@lru_cache(maxsize=64)
+def diffusion_factor(n: int, nu: float, dt: float) -> np.ndarray:
+    """exp(-nu l^2 dt): exact angular diffusion over dt."""
+    l = fft_wavenumbers(n).astype(np.float64)
+    return _readonly(np.exp(-nu * l**2 * dt))
+
+
+@lru_cache(maxsize=64)
+def dealias_keep(n: int) -> np.ndarray:
+    """2/3-rule mask of one axis: True on the retained wavenumbers |k| <= n/3."""
+    return _readonly(np.abs(fft_wavenumbers(n)) <= n // 3)
 
 
 def _validate_count(n: int, name: str) -> None:
@@ -143,12 +175,8 @@ class TorusGrid:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: True on retained modes, all three indices; read-only."""
-        keep1 = np.abs(self.k1) <= self.n_x1 // 3
-        keep2 = np.abs(self.k2) <= self.n_x2 // 3
-        keep3 = np.abs(self.l) <= self.n_theta // 3
-        out = keep1[:, None, None] & keep2[None, :, None] & keep3[None, None, :]
-        out.flags.writeable = False
-        return out
+        keep1, keep2, keep3 = (dealias_keep(n) for n in self.shape)
+        return _readonly(keep1[:, None, None] & keep2[None, :, None] & keep3[None, None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +256,7 @@ class AngularProfile:
         return float(np.sqrt(TWO_PI * np.sum(w * np.abs(self.coeffs) ** 2)))
 
     def derivative(self) -> "AngularProfile":
-        l = self.l.astype(np.float64)
-        l[self.n // 2] = 0.0  # Nyquist dropped for odd-order derivatives
-        return AngularProfile(1j * l * self.coeffs)
+        return AngularProfile(theta_derivative(self.n) * self.coeffs)
 
     def convolve(self, other: "AngularProfile") -> "AngularProfile":
         """(self * other)(theta) = integral self(theta - w) other(w) dw."""
@@ -251,6 +277,53 @@ class AngularProfile:
             if np.abs(c) > cutoff * max(amax, 1.0):
                 out += c * np.exp(1j * l * theta)
         return out
+
+
+# ---------------------------------------------------------------------------
+# The splitting step of the three PDE solvers
+# ---------------------------------------------------------------------------
+
+
+def split_step(
+    c: np.ndarray,
+    t: float,
+    dt: float,
+    diffusion: np.ndarray,
+    transport: Callable[[np.ndarray, float], np.ndarray] | None = None,
+    rhs: Callable[[np.ndarray], tuple[np.ndarray, float]] | None = None,
+    kappa: float = 0.0,
+) -> np.ndarray:
+    """One Strang step T/2 -> A/2 -> D -> A/2 -> T/2 on coefficients, theta last.
+
+    ``transport(c, s)`` advances c over dt/2 with the speed sampled at s
+    (t + dt/4, then t + 3dt/4); None skips it.  Each A/2 is a Heun step
+    over dt/2 with ``rhs(c) -> (alignment right-hand side, sup of the
+    alignment field)``, skipped when kappa == 0.  D multiplies by
+    ``diffusion``, a cached ``diffusion_factor``.  Raises StepSizeError
+    when dt > 0.5 / (kappa (n_theta/2) sup + 1) at the first stage of
+    either Heun step.
+    """
+
+    def align_half(c):
+        h = 0.5 * dt
+        r1, sup = rhs(c)
+        if dt > 0.5 / (kappa * (c.shape[-1] // 2) * sup + 1.0):
+            raise StepSizeError(
+                f"dt={dt} violates the alignment guard at t={t} (alignment field max {sup:.3g})"
+            )
+        r2, _ = rhs(c + h * r1)
+        return c + 0.5 * h * (r1 + r2)
+
+    if transport is not None:
+        c = transport(c, t + 0.25 * dt)
+    if kappa != 0.0:
+        c = align_half(c)
+    c = c * diffusion
+    if kappa != 0.0:
+        c = align_half(c)
+    if transport is not None:
+        c = transport(c, t + 0.75 * dt)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +445,14 @@ SNAPSHOT_DTYPE = "float64 little-endian"
 SNAPSHOT_ORDER = "(k1,k2,l) complex interleaved"
 
 
+def write_header_and_payload(path, header: dict, payload: np.ndarray):
+    """One sorted-key JSON header line, then the raw bytes of payload; returns path."""
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
+        fh.write(payload.tobytes())
+    return path
+
+
 def write_snapshot(path, f: SpectralField, time: float = 0.0, parameters: dict | None = None) -> None:
     header = {
         "n_x1": f.grid.n_x1,
@@ -383,9 +464,7 @@ def write_snapshot(path, f: SpectralField, time: float = 0.0, parameters: dict |
         "dtype": SNAPSHOT_DTYPE,
         "order": SNAPSHOT_ORDER,
     }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(np.ascontiguousarray(f.coeffs).astype("<c16").tobytes())
+    write_header_and_payload(path, header, f.coeffs.astype("<c16"))
 
 
 def read_snapshot(path) -> tuple[SpectralField, dict]:

@@ -237,6 +237,22 @@ class TestCli:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kinetic", "--grid", "31,32,16"],
+            ["kinetic", "--kappa", "2"],
+            ["phase-diagram", "--n-theta", "7"],
+            ["linear-ed", "--nu-list", "0", "--n-theta", "32"],
+            ["homogeneous", "--nu", "-1"],
+        ],
+    )
+    def test_bad_option_exit_2_before_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_happy_path_kinetic(self, tmp_path, capsys):
         code = main([
             "kinetic", "--out", str(tmp_path), "--grid", "8,8,32",

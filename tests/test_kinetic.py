@@ -6,7 +6,7 @@ import pytest
 from kvicsek.errors import NumericsError, StepSizeError
 from kvicsek.homogeneous import HomogeneousState, step_homogeneous
 from kvicsek.influence import angular_kernel, make_influence, validate_kernels
-from kvicsek import kinetic
+from kvicsek import homogeneous, kinetic
 from kvicsek.kinetic import (
     KineticParams,
     _alignment_rhs,
@@ -161,6 +161,28 @@ class TestStepKinetic:
             t += params.dt
             hs = step_homogeneous(hs, ker, params.dt)
         assert np.max(np.abs(x_average(f).coeffs - hs.g.coeffs)) < 1e-8
+
+    def test_x_independent_data_meet_the_same_step_guard(self):
+        # The bound 0.5 / (kappa l_max sup + 1) from the first alignment RHS;
+        # kappa/nu = 1 is subcritical, so the second half-step's sup is smaller.
+        grid = TorusGrid(8, 8, 64)
+        g0 = perturbed_profile(64, 0.3, seed=4)
+        f = SpectralField.from_values(grid, np.broadcast_to(g0.values.real, grid.shape))
+        kernel, pair = angular_kernel(64), make_influence(grid)
+        _, sup = homogeneous._alignment_rhs(g0.coeffs, kernel.psi.coeffs, 1.0)
+        dt_max = 0.5 / (1.0 * 32 * sup + 1.0)
+        steps = [
+            lambda dt: step_homogeneous(
+                HomogeneousState(g=g0, t=0.0, kappa=1.0, nu=1.0), kernel, dt
+            ),
+            lambda dt: step_kinetic(
+                f, KineticParams(kappa=1.0, nu=1.0, grid=grid, dt=dt, t_end=1.0), pair, 0.0
+            ),
+        ]
+        for step in steps:
+            step(dt_max * (1.0 - 1e-9))
+            with pytest.raises(StepSizeError):
+                step(dt_max * (1.0 + 1e-9))
 
     def test_mass_invariant(self):
         grid = TorusGrid(8, 8, 32)
@@ -370,9 +392,7 @@ class TestHalfSpectrumStep:
             kinetic._half_geometry(grid),
             kinetic._transport_factor(grid, 0.005),
             kinetic._half_mask(grid),
-            kinetic._theta_derivative(grid),
             kinetic._flux_factor(grid),
-            kinetic._diffusion_factor(grid, 0.1, 0.01),
             *kinetic._reflection(grid),
             pair.psi_support,
             pair.support_multiplier,

@@ -10,9 +10,12 @@ from kvicsek.spectral import (
     AngularProfile,
     SpectralField,
     TorusGrid,
+    dealias_keep,
+    diffusion_factor,
     norm,
     read_snapshot,
     remainder,
+    theta_derivative,
     theta_points,
     write_snapshot,
     x_average,
@@ -286,6 +289,13 @@ def test_snapshot_read_rejects_inconsistent_files(tmp_path, edit_header, payload
 
 def test_grid_caches_are_read_only():
     grid = TorusGrid(8, 12, 16)
-    for arr in (grid.dealias_mask, grid.k_squared, grid.hm1_weights):
+    for arr in (
+        grid.dealias_mask,
+        grid.k_squared,
+        grid.hm1_weights,
+        theta_derivative(16),
+        diffusion_factor(16, 0.1, 0.01),
+        dealias_keep(16),
+    ):
         with pytest.raises(ValueError):
-            arr[0, 0, 0] = 1
+            arr[(0,) * arr.ndim] = 1
