@@ -1,8 +1,9 @@
-"""Flat key-value configuration, run manifests, and CSV output."""
+"""Flat key-value configuration, the typed option resolver, run manifests, and CSV output."""
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -18,7 +19,7 @@ except Exception:  # pragma: no cover - metadata missing in odd installs
 
 
 def parse_config(path: str | Path) -> dict[str, str]:
-    """Parse one `key = value` per line; '#' starts a comment; no nesting."""
+    """Parse one `key = value` per line; '#' starts a comment; no nesting; `t-end` reads as `t_end`."""
     out: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -34,47 +35,61 @@ def parse_config(path: str | Path) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
-        out[key] = value.strip()
+        out[key.replace("-", "_")] = value.strip()
     return out
 
 
-class Options:
-    """Typed accessors over merged string options; raises ConfigError on misuse."""
+# The one range rule: every number is finite and > 0, except these.
+UNCONSTRAINED = frozenset({"kappa", "amplitude", "eps_rel"})
+NON_NEGATIVE = frozenset({"snapshot_every", "seed"})
 
-    def __init__(self, raw: Mapping[str, str]):
-        self.raw = dict(raw)
-        self.resolved: dict[str, object] = {}
 
-    def _record(self, key, value):
-        self.resolved[key] = value
-        return value
+def parse_option(key: str, text: str, default: object) -> object:
+    """``text`` as the type of ``default`` (a callable default is a float); ConfigError if not.
 
-    def f(self, key: str, default: float) -> float:
-        try:
-            return self._record(key, float(self.raw.get(key, default)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"option {key!r} must be a number, got {self.raw[key]!r}") from exc
-
-    def i(self, key: str, default: int) -> int:
-        try:
-            return self._record(key, int(self.raw.get(key, default)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"option {key!r} must be an integer, got {self.raw[key]!r}") from exc
-
-    def s(self, key: str, default: str) -> str:
-        return self._record(key, str(self.raw.get(key, default)))
-
-    def grid3(self, key: str, default: str) -> tuple[int, int, int]:
-        text = str(self.raw.get(key, default))
+    Numbers must also meet the range rule above.
+    """
+    kind = float if callable(default) else type(default)
+    text = str(text)
+    if kind is str:
+        return text
+    if kind is tuple:
         parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
         if len(parts) != 3:
             raise ConfigError(f"option {key!r} must be 'n1,n2,ntheta', got {text!r}")
-        try:
-            nums = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"option {key!r} must hold integers, got {text!r}") from exc
-        self._record(key, ",".join(str(n) for n in nums))
-        return nums  # type: ignore[return-value]
+        return tuple(parse_option(key, p, 0) for p in parts)
+    try:
+        value = kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"option {key!r} must be {what}, got {text!r}") from None
+    return _in_range(key, value)
+
+
+def _in_range(key: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"option {key!r} must be finite, got {value}")
+    if key in NON_NEGATIVE and not value >= 0:
+        raise ConfigError(f"option {key!r} must be >= 0, got {value}")
+    if key not in UNCONSTRAINED | NON_NEGATIVE and not value > 0:
+        raise ConfigError(f"option {key!r} must be positive, got {value}")
+    return value
+
+
+def resolve_options(raw: Mapping[str, str], table: Mapping[str, object]) -> dict[str, object]:
+    """Every option of ``table`` (name -> default), typed; an unknown key raises ConfigError.
+
+    A callable default derives the value from the others when the key is absent.
+    """
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown option {unknown[0]!r}; known: {', '.join(sorted(table))}")
+    values = {k: parse_option(k, raw[k], d) for k, d in table.items() if k in raw}
+    values.update({k: d for k, d in table.items() if k not in raw and not callable(d)})
+    for key, derive in table.items():
+        if key not in values:
+            values[key] = _in_range(key, derive(values))
+    return values
 
 
 def write_manifest(out_dir: Path, preset: str, seed: int, resolved: Mapping[str, object]) -> Path:
@@ -86,7 +101,7 @@ def write_manifest(out_dir: Path, preset: str, seed: int, resolved: Mapping[str,
         payload = {
             "preset": preset,
             "seed": seed,
-            "config": dict(sorted(resolved.items(), key=lambda kv: kv[0])),
+            "config": {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in resolved.items()},
             "code_version": CODE_VERSION,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }

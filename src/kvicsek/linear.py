@@ -24,6 +24,7 @@ kinetic step restricted to a single x-Fourier mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -33,6 +34,7 @@ from .fitting import fit_rate
 from .spectral import (
     TWO_PI,
     AngularProfile,
+    _readonly,
     diffusion_factor,
     profile_coeffs_from_values,
     profile_values_from_coeffs,
@@ -105,6 +107,14 @@ class ModeState:
         return min(1.0, np.sqrt(self.nu * self.k_norm) * self.t)
 
 
+@lru_cache(maxsize=64)
+def transport_factor(k: tuple[int, int], n: int, v: float, dt: float) -> np.ndarray:
+    """Read-only exp(-i v p(theta).k dt/2) on the n theta points: one transport half-step."""
+    th = theta_points(n)
+    pk = k[0] * np.cos(th) + k[1] * np.sin(th)
+    return _readonly(np.exp(-1j * v * pk * (0.5 * dt)))
+
+
 def step_mode(s: ModeState, dt: float) -> ModeState:
     """One ``split_step`` with exact transport and diffusion sub-propagators.
 
@@ -116,12 +126,10 @@ def step_mode(s: ModeState, dt: float) -> ModeState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = s.eta.n
-    th = theta_points(n)
-    pk = s.k[0] * np.cos(th) + s.k[1] * np.sin(th)
 
     def transport(coeffs, t_mid):
         values = profile_values_from_coeffs(coeffs)
-        values *= np.exp(-1j * s.v(t_mid) * pk * (0.5 * dt))
+        values *= transport_factor(s.k, n, s.v(t_mid), dt)
         return profile_coeffs_from_values(values)
 
     coeffs = split_step(s.eta.coeffs, s.t, dt, diffusion_factor(n, s.nu, dt), transport=transport)
@@ -293,6 +301,12 @@ class MixingCurve:
     stderr: float
 
 
+def require_mixing_window(nu: float, horizon: float) -> None:
+    """Raise ValueError unless horizon <= 2 nu^{-1/2}, where phase mixing is seen."""
+    if horizon > 2.0 / np.sqrt(nu):
+        raise ValueError("horizon beyond 2 nu^{-1/2} leaves the mixing window")
+
+
 def mixing_curve(
     k: tuple[int, int],
     nu: float,
@@ -307,8 +321,7 @@ def mixing_curve(
     mixing produces the t^{-1/2} law before the enhanced-dissipation
     time takes over.
     """
-    if horizon > 2.0 / np.sqrt(nu):
-        raise ValueError("horizon beyond 2 nu^{-1/2} leaves the mixing window")
+    require_mixing_window(nu, horizon)
     s = ModeState(k=k, eta=eta0, t=0.0, nu=nu, v=v)
     ts = [0.0]
     norms = [mode_hm1_norm(s)]

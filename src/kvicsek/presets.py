@@ -1,16 +1,22 @@
 """Experiment presets tying the solver modules into runnable artifacts.
 
-Every preset writes a manifest before any data, emits plot-ready CSVs
-with deterministic content for a fixed seed, and raises NumericsError
-when one of its built-in assertions (sandwich, mass, equivalence bands)
-fails.
+Each preset is one table of its options (name -> default) and a build
+step.  The table is the one place an option's name, type (that of the
+default: float, int, str or the 3-int grid) and default is written; a
+callable default derives a float from the other options when the key is
+absent.  ``run_preset`` resolves the options against the table, builds
+everything that can reject input, writes the manifest, and only then
+runs, so a configuration error (exit 2) leaves no output behind.  The
+runs emit plot-ready CSVs with deterministic content for a fixed seed,
+and raise NumericsError when one of their built-in assertions (sandwich,
+mass, equivalence bands) fails.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -18,7 +24,7 @@ from . import agents as ag
 from . import homogeneous as hom
 from . import kinetic as kin
 from . import linear as lin
-from .config import Options, write_csv, write_manifest
+from .config import parse_option, resolve_options, write_csv, write_manifest
 from .errors import ConfigError, NumericsError
 from .fitting import fit_rate
 from .influence import angular_kernel, make_influence
@@ -33,28 +39,48 @@ class ExperimentConfig:
     seed: int = 0
 
 
+Run = Callable[[], list[Path]]
+
+
+@dataclass(frozen=True)
+class Preset:
+    """An option table (name -> default) and a build step.
+
+    ``build(cfg, options)`` constructs everything that can reject the
+    options (a ValueError is a configuration error) and returns the run.
+    """
+
+    options: dict[str, object]
+    build: Callable[[ExperimentConfig, dict[str, Any]], Run]
+
+
+PRESETS: dict[str, Preset] = {}
+
+
+def _preset(name: str, **options: object):
+    """Register ``build`` as preset ``name`` with its option table, given as keywords."""
+
+    def register(build):
+        PRESETS[name] = Preset(options, build)
+        return build
+
+    return register
+
+
 def run_preset(cfg: ExperimentConfig) -> list[Path]:
     try:
-        runner = _PRESETS[cfg.preset]
+        preset = PRESETS[cfg.preset]
     except KeyError:
         raise ConfigError(
-            f"unknown preset {cfg.preset!r}; choose from {sorted(_PRESETS)}"
+            f"unknown preset {cfg.preset!r}; choose from {sorted(PRESETS)}"
         ) from None
-    return runner(cfg)
-
-
-@contextmanager
-def _config_errors():
-    """Report a ValueError of a constructor that rejects an option as ConfigError."""
+    options = resolve_options(cfg.options, preset.options)
     try:
-        yield
+        run = preset.build(cfg, options)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
+    write_manifest(cfg.out_dir, cfg.preset, cfg.seed, options)
+    return run()
 
 
 def _parse_k_list(text: str) -> list[tuple[int, int]]:
@@ -86,73 +112,72 @@ def perturbed_profile(n_theta: int, amplitude: float = 0.2, seed: int = 0) -> An
 # ---------------------------------------------------------------------------
 
 
-def _linear_ed(cfg: ExperimentConfig) -> list[Path]:
-    o = Options(cfg.options)
-    n_theta = o.i("n_theta", 512)
-    horizon_factor = o.f("horizon_factor", 5.0)
-    beta = o.f("beta", lin.MAX_BETA)
-    with _config_errors():
-        ks = _parse_k_list(o.s("k_list", "1,0"))
-        nus = [float(x) for x in o.s("nu_list", "1e-3,3e-4,1e-4,3e-5").split(",")]
-        eta0 = AngularProfile.from_function(np.cos, n_theta)
-        weights = lin.HypoWeights(beta)
-        states = [lin.ModeState(k=k, eta=eta0, t=0.0, nu=nu) for k in ks for nu in nus]
-    write_manifest(cfg.out_dir, cfg.preset, cfg.seed, o.resolved)
+@_preset("linear-ed", k_list="1,0", nu_list="1e-3,3e-4,1e-4,3e-5", n_theta=512,
+         horizon_factor=5.0, beta=lin.MAX_BETA)
+def _linear_ed(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
+    ks = _parse_k_list(o["k_list"])
+    nus = [parse_option("nu_list", x, 0.0) for x in o["nu_list"].split(",")]
+    eta0 = AngularProfile.from_function(np.cos, o["n_theta"])
+    weights = lin.HypoWeights(o["beta"])
+    states = [lin.ModeState(k=k, eta=eta0, t=0.0, nu=nu) for k in ks for nu in nus]
 
-    paths = []
-    summary = []
-    for state in states:
-        k, nu = state.k, state.nu
-        t_ed = 1.0 / np.sqrt(nu * state.k_norm)
-        dt = min(0.05, t_ed / 50.0)
-        n_steps = int(np.ceil(horizon_factor * t_ed / dt))
-        _, series = lin.evolve_mode(
-            state, dt, n_steps, weights=weights, sample_every=max(1, n_steps // 2000)
-        )
-        keep = (series.t >= t_ed) & (series.norm_l2 > lin.UNDERFLOW_FLOOR * series.norm_l2[0])
-        slope, stderr = fit_rate(series.t[keep], series.norm_l2[keep])
-        name = f"mode_k{k[0]}_{k[1]}_nu{nu:g}.csv"
-        rows = zip(
-            series.t, series.norm_l2, series.norm_hm1,
-            series.f_hypo, series.f_lower, series.f_upper, series.zeta,
-        )
-        paths.append(
-            write_csv(
-                cfg.out_dir / name,
-                ["t", "norm_L2", "norm_Hm1", "F_hypo", "F_lower", "F_upper", "zeta"],
-                rows,
+    def run() -> list[Path]:
+        paths = []
+        summary = []
+        for state in states:
+            k, nu = state.k, state.nu
+            t_ed = 1.0 / np.sqrt(nu * state.k_norm)
+            dt = min(0.05, t_ed / 50.0)
+            n_steps = int(np.ceil(o["horizon_factor"] * t_ed / dt))
+            _, series = lin.evolve_mode(
+                state, dt, n_steps, weights=weights, sample_every=max(1, n_steps // 2000)
             )
+            keep = (series.t >= t_ed) & (series.norm_l2 > lin.UNDERFLOW_FLOOR * series.norm_l2[0])
+            slope, stderr = fit_rate(series.t[keep], series.norm_l2[keep])
+            name = f"mode_k{k[0]}_{k[1]}_nu{nu:g}.csv"
+            rows = zip(
+                series.t, series.norm_l2, series.norm_hm1,
+                series.f_hypo, series.f_lower, series.f_upper, series.zeta,
+            )
+            paths.append(
+                write_csv(
+                    cfg.out_dir / name,
+                    ["t", "norm_L2", "norm_Hm1", "F_hypo", "F_lower", "F_upper", "zeta"],
+                    rows,
+                )
+            )
+            summary.append((k[0], k[1], nu, -slope, stderr))
+        paths.append(
+            write_csv(cfg.out_dir / "rates.csv", ["k1", "k2", "nu", "rate", "stderr"], summary)
         )
-        summary.append((k[0], k[1], nu, -slope, stderr))
-    paths.append(
-        write_csv(cfg.out_dir / "rates.csv", ["k1", "k2", "nu", "rate", "stderr"], summary)
-    )
-    return paths
+        return paths
+
+    return run
 
 
-def _mixing(cfg: ExperimentConfig) -> list[Path]:
-    o = Options(cfg.options)
-    nu = o.f("nu", 1e-4)
-    _require_positive("nu", nu)
-    n_theta = o.i("n_theta", 512)
-    dt = o.f("dt", 0.05)
-    horizon = o.f("horizon", 1.0 / np.sqrt(nu))
-    with _config_errors():
-        ks = _parse_k_list(o.s("k_list", "1,0"))
-        eta0 = AngularProfile.from_function(np.cos, n_theta)
-    write_manifest(cfg.out_dir, cfg.preset, cfg.seed, o.resolved)
+@_preset("mixing", k_list="1,0", nu=1e-4, n_theta=512, dt=0.05,
+         horizon=lambda o: 1.0 / np.sqrt(o["nu"]))
+def _mixing(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
+    nu, horizon = o["nu"], o["horizon"]
+    eta0 = AngularProfile.from_function(np.cos, o["n_theta"])
+    states = [lin.ModeState(k=k, eta=eta0, t=0.0, nu=nu) for k in _parse_k_list(o["k_list"])]
+    lin.require_mixing_window(nu, horizon)
 
-    paths = []
-    summary = []
-    for k in ks:
-        curve = lin.mixing_curve(k, nu, eta0, horizon=horizon, dt=dt)
-        name = f"mixing_k{k[0]}_{k[1]}_nu{nu:g}.csv"
-        paths.append(write_csv(cfg.out_dir / name, ["t", "norm_Hm1"], zip(curve.t, curve.norm_hm1)))
-        summary.append((k[0], k[1], nu, curve.slope, curve.stderr))
-    paths.append(
-        write_csv(cfg.out_dir / "mixing_slopes.csv", ["k1", "k2", "nu", "slope", "stderr"], summary)
-    )
-    return paths
+    def run() -> list[Path]:
+        paths = []
+        summary = []
+        for state in states:
+            k = state.k
+            curve = lin.mixing_curve(k, nu, eta0, horizon=horizon, dt=o["dt"])
+            name = f"mixing_k{k[0]}_{k[1]}_nu{nu:g}.csv"
+            paths.append(write_csv(cfg.out_dir / name, ["t", "norm_Hm1"], zip(curve.t, curve.norm_hm1)))
+            summary.append((k[0], k[1], nu, curve.slope, curve.stderr))
+        paths.append(
+            write_csv(cfg.out_dir / "mixing_slopes.csv", ["k1", "k2", "nu", "slope", "stderr"], summary)
+        )
+        return paths
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -162,44 +187,37 @@ def _mixing(cfg: ExperimentConfig) -> list[Path]:
 MASS_DRIFT_TOL = 1e-12
 
 
-def _kinetic(cfg: ExperimentConfig) -> list[Path]:
-    o = Options(cfg.options)
-    kappa = o.f("kappa", 0.04)
-    nu = o.f("nu", 0.01)
-    n1, n2, nth = o.grid3("grid", "32,32,128")
-    dt = o.f("dt", 0.05)
-    t_end = o.f("t_end", 30.0)
-    sample_every = o.i("sample_every", 10)
-    snapshot_every = o.i("snapshot_every", 0)
-    eps_rel = o.f("eps_rel", 0.5)
-    sigma = o.f("sigma", 1.0)
-    with _config_errors():
-        grid = TorusGrid(n1, n2, nth)
-        params = kin.KineticParams(kappa=kappa, nu=nu, grid=grid, dt=dt, t_end=t_end, seed=cfg.seed)
-        kernels = make_influence(grid, phi="bump", sigma=sigma)
-    write_manifest(cfg.out_dir, cfg.preset, cfg.seed, o.resolved)
+@_preset("kinetic", kappa=0.04, nu=0.01, grid=(32, 32, 128), dt=0.05, t_end=30.0,
+         snapshot_every=0, sample_every=10, eps_rel=0.5, sigma=1.0)
+def _kinetic(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
+    grid = TorusGrid(*o["grid"])
+    params = kin.KineticParams(o["kappa"], o["nu"], grid, o["dt"], o["t_end"], seed=cfg.seed)
+    kernels = make_influence(grid, phi="bump", sigma=o["sigma"])
 
-    run = kin.run_experiment(
-        params,
-        kernels,
-        eps=eps_rel / TWO_PI**3,
-        sample_every=sample_every,
-        snapshot_every=snapshot_every,
-        out_dir=cfg.out_dir,
-    )
-    rows = zip(
-        run.t, run.fneq_l2, run.fneq_hm1, run.favg_l2, run.min_f, run.mass,
-        run.order_parameter.real, run.order_parameter.imag, np.abs(run.order_parameter),
-    )
-    path = write_csv(
-        cfg.out_dir / "kinetic.csv",
-        ["t", "fneq_L2", "fneq_Hm1", "favg_L2", "min_f", "mass", "re_m", "im_m", "abs_m"],
-        rows,
-    )
-    drift = np.max(np.abs(run.mass - run.mass[0])) / abs(run.mass[0])
-    if drift > MASS_DRIFT_TOL:
-        raise NumericsError(f"mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL}")
-    return run.snapshots + [path]
+    def run() -> list[Path]:
+        result = kin.run_experiment(
+            params,
+            kernels,
+            eps=o["eps_rel"] / TWO_PI**3,
+            sample_every=o["sample_every"],
+            snapshot_every=o["snapshot_every"],
+            out_dir=cfg.out_dir,
+        )
+        rows = zip(
+            result.t, result.fneq_l2, result.fneq_hm1, result.favg_l2, result.min_f, result.mass,
+            result.order_parameter.real, result.order_parameter.imag, np.abs(result.order_parameter),
+        )
+        path = write_csv(
+            cfg.out_dir / "kinetic.csv",
+            ["t", "fneq_L2", "fneq_Hm1", "favg_L2", "min_f", "mass", "re_m", "im_m", "abs_m"],
+            rows,
+        )
+        drift = np.max(np.abs(result.mass - result.mass[0])) / abs(result.mass[0])
+        if drift > MASS_DRIFT_TOL:
+            raise NumericsError(f"mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL}")
+        return result.snapshots + [path]
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -207,65 +225,52 @@ def _kinetic(cfg: ExperimentConfig) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _homogeneous(cfg: ExperimentConfig) -> list[Path]:
-    o = Options(cfg.options)
-    nu = o.f("nu", 0.1)
-    ratio = o.f("ratio", 4.0)
-    kappa = o.f("kappa", ratio * nu)
-    n_theta = o.i("n_theta", 256)
-    dt = o.f("dt", 0.005)
-    t_end = o.f("t_end", 50.0)
-    amplitude = o.f("amplitude", 0.2)
-    sample_every = o.i("sample_every", 10)
-    _require_positive("nu", nu)
-    with _config_errors():
-        kernel = angular_kernel(n_theta)
-        g0 = perturbed_profile(n_theta, amplitude, cfg.seed)
-        state = hom.HomogeneousState(g=g0, t=0.0, kappa=kappa, nu=nu)
-    write_manifest(cfg.out_dir, cfg.preset, cfg.seed, o.resolved)
+@_preset("homogeneous", ratio=4.0, kappa=lambda o: o["ratio"] * o["nu"], nu=0.1,
+         n_theta=256, dt=0.005, t_end=50.0, amplitude=0.2, sample_every=10)
+def _homogeneous(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
+    kernel = angular_kernel(o["n_theta"])
+    g0 = perturbed_profile(o["n_theta"], o["amplitude"], cfg.seed)
+    state = hom.HomogeneousState(g=g0, t=0.0, kappa=o["kappa"], nu=o["nu"])
 
-    traj = hom.evolve_homogeneous(
-        state, kernel, dt, int(round(t_end / dt)),
-        sample_every=sample_every, record_energy=True,
-    )
-    m = traj.order_parameter
-    path = write_csv(
-        cfg.out_dir / "homogeneous.csv",
-        ["t", "re_m", "im_m", "abs_m", "free_energy", "fisher"],
-        zip(traj.t, m.real, m.imag, np.abs(m), traj.free_energy, traj.fisher),
-    )
-    increases = np.diff(traj.free_energy) - 1e-10 * (1.0 + np.abs(traj.free_energy[:-1]))
-    if np.any(increases > 0):
-        raise NumericsError("free energy increased along the trajectory")
-    return [path]
+    def run() -> list[Path]:
+        traj = hom.evolve_homogeneous(
+            state, kernel, o["dt"], int(round(o["t_end"] / o["dt"])),
+            sample_every=o["sample_every"], record_energy=True,
+        )
+        m = traj.order_parameter
+        path = write_csv(
+            cfg.out_dir / "homogeneous.csv",
+            ["t", "re_m", "im_m", "abs_m", "free_energy", "fisher"],
+            zip(traj.t, m.real, m.imag, np.abs(m), traj.free_energy, traj.fisher),
+        )
+        increases = np.diff(traj.free_energy) - 1e-10 * (1.0 + np.abs(traj.free_energy[:-1]))
+        if np.any(increases > 0):
+            raise NumericsError("free energy increased along the trajectory")
+        return [path]
+
+    return run
 
 
-def _phase_diagram(cfg: ExperimentConfig) -> list[Path]:
-    o = Options(cfg.options)
-    ratio_min = o.f("ratio_min", 0.5)
-    ratio_max = o.f("ratio_max", 6.0)
-    ratio_steps = o.i("ratio_steps", 23)
-    nu = o.f("nu", 0.1)
-    n_theta = o.i("n_theta", 128)
-    dt = o.f("dt", 0.01)
-    t_end = o.f("t_end", 120.0)
-    amplitude = o.f("amplitude", 0.2)
-    _require_positive("nu", nu)
-    with _config_errors():
-        kernel = angular_kernel(n_theta)
-        g0 = perturbed_profile(n_theta, amplitude, cfg.seed)
-    write_manifest(cfg.out_dir, cfg.preset, cfg.seed, o.resolved)
+@_preset("phase-diagram", ratio_min=0.5, ratio_max=6.0, ratio_steps=23, nu=0.1,
+         n_theta=128, dt=0.01, t_end=120.0, amplitude=0.2)
+def _phase_diagram(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
+    nu, dt = o["nu"], o["dt"]
+    kernel = angular_kernel(o["n_theta"])
+    g0 = perturbed_profile(o["n_theta"], o["amplitude"], cfg.seed)
 
-    rows = []
-    for ratio in np.linspace(ratio_min, ratio_max, ratio_steps):
-        root = hom.solve_compatibility(float(ratio))
-        state = hom.HomogeneousState(g=g0, t=0.0, kappa=float(ratio) * nu, nu=nu)
-        traj = hom.evolve_homogeneous(state, kernel, dt, int(round(t_end / dt)), sample_every=50)
-        stab = hom.linear_stability(kernel, float(ratio) * nu, nu, l_max=8)
-        rows.append((float(ratio), root.r2 or 0.0, abs(traj.order_parameter[-1]), stab.stable))
-    rows.sort(key=lambda r: r[0])
-    path = write_csv(cfg.out_dir / "phase_diagram.csv", ["ratio", "r2", "final_abs_m", "stable"], rows)
-    return [path]
+    def run() -> list[Path]:
+        rows = []
+        for ratio in np.linspace(o["ratio_min"], o["ratio_max"], o["ratio_steps"]):
+            root = hom.solve_compatibility(float(ratio))
+            state = hom.HomogeneousState(g=g0, t=0.0, kappa=float(ratio) * nu, nu=nu)
+            traj = hom.evolve_homogeneous(state, kernel, dt, int(round(o["t_end"] / dt)), sample_every=50)
+            stab = hom.linear_stability(kernel, float(ratio) * nu, nu, l_max=8)
+            rows.append((float(ratio), root.r2 or 0.0, abs(traj.order_parameter[-1]), stab.stable))
+        rows.sort(key=lambda r: r[0])
+        path = write_csv(cfg.out_dir / "phase_diagram.csv", ["ratio", "r2", "final_abs_m", "stable"], rows)
+        return [path]
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -273,50 +278,42 @@ def _phase_diagram(cfg: ExperimentConfig) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _agents(cfg: ExperimentConfig) -> list[Path]:
-    o = Options(cfg.options)
-    n = o.i("n", 4096)
-    kappa = o.f("kappa", 1.0)
-    nu = o.f("nu", 0.1)
-    dt = o.f("dt", 0.02)
-    t_end = o.f("t_end", 20.0)
-    sample_every = o.i("sample_every", 5)
-    snapshot_every = o.i("snapshot_every", 0)
-    phi = o.s("phi", "uniform")
-    sigma = o.f("sigma", 1.0)
-    n_theta = o.i("n_theta", 64)
-    amplitude = o.f("amplitude", 0.2)
-    n_x = max(4, o.i("n_x", 8))
-    _require_positive("sigma", sigma)
-    with _config_errors():
-        grid = TorusGrid(n_x, n_x, n_theta)
-        influence = make_influence(grid, phi=phi, sigma=sigma)
-        influence.phi_series  # the drift's series of Phi: resolve it before any output
-    write_manifest(cfg.out_dir, cfg.preset, cfg.seed, o.resolved)
+@_preset("agents", n=4096, kappa=1.0, nu=0.1, dt=0.02, t_end=20.0, sample_every=5,
+         snapshot_every=0, phi="uniform", sigma=1.0, n_theta=64, n_x=8, amplitude=0.2)
+def _agents(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
+    n_theta, dt, snapshot_every = o["n_theta"], o["dt"], o["snapshot_every"]
+    grid = TorusGrid(o["n_x"], o["n_x"], n_theta)
+    influence = make_influence(grid, phi=o["phi"], sigma=o["sigma"])
+    influence.phi_series  # the drift's series of Phi: resolve it before any output
 
-    g0 = perturbed_profile(n_theta, amplitude, cfg.seed)
-    e = ag.ensemble_from_profile(n, g0, influence, kappa=kappa, nu=nu, seed=cfg.seed)
+    def run() -> list[Path]:
+        g0 = perturbed_profile(n_theta, o["amplitude"], cfg.seed)
+        e = ag.ensemble_from_profile(o["n"], g0, influence, kappa=o["kappa"], nu=o["nu"], seed=cfg.seed)
 
-    n_steps = int(round(t_end / dt))
-    rows = []
-    paths: list[Path] = []
-    m = ag.order_parameter(e)
-    rows.append((e.t, m.real, m.imag, abs(m)))
-    for i in range(n_steps):
-        e = ag.em_step(e, dt)
-        if (i + 1) % sample_every == 0 or i == n_steps - 1:
-            m = ag.order_parameter(e)
-            rows.append((e.t, m.real, m.imag, abs(m)))
-        if snapshot_every > 0 and ((i + 1) % snapshot_every == 0 or i == n_steps - 1):
-            header = {"n": e.n, "time": e.t, "layout": "rows (x1,x2,theta) float64 little-endian"}
-            payload = np.column_stack([e.x, e.theta]).astype("<f8")
-            path = cfg.out_dir / f"agents_{i + 1:08d}.bin"
-            paths.append(write_header_and_payload(path, header, payload))
-    paths.append(write_csv(cfg.out_dir / "agents.csv", ["t", "re_m", "im_m", "abs_m"], rows))
-    return paths
+        n_steps = int(round(o["t_end"] / dt))
+        rows = []
+        paths: list[Path] = []
+        m = ag.order_parameter(e)
+        rows.append((e.t, m.real, m.imag, abs(m)))
+        for i in range(n_steps):
+            e = ag.em_step(e, dt)
+            if (i + 1) % o["sample_every"] == 0 or i == n_steps - 1:
+                m = ag.order_parameter(e)
+                rows.append((e.t, m.real, m.imag, abs(m)))
+            if snapshot_every > 0 and ((i + 1) % snapshot_every == 0 or i == n_steps - 1):
+                header = {"n": e.n, "time": e.t, "layout": "rows (x1,x2,theta) float64 little-endian"}
+                payload = np.column_stack([e.x, e.theta]).astype("<f8")
+                path = cfg.out_dir / f"agents_{i + 1:08d}.bin"
+                paths.append(write_header_and_payload(path, header, payload))
+        paths.append(write_csv(cfg.out_dir / "agents.csv", ["t", "re_m", "im_m", "abs_m"], rows))
+        return paths
+
+    return run
 
 
-def _compare(cfg: ExperimentConfig) -> list[Path]:
+@_preset("compare", ratio=4.0, nu=0.1, n=10000, t_end=60.0, dt_sde=0.02, dt_pde=0.01,
+         n_theta=128, checkpoints=10, band=0.05)
+def _compare(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
     """Homogeneous PDE against the SDE with uniform Phi at the same ratio.
 
     For uniform Phi the agents' angular law follows the homogeneous
@@ -324,65 +321,45 @@ def _compare(cfg: ExperimentConfig) -> list[Path]:
     probability density on T^2 carries the torus area), so the SDE runs
     at kappa = ratio * nu * (2pi)^2.
     """
-    o = Options(cfg.options)
-    ratio = o.f("ratio", 4.0)
-    nu = o.f("nu", 0.1)
-    n = o.i("n", 10000)
-    t_end = o.f("t_end", 60.0)
-    dt_sde = o.f("dt_sde", 0.02)
-    dt_pde = o.f("dt_pde", 0.01)
-    n_theta = o.i("n_theta", 128)
-    checkpoints = o.i("checkpoints", 10)
-    band = o.f("band", 0.05)
-    write_manifest(cfg.out_dir, cfg.preset, cfg.seed, o.resolved)
-
+    ratio, nu, t_end, n_theta = o["ratio"], o["nu"], o["t_end"], o["n_theta"]
     th = theta_points(n_theta)
     g0 = AngularProfile.from_values((1.0 + np.cos(th)) / TWO_PI)
     kernel = angular_kernel(n_theta)
     state = hom.HomogeneousState(g=g0, t=0.0, kappa=ratio * nu, nu=nu)
-    traj = hom.evolve_homogeneous(state, kernel, dt_pde, int(round(t_end / dt_pde)), sample_every=5)
+    influence = make_influence(TorusGrid(4, 4, n_theta), phi="uniform")
 
-    grid = TorusGrid(4, 4, n_theta)
-    influence = make_influence(grid, phi="uniform")
-    kappa_agents = ratio * nu * TWO_PI**2
-    e = ag.ensemble_from_profile(n, g0, influence, kappa=kappa_agents, nu=nu, seed=cfg.seed)
+    def run() -> list[Path]:
+        dt_pde, dt_sde = o["dt_pde"], o["dt_sde"]
+        traj = hom.evolve_homogeneous(state, kernel, dt_pde, int(round(t_end / dt_pde)), sample_every=5)
 
-    times = [e.t]
-    m_sde = [abs(ag.order_parameter(e))]
-    n_steps = int(round(t_end / dt_sde))
-    for i in range(n_steps):
-        e = ag.em_step(e, dt_sde)
-        if (i + 1) % max(1, n_steps // 200) == 0 or i == n_steps - 1:
-            times.append(e.t)
-            m_sde.append(abs(ag.order_parameter(e)))
-    times = np.asarray(times)
-    m_sde = np.asarray(m_sde)
-    m_pde = np.interp(times, traj.t, np.abs(traj.order_parameter))
+        kappa_agents = ratio * nu * TWO_PI**2
+        e = ag.ensemble_from_profile(o["n"], g0, influence, kappa=kappa_agents, nu=nu, seed=cfg.seed)
 
-    path = write_csv(
-        cfg.out_dir / "compare.csv",
-        ["t", "abs_m_pde", "abs_m_sde", "diff"],
-        zip(times, m_pde, m_sde, np.abs(m_pde - m_sde)),
-    )
-    check_times = np.linspace(0.0, t_end, checkpoints + 1)[1:]
-    for tc in check_times:
-        idx = int(np.argmin(np.abs(times - tc)))
-        gap = abs(m_pde[idx] - m_sde[idx])
-        if gap > band:
-            raise NumericsError(
-                f"SDE/PDE order parameters differ by {gap:.3f} > {band} at t={times[idx]:.2f}"
-            )
-    return [path]
+        times = [e.t]
+        m_sde = [abs(ag.order_parameter(e))]
+        n_steps = int(round(t_end / dt_sde))
+        for i in range(n_steps):
+            e = ag.em_step(e, dt_sde)
+            if (i + 1) % max(1, n_steps // 200) == 0 or i == n_steps - 1:
+                times.append(e.t)
+                m_sde.append(abs(ag.order_parameter(e)))
+        times = np.asarray(times)
+        m_sde = np.asarray(m_sde)
+        m_pde = np.interp(times, traj.t, np.abs(traj.order_parameter))
 
+        path = write_csv(
+            cfg.out_dir / "compare.csv",
+            ["t", "abs_m_pde", "abs_m_sde", "diff"],
+            zip(times, m_pde, m_sde, np.abs(m_pde - m_sde)),
+        )
+        band = o["band"]
+        for tc in np.linspace(0.0, t_end, o["checkpoints"] + 1)[1:]:
+            idx = int(np.argmin(np.abs(times - tc)))
+            gap = abs(m_pde[idx] - m_sde[idx])
+            if gap > band:
+                raise NumericsError(
+                    f"SDE/PDE order parameters differ by {gap:.3f} > {band} at t={times[idx]:.2f}"
+                )
+        return [path]
 
-_PRESETS = {
-    "linear-ed": _linear_ed,
-    "mixing": _mixing,
-    "kinetic": _kinetic,
-    "homogeneous": _homogeneous,
-    "phase-diagram": _phase_diagram,
-    "agents": _agents,
-    "compare": _compare,
-}
-
-PRESET_NAMES = tuple(sorted(_PRESETS))
+    return run

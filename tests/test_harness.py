@@ -2,15 +2,19 @@
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kvicsek.cli import main
-from kvicsek.config import Options, parse_config, write_csv, write_manifest
+from kvicsek.cli import _collect_options, build_parser, main
+from kvicsek.config import parse_config, resolve_options, write_csv, write_manifest
 from kvicsek.errors import ConfigError, NumericsError
 from kvicsek.fitting import fit_rate
-from kvicsek.presets import ExperimentConfig, run_preset
+from kvicsek.presets import PRESETS, ExperimentConfig, run_preset
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestFitRate:
@@ -66,12 +70,13 @@ class TestConfig:
             parse_config(tmp_path / "missing.cfg")
 
     def test_options_coercion(self):
-        o = Options({"a": "1.5", "b": "7", "g": "8,8,16"})
-        assert o.f("a", 0.0) == 1.5
-        assert o.i("b", 0) == 7
-        assert o.grid3("g", "4,4,4") == (8, 8, 16)
+        table = {"a": 0.5, "b": 1, "g": (4, 4, 4)}
+        o = resolve_options({"a": "1.5", "b": "7", "g": "8,8,16"}, table)
+        assert o["a"] == 1.5
+        assert o["b"] == 7
+        assert o["g"] == (8, 8, 16)
         with pytest.raises(ConfigError):
-            Options({"a": "x"}).f("a", 0.0)
+            resolve_options({"a": "x"}, table)
 
     def test_csv_formatting(self, tmp_path):
         p = write_csv(tmp_path / "t.csv", ["a", "b"], [(1.0 / 3.0, 2), (0.1, True)])
@@ -245,9 +250,27 @@ class TestCli:
             ["phase-diagram", "--n-theta", "7"],
             ["linear-ed", "--nu-list", "0", "--n-theta", "32"],
             ["homogeneous", "--nu", "-1"],
+            ["compare", "--n-theta", "7"],
+            ["mixing", "--k-list", "0,0"],
+            ["mixing", "--nu", "1e-2", "--horizon", "100"],
+            ["compare", "--nu", "-1"],
+            ["agents", "--nu", "-1"],
+            ["agents", "--n", "0"],
+            ["agents", "--dt", "0"],
+            ["agents", "--n-x", "2"],
+            ["kinetic", "--dt", "nan"],
+            ["homogeneous", "--t-end", "nan"],
+            ["kinetic", "--sample-every", "0"],
+            ["homogeneous", "--sample-every", "0"],
+            ["linear-ed", "--horizon-factor", "0"],
+            ["phase-diagram", "--ratio-steps", "0"],
+            ["homogeneous", "--set", "kapa=0.5"],
+            ["homogeneous", "--config", "bad_seed.cfg"],
         ],
     )
-    def test_bad_option_exit_2_before_output(self, tmp_path, capsys, argv):
+    def test_bad_option_exit_2_before_output(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("bad_seed.cfg").write_text("seed = abc\n")
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == 2
         assert "config error:" in capsys.readouterr().err
@@ -263,12 +286,30 @@ class TestCli:
         assert (tmp_path / "manifest.json").exists()
 
     def test_config_file_with_cli_override(self, tmp_path):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("t_end = 0.2\nn_theta = 64\ndt = 0.01\nratio = 1.0\n")
-        out = tmp_path / "out"
-        code = main([
-            "homogeneous", "--config", str(cfgfile), "--out", str(out), "--ratio", "1.5",
-        ])
-        assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["ratio"] == 1.5
+        for name, text in [
+            ("run.cfg", "t_end = 0.2\nn_theta = 64\ndt = 0.01\nratio = 1.0\n"),
+            ("dashes.cfg", "t-end = 0.2\nn-theta = 64\ndt = 0.01\nratio = 1.0\n"),
+        ]:
+            cfgfile = tmp_path / name
+            cfgfile.write_text(text)
+            out = tmp_path / f"out_{name}"
+            code = main([
+                "homogeneous", "--config", str(cfgfile), "--out", str(out), "--ratio", "1.5",
+            ])
+            assert code == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["ratio"] == 1.5
+            assert manifest["config"]["t_end"] == 0.2
+            assert manifest["config"]["n_theta"] == 64
+
+    def test_readme_examples_are_accepted(self):
+        block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+        commands = [
+            shlex.split(line.split("#", 1)[0])
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("kvicsek")
+        ]
+        assert {argv[1] for argv in commands} == set(PRESETS)
+        for argv in commands:
+            args = build_parser().parse_args(argv[1:])
+            resolve_options(_collect_options(args), PRESETS[args.preset].options)

@@ -21,6 +21,7 @@ from kvicsek.spectral import (
     x_average,
 )
 from kvicsek.influence import make_influence
+from kvicsek.linear import transport_factor
 
 
 def random_real_field(grid, rng, band_fraction=3):
@@ -296,6 +297,7 @@ def test_grid_caches_are_read_only():
         theta_derivative(16),
         diffusion_factor(16, 0.1, 0.01),
         dealias_keep(16),
+        transport_factor((1, 2), 16, 1.0, 0.01),
     ):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
