@@ -76,10 +76,16 @@ def _in_range(key: str, value: float) -> float:
     return value
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Steps of size dt that a run to t_end takes: t_end / dt, rounded."""
+    return int(round(t_end / dt))
+
+
 def resolve_options(raw: Mapping[str, str], table: Mapping[str, object]) -> dict[str, object]:
     """Every option of ``table`` (name -> default), typed; an unknown key raises ConfigError.
 
     A callable default derives the value from the others when the key is absent.
+    Every time step (``dt``, ``dt_*``) must give ``t_end`` at least one step.
     """
     unknown = sorted(set(raw) - set(table))
     if unknown:
@@ -89,6 +95,12 @@ def resolve_options(raw: Mapping[str, str], table: Mapping[str, object]) -> dict
     for key, derive in table.items():
         if key not in values:
             values[key] = _in_range(key, derive(values))
+    for key, dt in values.items():
+        if (key == "dt" or key.startswith("dt_")) and "t_end" in values:
+            if step_count(values["t_end"], dt) < 1:
+                raise ConfigError(
+                    f"option {key!r} = {dt:g} leaves t_end = {values['t_end']:g} with no step"
+                )
     return values
 
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# The fewest samples a fit accepts.
+MIN_SAMPLES = 10
+
 
 def fit_rate(
     t: np.ndarray,
@@ -25,7 +28,7 @@ def fit_rate(
 
     Raises
     ------
-    ValueError : fewer than 10 samples in the window, or nonpositive values.
+    ValueError : fewer than MIN_SAMPLES samples in the window, or nonpositive values.
     """
     t = np.asarray(t, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -34,8 +37,8 @@ def fit_rate(
     if window is not None:
         keep = (t >= window[0]) & (t <= window[1])
         t, values = t[keep], values[keep]
-    if t.size < 10:
-        raise ValueError(f"need at least 10 samples in the fit window, got {t.size}")
+    if t.size < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples in the fit window, got {t.size}")
     if np.any(values <= 0.0):
         raise ValueError("values must be positive for a log fit")
     if loglog:

@@ -13,7 +13,11 @@ profiles parameterized by the order parameter appears.
 The step is ``spectral.split_step`` without transport (the kinetic step
 restricted to x-independent data): Heun alignment half-steps around
 exact diffusion, with the alignment RHS evaluated in 2/3-dealiased flux
-form and the kinetic solver's step-size guard.
+form and the kinetic solver's step-size guard.  ``evolve_homogeneous``
+advances a sequence of states that share n_theta, nu and t as one stack
+of rows with kappa per row (the ratios of a phase diagram), with the
+RHS and the guard evaluated row-wise; a single state, and
+``step_homogeneous``, are batches of one.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -64,9 +69,14 @@ def constant_state(n_theta: int, kappa: float, nu: float) -> HomogeneousState:
 
 
 def _alignment_rhs(
-    g_coeffs: np.ndarray, psi_coeffs: np.ndarray, kappa: float
-) -> tuple[np.ndarray, float]:
-    """kappa d_theta(g (Psi*g)) in coefficients, 2/3-dealiased flux form."""
+    g_coeffs: np.ndarray, psi_coeffs: np.ndarray, kappa: np.ndarray | float
+) -> tuple[np.ndarray, np.ndarray]:
+    """kappa d_theta(g (Psi*g)) in coefficients, 2/3-dealiased flux form.
+
+    Row-wise over a stack ``g_coeffs[..., n_theta]``, with kappa a scalar
+    or one per row; returns the right-hand side and max|Psi*g| per row,
+    shaped ``(..., 1)``.
+    """
     n = g_coeffs.shape[-1]
     mask = dealias_keep(n)
     gd = np.where(mask, g_coeffs, 0.0)
@@ -75,16 +85,12 @@ def _alignment_rhs(
     cv = profile_values_from_coeffs(conv)
     prod = profile_coeffs_from_values(gv * cv)
     rhs = kappa * theta_derivative(n) * np.where(mask, prod, 0.0)
-    return rhs, float(np.max(np.abs(cv)))
+    return rhs, np.max(np.abs(cv), axis=-1, keepdims=True)
 
 
 def step_homogeneous(s: HomogeneousState, kernel: AngularKernel, dt: float) -> HomogeneousState:
-    """One ``split_step`` without transport: Heun alignment half / diffusion / alignment half."""
-    rhs = partial(_alignment_rhs, psi_coeffs=kernel.psi.coeffs, kappa=s.kappa)
-    c = split_step(s.g.coeffs, s.t, dt, diffusion_factor(s.g.n, s.nu, dt), rhs=rhs, kappa=s.kappa)
-    if not np.all(np.isfinite(c)):
-        raise NumericsError(f"NaN in homogeneous step at t={s.t}")
-    return replace(s, g=AngularProfile(c), t=s.t + dt)
+    """One step of ``evolve_homogeneous``: Heun alignment half / diffusion / alignment half."""
+    return evolve_homogeneous(s, kernel, dt, 1).final
 
 
 @dataclass(frozen=True)
@@ -97,45 +103,61 @@ class HomogeneousTrajectory:
 
 
 def evolve_homogeneous(
-    s: HomogeneousState,
+    s: HomogeneousState | Sequence[HomogeneousState],
     kernel: AngularKernel,
     dt: float,
     n_steps: int,
     sample_every: int = 1,
     record_energy: bool = False,
-) -> HomogeneousTrajectory:
-    """Advance the homogeneous dynamics, sampling m(t) (and optionally F, D)."""
-    heat = diffusion_factor(s.g.n, s.nu, dt)
-    rhs = partial(_alignment_rhs, psi_coeffs=kernel.psi.coeffs, kappa=s.kappa)
-    c = s.g.coeffs
-    t0 = s.t
-    ts, ms = [s.t], [s.order_parameter]
-    fs = [free_energy(s, kernel)] if record_energy else None
-    ds = [fisher_information(s, kernel)] if record_energy else None
+) -> HomogeneousTrajectory | list[HomogeneousTrajectory]:
+    """Advance the homogeneous dynamics, sampling m(t) (and optionally F, D).
 
-    def snapshot(c, t):
-        state = replace(s, g=AngularProfile(c), t=t)
+    ``s`` is one state or a sequence of states that share n_theta, nu and
+    t, with kappa per state; a sequence is stepped as one stack of rows
+    by ``split_step`` and gives one trajectory per state, in order.
+    Raises NumericsError naming the row on NaN at a sample.
+    """
+    states = [s] if isinstance(s, HomogeneousState) else list(s)
+    first = states[0]
+    if any((x.g.n, x.nu, x.t) != (first.g.n, first.nu, first.t) for x in states):
+        raise ValueError("batched homogeneous states must share n_theta, nu and t")
+    heat = diffusion_factor(first.g.n, first.nu, dt)
+    kappa = np.array([[x.kappa] for x in states])
+    rhs = partial(_alignment_rhs, psi_coeffs=kernel.psi.coeffs, kappa=kappa)
+    c = np.stack([x.g.coeffs for x in states])
+    t0 = first.t
+    ts, ms, fs, ds = [], [], [], []
+
+    def sample(t, rows):
         ts.append(t)
-        ms.append(state.order_parameter)
+        ms.append([x.order_parameter for x in rows])
         if record_energy:
-            fs.append(free_energy(state, kernel))
-            ds.append(fisher_information(state, kernel))
-        return state
+            fs.append([free_energy(x, kernel) for x in rows])
+            ds.append([fisher_information(x, kernel) for x in rows])
+        return rows
 
-    state = s
+    final = sample(t0, states)
     for i in range(n_steps):
-        c = split_step(c, t0 + i * dt, dt, heat, rhs=rhs, kappa=s.kappa)
+        c = split_step(c, t0 + i * dt, dt, heat, rhs=rhs, kappa=kappa)
         if (i + 1) % sample_every == 0 or i == n_steps - 1:
-            if not np.all(np.isfinite(c)):
-                raise NumericsError(f"NaN in homogeneous evolution near t={t0 + (i + 1) * dt}")
-            state = snapshot(c, t0 + (i + 1) * dt)
-    return HomogeneousTrajectory(
-        t=np.asarray(ts),
-        order_parameter=np.asarray(ms),
-        free_energy=None if fs is None else np.asarray(fs),
-        fisher=None if ds is None else np.asarray(ds),
-        final=state,
-    )
+            t = t0 + (i + 1) * dt
+            if not np.isfinite(c).all():
+                row = int(np.argmin(np.isfinite(c).all(axis=-1)))
+                raise NumericsError(f"NaN in homogeneous evolution near t={t} in row {row}")
+            final = sample(t, [replace(x, g=AngularProfile(g), t=t) for x, g in zip(states, c)])
+
+    ms, fs, ds = np.asarray(ms), np.asarray(fs), np.asarray(ds)
+    out = [
+        HomogeneousTrajectory(
+            t=np.asarray(ts),
+            order_parameter=ms[:, j],
+            free_energy=fs[:, j] if record_energy else None,
+            fisher=ds[:, j] if record_energy else None,
+            final=x,
+        )
+        for j, x in enumerate(final)
+    ]
+    return out[0] if isinstance(s, HomogeneousState) else out
 
 
 # ---------------------------------------------------------------------------

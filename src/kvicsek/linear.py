@@ -17,28 +17,34 @@ the enhanced rate (nu |k|)^{1/2}; the comparison bounds sandwich F
 between the 1/2- and 3/2-weighted diagonal parts whenever
 beta^2 <= alpha gamma.
 
-``step_mode`` is ``spectral.split_step`` at kappa = 0 on one mode: the
-kinetic step restricted to a single x-Fourier mode.
+The step is ``spectral.split_step`` at kappa = 0: the kinetic step
+restricted to single x-Fourier modes.  ``evolve_mode`` advances a stack
+of modes, one row per (k, nu) with its own step count and sampling
+cadence, through one ``split_step`` call per step, and evaluates the
+norms and the comparison sandwich row-wise; ``step_mode`` and a
+single-state ``evolve_mode`` are batches of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Callable
+from dataclasses import dataclass, fields, replace
+from functools import cached_property, lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SandwichViolation
-from .fitting import fit_rate
+from .errors import NumericsError, SandwichViolation
+from .fitting import MIN_SAMPLES, fit_rate
 from .spectral import (
     TWO_PI,
     AngularProfile,
     _readonly,
     diffusion_factor,
+    fft_wavenumbers,
     profile_coeffs_from_values,
     profile_values_from_coeffs,
     split_step,
+    theta_derivative,
     theta_points,
 )
 
@@ -94,17 +100,22 @@ class ModeState:
         if self.nu <= 0:
             raise ValueError("nu must be positive")
 
-    @property
+    @cached_property
     def k_norm(self) -> float:
         return float(np.hypot(self.k[0], self.k[1]))
 
-    @property
+    @cached_property
     def theta_k(self) -> float:
         return float(np.arctan2(self.k[1], self.k[0]))
 
     @property
     def zeta(self) -> float:
-        return min(1.0, np.sqrt(self.nu * self.k_norm) * self.t)
+        return _ramp(self, self.t)
+
+
+def _ramp(s: ModeState, t: float) -> float:
+    """zeta = min(1, (nu |k|)^{1/2} t) of s's mode at time t."""
+    return min(1.0, np.sqrt(s.nu * s.k_norm) * t)
 
 
 @lru_cache(maxsize=64)
@@ -115,36 +126,61 @@ def transport_factor(k: tuple[int, int], n: int, v: float, dt: float) -> np.ndar
     return _readonly(np.exp(-1j * v * pk * (0.5 * dt)))
 
 
-def step_mode(s: ModeState, dt: float) -> ModeState:
-    """One ``split_step`` with exact transport and diffusion sub-propagators.
+@lru_cache(maxsize=64)
+def _sin_offset(n: int, theta_k: float) -> np.ndarray:
+    """Read-only sin(theta - theta_k) on the n theta points."""
+    return _readonly(np.sin(theta_points(n) - theta_k))
 
-    Transport multiplies pointwise in theta-collocation space by
-    exp(-i v p(theta).k dt/2); diffusion multiplies coefficients by
-    exp(-nu l^2 dt).  v(t) is sampled at the sub-step midpoints.  The L2
-    norm never increases.
+
+def _mode_step(states: Sequence[ModeState], dt: float) -> Callable[[np.ndarray, float], np.ndarray]:
+    """``split_step`` at kappa = 0 of a stack of modes: (c, t) -> c at t + dt.
+
+    Row j of c is states[j]'s eta, advanced with that state's k, nu and
+    speed; the states share n_theta.  Transport multiplies pointwise in
+    theta-collocation space by exp(-i v p(theta).k dt/2), with v(t)
+    sampled at the sub-step midpoints; diffusion multiplies coefficients
+    by exp(-nu l^2 dt).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n = s.eta.n
+    n = states[0].eta.n
+    heat = np.array([diffusion_factor(n, s.nu, dt) for s in states])
 
     def transport(coeffs, t_mid):
         values = profile_values_from_coeffs(coeffs)
-        values *= transport_factor(s.k, n, s.v(t_mid), dt)
+        for row, s in zip(values, states):
+            row *= transport_factor(s.k, n, s.v(t_mid), dt)
         return profile_coeffs_from_values(values)
 
-    coeffs = split_step(s.eta.coeffs, s.t, dt, diffusion_factor(n, s.nu, dt), transport=transport)
+    return lambda c, t: split_step(c, t, dt, heat, transport=transport)
+
+
+def step_mode(s: ModeState, dt: float) -> ModeState:
+    """One ``split_step`` with exact transport and diffusion sub-propagators.
+
+    A batch of one of the stepper behind ``evolve_mode``.  The L2 norm
+    never increases.
+    """
+    coeffs = _mode_step([s], dt)(s.eta.coeffs[None], s.t)[0]
     return replace(s, eta=AngularProfile(coeffs), t=s.t + dt)
+
+
+def _hm1_rows(eta: np.ndarray, states: Sequence[ModeState]) -> np.ndarray:
+    """Per-row ``mode_hm1_norm`` of a stack of modes eta[j] with states[j]'s k."""
+    l = fft_wavenumbers(eta.shape[-1]).astype(np.float64)
+    w = 1.0 / (np.array([[s.k_norm**2] for s in states]) + l**2)
+    return np.sqrt(TWO_PI * np.sum(w * np.abs(eta) ** 2, axis=-1))
 
 
 def mode_hm1_norm(s: ModeState) -> float:
     """Single-mode homogeneous H^{-1}: coefficients weighted by (|k|^2+l^2)^{-1/2}."""
-    l = s.eta.l.astype(np.float64)
-    w = 1.0 / (s.k_norm**2 + l**2)
-    return float(np.sqrt(TWO_PI * np.sum(w * np.abs(s.eta.coeffs) ** 2)))
+    return float(_hm1_rows(s.eta.coeffs[None], [s])[0])
 
 
 @dataclass(frozen=True)
 class HypoTerms:
+    """The four terms of the weighted energy: floats, or arrays over the rows of a stack."""
+
     l2: float
     alpha_term: float
     beta_term: float
@@ -155,28 +191,50 @@ class HypoTerms:
         return self.l2 + self.alpha_term + self.beta_term + self.gamma_term
 
 
+def _hypo_rows(eta: np.ndarray, states: Sequence[ModeState], t: float, w: HypoWeights) -> HypoTerms:
+    """The four terms for a stack of modes eta[j] (states[j]'s k, nu) at time t, as arrays over rows."""
+    n = eta.shape[-1]
+    quad = TWO_PI / n
+    sinw = np.array([_sin_offset(n, s.theta_k) for s in states])
+    values = profile_values_from_coeffs(eta)
+    dvalues = profile_values_from_coeffs(theta_derivative(n) * eta)
+    # the per-row weights in scalar arithmetic, as for a single state
+    zr = [(_ramp(s, t), np.sqrt(s.nu / s.k_norm)) for s in states]
+    alpha, beta, gamma = np.array(
+        [(w.alpha * z * r, -w.beta * z**2, w.gamma * z**3 / r) for z, r in zr]
+    ).T
+
+    l2 = quad * np.sum(np.abs(values) ** 2, axis=-1)
+    d2 = quad * np.sum(np.abs(dvalues) ** 2, axis=-1)
+    s2 = quad * np.sum(np.abs(sinw * values) ** 2, axis=-1)
+    cross = quad * np.real(np.sum(1j * sinw * values * np.conj(dvalues), axis=-1))
+    return HypoTerms(l2=l2, alpha_term=alpha * d2, beta_term=beta * cross, gamma_term=gamma * s2)
+
+
 def hypo_functional(s: ModeState, w: HypoWeights = HypoWeights()) -> HypoTerms:
     """Evaluate the four terms of the weighted energy at the current state."""
-    n = s.eta.n
-    quad = TWO_PI / n
-    th = theta_points(n)
-    sinw = np.sin(th - s.theta_k)
-    eta = s.eta.values
-    deta = s.eta.derivative().values
-    zeta = s.zeta
-    ratio = np.sqrt(s.nu / s.k_norm)
+    terms = _hypo_rows(s.eta.coeffs[None], [s], s.t, w)
+    return HypoTerms(*(float(getattr(terms, f.name)[0]) for f in fields(HypoTerms)))
 
-    l2 = quad * float(np.sum(np.abs(eta) ** 2))
-    d2 = quad * float(np.sum(np.abs(deta) ** 2))
-    s2 = quad * float(np.sum(np.abs(sinw * eta) ** 2))
-    cross = quad * float(np.real(np.sum(1j * sinw * eta * np.conj(deta))))
 
-    return HypoTerms(
-        l2=l2,
-        alpha_term=w.alpha * zeta * ratio * d2,
-        beta_term=-w.beta * zeta**2 * cross,
-        gamma_term=w.gamma * zeta**3 / ratio * s2,
-    )
+def _sandwich_rows(
+    eta: np.ndarray, states: Sequence[ModeState], t: float, w: HypoWeights
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row ``comparison_sandwich`` of a stack of modes eta[j] with states[j]'s k, nu."""
+    terms = _hypo_rows(eta, states, t, w)
+    diagonal = terms.alpha_term + terms.gamma_term
+    lower = terms.l2 + 0.5 * diagonal
+    upper = terms.l2 + 1.5 * diagonal
+    value = terms.total
+    tol = 1e-12 * (1.0 + np.abs(value))
+    bad = (value < lower - tol) | (value > upper + tol)
+    if np.count_nonzero(bad):
+        j = int(np.argmax(bad))
+        raise SandwichViolation(
+            f"comparison bounds violated at t={t} for k={states[j].k}, nu={states[j].nu:g}: "
+            f"{lower[j]} <= {value[j]} <= {upper[j]} fails"
+        )
+    return lower, value, upper
 
 
 def comparison_sandwich(s: ModeState, w: HypoWeights = HypoWeights()) -> tuple[float, float, float]:
@@ -185,17 +243,7 @@ def comparison_sandwich(s: ModeState, w: HypoWeights = HypoWeights()) -> tuple[f
     Raises SandwichViolation if the bounds fail beyond round-off; that
     signals a convention bug, not a numerical accident.
     """
-    terms = hypo_functional(s, w)
-    diagonal = terms.alpha_term + terms.gamma_term
-    lower = terms.l2 + 0.5 * diagonal
-    upper = terms.l2 + 1.5 * diagonal
-    value = terms.total
-    tol = 1e-12 * (1.0 + abs(value))
-    if value < lower - tol or value > upper + tol:
-        raise SandwichViolation(
-            f"comparison bounds violated at t={s.t}: {lower} <= {value} <= {upper} fails"
-        )
-    return lower, value, upper
+    return tuple(float(x[0]) for x in _sandwich_rows(s.eta.coeffs[None], [s], s.t, w))
 
 
 @dataclass(frozen=True)
@@ -213,30 +261,85 @@ class ModeSeries:
     zeta: np.ndarray
 
 
+def _step_times(t0: float, dt: float, n_steps: int) -> np.ndarray:
+    """t0 and the time after each of n_steps steps, accumulated one dt at a time like step_mode."""
+    return np.cumsum(np.r_[t0, np.full(n_steps, dt)])
+
+
+def _due(m, n_steps, sample_every):
+    """Whether a row is sampled after its m-th step (m = 0 is the start)."""
+    return (m % sample_every == 0) | (m == n_steps)
+
+
+def sample_times(t0: float, dt: float, n_steps: int, sample_every: int) -> np.ndarray:
+    """The times at which ``evolve_mode`` samples a row, in its own arithmetic."""
+    m = np.arange(n_steps + 1)
+    return _step_times(t0, dt, n_steps)[_due(m, n_steps, sample_every)]
+
+
 def evolve_mode(
-    s: ModeState,
+    s: ModeState | Sequence[ModeState],
     dt: float,
-    n_steps: int,
+    n_steps: int | Sequence[int],
     weights: HypoWeights = HypoWeights(),
-    sample_every: int = 1,
-) -> tuple[ModeState, ModeSeries]:
-    """Advance n_steps, sampling norms and the sandwich every sample_every steps."""
-    rows = []
+    sample_every: int | Sequence[int] = 1,
+) -> tuple[ModeState, ModeSeries] | list[tuple[ModeState, ModeSeries]]:
+    """Advance n_steps, sampling norms and the sandwich every sample_every steps.
 
-    def sample(state):
-        lo, val, up = comparison_sandwich(state, weights)
-        rows.append(
-            (state.t, state.eta.norm_l2(), mode_hm1_norm(state), val, lo, up, state.zeta)
-        )
+    ``s`` is one state or a sequence of states that share t and n_theta;
+    k, nu and the speed may differ per state, and ``n_steps`` and
+    ``sample_every`` are one int or one per state.  A sequence is stepped
+    as one stack of rows, each row leaving the stack after its last step,
+    and gives one (final state, series) pair per state, in order.  Each
+    row is sampled at the start, every sample_every steps and at its last
+    step.  Raises NumericsError (NaN) or SandwichViolation at a sample,
+    naming the row's k and nu.
+    """
+    states = [s] if isinstance(s, ModeState) else list(s)
+    if any((x.t, x.eta.n) != (states[0].t, states[0].eta.n) for x in states):
+        raise ValueError("batched mode states must share t and n_theta")
+    n_steps = np.broadcast_to(n_steps, len(states))
+    every = np.broadcast_to(sample_every, len(states))
+    if np.any(n_steps < 0) or np.any(every < 1):
+        raise ValueError("n_steps must be >= 0 and sample_every >= 1")
+    rows = [[] for _ in states]
 
-    sample(s)
-    for i in range(n_steps):
-        s = step_mode(s, dt)
-        if (i + 1) % sample_every == 0 or i == n_steps - 1:
-            sample(s)
-    cols = [np.asarray(c) for c in zip(*rows)]
-    series = ModeSeries(s.k, s.nu, *cols)
-    return s, series
+    def sample(idx, eta, t):
+        picked = [states[j] for j in idx]
+        l2 = np.sqrt(TWO_PI * np.sum(np.abs(eta) ** 2, axis=-1))
+        finite = np.isfinite(l2)
+        if not finite.all():
+            bad = picked[int(np.argmin(finite))]
+            raise NumericsError(f"NaN in per-mode evolution at t={t} for k={bad.k}, nu={bad.nu:g}")
+        lo, val, up = _sandwich_rows(eta, picked, t, weights)
+        hm1 = _hm1_rows(eta, picked)
+        for j, x, *cols in zip(idx, picked, l2, hm1, val, lo, up):
+            rows[j].append((t, *cols, _ramp(x, t)))
+
+    c = np.stack([x.eta.coeffs for x in states])
+    times = _step_times(states[0].t, dt, int(np.max(n_steps, initial=0)))
+    sample(range(len(states)), c, times[0])
+    done = 0
+    for end in sorted(set(n_steps.tolist()) - {0}):
+        active = np.flatnonzero(n_steps >= end)
+        step = _mode_step([states[j] for j in active], dt)
+        steps = np.arange(done + 1, end + 1)
+        due = _due(steps[:, None], n_steps[active], every[active])
+        ca = c[active]
+        for m, d, n_due in zip(steps.tolist(), due, np.count_nonzero(due, axis=1).tolist()):
+            ca = step(ca, times[m - 1])
+            if n_due == len(active):
+                sample(active, ca, times[m])
+            elif n_due:
+                sample(active[d], ca[d], times[m])
+        c[active] = ca
+        done = end
+
+    out = []
+    for x, eta, samples in zip(states, c, rows):
+        final = replace(x, eta=AngularProfile(eta), t=float(samples[-1][0]))
+        out.append((final, ModeSeries(x.k, x.nu, *(np.asarray(col) for col in zip(*samples)))))
+    return out[0] if isinstance(s, ModeState) else out
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +404,23 @@ class MixingCurve:
     stderr: float
 
 
-def require_mixing_window(nu: float, horizon: float) -> None:
-    """Raise ValueError unless horizon <= 2 nu^{-1/2}, where phase mixing is seen."""
+def mixing_window(nu: float, horizon: float, dt: float) -> tuple[float, float]:
+    """The log-log fit window [1, min(horizon, nu^{-1/2})] of ``mixing_curve``.
+
+    Raises ValueError unless horizon <= 2 nu^{-1/2}, where phase mixing
+    is seen, and the window holds MIN_SAMPLES of the curve's sample times.
+    """
     if horizon > 2.0 / np.sqrt(nu):
         raise ValueError("horizon beyond 2 nu^{-1/2} leaves the mixing window")
+    window = (1.0, min(horizon, 1.0 / np.sqrt(nu)))
+    t = sample_times(0.0, dt, int(np.ceil(horizon / dt)), 1)
+    n = np.count_nonzero((t >= window[0]) & (t <= window[1]))
+    if n < MIN_SAMPLES:
+        raise ValueError(
+            f"the mixing fit window [1, {window[1]:.3g}] holds {n} samples at dt={dt:g}, "
+            f"the fit needs {MIN_SAMPLES}"
+        )
+    return window
 
 
 def mixing_curve(
@@ -321,7 +437,7 @@ def mixing_curve(
     mixing produces the t^{-1/2} law before the enhanced-dissipation
     time takes over.
     """
-    require_mixing_window(nu, horizon)
+    window = mixing_window(nu, horizon, dt)
     s = ModeState(k=k, eta=eta0, t=0.0, nu=nu, v=v)
     ts = [0.0]
     norms = [mode_hm1_norm(s)]
@@ -332,8 +448,7 @@ def mixing_curve(
         norms.append(mode_hm1_norm(s))
     ts = np.asarray(ts)
     norms = np.asarray(norms)
-    t_hi = min(horizon, 1.0 / np.sqrt(nu))
-    slope, stderr = fit_rate(ts, norms, window=(1.0, t_hi), loglog=True)
+    slope, stderr = fit_rate(ts, norms, window=window, loglog=True)
     return MixingCurve(t=ts, norm_hm1=norms, slope=slope, stderr=stderr)
 
 

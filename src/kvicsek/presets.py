@@ -24,9 +24,9 @@ from . import agents as ag
 from . import homogeneous as hom
 from . import kinetic as kin
 from . import linear as lin
-from .config import parse_option, resolve_options, write_csv, write_manifest
+from .config import parse_option, resolve_options, step_count, write_csv, write_manifest
 from .errors import ConfigError, NumericsError
-from .fitting import fit_rate
+from .fitting import MIN_SAMPLES, fit_rate
 from .influence import angular_kernel, make_influence
 from .spectral import TWO_PI, AngularProfile, TorusGrid, theta_points, write_header_and_payload
 
@@ -120,21 +120,35 @@ def _linear_ed(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
     eta0 = AngularProfile.from_function(np.cos, o["n_theta"])
     weights = lin.HypoWeights(o["beta"])
     states = [lin.ModeState(k=k, eta=eta0, t=0.0, nu=nu) for k in ks for nu in nus]
+    t_ed = [1.0 / np.sqrt(s.nu * s.k_norm) for s in states]
+    dts = [min(0.05, t / 50.0) for t in t_ed]
+    n_steps = [int(np.ceil(o["horizon_factor"] * t / dt)) for t, dt in zip(t_ed, dts)]
+    every = [max(1, n // 2000) for n in n_steps]
+    for s, t, dt, n, e in zip(states, t_ed, dts, n_steps, every):
+        n_fit = np.count_nonzero(lin.sample_times(s.t, dt, n, e) >= t)
+        if n_fit < MIN_SAMPLES:
+            raise ValueError(
+                f"k={s.k}, nu={s.nu:g}: {n_fit} samples after t_ed = {t:.3g}, "
+                f"the rate fit needs {MIN_SAMPLES}; raise horizon_factor"
+            )
 
     def run() -> list[Path]:
+        # one batch per time step; the rows of a batch keep their own step counts
+        results = [None] * len(states)
+        for dt in sorted(set(dts)):
+            batch = [j for j, d in enumerate(dts) if d == dt]
+            out = lin.evolve_mode(
+                [states[j] for j in batch], dt, [n_steps[j] for j in batch],
+                weights=weights, sample_every=[every[j] for j in batch],
+            )
+            for j, (_, series) in zip(batch, out):
+                results[j] = series
         paths = []
         summary = []
-        for state in states:
-            k, nu = state.k, state.nu
-            t_ed = 1.0 / np.sqrt(nu * state.k_norm)
-            dt = min(0.05, t_ed / 50.0)
-            n_steps = int(np.ceil(o["horizon_factor"] * t_ed / dt))
-            _, series = lin.evolve_mode(
-                state, dt, n_steps, weights=weights, sample_every=max(1, n_steps // 2000)
-            )
-            keep = (series.t >= t_ed) & (series.norm_l2 > lin.UNDERFLOW_FLOOR * series.norm_l2[0])
+        for series, t in zip(results, t_ed):
+            keep = (series.t >= t) & (series.norm_l2 > lin.UNDERFLOW_FLOOR * series.norm_l2[0])
             slope, stderr = fit_rate(series.t[keep], series.norm_l2[keep])
-            name = f"mode_k{k[0]}_{k[1]}_nu{nu:g}.csv"
+            name = f"mode_k{series.k[0]}_{series.k[1]}_nu{series.nu:g}.csv"
             rows = zip(
                 series.t, series.norm_l2, series.norm_hm1,
                 series.f_hypo, series.f_lower, series.f_upper, series.zeta,
@@ -146,7 +160,7 @@ def _linear_ed(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
                     rows,
                 )
             )
-            summary.append((k[0], k[1], nu, -slope, stderr))
+            summary.append((series.k[0], series.k[1], series.nu, -slope, stderr))
         paths.append(
             write_csv(cfg.out_dir / "rates.csv", ["k1", "k2", "nu", "rate", "stderr"], summary)
         )
@@ -161,7 +175,7 @@ def _mixing(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
     nu, horizon = o["nu"], o["horizon"]
     eta0 = AngularProfile.from_function(np.cos, o["n_theta"])
     states = [lin.ModeState(k=k, eta=eta0, t=0.0, nu=nu) for k in _parse_k_list(o["k_list"])]
-    lin.require_mixing_window(nu, horizon)
+    lin.mixing_window(nu, horizon, o["dt"])
 
     def run() -> list[Path]:
         paths = []
@@ -234,7 +248,7 @@ def _homogeneous(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
 
     def run() -> list[Path]:
         traj = hom.evolve_homogeneous(
-            state, kernel, o["dt"], int(round(o["t_end"] / o["dt"])),
+            state, kernel, o["dt"], step_count(o["t_end"], o["dt"]),
             sample_every=o["sample_every"], record_energy=True,
         )
         m = traj.order_parameter
@@ -258,14 +272,17 @@ def _phase_diagram(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
     kernel = angular_kernel(o["n_theta"])
     g0 = perturbed_profile(o["n_theta"], o["amplitude"], cfg.seed)
 
+    n_steps = step_count(o["t_end"], dt)
+    ratios = [float(r) for r in np.linspace(o["ratio_min"], o["ratio_max"], o["ratio_steps"])]
+    states = [hom.HomogeneousState(g=g0, t=0.0, kappa=r * nu, nu=nu) for r in ratios]
+
     def run() -> list[Path]:
+        trajs = hom.evolve_homogeneous(states, kernel, dt, n_steps, sample_every=50)
         rows = []
-        for ratio in np.linspace(o["ratio_min"], o["ratio_max"], o["ratio_steps"]):
-            root = hom.solve_compatibility(float(ratio))
-            state = hom.HomogeneousState(g=g0, t=0.0, kappa=float(ratio) * nu, nu=nu)
-            traj = hom.evolve_homogeneous(state, kernel, dt, int(round(o["t_end"] / dt)), sample_every=50)
-            stab = hom.linear_stability(kernel, float(ratio) * nu, nu, l_max=8)
-            rows.append((float(ratio), root.r2 or 0.0, abs(traj.order_parameter[-1]), stab.stable))
+        for ratio, traj in zip(ratios, trajs):
+            root = hom.solve_compatibility(ratio)
+            stab = hom.linear_stability(kernel, ratio * nu, nu, l_max=8)
+            rows.append((ratio, root.r2 or 0.0, abs(traj.order_parameter[-1]), stab.stable))
         rows.sort(key=lambda r: r[0])
         path = write_csv(cfg.out_dir / "phase_diagram.csv", ["ratio", "r2", "final_abs_m", "stable"], rows)
         return [path]
@@ -290,7 +307,7 @@ def _agents(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
         g0 = perturbed_profile(n_theta, o["amplitude"], cfg.seed)
         e = ag.ensemble_from_profile(o["n"], g0, influence, kappa=o["kappa"], nu=o["nu"], seed=cfg.seed)
 
-        n_steps = int(round(o["t_end"] / dt))
+        n_steps = step_count(o["t_end"], dt)
         rows = []
         paths: list[Path] = []
         m = ag.order_parameter(e)
@@ -330,14 +347,14 @@ def _compare(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
 
     def run() -> list[Path]:
         dt_pde, dt_sde = o["dt_pde"], o["dt_sde"]
-        traj = hom.evolve_homogeneous(state, kernel, dt_pde, int(round(t_end / dt_pde)), sample_every=5)
+        traj = hom.evolve_homogeneous(state, kernel, dt_pde, step_count(t_end, dt_pde), sample_every=5)
 
         kappa_agents = ratio * nu * TWO_PI**2
         e = ag.ensemble_from_profile(o["n"], g0, influence, kappa=kappa_agents, nu=nu, seed=cfg.seed)
 
         times = [e.t]
         m_sde = [abs(ag.order_parameter(e))]
-        n_steps = int(round(t_end / dt_sde))
+        n_steps = step_count(t_end, dt_sde)
         for i in range(n_steps):
             e = ag.em_step(e, dt_sde)
             if (i + 1) % max(1, n_steps // 200) == 0 or i == n_steps - 1:

@@ -13,6 +13,10 @@ angular axis of every transform carries an extra (-1)^l phase.
 ``split_step`` is the one Strang/Heun step of the three PDE solvers
 (per-mode, homogeneous, kinetic), with the cached angular factors it and
 they share: the theta-derivative, the diffusion factor and the 2/3 mask.
+Its leading axes are a batch: the 1-D layers stack independent rows
+``c[batch, n_theta]`` (one per alignment strength, or per x-mode and
+viscosity) and advance them in one call, with the alignment step-size
+guard evaluated per row.
 """
 
 from __future__ import annotations
@@ -290,36 +294,46 @@ def split_step(
     dt: float,
     diffusion: np.ndarray,
     transport: Callable[[np.ndarray, float], np.ndarray] | None = None,
-    rhs: Callable[[np.ndarray], tuple[np.ndarray, float]] | None = None,
-    kappa: float = 0.0,
+    rhs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | float]] | None = None,
+    kappa: np.ndarray | float = 0.0,
 ) -> np.ndarray:
     """One Strang step T/2 -> A/2 -> D -> A/2 -> T/2 on coefficients, theta last.
 
+    ``c`` may be a stack of rows ``c[batch, n_theta]`` that share t and
+    dt; ``kappa`` is then a scalar or a ``(batch, 1)`` column and
+    ``diffusion`` an ``(n_theta,)`` or ``(batch, n_theta)`` array.
     ``transport(c, s)`` advances c over dt/2 with the speed sampled at s
     (t + dt/4, then t + 3dt/4); None skips it.  Each A/2 is a Heun step
     over dt/2 with ``rhs(c) -> (alignment right-hand side, sup of the
-    alignment field)``, skipped when kappa == 0.  D multiplies by
-    ``diffusion``, a cached ``diffusion_factor``.  Raises StepSizeError
-    when dt > 0.5 / (kappa (n_theta/2) sup + 1) at the first stage of
-    either Heun step.
+    alignment field)``, the sup a scalar or one per row as ``(batch, 1)``;
+    it is skipped when every kappa is 0.  D multiplies by ``diffusion``
+    (cached ``diffusion_factor`` rows).  The guard
+    dt <= 0.5 / (kappa (n_theta/2) sup + 1) is checked per row with
+    kappa != 0 at the first stage of either Heun step; StepSizeError
+    names the first row that breaks it and its sup.
     """
 
     def align_half(c):
         h = 0.5 * dt
         r1, sup = rhs(c)
-        if dt > 0.5 / (kappa * (c.shape[-1] // 2) * sup + 1.0):
+        bad = (dt > 0.5 / (kappa * (c.shape[-1] // 2) * sup + 1.0)) & (kappa != 0.0)
+        if np.count_nonzero(bad):
+            row = int(np.argmax(np.ravel(bad)))
+            sup_row = np.ravel(np.broadcast_to(sup, np.shape(bad)))[row]
             raise StepSizeError(
-                f"dt={dt} violates the alignment guard at t={t} (alignment field max {sup:.3g})"
+                f"dt={dt} violates the alignment guard at t={t} in row {row} "
+                f"(alignment field max {sup_row:.3g})"
             )
         r2, _ = rhs(c + h * r1)
         return c + 0.5 * h * (r1 + r2)
 
+    aligned = np.count_nonzero(kappa) > 0
     if transport is not None:
         c = transport(c, t + 0.25 * dt)
-    if kappa != 0.0:
+    if aligned:
         c = align_half(c)
     c = c * diffusion
-    if kappa != 0.0:
+    if aligned:
         c = align_half(c)
     if transport is not None:
         c = transport(c, t + 0.75 * dt)

@@ -176,13 +176,13 @@ def test_ac08_phase_transition():
     nu = 0.1
     kernel = angular_kernel(256)
 
-    s = HomogeneousState(g=perturbed_profile(256, 0.2, seed=8), t=0.0, kappa=1.5 * nu, nu=nu)
-    low = evolve_homogeneous(s, kernel, 0.01, 20000, sample_every=200)
+    # both ratios (1.5 and 4) as one batch of rows
+    g0 = perturbed_profile(256, 0.2, seed=8)
+    states = [HomogeneousState(g=g0, t=0.0, kappa=r * nu, nu=nu) for r in (1.5, 4.0)]
+    low, high = evolve_homogeneous(states, kernel, 0.01, 20000, sample_every=200)
     m_low = abs(low.order_parameter[-1])
 
     root = solve_compatibility(4.0)
-    s = HomogeneousState(g=perturbed_profile(256, 0.2, seed=8), t=0.0, kappa=4.0 * nu, nu=nu)
-    high = evolve_homogeneous(s, kernel, 0.01, 20000, sample_every=200)
     m_high = abs(high.order_parameter[-1])
 
     stable_below = linear_stability(kernel, 1.9999999 * nu, nu, 8).stable

@@ -1,8 +1,10 @@
 """Config parsing, rate fitting, presets, CLI exit codes, determinism."""
 
 import hashlib
+import importlib.util
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,8 @@ from kvicsek.errors import ConfigError, NumericsError
 from kvicsek.fitting import fit_rate
 from kvicsek.presets import PRESETS, ExperimentConfig, run_preset
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 class TestFitRate:
@@ -266,6 +269,13 @@ class TestCli:
             ["phase-diagram", "--ratio-steps", "0"],
             ["homogeneous", "--set", "kapa=0.5"],
             ["homogeneous", "--config", "bad_seed.cfg"],
+            ["homogeneous", "--n-theta", "64", "--dt", "5", "--t-end", "1"],
+            ["kinetic", "--grid", "8,8,16", "--dt", "1", "--t-end", "0.3"],
+            ["agents", "--n", "64", "--dt", "1", "--t-end", "0.2"],
+            ["phase-diagram", "--n-theta", "32", "--ratio-steps", "3", "--dt", "5", "--t-end", "1"],
+            ["compare", "--dt-sde", "5", "--t-end", "1"],
+            ["linear-ed", "--nu-list", "1e-2", "--n-theta", "64", "--horizon-factor", "0.5"],
+            ["mixing", "--nu", "1e-2", "--n-theta", "64", "--horizon", "0.5"],
         ],
     )
     def test_bad_option_exit_2_before_output(self, tmp_path, monkeypatch, capsys, argv):
@@ -313,3 +323,24 @@ class TestCli:
         for argv in commands:
             args = build_parser().parse_args(argv[1:])
             resolve_options(_collect_options(args), PRESETS[args.preset].options)
+
+
+def _bench_workloads():
+    """bench/workloads.py, imported from its file (bench/ is not a package)."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("size", ["smoke", "full"])
+def test_sweep_workload_matches_bench_reference(tmp_path, size):
+    """The bench sweep workload at seed 0 passes its output checks and its recorded reference."""
+    workloads = _bench_workloads()
+    sweep = workloads.WORKLOADS["sweep"]
+    out = sweep.run(sweep.setup(0, sweep.sizes[size], tmp_path))
+    assert sweep.check(out, sweep.sizes[size]) == []
+    ref = json.loads((ROOT / "bench" / "reference" / f"sweep-{size}.json").read_text())
+    assert workloads.compare_reference(workloads.output_tables(out), ref) == []

@@ -1,6 +1,7 @@
 """Homogeneous dynamics, energy structure, stability and ordered states."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import i0, i1
 from kvicsek.errors import NumericsError, StepSizeError
 from kvicsek.homogeneous import (
     HomogeneousState,
+    _alignment_rhs,
     bessel_ratio,
     constant_state,
     evolve_homogeneous,
@@ -25,7 +27,14 @@ from kvicsek.homogeneous import (
 from kvicsek.fitting import fit_rate
 from kvicsek.influence import angular_kernel
 from kvicsek.presets import perturbed_profile
-from kvicsek.spectral import TWO_PI, AngularProfile, fft_wavenumbers, theta_points
+from kvicsek.spectral import (
+    TWO_PI,
+    AngularProfile,
+    diffusion_factor,
+    fft_wavenumbers,
+    split_step,
+    theta_points,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +90,8 @@ class TestEvolution:
         with pytest.raises(StepSizeError):
             step_homogeneous(s, kernel, 5.0)
 
-    def test_nan_abort(self, kernel):
+    @staticmethod
+    def nan_state():
         c = np.zeros(256, dtype=complex)
         c[0] = 1.0 / TWO_PI
         c[1] = c[-1] = np.nan
@@ -90,8 +100,47 @@ class TestEvolution:
         object.__setattr__(bad, "t", 0.0)
         object.__setattr__(bad, "kappa", 0.0)
         object.__setattr__(bad, "nu", 0.1)
+        return bad
+
+    def test_nan_abort(self, kernel):
         with pytest.raises(NumericsError):
-            step_homogeneous(bad, kernel, 0.01)
+            step_homogeneous(self.nan_state(), kernel, 0.01)
+
+    def test_nan_in_one_row_names_that_row(self, kernel):
+        good = HomogeneousState(g=perturbed_profile(256, 0.2, seed=1), t=0.0, kappa=0.3, nu=0.1)
+        with pytest.raises(NumericsError, match="in row 1"):
+            evolve_homogeneous([good, self.nan_state(), good], kernel, 0.01, 3)
+
+
+class TestBatchedEvolution:
+    """evolve_homogeneous over a sequence of states: one stack of rows with kappa per row."""
+
+    def test_batch_matches_per_state_runs_byte_for_byte(self, kernel):
+        nu, dt, n_steps = 0.1, 0.01, 60
+        g0 = perturbed_profile(256, 0.2, seed=5)
+        states = [HomogeneousState(g=g0, t=0.5, kappa=r * nu, nu=nu) for r in (0.5, 4.0, 0.0, 2.5)]
+        batch = evolve_homogeneous(states, kernel, dt, n_steps, sample_every=7, record_energy=True)
+        assert len(batch) == len(states)
+        for s, traj in zip(states, batch):
+            one = evolve_homogeneous(s, kernel, dt, n_steps, sample_every=7, record_energy=True)
+            for name in ("t", "order_parameter", "free_energy", "fisher"):
+                assert np.array_equal(getattr(traj, name), getattr(one, name))
+            assert traj.final.t == one.final.t and traj.final.kappa == s.kappa
+            # the per-state loop with a scalar kappa, as before batching
+            rhs = partial(_alignment_rhs, psi_coeffs=kernel.psi.coeffs, kappa=s.kappa)
+            heat = diffusion_factor(256, nu, dt)
+            c = s.g.coeffs
+            for i in range(n_steps):
+                c = split_step(c, s.t + i * dt, dt, heat, rhs=rhs, kappa=s.kappa)
+            assert np.array_equal(traj.final.g.coeffs, c)
+
+    def test_states_must_share_nu_and_t(self, kernel):
+        g0 = perturbed_profile(256, 0.2, seed=5)
+        a = HomogeneousState(g=g0, t=0.0, kappa=0.2, nu=0.1)
+        for nu, t in ((0.2, 0.0), (0.1, 1.0)):
+            b = HomogeneousState(g=g0, t=t, kappa=0.2, nu=nu)
+            with pytest.raises(ValueError, match="share"):
+                evolve_homogeneous([a, b], kernel, 0.01, 2)
 
 
 class TestEnergy:

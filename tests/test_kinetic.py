@@ -169,7 +169,7 @@ class TestStepKinetic:
         g0 = perturbed_profile(64, 0.3, seed=4)
         f = SpectralField.from_values(grid, np.broadcast_to(g0.values.real, grid.shape))
         kernel, pair = angular_kernel(64), make_influence(grid)
-        _, sup = homogeneous._alignment_rhs(g0.coeffs, kernel.psi.coeffs, 1.0)
+        _, (sup,) = homogeneous._alignment_rhs(g0.coeffs, kernel.psi.coeffs, 1.0)
         dt_max = 0.5 / (1.0 * 32 * sup + 1.0)
         steps = [
             lambda dt: step_homogeneous(

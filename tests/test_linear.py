@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from kvicsek.errors import SandwichViolation
+from types import SimpleNamespace
+
+from kvicsek.errors import NumericsError, SandwichViolation
 from kvicsek.linear import (
     HypoWeights,
     ModeState,
@@ -202,8 +204,6 @@ class TestSandwich:
     def test_violation_raises(self):
         # the shipped parameterization cannot violate beta^2 <= alpha gamma;
         # a duck-typed weight set with negative gamma exercises the guard
-        from types import SimpleNamespace
-
         s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 32), t=10.0, nu=1e-2)
         bad = SimpleNamespace(alpha=0.01, beta=1.0, gamma=-100.0)
         with pytest.raises(SandwichViolation):
@@ -309,3 +309,75 @@ def test_evolve_mode_series_columns():
     assert np.all(series.f_lower <= series.f_hypo + 1e-12)
     assert np.all(series.f_hypo <= series.f_upper + 1e-12)
     assert np.all(np.diff(series.t) > 0)
+
+
+def _reference_evolution(s, dt, n_steps, weights, sample_every):
+    """The per-state loop of step_mode and the single-state diagnostics."""
+    rows = []
+
+    def sample(st):
+        lo, val, up = comparison_sandwich(st, weights)
+        rows.append((st.t, st.eta.norm_l2(), mode_hm1_norm(st), val, lo, up, st.zeta))
+
+    sample(s)
+    for i in range(n_steps):
+        s = step_mode(s, dt)
+        if (i + 1) % sample_every == 0 or i == n_steps - 1:
+            sample(s)
+    return s, [np.asarray(c) for c in zip(*rows)]
+
+
+class TestBatchedEvolution:
+    """evolve_mode over a sequence of states: one stack of rows, each with its own counts."""
+
+    def test_batch_matches_per_row_runs_byte_for_byte(self):
+        rng = np.random.default_rng(7)
+        rows = [  # k, nu, speed, n_steps, sample_every
+            ((1, 0), 1e-2, speed_constant(), 37, 4),
+            ((2, -1), 3e-3, speed_decaying(2.0), 50, 3),
+            ((0, 1), 1e-2, speed_constant(0.7), 12, 1),
+            ((1, 1), 5e-3, speed_constant(), 0, 2),
+            ((-3, 2), 2e-2, speed_constant(), 50, 7),
+        ]
+        states = [
+            ModeState(k=k, eta=random_mode(rng), t=0.25, nu=nu, v=v) for k, nu, v, _, _ in rows
+        ]
+        w = HypoWeights(1e-4)
+        batch = evolve_mode(
+            states, 0.05, [r[3] for r in rows], weights=w, sample_every=[r[4] for r in rows]
+        )
+        assert len(batch) == len(states)
+        for s, (n_steps, every), (final, series) in zip(states, [r[3:] for r in rows], batch):
+            ref_final, ref_cols = _reference_evolution(s, 0.05, n_steps, w, every)
+            assert (series.k, series.nu) == (s.k, s.nu)
+            cols = [series.t, series.norm_l2, series.norm_hm1, series.f_hypo,
+                    series.f_lower, series.f_upper, series.zeta]
+            for got, want in zip(cols, ref_cols):
+                assert np.array_equal(got, want)
+            assert final.t == ref_final.t
+            assert np.array_equal(final.eta.coeffs, ref_final.eta.coeffs)
+
+    def test_nan_in_one_row_names_that_row(self):
+        good = AngularProfile.from_function(np.cos, 32)
+        bad = AngularProfile(np.where(fft_wavenumbers(32) == 3, np.nan, good.coeffs))
+        states = [
+            ModeState(k=(1, 0), eta=good, t=0.0, nu=1e-2),
+            ModeState(k=(0, 2), eta=bad, t=0.0, nu=3e-3),
+        ]
+        with pytest.raises(NumericsError, match=r"k=\(0, 2\), nu=0.003"):
+            evolve_mode(states, 0.05, 5)
+
+    def test_sandwich_failure_in_one_row_names_that_row(self):
+        bad_weights = SimpleNamespace(alpha=0.01, beta=1.0, gamma=-100.0)
+        states = [
+            ModeState(k=(1, 0), eta=AngularProfile(np.zeros(32, dtype=complex)), t=10.0, nu=1e-2),
+            ModeState(k=(0, 3), eta=AngularProfile.from_function(np.cos, 32), t=10.0, nu=2e-2),
+        ]
+        with pytest.raises(SandwichViolation, match=r"k=\(0, 3\), nu=0.02"):
+            evolve_mode(states, 0.05, 5, weights=bad_weights)
+
+    def test_step_counts_and_cadence_are_checked(self):
+        s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 16), t=0.0, nu=1e-2)
+        for n_steps, every in ((-1, 1), ([3, -1], 1), (3, 0)):
+            with pytest.raises(ValueError, match="n_steps must be >= 0"):
+                evolve_mode([s, s], 0.05, n_steps, sample_every=every)

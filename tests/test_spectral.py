@@ -1,10 +1,16 @@
 """Spectral core: transforms, averages, norms, convolution, snapshots."""
 
 import json
+import re
+from functools import partial
 
 import numpy as np
 import pytest
 
+from kvicsek.errors import StepSizeError
+from kvicsek.homogeneous import _alignment_rhs
+from kvicsek.influence import angular_kernel
+from kvicsek.presets import perturbed_profile
 from kvicsek.spectral import (
     TWO_PI,
     AngularProfile,
@@ -15,13 +21,14 @@ from kvicsek.spectral import (
     norm,
     read_snapshot,
     remainder,
+    split_step,
     theta_derivative,
     theta_points,
     write_snapshot,
     x_average,
 )
 from kvicsek.influence import make_influence
-from kvicsek.linear import transport_factor
+from kvicsek.linear import _sin_offset, transport_factor
 
 
 def random_real_field(grid, rng, band_fraction=3):
@@ -86,6 +93,40 @@ class TestGridAndTransforms:
         c = f.coeffs.copy()
         c[1, 2, 3] += 0.3
         assert not SpectralField(grid, c).is_real()
+
+
+class TestBatchedSplitStep:
+    """split_step on a stack of rows c[batch, n_theta] with kappa as a (batch, 1) column."""
+
+    N = 64
+
+    def rows(self):
+        g = np.stack([perturbed_profile(self.N, 0.3, seed=s).coeffs for s in range(3)])
+        rhs = partial(_alignment_rhs, psi_coeffs=angular_kernel(self.N).psi.coeffs)
+        return g, rhs
+
+    def test_batch_is_byte_identical_to_per_row_calls(self):
+        g, rhs = self.rows()
+        kappa = np.array([[0.2], [1.0], [3.0]])
+        heat = diffusion_factor(self.N, 0.1, 0.01)
+        batch = split_step(g, 0.0, 0.01, heat, rhs=partial(rhs, kappa=kappa), kappa=kappa)
+        for j, k in enumerate(kappa[:, 0].tolist()):
+            row = split_step(g[j], 0.0, 0.01, heat, rhs=partial(rhs, kappa=k), kappa=k)
+            assert np.array_equal(batch[j], row)
+
+    def test_guard_names_the_row_that_breaks_it(self):
+        g, rhs = self.rows()
+        kappa = np.array([[0.2], [3.0], [1.0]])
+        _, sup = rhs(g, kappa=kappa)
+        bound = (0.5 / (kappa * (self.N // 2) * sup + 1.0))[:, 0]
+        assert bound[1] < min(bound[0], bound[2])
+        dt = 0.5 * (bound[1] + min(bound[0], bound[2]))
+        heat = diffusion_factor(self.N, 0.1, dt)
+        message = f"in row 1 (alignment field max {sup[1, 0]:.3g})"
+        with pytest.raises(StepSizeError, match=re.escape(message)):
+            split_step(g, 0.0, dt, heat, rhs=partial(rhs, kappa=kappa), kappa=kappa)
+        others = [0, 2]
+        split_step(g[others], 0.0, dt, heat, rhs=partial(rhs, kappa=kappa[others]), kappa=kappa[others])
 
 
 class TestAverageAndRemainder:
@@ -298,6 +339,7 @@ def test_grid_caches_are_read_only():
         diffusion_factor(16, 0.1, 0.01),
         dealias_keep(16),
         transport_factor((1, 2), 16, 1.0, 0.01),
+        _sin_offset(16, 0.3),
     ):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
