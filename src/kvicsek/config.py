@@ -40,8 +40,8 @@ def parse_config(path: str | Path) -> dict[str, str]:
 
 
 # The one range rule: every number is finite and > 0, except these.
-UNCONSTRAINED = frozenset({"kappa", "amplitude", "eps_rel"})
-NON_NEGATIVE = frozenset({"snapshot_every", "seed"})
+UNCONSTRAINED = frozenset({"amplitude", "eps_rel"})
+NON_NEGATIVE = frozenset({"kappa", "snapshot_every", "seed"})
 
 
 def parse_option(key: str, text: str, default: object) -> object:

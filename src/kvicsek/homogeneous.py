@@ -121,6 +121,8 @@ def evolve_homogeneous(
     first = states[0]
     if any((x.g.n, x.nu, x.t) != (first.g.n, first.nu, first.t) for x in states):
         raise ValueError("batched homogeneous states must share n_theta, nu and t")
+    if n_steps < 0 or sample_every < 1:
+        raise ValueError("n_steps must be >= 0 and sample_every >= 1")
     heat = diffusion_factor(first.g.n, first.nu, dt)
     kappa = np.array([[x.kappa] for x in states])
     rhs = partial(_alignment_rhs, psi_coeffs=kernel.psi.coeffs, kappa=kappa)

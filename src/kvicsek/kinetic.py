@@ -35,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import step_count
 from .errors import NumericsError
 from .influence import InfluencePair
 from .linear import speed_constant
@@ -287,8 +288,10 @@ def run_experiment(
         f0 = default_initial(grid, eps if eps is not None else 0.5 / TWO_PI**3, params.seed)
     if snapshot_every > 0 and out_dir is None:
         raise ValueError("snapshots requested without an output directory")
+    if sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
 
-    n_steps = int(round(params.t_end / params.dt))
+    n_steps = step_count(params.t_end, params.dt)
     f = f0
     t = 0.0
     rows = []

@@ -22,7 +22,10 @@ restricted to single x-Fourier modes.  ``evolve_mode`` advances a stack
 of modes, one row per (k, nu) with its own step count and sampling
 cadence, through one ``split_step`` call per step, and evaluates the
 norms and the comparison sandwich row-wise; ``step_mode`` and a
-single-state ``evolve_mode`` are batches of one.
+single-state ``evolve_mode`` are batches of one.  The two measurements
+are ``evolve_mode`` batches too: ``measure_ed_rate`` runs its states on
+their ``ed_schedule``, one stack per time step, and ``mixing_curve``
+runs its states as one stack sampled every step.
 """
 
 from __future__ import annotations
@@ -355,45 +358,60 @@ class RateFit:
     stderr: float
     window: tuple[float, float]
     n_points: int
+    series: ModeSeries
+
+
+def ed_schedule(s: ModeState, horizon_factor: float) -> tuple[float, float, int, int]:
+    """(t_ed, dt, n_steps, sample_every) of ``measure_ed_rate`` for s's mode.
+
+    t_ed = (nu |k|)^{-1/2}; the run lasts horizon_factor t_ed at
+    dt = min(0.05, t_ed/50), sampled every max(1, n_steps // 2000) steps.
+    Raises ValueError unless MIN_SAMPLES of those samples fall at or
+    after t_ed, where the rate fit starts.
+    """
+    t_ed = 1.0 / np.sqrt(s.nu * s.k_norm)
+    dt = min(0.05, t_ed / 50.0)
+    n_steps = int(np.ceil(horizon_factor * t_ed / dt))
+    every = max(1, n_steps // 2000)
+    n_fit = np.count_nonzero(sample_times(s.t, dt, n_steps, every) >= s.t + t_ed)
+    if n_fit < MIN_SAMPLES:
+        raise ValueError(
+            f"k={s.k}, nu={s.nu:g}: {n_fit} samples after t_ed = {t_ed:.3g}, "
+            f"the rate fit needs {MIN_SAMPLES}; raise horizon_factor"
+        )
+    return t_ed, dt, n_steps, every
 
 
 def measure_ed_rate(
-    k: tuple[int, int],
-    nu: float,
-    eta0: AngularProfile,
-    horizon: float,
-    dt: float | None = None,
-    v: Callable[[float], float] = speed_constant(),
-) -> RateFit:
-    """Fit the enhanced-dissipation decay rate of ||eta_k(t)||_L2.
+    s: ModeState | Sequence[ModeState],
+    horizon_factor: float = 5.0,
+    weights: HypoWeights = HypoWeights(),
+) -> RateFit | list[RateFit]:
+    """Fit the enhanced-dissipation decay rate of ||eta_k(t)||_L2, one fit per state.
 
-    The fit window starts at one enhanced-dissipation time
-    (nu |k|)^{-1/2} to skip the ramp transient; the fit stops once the
-    norm falls below 1e-13 of its initial value.
+    Each state runs on its ``ed_schedule``, one ``evolve_mode`` stack per
+    dt.  The fit starts t_ed after the start, past the ramp transient,
+    and stops once the norm falls below UNDERFLOW_FLOOR of its start.
     """
-    s = ModeState(k=k, eta=eta0, t=0.0, nu=nu, v=v)
-    t_ed = 1.0 / np.sqrt(nu * s.k_norm)
-    if horizon < 5.0 * t_ed:
-        raise ValueError(f"horizon must be at least 5 * {t_ed:.3g}")
-    n0 = eta0.norm_l2()
-    if n0 == 0.0:
+    states = [s] if isinstance(s, ModeState) else list(s)
+    plans = [ed_schedule(x, horizon_factor) for x in states]
+    if any(x.eta.norm_l2() == 0.0 for x in states):
         raise ValueError("eta0 must be nonzero")
-    if dt is None:
-        dt = min(0.05, t_ed / 50.0)
-    n_steps = int(np.ceil(horizon / dt))
-    sample_every = max(1, n_steps // 2000)
-
-    ts, norms = [], []
-    for i in range(n_steps):
-        s = step_mode(s, dt)
-        if (i + 1) % sample_every == 0:
-            ts.append(s.t)
-            norms.append(s.eta.norm_l2())
-    ts = np.asarray(ts)
-    norms = np.asarray(norms)
-    keep = (ts >= t_ed) & (norms > UNDERFLOW_FLOOR * n0)
-    slope, stderr = fit_rate(ts[keep], norms[keep])
-    return RateFit(rate=-slope, stderr=stderr, window=(t_ed, float(ts[keep][-1])), n_points=int(keep.sum()))
+    series = [None] * len(states)
+    for dt in sorted({p[1] for p in plans}):
+        group = [j for j, p in enumerate(plans) if p[1] == dt]
+        out = evolve_mode(
+            [states[j] for j in group], dt, [plans[j][2] for j in group],
+            weights=weights, sample_every=[plans[j][3] for j in group],
+        )
+        for j, (_, ser) in zip(group, out):
+            series[j] = ser
+    fits = []
+    for x, (t_ed, *_), ser in zip(states, plans, series):
+        keep = (ser.t >= x.t + t_ed) & (ser.norm_l2 > UNDERFLOW_FLOOR * ser.norm_l2[0])
+        slope, stderr = fit_rate(ser.t[keep], ser.norm_l2[keep])
+        fits.append(RateFit(-slope, stderr, (x.t + t_ed, float(ser.t[keep][-1])), int(keep.sum()), ser))
+    return fits[0] if isinstance(s, ModeState) else fits
 
 
 @dataclass(frozen=True)
@@ -424,32 +442,22 @@ def mixing_window(nu: float, horizon: float, dt: float) -> tuple[float, float]:
 
 
 def mixing_curve(
-    k: tuple[int, int],
-    nu: float,
-    eta0: AngularProfile,
-    horizon: float,
-    dt: float = 0.05,
-    v: Callable[[float], float] = speed_constant(),
-) -> MixingCurve:
-    """Sample the per-mode H^{-1} norm and fit its algebraic decay exponent.
+    s: ModeState | Sequence[ModeState], horizon: float, dt: float = 0.05
+) -> MixingCurve | list[MixingCurve]:
+    """Sample the per-mode H^{-1} norm every step and fit its algebraic decay exponent.
 
-    The companion fit is log-log on t in [1, nu^{-1/2}], where phase
+    The states run to ``horizon`` as one ``evolve_mode`` stack.  The fit
+    is log-log on the ``mixing_window`` [1, nu^{-1/2}], where phase
     mixing produces the t^{-1/2} law before the enhanced-dissipation
     time takes over.
     """
-    window = mixing_window(nu, horizon, dt)
-    s = ModeState(k=k, eta=eta0, t=0.0, nu=nu, v=v)
-    ts = [0.0]
-    norms = [mode_hm1_norm(s)]
-    n_steps = int(np.ceil(horizon / dt))
-    for _ in range(n_steps):
-        s = step_mode(s, dt)
-        ts.append(s.t)
-        norms.append(mode_hm1_norm(s))
-    ts = np.asarray(ts)
-    norms = np.asarray(norms)
-    slope, stderr = fit_rate(ts, norms, window=window, loglog=True)
-    return MixingCurve(t=ts, norm_hm1=norms, slope=slope, stderr=stderr)
+    states = [s] if isinstance(s, ModeState) else list(s)
+    windows = [mixing_window(x.nu, horizon, dt) for x in states]
+    curves = []
+    for window, (_, ser) in zip(windows, evolve_mode(states, dt, int(np.ceil(horizon / dt)))):
+        slope, stderr = fit_rate(ser.t, ser.norm_hm1, window=window, loglog=True)
+        curves.append(MixingCurve(t=ser.t, norm_hm1=ser.norm_hm1, slope=slope, stderr=stderr))
+    return curves[0] if isinstance(s, ModeState) else curves
 
 
 # ---------------------------------------------------------------------------

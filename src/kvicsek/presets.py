@@ -26,7 +26,6 @@ from . import kinetic as kin
 from . import linear as lin
 from .config import parse_option, resolve_options, step_count, write_csv, write_manifest
 from .errors import ConfigError, NumericsError
-from .fitting import MIN_SAMPLES, fit_rate
 from .influence import angular_kernel, make_influence
 from .spectral import TWO_PI, AngularProfile, TorusGrid, theta_points, write_header_and_payload
 
@@ -112,6 +111,18 @@ def perturbed_profile(n_theta: int, amplitude: float = 0.2, seed: int = 0) -> An
 # ---------------------------------------------------------------------------
 
 
+def _mode_csv_names(prefix: str, states: list[lin.ModeState]) -> list[str]:
+    """One CSV name per row of a per-mode preset; ValueError if two rows would share a file."""
+    names = [f"{prefix}_k{s.k[0]}_{s.k[1]}_nu{s.nu:g}.csv" for s in states]
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise ValueError(
+                f"rows {names.index(name)} and {j} (k={states[j].k}, nu={states[j].nu!r}) "
+                f"would both write {name}"
+            )
+    return names
+
+
 @_preset("linear-ed", k_list="1,0", nu_list="1e-3,3e-4,1e-4,3e-5", n_theta=512,
          horizon_factor=5.0, beta=lin.MAX_BETA)
 def _linear_ed(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
@@ -120,35 +131,15 @@ def _linear_ed(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
     eta0 = AngularProfile.from_function(np.cos, o["n_theta"])
     weights = lin.HypoWeights(o["beta"])
     states = [lin.ModeState(k=k, eta=eta0, t=0.0, nu=nu) for k in ks for nu in nus]
-    t_ed = [1.0 / np.sqrt(s.nu * s.k_norm) for s in states]
-    dts = [min(0.05, t / 50.0) for t in t_ed]
-    n_steps = [int(np.ceil(o["horizon_factor"] * t / dt)) for t, dt in zip(t_ed, dts)]
-    every = [max(1, n // 2000) for n in n_steps]
-    for s, t, dt, n, e in zip(states, t_ed, dts, n_steps, every):
-        n_fit = np.count_nonzero(lin.sample_times(s.t, dt, n, e) >= t)
-        if n_fit < MIN_SAMPLES:
-            raise ValueError(
-                f"k={s.k}, nu={s.nu:g}: {n_fit} samples after t_ed = {t:.3g}, "
-                f"the rate fit needs {MIN_SAMPLES}; raise horizon_factor"
-            )
+    names = _mode_csv_names("mode", states)
+    for s in states:
+        lin.ed_schedule(s, o["horizon_factor"])  # rejects a short fit window before any output
 
     def run() -> list[Path]:
-        # one batch per time step; the rows of a batch keep their own step counts
-        results = [None] * len(states)
-        for dt in sorted(set(dts)):
-            batch = [j for j, d in enumerate(dts) if d == dt]
-            out = lin.evolve_mode(
-                [states[j] for j in batch], dt, [n_steps[j] for j in batch],
-                weights=weights, sample_every=[every[j] for j in batch],
-            )
-            for j, (_, series) in zip(batch, out):
-                results[j] = series
+        fits = lin.measure_ed_rate(states, o["horizon_factor"], weights)
         paths = []
-        summary = []
-        for series, t in zip(results, t_ed):
-            keep = (series.t >= t) & (series.norm_l2 > lin.UNDERFLOW_FLOOR * series.norm_l2[0])
-            slope, stderr = fit_rate(series.t[keep], series.norm_l2[keep])
-            name = f"mode_k{series.k[0]}_{series.k[1]}_nu{series.nu:g}.csv"
+        for name, fit in zip(names, fits):
+            series = fit.series
             rows = zip(
                 series.t, series.norm_l2, series.norm_hm1,
                 series.f_hypo, series.f_lower, series.f_upper, series.zeta,
@@ -160,7 +151,7 @@ def _linear_ed(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
                     rows,
                 )
             )
-            summary.append((series.k[0], series.k[1], series.nu, -slope, stderr))
+        summary = [(s.k[0], s.k[1], s.nu, fit.rate, fit.stderr) for s, fit in zip(states, fits)]
         paths.append(
             write_csv(cfg.out_dir / "rates.csv", ["k1", "k2", "nu", "rate", "stderr"], summary)
         )
@@ -175,17 +166,16 @@ def _mixing(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
     nu, horizon = o["nu"], o["horizon"]
     eta0 = AngularProfile.from_function(np.cos, o["n_theta"])
     states = [lin.ModeState(k=k, eta=eta0, t=0.0, nu=nu) for k in _parse_k_list(o["k_list"])]
+    names = _mode_csv_names("mixing", states)
     lin.mixing_window(nu, horizon, o["dt"])
 
     def run() -> list[Path]:
-        paths = []
-        summary = []
-        for state in states:
-            k = state.k
-            curve = lin.mixing_curve(k, nu, eta0, horizon=horizon, dt=o["dt"])
-            name = f"mixing_k{k[0]}_{k[1]}_nu{nu:g}.csv"
-            paths.append(write_csv(cfg.out_dir / name, ["t", "norm_Hm1"], zip(curve.t, curve.norm_hm1)))
-            summary.append((k[0], k[1], nu, curve.slope, curve.stderr))
+        curves = lin.mixing_curve(states, horizon, o["dt"])
+        paths = [
+            write_csv(cfg.out_dir / name, ["t", "norm_Hm1"], zip(curve.t, curve.norm_hm1))
+            for name, curve in zip(names, curves)
+        ]
+        summary = [(s.k[0], s.k[1], nu, c.slope, c.stderr) for s, c in zip(states, curves)]
         paths.append(
             write_csv(cfg.out_dir / "mixing_slopes.csv", ["k1", "k2", "nu", "slope", "stderr"], summary)
         )

@@ -55,10 +55,8 @@ def test_ac01_linear_enhanced_dissipation_nu_scaling():
     t0 = time.time()
     eta0 = AngularProfile.from_function(np.cos, 512)
     nus = np.array([1e-3, 3e-4, 1e-4, 3e-5])
-    rates = []
-    for nu in nus:
-        fit = measure_ed_rate((1, 0), float(nu), eta0, horizon=5.0 / np.sqrt(nu))
-        rates.append(fit.rate)
+    fits = measure_ed_rate([ModeState(k=(1, 0), eta=eta0, t=0.0, nu=float(nu)) for nu in nus])
+    rates = [fit.rate for fit in fits]
     slope = np.polyfit(np.log(nus), np.log(rates), 1)[0]
     elapsed = time.time() - t0
     ok = abs(slope - 0.5) <= 0.1 and elapsed <= 120.0
@@ -69,8 +67,8 @@ def test_ac02_rate_k_scaling():
     t0 = time.time()
     eta0 = AngularProfile.from_function(np.cos, 512)
     nu = 1e-4
-    r1 = measure_ed_rate((1, 0), nu, eta0, horizon=5.0 / np.sqrt(nu)).rate
-    r2 = measure_ed_rate((2, 0), nu, eta0, horizon=5.0 / np.sqrt(2.0 * nu)).rate
+    states = [ModeState(k=k, eta=eta0, t=0.0, nu=nu) for k in ((1, 0), (2, 0))]
+    r1, r2 = (fit.rate for fit in measure_ed_rate(states))
     ratio = r2 / r1
     elapsed = time.time() - t0
     ok = abs(ratio - np.sqrt(2.0)) <= 0.15 * np.sqrt(2.0) and elapsed <= 60.0
@@ -101,7 +99,7 @@ def test_ac04_linear_mixing_decay():
     t0 = time.time()
     nu = 1e-4
     eta0 = AngularProfile.from_function(np.cos, 512)
-    curve = mixing_curve((1, 0), nu, eta0, horizon=1.0 / np.sqrt(nu), dt=0.05)
+    curve = mixing_curve(ModeState(k=(1, 0), eta=eta0, t=0.0, nu=nu), horizon=1.0 / np.sqrt(nu), dt=0.05)
     elapsed = time.time() - t0
     ok = abs(curve.slope + 0.5) <= 0.15 and elapsed <= 60.0
     report("AC-04", ok, f"H^-1 log-log slope {curve.slope:.4f} (target -0.5 +- 0.15), {elapsed:.1f}s <= 60s")

@@ -14,7 +14,9 @@ from kvicsek.cli import _collect_options, build_parser, main
 from kvicsek.config import parse_config, resolve_options, write_csv, write_manifest
 from kvicsek.errors import ConfigError, NumericsError
 from kvicsek.fitting import fit_rate
+from kvicsek.linear import ModeState, measure_ed_rate, mixing_curve
 from kvicsek.presets import PRESETS, ExperimentConfig, run_preset
+from kvicsek.spectral import AngularProfile
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -95,6 +97,10 @@ class TestConfig:
         assert data["seed"] == 3
         assert data["config"]["nu"] == 0.1
         assert "code_version" in data and "timestamp" in data
+
+
+def _csv_rows(path: Path) -> list[list[float]]:
+    return [[float(x) for x in line.split(",")] for line in path.read_text().splitlines()[1:]]
 
 
 class TestPresets:
@@ -193,6 +199,23 @@ class TestPresets:
         run_preset(cfg)
         assert (tmp_path / "mixing_slopes.csv").exists()
 
+    def test_linear_ed_rates_are_the_library_fits(self, tmp_path):
+        options = {"k_list": "1,0;1,1", "nu_list": "0.5,1e-2", "n_theta": "64"}
+        run_preset(ExperimentConfig(preset="linear-ed", options=options, out_dir=tmp_path))
+        eta0 = AngularProfile.from_function(np.cos, 64)
+        states = [ModeState(k=k, eta=eta0, t=0.0, nu=nu) for k in ((1, 0), (1, 1)) for nu in (0.5, 1e-2)]
+        expected = [[*s.k, s.nu, f.rate, f.stderr] for s, f in zip(states, measure_ed_rate(states))]
+        assert _csv_rows(tmp_path / "rates.csv") == expected
+
+    def test_mixing_slopes_are_the_library_fits(self, tmp_path):
+        options = {"k_list": "1,0;0,2", "nu": "1e-2", "n_theta": "128", "horizon": "10"}
+        run_preset(ExperimentConfig(preset="mixing", options=options, out_dir=tmp_path))
+        eta0 = AngularProfile.from_function(np.cos, 128)
+        states = [ModeState(k=k, eta=eta0, t=0.0, nu=1e-2) for k in ((1, 0), (0, 2))]
+        curves = mixing_curve(states, horizon=10.0, dt=0.05)
+        expected = [[*s.k, s.nu, c.slope, c.stderr] for s, c in zip(states, curves)]
+        assert _csv_rows(tmp_path / "mixing_slopes.csv") == expected
+
     def test_compare_positive_smoke(self, tmp_path):
         cfg = ExperimentConfig(
             preset="compare",
@@ -276,6 +299,10 @@ class TestCli:
             ["compare", "--dt-sde", "5", "--t-end", "1"],
             ["linear-ed", "--nu-list", "1e-2", "--n-theta", "64", "--horizon-factor", "0.5"],
             ["mixing", "--nu", "1e-2", "--n-theta", "64", "--horizon", "0.5"],
+            ["linear-ed", "--nu-list", "1e-2,0.01,1.0000001e-2", "--n-theta", "64"],
+            ["mixing", "--k-list", "1,0;1,0", "--nu", "1e-2", "--n-theta", "64", "--horizon", "10"],
+            ["homogeneous", "--kappa", "-0.4", "--t-end", "1"],
+            ["agents", "--kappa", "-1", "--n", "256", "--t-end", "0.2"],
         ],
     )
     def test_bad_option_exit_2_before_output(self, tmp_path, monkeypatch, capsys, argv):

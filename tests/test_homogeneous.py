@@ -143,6 +143,13 @@ class TestBatchedEvolution:
                 evolve_homogeneous([a, b], kernel, 0.01, 2)
 
 
+    @pytest.mark.parametrize("n_steps, sample_every", [(10, 0), (-3, 1)])
+    def test_bad_counts_rejected_before_stepping(self, kernel, n_steps, sample_every):
+        s = HomogeneousState(g=perturbed_profile(256, 0.2, seed=5), t=0.0, kappa=0.2, nu=0.1)
+        with pytest.raises(ValueError, match="n_steps must be >= 0 and sample_every >= 1"):
+            evolve_homogeneous(s, kernel, 0.01, n_steps, sample_every=sample_every)
+
+
 class TestEnergy:
     def test_constant_value_with_sine_kernel(self, kernel):
         # F[1/2pi] = -nu log(2pi) - kappa/2 for U = -1 - cos

@@ -468,6 +468,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(params, pair, snapshot_every=1)
 
+    def test_zero_sample_every_rejected(self):
+        grid = TorusGrid(8, 8, 16)
+        params = KineticParams(kappa=0.0, nu=0.05, grid=grid, dt=0.05, t_end=0.2)
+        with pytest.raises(ValueError, match="sample_every"):
+            run_experiment(params, make_influence(grid), sample_every=0)
+
     def test_negative_density_warns_but_runs(self):
         grid = TorusGrid(8, 8, 16)
         pair = make_influence(grid)

@@ -11,6 +11,7 @@ from kvicsek.linear import (
     ModeState,
     comparison_sandwich,
     cutoff_chi,
+    ed_schedule,
     evolve_mode,
     hypo_functional,
     jk_coefficients,
@@ -210,44 +211,77 @@ class TestSandwich:
             comparison_sandwich(s, bad)
 
 
+def _assert_series_equal(a, b):
+    assert (a.k, a.nu) == (b.k, b.nu)
+    for name in ("t", "norm_l2", "norm_hm1", "f_hypo", "f_lower", "f_upper", "zeta"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 class TestRates:
     def test_pure_heat_rate(self):
         eta0 = AngularProfile.from_function(lambda th: np.exp(1j * th), 64)
-        fit = measure_ed_rate((1, 0), 1e-2, eta0, horizon=60.0, v=speed_constant(0.0))
+        s = ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-2, v=speed_constant(0.0))
+        fit = measure_ed_rate(s, horizon_factor=6.0)
         assert fit.rate == pytest.approx(1e-2, rel=0.01)
 
     def test_nu_scaling_smoke(self):
         # full 4-point scaling lives in the acceptance suite
         eta0 = AngularProfile.from_function(np.cos, 256)
-        fit = measure_ed_rate((1, 0), 1e-3, eta0, horizon=5.0 / np.sqrt(1e-3))
+        fit = measure_ed_rate(ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-3))
         assert fit.rate == pytest.approx(0.5 * np.sqrt(1e-3), rel=0.1)
 
     def test_horizon_precondition(self):
         eta0 = AngularProfile.from_function(np.cos, 64)
         with pytest.raises(ValueError):
-            measure_ed_rate((1, 0), 1e-4, eta0, horizon=10.0)
+            measure_ed_rate(ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-4), horizon_factor=0.1)
 
     def test_zero_data_rejected(self):
+        s = ModeState(k=(1, 0), eta=AngularProfile(np.zeros(32, dtype=complex)), t=0.0, nu=1e-2)
         with pytest.raises(ValueError):
-            measure_ed_rate((1, 0), 1e-2, AngularProfile(np.zeros(32, dtype=complex)), horizon=60.0)
+            measure_ed_rate(s, horizon_factor=6.0)
+
+    def test_batch_over_two_time_steps_matches_per_state_calls(self):
+        eta0 = AngularProfile.from_function(np.cos, 64)
+        states = [ModeState(k=k, eta=eta0, t=0.0, nu=nu) for k in ((1, 0), (1, 1)) for nu in (0.5, 1e-2)]
+        assert len({ed_schedule(s, 5.0)[1] for s in states}) > 1
+        batch = measure_ed_rate(states)
+        assert len(batch) == len(states)
+        for s, fit in zip(states, batch):
+            one = measure_ed_rate(s)
+            assert (fit.rate, fit.stderr, fit.window, fit.n_points) == (
+                one.rate, one.stderr, one.window, one.n_points
+            )
+            _assert_series_equal(fit.series, one.series)
 
 
 class TestMixing:
     def test_initial_value(self):
         eta0 = AngularProfile.from_function(np.cos, 128)
-        curve = mixing_curve((1, 0), 1e-2, eta0, horizon=15.0, dt=0.05)
         s = ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-2)
+        curve = mixing_curve(s, horizon=15.0, dt=0.05)
         assert curve.norm_hm1[0] == pytest.approx(mode_hm1_norm(s), rel=1e-12)
 
     def test_no_decay_without_shear(self):
         eta0 = AngularProfile.from_function(np.cos, 128)
-        curve = mixing_curve((1, 0), 1e-4, eta0, horizon=80.0, dt=0.05, v=speed_constant(0.0))
+        s = ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-4, v=speed_constant(0.0))
+        curve = mixing_curve(s, horizon=80.0, dt=0.05)
         assert abs(curve.slope) < 0.05
 
     def test_horizon_precondition(self):
         eta0 = AngularProfile.from_function(np.cos, 64)
         with pytest.raises(ValueError):
-            mixing_curve((1, 0), 1e-2, eta0, horizon=100.0)
+            mixing_curve(ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-2), horizon=100.0)
+
+    def test_batch_matches_per_state_calls(self):
+        eta0 = AngularProfile.from_function(np.cos, 128)
+        rows = (((1, 0), 1e-2), ((0, 2), 1e-2), ((1, 1), 3e-3))
+        states = [ModeState(k=k, eta=eta0, t=0.0, nu=nu) for k, nu in rows]
+        batch = mixing_curve(states, horizon=10.0)
+        assert len(batch) == len(states)
+        for s, curve in zip(states, batch):
+            one = mixing_curve(s, horizon=10.0)
+            assert (curve.slope, curve.stderr) == (one.slope, one.stderr)
+            assert np.array_equal(curve.t, one.t) and np.array_equal(curve.norm_hm1, one.norm_hm1)
 
 
 class TestJkFields:
