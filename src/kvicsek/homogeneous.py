@@ -315,12 +315,9 @@ def solve_compatibility(ratio: float) -> StationaryRoot:
     a = 1e-8
     while h(a) <= 0.0 and a > 1e-300:
         a /= 1e3
-    b = None
-    for cand in np.linspace(ratio, 10.0 * ratio, 10):
-        if h(cand) < 0.0:
-            b = float(cand)
-            break
-    if b is None or h(a) <= 0.0:
+    # I_1/I_0 < 1, so h(ratio) = I_1/I_0(ratio) - 1 < 0 brackets the root from above
+    b = float(ratio)
+    if h(a) <= 0.0:
         raise NumericsError(f"failed to bracket the compatibility root at ratio {ratio}")
     for _ in range(BISECTION_CAP):
         mid = 0.5 * (a + b)

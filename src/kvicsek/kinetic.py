@@ -11,11 +11,11 @@ exact transport and diffusion sub-propagators, and Heun's method for the
 alignment flux, evaluated here pseudospectrally with 2/3-rule dealiasing
 in all three indices, which keeps the total mass invariant to round-off.
 
-f is real, so the step works on the half spectrum k2 >= 0 (the layout of
-``np.fft.rfftn(..., axes=(0, 2, 1))``): it slices that half out of the
-full coefficients on entry and rebuilds the k2 < 0 columns by conjugate
-symmetry on exit.  Transport acts in mixed (k, theta) form on the half;
-the flux product uses real-to-complex transforms.  L[f] is built in real
+f is real, so the step works on its half spectrum k2 >= 0, whose layout
+lives in ``spectral``: it reads ``SpectralField.half`` on entry and
+returns ``SpectralField.from_half`` on exit.  Transport acts in mixed
+(k, theta) form on the half; the flux product uses real-to-complex
+transforms over ``spectral.HALF_AXES``.  L[f] is built in real
 space from the angular planes where Psihat is nonzero
 (``InfluencePair.psi_support``): one 2-D x-transform per plane, then one
 real theta-transform.  For Psi = sin that is a single plane; for a dense
@@ -40,10 +40,12 @@ from .errors import NumericsError
 from .influence import InfluencePair
 from .linear import speed_constant
 from .spectral import (
+    HALF_AXES,
     TWO_PI,
     SpectralField,
     TorusGrid,
     _readonly,
+    _unfold,
     diffusion_factor,
     norm,
     remainder,
@@ -55,6 +57,10 @@ from .spectral import (
 )
 
 
+GAMMA_TILDE = 0.05  # exponent margin of the enhanced-dissipation regime
+C_DAGGER = 1.0  # constant of the mixing regime
+
+
 @dataclass(frozen=True)
 class KineticParams:
     """Run parameters with the asymptotic-regime flags precomputed."""
@@ -64,10 +70,7 @@ class KineticParams:
     grid: TorusGrid
     dt: float
     t_end: float
-    seed: int = 0
     v: Callable[[float], float] = speed_constant()
-    gamma_tilde: float = 0.05
-    c_dagger: float = 1.0
 
     def __post_init__(self):
         if not (0.0 <= self.kappa <= 1.0):
@@ -76,22 +79,19 @@ class KineticParams:
             raise ValueError("nu must lie in (0, 1]")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
-        if self.gamma_tilde <= 0:
-            raise ValueError("gamma_tilde must be positive")
 
     @property
     def ed_regime(self) -> bool:
-        """Enhanced-dissipation regime: kappa <= nu^{5/6 + gamma_tilde}."""
-        return self.kappa <= self.nu ** (5.0 / 6.0 + self.gamma_tilde)
+        """Enhanced-dissipation regime: kappa <= nu^{5/6 + GAMMA_TILDE}.
+
+        A ratio kappa/nu > 2 (the ordered phase) lies inside it only for
+        nu < 2^{-1/(1/6 - GAMMA_TILDE)} ~ 2.6e-3, too slow to run in tier-1.
+        """
+        return self.kappa <= self.nu ** (5.0 / 6.0 + GAMMA_TILDE)
 
     @property
     def mixing_regime(self) -> bool:
-        return self.kappa <= self.c_dagger * self.nu
-
-
-# The half spectrum k2 >= 0 in the layout of np.fft.rfftn(..., axes=_AXES):
-# full transforms over k1 and l, the real one over x2.
-_AXES = (0, 2, 1)
+        return self.kappa <= C_DAGGER * self.nu
 
 
 @lru_cache(maxsize=8)
@@ -132,28 +132,6 @@ def _flux_factor(grid: TorusGrid) -> np.ndarray:
     return _readonly(theta_derivative(grid.n_theta)[None, None, :] * _half_mask(grid))
 
 
-@lru_cache(maxsize=8)
-def _reflection(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of -k1 and of the k2 >= 0 columns mirroring k2 < 0."""
-    neg_k1 = (-np.arange(grid.n_x1)) % grid.n_x1
-    mirror = np.arange(grid.n_x2 // 2 - 1, 0, -1)
-    return _readonly(neg_k1), _readonly(mirror)
-
-
-def _unfold(half: np.ndarray, grid: TorusGrid, l_index: np.ndarray) -> np.ndarray:
-    """Full (k1, k2) coefficients at the angular indices l_index of a real field.
-
-    The k2 < 0 columns follow from fhat(k, l) = conj(fhat(-k, -l)).
-    """
-    n2h = half.shape[1]
-    out = np.empty((grid.n_x1, grid.n_x2, len(l_index)), dtype=np.complex128)
-    out[:, :n2h] = half[:, :, l_index]
-    neg_k1, mirror = _reflection(grid)
-    neg_l = (-l_index) % grid.n_theta
-    np.conjugate(half[np.ix_(neg_k1, mirror, neg_l)], out=out[:, n2h:])
-    return out
-
-
 def _transport_half(half: np.ndarray, grid: TorusGrid, v_eff: float, half_dt: float) -> np.ndarray:
     mixed = np.fft.ifft(half, axis=2)
     mixed *= _transport_factor(grid, v_eff * half_dt)
@@ -180,13 +158,13 @@ def _alignment_rhs(
     # The product is pointwise, so the (-1)^l grid-offset phase cancels
     # between the inverse and forward transforms and is left out.
     fd = half * _half_mask(grid)
-    fv = np.fft.irfftn(fd, axes=_AXES) * grid.size
+    fv = np.fft.irfftn(fd, axes=HALF_AXES) * grid.size
     support = kernels.psi_support
     planes = _unfold(fd, grid, support) * kernels.support_multiplier
     lhat = np.zeros((grid.n_x1, grid.n_x2, support.max(initial=0) + 1), dtype=np.complex128)
     lhat[:, :, support] = np.fft.ifft2(planes, axes=(0, 1))
     lv = np.fft.irfft(lhat, n=grid.n_theta, axis=2) * grid.size
-    prod = np.fft.rfftn(fv * lv, axes=_AXES) / grid.size
+    prod = np.fft.rfftn(fv * lv, axes=HALF_AXES) / grid.size
     return -kappa * _flux_factor(grid) * prod, float(np.max(np.abs(lv)))
 
 
@@ -198,8 +176,7 @@ def step_kinetic(
 ) -> SpectralField:
     """One ``split_step``: transport / alignment / diffusion / alignment / transport.
 
-    The step reads and evolves the k2 >= 0 half of f's coefficients; the
-    k2 < 0 columns of the result follow by conjugate symmetry.  Raises
+    The step evolves ``f.half`` and returns ``SpectralField.from_half``.  Raises
     StepSizeError when dt violates the explicit alignment guard
     dt <= 0.5 / (kappa l_max max|L[f]| + 1), and NumericsError on NaN.
     """
@@ -207,9 +184,8 @@ def step_kinetic(
     dt = params.dt
     if params.kappa != 0.0 and kernels.grid != grid:
         raise ValueError("kernels live on a different grid")
-    n2h = grid.n_x2 // 2 + 1
     c = split_step(
-        f.coeffs[:, :n2h, :],
+        f.half,
         t,
         dt,
         diffusion_factor(grid.n_theta, params.nu, dt),
@@ -219,12 +195,12 @@ def step_kinetic(
     )
 
     # the k2 < 0 columns of f were not read: check them here too
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(f.coeffs[:, n2h:, :]))):
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(f.coeffs[:, c.shape[1]:, :]))):
         raise NumericsError(
             f"NaN detected at t={t + dt}: mass={TWO_PI**3 * c[0, 0, 0]!r}, "
             f"max|fhat|={np.max(np.abs(c[np.isfinite(c)])) if np.any(np.isfinite(c)) else 'n/a'}"
         )
-    return SpectralField(grid, _unfold(c, grid, np.arange(grid.n_theta)))
+    return SpectralField.from_half(grid, c)
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +247,19 @@ NEGATIVITY_WARN = 1e-8
 def run_experiment(
     params: KineticParams,
     kernels: InfluencePair,
-    f0: SpectralField | None = None,
-    eps: float | None = None,
+    f0: SpectralField,
     sample_every: int = 10,
     snapshot_every: int = 0,
     out_dir: Path | str | None = None,
 ) -> KineticRun:
-    """Advance the kinetic equation to t_end, sampling the decay diagnostics.
+    """Advance the kinetic equation from f0 to t_end, sampling the decay diagnostics.
 
     Emits per sample: remainder norms (L2 and homogeneous H^{-1}), the
     x-average L2 norm, min f, total mass and the order parameter
     m = fhat(0,0,1)/fhat(0,0,0).
     """
-    grid = params.grid
-    if f0 is None:
-        f0 = default_initial(grid, eps if eps is not None else 0.5 / TWO_PI**3, params.seed)
+    if f0.grid != params.grid:
+        raise ValueError(f"f0 lives on {f0.grid}, the run on {params.grid}")
     if snapshot_every > 0 and out_dir is None:
         raise ValueError("snapshots requested without an output directory")
     if sample_every < 1:
@@ -301,7 +275,7 @@ def run_experiment(
     def sample(f, t):
         nonlocal warned_negative
         fneq = remainder(f)
-        vals = f.real_values
+        vals = f.values
         min_f = float(np.min(vals))
         if not warned_negative and min_f < -NEGATIVITY_WARN * float(np.max(vals)):
             warnings.warn(f"density went negative beyond tolerance at t={t}: min f = {min_f:.3e}")

@@ -195,14 +195,15 @@ MASS_DRIFT_TOL = 1e-12
          snapshot_every=0, sample_every=10, eps_rel=0.5, sigma=1.0)
 def _kinetic(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
     grid = TorusGrid(*o["grid"])
-    params = kin.KineticParams(o["kappa"], o["nu"], grid, o["dt"], o["t_end"], seed=cfg.seed)
+    params = kin.KineticParams(o["kappa"], o["nu"], grid, o["dt"], o["t_end"])
     kernels = make_influence(grid, phi="bump", sigma=o["sigma"])
+    f0 = kin.default_initial(grid, o["eps_rel"] / TWO_PI**3, cfg.seed)
 
     def run() -> list[Path]:
         result = kin.run_experiment(
             params,
             kernels,
-            eps=o["eps_rel"] / TWO_PI**3,
+            f0,
             sample_every=o["sample_every"],
             snapshot_every=o["snapshot_every"],
             out_dir=cfg.out_dir,

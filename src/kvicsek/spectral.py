@@ -10,6 +10,10 @@ Coefficient arrays use the FFT frequency layout (``numpy.fft.fftfreq``
 ordering).  Because the angular grid starts at -pi rather than 0, the
 angular axis of every transform carries an extra (-1)^l phase.
 
+Fields on T^2 x T are real, and their half-spectrum layout (k2 >= 0,
+``HALF_AXES``) lives here only: ``SpectralField.values`` reads the half
+``SpectralField.half``, and ``SpectralField.from_half`` rebuilds the rest.
+
 ``split_step`` is the one Strang/Heun step of the three PDE solvers
 (per-mode, homogeneous, kinetic), with the cached angular factors it and
 they share: the theta-derivative, the diffusion factor and the 2/3 mask.
@@ -235,14 +239,6 @@ class AngularProfile:
         return profile_values_from_coeffs(self.coeffs)
 
     @property
-    def real_values(self) -> np.ndarray:
-        v = self.values
-        scale = np.max(np.abs(v)) or 1.0
-        if np.max(np.abs(v.imag)) > 1e-10 * scale:
-            raise ValueError("profile is not real-valued")
-        return v.real
-
-    @property
     def mass(self) -> float:
         """integral g dtheta = 2pi ghat(0)."""
         return float((TWO_PI * self.coeffs[0]).real)
@@ -345,6 +341,33 @@ def split_step(
 # ---------------------------------------------------------------------------
 
 
+# The half spectrum k2 >= 0 of a real field in the layout of np.fft.rfftn(...,
+# axes=HALF_AXES): full transforms over k1 and l, the real one over x2.
+HALF_AXES = (0, 2, 1)
+
+
+@lru_cache(maxsize=8)
+def _reflection(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of -k1 and of the k2 >= 0 columns mirroring k2 < 0."""
+    neg_k1 = (-np.arange(grid.n_x1)) % grid.n_x1
+    mirror = np.arange(grid.n_x2 // 2 - 1, 0, -1)
+    return _readonly(neg_k1), _readonly(mirror)
+
+
+def _unfold(half: np.ndarray, grid: TorusGrid, l_index: np.ndarray) -> np.ndarray:
+    """Full (k1, k2) coefficients at the angular indices l_index of a real field.
+
+    The k2 < 0 columns follow from fhat(k, l) = conj(fhat(-k, -l)).
+    """
+    n2h = half.shape[1]
+    out = np.empty((grid.n_x1, grid.n_x2, len(l_index)), dtype=np.complex128)
+    out[:, :n2h] = half[:, :, l_index]
+    neg_k1, mirror = _reflection(grid)
+    neg_l = (-l_index) % grid.n_theta
+    np.conjugate(half[np.ix_(neg_k1, mirror, neg_l)], out=out[:, n2h:])
+    return out
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """Coefficient array fhat(k1, k2, l) on a TorusGrid; immutable value."""
@@ -372,21 +395,22 @@ class SpectralField:
         x1, x2, th = grid.mesh()
         return cls.from_values(grid, np.broadcast_to(fn(x1, x2, th), grid.shape))
 
+    @classmethod
+    def from_half(cls, grid: TorusGrid, half: np.ndarray) -> "SpectralField":
+        """The real field with k2 >= 0 coefficients ``half``; k2 < 0 by conjugate symmetry."""
+        return cls(grid, _unfold(half, grid, np.arange(grid.n_theta)))
+
+    @property
+    def half(self) -> np.ndarray:
+        """The k2 >= 0 columns of the coefficients (layout HALF_AXES); a read-only view."""
+        return self.coeffs[:, : self.grid.n_x2 // 2 + 1, :]
+
     @property
     def values(self) -> np.ndarray:
-        c = self.coeffs * self.grid.theta_phase[None, None, :]
-        return np.fft.ifftn(c) * self.grid.size
-
-    @property
-    def real_values(self) -> np.ndarray:
-        """Collocation values of a real field, from its k2 >= 0 half.
-
-        One real-to-complex inverse transform; equals ``values.real`` when
-        the coefficients are conjugate-symmetric.
-        """
+        """Collocation values of the real field: one inverse real transform of ``half``."""
         g = self.grid
-        c = self.coeffs[:, : g.n_x2 // 2 + 1, :] * g.theta_phase[None, None, :]
-        return np.fft.irfftn(c, s=(g.n_x1, g.n_theta, g.n_x2), axes=(0, 2, 1)) * g.size
+        c = self.half * g.theta_phase[None, None, :]
+        return np.fft.irfftn(c, s=(g.n_x1, g.n_theta, g.n_x2), axes=HALF_AXES) * g.size
 
     @property
     def mass(self) -> float:

@@ -111,9 +111,9 @@ def test_ac05_nonlinear_enhanced_dissipation():
     kappa = nu**0.9
     grid = TorusGrid(32, 32, 128)
     kernels = make_influence(grid, phi="bump", sigma=1.0)
-    params = KineticParams(kappa=kappa, nu=nu, grid=grid, dt=0.05, t_end=50.0, seed=0)
+    params = KineticParams(kappa=kappa, nu=nu, grid=grid, dt=0.05, t_end=50.0)
     assert params.ed_regime
-    run = run_experiment(params, kernels, eps=0.5 / TWO_PI**3, sample_every=5)
+    run = run_experiment(params, kernels, default_initial(grid, 0.5 / TWO_PI**3, seed=0), sample_every=5)
     keep = run.fneq_l2 > 1e-13 * run.fneq_l2[0]
     slope, _ = fit_rate(run.t[keep], run.fneq_l2[keep], window=(1.0 / np.sqrt(nu), 50.0))
     rate = -slope
@@ -132,7 +132,7 @@ def test_ac05_nonlinear_enhanced_dissipation():
 def test_ac06_mass_conservation_ten_thousand_steps():
     grid = TorusGrid(8, 8, 32)
     kernels = make_influence(grid, phi="bump", sigma=1.0)
-    params = KineticParams(kappa=0.05, nu=0.02, grid=grid, dt=0.005, t_end=50.0, seed=0)
+    params = KineticParams(kappa=0.05, nu=0.02, grid=grid, dt=0.005, t_end=50.0)
     f = default_initial(grid, 0.5 / TWO_PI**3, seed=0)
     m0 = f.mass
     t = 0.0

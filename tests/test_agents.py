@@ -361,7 +361,7 @@ class TestEmpiricalDensity:
             return np.exp(c * (np.cos(u) - 1.0)) / (TWO_PI * ive(0, c))
 
         kern = vm(x1g - 1.0) * vm(x2g - 2.5) * vm(thg - 0.7)
-        assert np.max(np.abs(f.real_values - kern)) < 1e-12 * np.max(kern)
+        assert np.max(np.abs(f.values - kern)) < 1e-12 * np.max(kern)
 
     def test_uniform_cloud_close_to_constant(self, uniform_influence):
         grid = TorusGrid(16, 16, 16)
@@ -395,7 +395,7 @@ class TestEmpiricalDensity:
             rng=_make_rng(2),
         )
         f = empirical_density(e, grid, bandwidth=0.8)
-        vals = f.real_values
+        vals = f.values
         idx = np.unravel_index(np.argmax(vals), vals.shape)
         assert abs(grid.x1[idx[0]] - 3.0) <= TWO_PI / 32
         assert abs(grid.x2[idx[1]] - 3.0) <= TWO_PI / 32

@@ -1,7 +1,9 @@
 """Config parsing, rate fitting, presets, CLI exit codes, determinism."""
 
+import ast
 import hashlib
 import importlib.util
+import inspect
 import json
 import shlex
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kvicsek
 from kvicsek.cli import _collect_options, build_parser, main
 from kvicsek.config import parse_config, resolve_options, write_csv, write_manifest
 from kvicsek.errors import ConfigError, NumericsError
@@ -350,6 +353,24 @@ class TestCli:
         for argv in commands:
             args = build_parser().parse_args(argv[1:])
             resolve_options(_collect_options(args), PRESETS[args.preset].options)
+
+    def test_readme_library_example_binds_to_the_api(self):
+        tree = ast.parse(README.read_text().split("```python", 1)[1].split("```", 1)[0])
+        names = {
+            alias.asname or alias.name: getattr(kvicsek, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "kvicsek"
+            for alias in node.names
+        }
+        calls = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+        ]
+        assert {call.func.id for call in calls} == set(names)
+        for call in calls:
+            inspect.signature(names[call.func.id]).bind(
+                *[None] * len(call.args), **{kw.arg: None for kw in call.keywords}
+            )
 
 
 def _bench_workloads():

@@ -6,7 +6,7 @@ import pytest
 from kvicsek.errors import NumericsError, StepSizeError
 from kvicsek.homogeneous import HomogeneousState, step_homogeneous
 from kvicsek.influence import angular_kernel, make_influence, validate_kernels
-from kvicsek import homogeneous, kinetic
+from kvicsek import homogeneous, kinetic, spectral
 from kvicsek.kinetic import (
     KineticParams,
     _alignment_rhs,
@@ -44,6 +44,10 @@ class TestParams:
         p2 = KineticParams(kappa=nu**0.5, nu=nu, grid=grid, dt=0.1, t_end=1.0)
         assert not p2.ed_regime
         assert KineticParams(kappa=0.05 * nu, nu=nu, grid=grid, dt=0.1, t_end=1.0).mixing_regime
+        # kappa/nu = 2 lies in the regime only for nu < 2^{-1/(1/6 - 0.05)} ~ 2.6e-3
+        for nu, inside in ((2.5e-3, True), (2.8e-3, False)):
+            p3 = KineticParams(kappa=2 * nu, nu=nu, grid=grid, dt=0.1, t_end=1.0)
+            assert p3.ed_regime is inside
 
 
 class TestValidateKernels:
@@ -271,6 +275,11 @@ def _reference_alignment_rhs(coeffs, grid, multiplier, kappa):
     return rhs, float(np.max(np.abs(lv)))
 
 
+def _full_complex_values(f):
+    """Collocation values by one full complex inverse transform (the oracle)."""
+    return np.fft.ifftn(f.coeffs * f.grid.theta_phase[None, None, :]) * f.grid.size
+
+
 def _reference_step(coeffs, params, pair, t):
     grid, dt = params.grid, params.dt
     c = _reference_transport_half(coeffs, grid, params.v(t + 0.25 * dt), 0.5 * dt)
@@ -361,7 +370,8 @@ class TestHalfSpectrumStep:
             f = step_kinetic(f, params, make_influence(grid), t)
             t += params.dt
         assert f.is_real(1e-12)
-        assert np.max(np.abs(f.values.imag)) <= 1e-12 * np.max(np.abs(f.values))
+        full = _full_complex_values(f)
+        assert np.max(np.abs(full.imag)) <= 1e-12 * np.max(np.abs(full))
 
     def test_nan_in_unread_half_is_detected(self):
         grid = TorusGrid(8, 8, 16)
@@ -379,21 +389,29 @@ class TestHalfSpectrumStep:
         with pytest.raises(ValueError):
             step_kinetic(f, params, make_influence(TorusGrid(8, 8, 16)), 0.0)
 
+    def test_from_half_rebuilds_the_step_output(self):
+        grid = TorusGrid(8, 12, 32)
+        params = KineticParams(kappa=0.1, nu=0.1, grid=grid, dt=0.01, t_end=1.0)
+        f = step_kinetic(default_initial(grid, 0.1 / TWO_PI**3), params, make_influence(grid), 0.0)
+        assert np.array_equal(SpectralField.from_half(grid, f.half).coeffs, f.coeffs)
+
     def test_cached_factors_are_read_only(self):
         grid = TorusGrid(8, 12, 32)
         pair = make_influence(grid, psi_factor="cos_squared")
+        f = default_initial(grid, 0.1 / TWO_PI**3)
         step_kinetic(
-            default_initial(grid, 0.1 / TWO_PI**3),
+            f,
             KineticParams(kappa=0.1, nu=0.1, grid=grid, dt=0.01, t_end=1.0),
             pair,
             0.0,
         )
         cached = [
+            f.half,
             kinetic._half_geometry(grid),
             kinetic._transport_factor(grid, 0.005),
             kinetic._half_mask(grid),
             kinetic._flux_factor(grid),
-            *kinetic._reflection(grid),
+            *spectral._reflection(grid),
             pair.psi_support,
             pair.support_multiplier,
         ]
@@ -432,7 +450,7 @@ class TestLongTimeRelaxation:
         grid = TorusGrid(8, 8, 32)
         pair = make_influence(grid)
         params = KineticParams(kappa=kappa, nu=nu, grid=grid, dt=0.02, t_end=20.0 / nu)
-        run = run_experiment(params, pair, eps=0.5 / TWO_PI**3, sample_every=100)
+        run = run_experiment(params, pair, default_initial(grid, 0.5 / TWO_PI**3, seed=0), sample_every=100)
         final = run.final
         avg = x_average(final)
         dev = avg.coeffs.copy()
@@ -447,7 +465,8 @@ class TestRunExperiment:
         grid = TorusGrid(8, 8, 32)
         pair = make_influence(grid)
         params = KineticParams(kappa=0.05, nu=0.05, grid=grid, dt=0.05, t_end=1.0)
-        run = run_experiment(params, pair, sample_every=5, snapshot_every=10, out_dir=tmp_path)
+        f0 = default_initial(grid, 0.5 / TWO_PI**3, seed=0)
+        run = run_experiment(params, pair, f0, sample_every=5, snapshot_every=10, out_dir=tmp_path)
         assert np.all(np.diff(run.t) > 0)
         assert run.t[-1] == pytest.approx(1.0)
         assert len(run.snapshots) == 2
@@ -459,20 +478,29 @@ class TestRunExperiment:
         grid = TorusGrid(16, 16, 32)
         f = default_initial(grid, 0.9 / TWO_PI**3, seed=7)
         assert abs(f.mass - 1.0) < 1e-12
-        assert np.min(f.real_values) > 0
+        assert np.min(f.values) > 0
 
     def test_snapshot_requires_out_dir(self):
         grid = TorusGrid(8, 8, 16)
         pair = make_influence(grid)
         params = KineticParams(kappa=0.0, nu=0.05, grid=grid, dt=0.05, t_end=0.2)
         with pytest.raises(ValueError):
-            run_experiment(params, pair, snapshot_every=1)
+            run_experiment(params, pair, default_initial(grid, 0.5 / TWO_PI**3, seed=0), snapshot_every=1)
 
     def test_zero_sample_every_rejected(self):
         grid = TorusGrid(8, 8, 16)
         params = KineticParams(kappa=0.0, nu=0.05, grid=grid, dt=0.05, t_end=0.2)
         with pytest.raises(ValueError, match="sample_every"):
-            run_experiment(params, make_influence(grid), sample_every=0)
+            run_experiment(
+                params, make_influence(grid), default_initial(grid, 0.5 / TWO_PI**3, seed=0), sample_every=0
+            )
+
+    def test_f0_on_another_grid_rejected(self):
+        grid = TorusGrid(8, 8, 16)
+        params = KineticParams(kappa=0.0, nu=0.05, grid=grid, dt=0.05, t_end=0.2)
+        f0 = default_initial(TorusGrid(8, 8, 32), 0.5 / TWO_PI**3, seed=0)
+        with pytest.raises(ValueError, match="f0 lives on"):
+            run_experiment(params, make_influence(grid), f0)
 
     def test_negative_density_warns_but_runs(self):
         grid = TorusGrid(8, 8, 16)
