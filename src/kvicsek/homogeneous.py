@@ -36,8 +36,6 @@ from .spectral import (
     AngularProfile,
     dealias_keep,
     diffusion_factor,
-    profile_coeffs_from_values,
-    profile_values_from_coeffs,
     split_step,
     theta_derivative,
     theta_points,
@@ -75,15 +73,16 @@ def _alignment_rhs(
 
     Row-wise over a stack ``g_coeffs[..., n_theta]``, with kappa a scalar
     or one per row; returns the right-hand side and max|Psi*g| per row,
-    shaped ``(..., 1)``.
+    shaped ``(..., 1)``.  The product is pointwise, so the (-1)^l
+    grid-offset phase cancels between the transforms and is left out.
     """
     n = g_coeffs.shape[-1]
     mask = dealias_keep(n)
     gd = np.where(mask, g_coeffs, 0.0)
     conv = np.where(mask, TWO_PI * psi_coeffs * g_coeffs, 0.0)
-    gv = profile_values_from_coeffs(gd)
-    cv = profile_values_from_coeffs(conv)
-    prod = profile_coeffs_from_values(gv * cv)
+    gv = np.fft.ifft(gd, axis=-1) * n
+    cv = np.fft.ifft(conv, axis=-1) * n
+    prod = np.fft.fft(gv * cv, axis=-1) / n
     rhs = kappa * theta_derivative(n) * np.where(mask, prod, 0.0)
     return rhs, np.max(np.abs(cv), axis=-1, keepdims=True)
 
@@ -118,6 +117,8 @@ def evolve_homogeneous(
     Raises NumericsError naming the row on NaN at a sample.
     """
     states = [s] if isinstance(s, HomogeneousState) else list(s)
+    if not states:
+        raise ValueError("evolve_homogeneous needs at least one state")
     first = states[0]
     if any((x.g.n, x.nu, x.t) != (first.g.n, first.nu, first.t) for x in states):
         raise ValueError("batched homogeneous states must share n_theta, nu and t")

@@ -13,16 +13,16 @@ in all three indices, which keeps the total mass invariant to round-off.
 
 f is real, so the step works on its half spectrum k2 >= 0, whose layout
 lives in ``spectral``: it reads ``SpectralField.half`` on entry and
-returns ``SpectralField.from_half`` on exit.  Transport acts in mixed
-(k, theta) form on the half; the flux product uses real-to-complex
-transforms over ``spectral.HALF_AXES``.  L[f] is built in real
-space from the angular planes where Psihat is nonzero
+returns ``SpectralField.from_half`` on exit.  Transport is the per-mode
+layer's ``spectral.transport`` with the Nyquist wavenumbers zeroed; the
+flux product uses real-to-complex transforms over ``spectral.HALF_AXES``.
+L[f] is built in real space from the angular planes where Psihat is nonzero
 (``InfluencePair.psi_support``): one 2-D x-transform per plane, then one
 real theta-transform.  For Psi = sin that is a single plane; for a dense
 Psihat it is an ordinary inverse real transform.  Everything the step
-reuses is cached read-only: the half-grid geometry, the dealias mask,
-the flux factor, the transport factor for each repeated v h (one for a
-constant speed) and the support planes of the multiplier (on the InfluencePair).
+reuses is cached read-only: the dealias mask, the flux factor, the
+transport factor for each repeated v h (one for a constant speed) and the
+support planes of the multiplier (on the InfluencePair).
 """
 
 from __future__ import annotations
@@ -51,9 +51,10 @@ from .spectral import (
     remainder,
     split_step,
     theta_derivative,
+    transport,
+    transport_factor,
     write_snapshot,
     x_average,
-    x_points,
 )
 
 
@@ -77,8 +78,8 @@ class KineticParams:
             raise ValueError("kappa must lie in [0, 1]")
         if not (0.0 < self.nu <= 1.0):
             raise ValueError("nu must lie in (0, 1]")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not all(np.isfinite(x) and x > 0 for x in (self.dt, self.t_end)):
+            raise ValueError("dt and t_end must be finite and positive")
 
     @property
     def ed_regime(self) -> bool:
@@ -95,30 +96,16 @@ class KineticParams:
 
 
 @lru_cache(maxsize=8)
-def _half_geometry(grid: TorusGrid) -> np.ndarray:
-    """p(phi).k on the (k1, k2 >= 0, phi) array, phi_j = 2 pi j / n_theta.
+def _half_wavenumbers(grid: TorusGrid) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """k1 and the k2 >= 0 wavenumbers of the half spectrum, Nyquist ones zeroed.
 
-    An inverse FFT over l without the (-1)^l grid-offset phase samples f
-    at phi_j = theta_j + pi, so the mixed form works on those angles.
     The Nyquist rows k1 = -n1/2 and k2 = -n2/2 are their own reflections:
     only a zero wavenumber there keeps a real field's coefficients
     conjugate-symmetric, as for l in spectral.theta_derivative.
     """
-    k1 = grid.k1.astype(np.float64)
-    k1[grid.n_x1 // 2] = 0.0
-    k2 = grid.k2[: grid.n_x2 // 2 + 1].astype(np.float64)
-    k2[grid.n_x2 // 2] = 0.0
-    phi = x_points(grid.n_theta)
-    return _readonly(
-        k1[:, None, None] * np.cos(phi)[None, None, :]
-        + k2[None, :, None] * np.sin(phi)[None, None, :]
-    )
-
-
-@lru_cache(maxsize=4)
-def _transport_factor(grid: TorusGrid, shift: float) -> np.ndarray:
-    """exp(-i shift p(phi).k) for shift = v h; a constant speed reuses one."""
-    return _readonly(np.exp(-1j * shift * _half_geometry(grid)))
+    k1, k2 = grid.k1.tolist(), grid.k2[: grid.n_x2 // 2 + 1].tolist()
+    k1[grid.n_x1 // 2] = k2[grid.n_x2 // 2] = 0
+    return tuple(k1), tuple(k2)
 
 
 @lru_cache(maxsize=8)
@@ -133,9 +120,7 @@ def _flux_factor(grid: TorusGrid) -> np.ndarray:
 
 
 def _transport_half(half: np.ndarray, grid: TorusGrid, v_eff: float, half_dt: float) -> np.ndarray:
-    mixed = np.fft.ifft(half, axis=2)
-    mixed *= _transport_factor(grid, v_eff * half_dt)
-    out = np.fft.fft(mixed, axis=2)
+    out = transport(half, transport_factor(*_half_wavenumbers(grid), grid.n_theta, v_eff * half_dt))
     # p.k vanishes identically at k=(0,0): keep that slice exactly, so the
     # x-average (and with it the total mass) never sees FFT round-off
     out[0, 0, :] = half[0, 0, :]
@@ -189,7 +174,7 @@ def step_kinetic(
         t,
         dt,
         diffusion_factor(grid.n_theta, params.nu, dt),
-        transport=lambda c, s: _transport_half(c, grid, params.v(s), 0.5 * dt),
+        advect=lambda c, s: _transport_half(c, grid, params.v(s), 0.5 * dt),
         rhs=lambda c: _alignment_rhs(c, grid, kernels, params.kappa),
         kappa=params.kappa,
     )

@@ -17,11 +17,12 @@ the enhanced rate (nu |k|)^{1/2}; the comparison bounds sandwich F
 between the 1/2- and 3/2-weighted diagonal parts whenever
 beta^2 <= alpha gamma.
 
-The step is ``spectral.split_step`` at kappa = 0: the kinetic step
-restricted to single x-Fourier modes.  ``evolve_mode`` advances a stack
-of modes, one row per (k, nu) with its own step count and sampling
-cadence, through one ``split_step`` call per step, and evaluates the
-norms and the comparison sandwich row-wise; ``step_mode`` and a
+The step is ``spectral.split_step`` at kappa = 0 with the kinetic
+layer's ``spectral.transport``: the kinetic step restricted to single
+x-Fourier modes.  ``evolve_mode`` advances a stack of modes, one row per
+(k, nu) with its own step count and sampling cadence, through one
+``split_step`` call per step, and evaluates the norms and the comparison
+sandwich row-wise by Parseval sums; ``step_mode`` and a
 single-state ``evolve_mode`` are batches of one.  The two measurements
 are ``evolve_mode`` batches too: ``measure_ed_rate`` runs its states on
 their ``ed_schedule``, one stack per time step, and ``mixing_curve``
@@ -31,7 +32,7 @@ runs its states as one stack sampled every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,14 +42,13 @@ from .fitting import MIN_SAMPLES, fit_rate
 from .spectral import (
     TWO_PI,
     AngularProfile,
-    _readonly,
     diffusion_factor,
     fft_wavenumbers,
-    profile_coeffs_from_values,
-    profile_values_from_coeffs,
     split_step,
     theta_derivative,
     theta_points,
+    transport,
+    transport_factor,
 )
 
 
@@ -121,41 +121,23 @@ def _ramp(s: ModeState, t: float) -> float:
     return min(1.0, np.sqrt(s.nu * s.k_norm) * t)
 
 
-@lru_cache(maxsize=64)
-def transport_factor(k: tuple[int, int], n: int, v: float, dt: float) -> np.ndarray:
-    """Read-only exp(-i v p(theta).k dt/2) on the n theta points: one transport half-step."""
-    th = theta_points(n)
-    pk = k[0] * np.cos(th) + k[1] * np.sin(th)
-    return _readonly(np.exp(-1j * v * pk * (0.5 * dt)))
-
-
-@lru_cache(maxsize=64)
-def _sin_offset(n: int, theta_k: float) -> np.ndarray:
-    """Read-only sin(theta - theta_k) on the n theta points."""
-    return _readonly(np.sin(theta_points(n) - theta_k))
-
-
 def _mode_step(states: Sequence[ModeState], dt: float) -> Callable[[np.ndarray, float], np.ndarray]:
     """``split_step`` at kappa = 0 of a stack of modes: (c, t) -> c at t + dt.
 
     Row j of c is states[j]'s eta, advanced with that state's k, nu and
-    speed; the states share n_theta.  Transport multiplies pointwise in
-    theta-collocation space by exp(-i v p(theta).k dt/2), with v(t)
-    sampled at the sub-step midpoints; diffusion multiplies coefficients
-    by exp(-nu l^2 dt).
+    speed; the states share n_theta.  Transport is ``spectral.transport``
+    with each row's ``transport_factor`` row ((k1,), (k2,)), v(t) sampled
+    at the sub-step midpoints; diffusion multiplies coefficients by
+    exp(-nu l^2 dt).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     n = states[0].eta.n
     heat = np.array([diffusion_factor(n, s.nu, dt) for s in states])
 
-    def transport(coeffs, t_mid):
-        values = profile_values_from_coeffs(coeffs)
-        for row, s in zip(values, states):
-            row *= transport_factor(s.k, n, s.v(t_mid), dt)
-        return profile_coeffs_from_values(values)
+    def advect(coeffs, t_mid):
+        rows = [transport_factor((s.k[0],), (s.k[1],), n, s.v(t_mid) * (0.5 * dt)) for s in states]
+        return transport(coeffs, np.array(rows)[:, 0, 0])
 
-    return lambda c, t: split_step(c, t, dt, heat, transport=transport)
+    return lambda c, t: split_step(c, t, dt, heat, advect=advect)
 
 
 def step_mode(s: ModeState, dt: float) -> ModeState:
@@ -195,22 +177,23 @@ class HypoTerms:
 
 
 def _hypo_rows(eta: np.ndarray, states: Sequence[ModeState], t: float, w: HypoWeights) -> HypoTerms:
-    """The four terms for a stack of modes eta[j] (states[j]'s k, nu) at time t, as arrays over rows."""
+    """The four terms for a stack of modes eta[j] (states[j]'s k, nu) at time t, by Parseval sums."""
     n = eta.shape[-1]
-    quad = TWO_PI / n
-    sinw = np.array([_sin_offset(n, s.theta_k) for s in states])
-    values = profile_values_from_coeffs(eta)
-    dvalues = profile_values_from_coeffs(theta_derivative(n) * eta)
+    deta = theta_derivative(n) * eta
+    # sin(theta - theta_k) eta: (e^{-i theta_k} eta(l-1) - e^{i theta_k} eta(l+1)) / 2i, cyclic in l,
+    # which on an even grid is exact for the product of the collocation values
+    turn = np.exp(1j * np.array([[s.theta_k] for s in states]))
+    seta = (np.conj(turn) * np.roll(eta, 1, axis=-1) - turn * np.roll(eta, -1, axis=-1)) / 2j
     # the per-row weights in scalar arithmetic, as for a single state
     zr = [(_ramp(s, t), np.sqrt(s.nu / s.k_norm)) for s in states]
     alpha, beta, gamma = np.array(
         [(w.alpha * z * r, -w.beta * z**2, w.gamma * z**3 / r) for z, r in zr]
     ).T
 
-    l2 = quad * np.sum(np.abs(values) ** 2, axis=-1)
-    d2 = quad * np.sum(np.abs(dvalues) ** 2, axis=-1)
-    s2 = quad * np.sum(np.abs(sinw * values) ** 2, axis=-1)
-    cross = quad * np.real(np.sum(1j * sinw * values * np.conj(dvalues), axis=-1))
+    l2 = TWO_PI * np.sum(np.abs(eta) ** 2, axis=-1)
+    d2 = TWO_PI * np.sum(np.abs(deta) ** 2, axis=-1)
+    s2 = TWO_PI * np.sum(np.abs(seta) ** 2, axis=-1)
+    cross = TWO_PI * np.real(np.sum(1j * seta * np.conj(deta), axis=-1))
     return HypoTerms(l2=l2, alpha_term=alpha * d2, beta_term=beta * cross, gamma_term=gamma * s2)
 
 
@@ -221,10 +204,9 @@ def hypo_functional(s: ModeState, w: HypoWeights = HypoWeights()) -> HypoTerms:
 
 
 def _sandwich_rows(
-    eta: np.ndarray, states: Sequence[ModeState], t: float, w: HypoWeights
+    terms: HypoTerms, states: Sequence[ModeState], t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row ``comparison_sandwich`` of a stack of modes eta[j] with states[j]'s k, nu."""
-    terms = _hypo_rows(eta, states, t, w)
+    """Per-row ``comparison_sandwich`` of the ``_hypo_rows`` terms of states at time t."""
     diagonal = terms.alpha_term + terms.gamma_term
     lower = terms.l2 + 0.5 * diagonal
     upper = terms.l2 + 1.5 * diagonal
@@ -246,7 +228,8 @@ def comparison_sandwich(s: ModeState, w: HypoWeights = HypoWeights()) -> tuple[f
     Raises SandwichViolation if the bounds fail beyond round-off; that
     signals a convention bug, not a numerical accident.
     """
-    return tuple(float(x[0]) for x in _sandwich_rows(s.eta.coeffs[None], [s], s.t, w))
+    terms = _hypo_rows(s.eta.coeffs[None], [s], s.t, w)
+    return tuple(float(x[0]) for x in _sandwich_rows(terms, [s], s.t))
 
 
 @dataclass(frozen=True)
@@ -299,6 +282,8 @@ def evolve_mode(
     naming the row's k and nu.
     """
     states = [s] if isinstance(s, ModeState) else list(s)
+    if not states:
+        raise ValueError("evolve_mode needs at least one mode state")
     if any((x.t, x.eta.n) != (states[0].t, states[0].eta.n) for x in states):
         raise ValueError("batched mode states must share t and n_theta")
     n_steps = np.broadcast_to(n_steps, len(states))
@@ -309,12 +294,13 @@ def evolve_mode(
 
     def sample(idx, eta, t):
         picked = [states[j] for j in idx]
-        l2 = np.sqrt(TWO_PI * np.sum(np.abs(eta) ** 2, axis=-1))
+        terms = _hypo_rows(eta, picked, t, weights)
+        l2 = np.sqrt(terms.l2)
         finite = np.isfinite(l2)
         if not finite.all():
             bad = picked[int(np.argmin(finite))]
             raise NumericsError(f"NaN in per-mode evolution at t={t} for k={bad.k}, nu={bad.nu:g}")
-        lo, val, up = _sandwich_rows(eta, picked, t, weights)
+        lo, val, up = _sandwich_rows(terms, picked, t)
         hm1 = _hm1_rows(eta, picked)
         for j, x, *cols in zip(idx, picked, l2, hm1, val, lo, up):
             rows[j].append((t, *cols, _ramp(x, t)))
@@ -366,9 +352,11 @@ def ed_schedule(s: ModeState, horizon_factor: float) -> tuple[float, float, int,
 
     t_ed = (nu |k|)^{-1/2}; the run lasts horizon_factor t_ed at
     dt = min(0.05, t_ed/50), sampled every max(1, n_steps // 2000) steps.
-    Raises ValueError unless MIN_SAMPLES of those samples fall at or
-    after t_ed, where the rate fit starts.
+    Raises ValueError unless horizon_factor > 0 and MIN_SAMPLES of those
+    samples fall at or after t_ed, where the rate fit starts.
     """
+    if not horizon_factor > 0:
+        raise ValueError(f"horizon_factor must be > 0, got {horizon_factor}")
     t_ed = 1.0 / np.sqrt(s.nu * s.k_norm)
     dt = min(0.05, t_ed / 50.0)
     n_steps = int(np.ceil(horizon_factor * t_ed / dt))
@@ -425,9 +413,11 @@ class MixingCurve:
 def mixing_window(nu: float, horizon: float, dt: float) -> tuple[float, float]:
     """The log-log fit window [1, min(horizon, nu^{-1/2})] of ``mixing_curve``.
 
-    Raises ValueError unless horizon <= 2 nu^{-1/2}, where phase mixing
-    is seen, and the window holds MIN_SAMPLES of the curve's sample times.
+    Raises ValueError unless dt is finite and > 0, horizon <= 2 nu^{-1/2}, where
+    phase mixing is seen, and the window holds MIN_SAMPLES of the curve's sample times.
     """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     if horizon > 2.0 / np.sqrt(nu):
         raise ValueError("horizon beyond 2 nu^{-1/2} leaves the mixing window")
     window = (1.0, min(horizon, 1.0 / np.sqrt(nu)))

@@ -7,8 +7,10 @@ Functions on the domain T^2 x T (positions on [0, 2pi)^2, angles on
     fhat(k, l) = (2pi)^{-3} integral f e^{-i k.x - i l theta} dx dtheta.
 
 Coefficient arrays use the FFT frequency layout (``numpy.fft.fftfreq``
-ordering).  Because the angular grid starts at -pi rather than 0, the
-angular axis of every transform carries an extra (-1)^l phase.
+ordering).  The angular grid starts at -pi rather than 0, so the values
+carry an extra (-1)^l phase, applied only by ``values``/``from_values`` of
+``AngularProfile`` and ``SpectralField``.  Solver products skip it: they
+run on phi_j = theta_j + pi = 2pi j/n, which gives the same product.
 
 Fields on T^2 x T are real, and their half-spectrum layout (k2 >= 0,
 ``HALF_AXES``) lives here only: ``SpectralField.values`` reads the half
@@ -16,7 +18,8 @@ Fields on T^2 x T are real, and their half-spectrum layout (k2 >= 0,
 
 ``split_step`` is the one Strang/Heun step of the three PDE solvers
 (per-mode, homogeneous, kinetic), with the cached angular factors it and
-they share: the theta-derivative, the diffusion factor and the 2/3 mask.
+they share: the theta-derivative, the diffusion factor, the 2/3 mask and,
+for its transport sub-step ``transport``, the ``transport_factor``.
 Its leading axes are a batch: the 1-D layers stack independent rows
 ``c[batch, n_theta]`` (one per alignment strength, or per x-mode and
 viscosity) and advance them in one call, with the alignment step-size
@@ -90,8 +93,8 @@ def dealias_keep(n: int) -> np.ndarray:
 
 
 def _validate_count(n: int, name: str) -> None:
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"{name} must be an even integer >= 4, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 4 or n % 2 != 0:
+        raise ValueError(f"{name} must be an even integer >= 4, got {n!r}")
 
 
 def _reflect(coeffs: np.ndarray) -> np.ndarray:
@@ -147,10 +150,6 @@ class TorusGrid:
     def l(self) -> np.ndarray:
         return fft_wavenumbers(self.n_theta)
 
-    @cached_property
-    def theta_phase(self) -> np.ndarray:
-        return _theta_phase(self.n_theta)
-
     def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Open (broadcastable) meshgrid of collocation coordinates."""
         return (
@@ -192,16 +191,6 @@ class TorusGrid:
 # ---------------------------------------------------------------------------
 
 
-def profile_coeffs_from_values(values: np.ndarray) -> np.ndarray:
-    n = values.shape[-1]
-    return np.fft.fft(values, axis=-1) / n * _theta_phase(n)
-
-
-def profile_values_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    n = coeffs.shape[-1]
-    return np.fft.ifft(coeffs * _theta_phase(n), axis=-1) * n
-
-
 @dataclass(frozen=True)
 class AngularProfile:
     """Function g(theta) on T held as Fourier coefficients ghat(l).
@@ -220,7 +209,8 @@ class AngularProfile:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "AngularProfile":
-        return cls(profile_coeffs_from_values(np.asarray(values)))
+        n = np.shape(values)[-1]
+        return cls(np.fft.fft(values, axis=-1) / n * _theta_phase(n))
 
     @classmethod
     def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], n: int) -> "AngularProfile":
@@ -236,7 +226,7 @@ class AngularProfile:
 
     @property
     def values(self) -> np.ndarray:
-        return profile_values_from_coeffs(self.coeffs)
+        return np.fft.ifft(self.coeffs * _theta_phase(self.n), axis=-1) * self.n
 
     @property
     def mass(self) -> float:
@@ -284,12 +274,27 @@ class AngularProfile:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def transport_factor(k1: tuple[int, ...], k2: tuple[int, ...], n: int, shift: float) -> np.ndarray:
+    """Read-only exp(-i shift p(phi).k) on the outer table (k1, k2, phi_j = 2pi j/n); shift = v h."""
+    k1, k2, phi = np.array(k1, np.float64), np.array(k2, np.float64), x_points(n)
+    pk = k1[:, None, None] * np.cos(phi) + k2[None, :, None] * np.sin(phi)
+    return _readonly(np.exp(-1j * shift * pk))
+
+
+def transport(c: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """The transport sub-step: coefficients c (theta last) times a ``transport_factor`` table on phi_j."""
+    mixed = np.fft.ifft(c, axis=-1)
+    mixed *= factor
+    return np.fft.fft(mixed, axis=-1)
+
+
 def split_step(
     c: np.ndarray,
     t: float,
     dt: float,
     diffusion: np.ndarray,
-    transport: Callable[[np.ndarray, float], np.ndarray] | None = None,
+    advect: Callable[[np.ndarray, float], np.ndarray] | None = None,
     rhs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | float]] | None = None,
     kappa: np.ndarray | float = 0.0,
 ) -> np.ndarray:
@@ -298,16 +303,18 @@ def split_step(
     ``c`` may be a stack of rows ``c[batch, n_theta]`` that share t and
     dt; ``kappa`` is then a scalar or a ``(batch, 1)`` column and
     ``diffusion`` an ``(n_theta,)`` or ``(batch, n_theta)`` array.
-    ``transport(c, s)`` advances c over dt/2 with the speed sampled at s
-    (t + dt/4, then t + 3dt/4); None skips it.  Each A/2 is a Heun step
-    over dt/2 with ``rhs(c) -> (alignment right-hand side, sup of the
-    alignment field)``, the sup a scalar or one per row as ``(batch, 1)``;
-    it is skipped when every kappa is 0.  D multiplies by ``diffusion``
-    (cached ``diffusion_factor`` rows).  The guard
-    dt <= 0.5 / (kappa (n_theta/2) sup + 1) is checked per row with
-    kappa != 0 at the first stage of either Heun step; StepSizeError
-    names the first row that breaks it and its sup.
+    ``advect(c, s)`` advances c over dt/2 by ``transport`` with the speed
+    sampled at s (t + dt/4, then t + 3dt/4); None skips it.  Each A/2 is a
+    Heun step over dt/2 with ``rhs(c) -> (alignment right-hand side, sup of
+    the alignment field)``, the sup a scalar or one per row as
+    ``(batch, 1)``; it is skipped when every kappa is 0.  D multiplies by
+    ``diffusion`` (cached ``diffusion_factor`` rows).  The guard
+    dt <= 0.5 / (kappa (n_theta/2) sup + 1) is checked per row with kappa
+    != 0 at the first stage of either Heun step; StepSizeError names the
+    first row that breaks it and its sup.  ValueError: dt not finite and > 0.
     """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
 
     def align_half(c):
         h = 0.5 * dt
@@ -324,15 +331,15 @@ def split_step(
         return c + 0.5 * h * (r1 + r2)
 
     aligned = np.count_nonzero(kappa) > 0
-    if transport is not None:
-        c = transport(c, t + 0.25 * dt)
+    if advect is not None:
+        c = advect(c, t + 0.25 * dt)
     if aligned:
         c = align_half(c)
     c = c * diffusion
     if aligned:
         c = align_half(c)
-    if transport is not None:
-        c = transport(c, t + 0.75 * dt)
+    if advect is not None:
+        c = advect(c, t + 0.75 * dt)
     return c
 
 
@@ -387,7 +394,7 @@ class SpectralField:
     @classmethod
     def from_values(cls, grid: TorusGrid, values: np.ndarray) -> "SpectralField":
         c = np.fft.fftn(values) / grid.size
-        c *= grid.theta_phase[None, None, :]
+        c *= _theta_phase(grid.n_theta)
         return cls(grid, c)
 
     @classmethod
@@ -409,7 +416,7 @@ class SpectralField:
     def values(self) -> np.ndarray:
         """Collocation values of the real field: one inverse real transform of ``half``."""
         g = self.grid
-        c = self.half * g.theta_phase[None, None, :]
+        c = self.half * _theta_phase(g.n_theta)
         return np.fft.irfftn(c, s=(g.n_x1, g.n_theta, g.n_x2), axes=HALF_AXES) * g.size
 
     @property
@@ -506,17 +513,31 @@ def write_snapshot(path, f: SpectralField, time: float = 0.0, parameters: dict |
 
 
 def read_snapshot(path) -> tuple[SpectralField, dict]:
+    """The field and header of a ``write_snapshot`` file; ValueError naming the path if malformed."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as err:
+            raise ValueError(f"{path}: snapshot header is not JSON ({err})") from None
         payload = fh.read()
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: snapshot header is {type(header).__name__}, expected an object")
     for key, expected in (("dtype", SNAPSHOT_DTYPE), ("order", SNAPSHOT_ORDER)):
         if header.get(key) != expected:
             raise ValueError(f"{path}: snapshot {key} {header.get(key)!r}, expected {expected!r}")
-    grid = TorusGrid(header["n_x1"], header["n_x2"], header["n_theta"])
+    try:
+        grid = TorusGrid(header.get("n_x1"), header.get("n_x2"), header.get("n_theta"))
+    except ValueError as err:
+        raise ValueError(f"{path}: snapshot {err}") from None
+    time = header.get("time")
+    if type(time) not in (int, float) or not np.isfinite(time):
+        raise ValueError(f"{path}: snapshot time {time!r}, expected a finite number")
     expected_bytes = 16 * grid.size
     if len(payload) != expected_bytes:
         raise ValueError(
             f"{path}: snapshot payload is {len(payload)} bytes, expected {expected_bytes}"
         )
     coeffs = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"{path}: snapshot payload holds non-finite coefficients")
     return SpectralField(grid, coeffs.astype(np.complex128)), header

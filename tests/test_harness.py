@@ -373,6 +373,45 @@ class TestCli:
             )
 
 
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, annotations (also quoted ones) included."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [
+        ann
+        for node in ast.walk(tree)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if ann is not None
+    ]
+    for node in (n for ann in annotations for n in ast.walk(ann)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # a quoted annotation such as -> "AngularProfile"
+            quoted = ast.parse(node.value, mode="eval")
+            used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_detected():
+    source = (
+        "from __future__ import annotations\nimport os, sys\nfrom x import a, b as c, d\n"
+        "def f(u: 'list[a]') -> 'd':\n    'c'\n    return sys\n"
+    )
+    assert _unused_imports(source) == ["c (line 3)", "os (line 2)"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in (ROOT / "src" / "kvicsek").glob("*.py") if p.name != "__init__.py")
+)
+def test_package_modules_have_no_unused_imports(module):
+    # __init__.py is exempt: its imports are the package's public names
+    assert _unused_imports((ROOT / "src" / "kvicsek" / module).read_text()) == []
+
+
 def _bench_workloads():
     """bench/workloads.py, imported from its file (bench/ is not a package)."""
     name = "bench_workloads"

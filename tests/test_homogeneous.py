@@ -143,6 +143,16 @@ class TestBatchedEvolution:
                 evolve_homogeneous([a, b], kernel, 0.01, 2)
 
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
+    def test_bad_dt_rejected(self, kernel, dt):
+        s = HomogeneousState(g=perturbed_profile(256, 0.2, seed=5), t=0.0, kappa=0.2, nu=0.1)
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            evolve_homogeneous(s, kernel, dt, 20)
+
+    def test_empty_batch_rejected(self, kernel):
+        with pytest.raises(ValueError, match="at least one state"):
+            evolve_homogeneous([], kernel, 0.01, 2)
+
     @pytest.mark.parametrize("n_steps, sample_every", [(10, 0), (-3, 1)])
     def test_bad_counts_rejected_before_stepping(self, kernel, n_steps, sample_every):
         s = HomogeneousState(g=perturbed_profile(256, 0.2, seed=5), t=0.0, kappa=0.2, nu=0.1)

@@ -36,6 +36,13 @@ class TestParams:
         with pytest.raises(ValueError):
             KineticParams(kappa=0.1, nu=0.1, grid=grid, dt=-0.1, t_end=1.0)
 
+    @pytest.mark.parametrize(
+        "dt, t_end", [(np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)]
+    )
+    def test_non_finite_times_rejected(self, dt, t_end):
+        with pytest.raises(ValueError, match="finite and positive"):
+            KineticParams(kappa=0.1, nu=0.1, grid=TorusGrid(8, 8, 8), dt=dt, t_end=t_end)
+
     def test_regime_flags(self):
         grid = TorusGrid(8, 8, 8)
         nu = 1e-2
@@ -151,6 +158,31 @@ class TestStepKinetic:
         )
         assert worst < 1e-10
 
+    def test_kappa_zero_step_is_the_per_mode_step_bit_for_bit(self):
+        # AC-11's setup: both layers run spectral.transport on the same factor
+        # rows, so every k2 >= 0 mode off the Nyquist rows agrees exactly
+        grid = TorusGrid(8, 8, 32)
+        params = KineticParams(kappa=0.0, nu=1e-3, grid=grid, dt=0.02, t_end=1.0)
+        rng = np.random.default_rng(11)
+        f = SpectralField.from_values(grid, 1.0 + 0.3 * rng.standard_normal(grid.shape)).dealiased()
+        modes = {
+            (a, b): ModeState(
+                k=(int(grid.k1[a]), int(grid.k2[b])), eta=AngularProfile(f.coeffs[a, b]), t=0.0, nu=1e-3
+            )
+            for a in range(8)
+            for b in range(4)
+            if (a, b) != (0, 0) and a != 4
+        }
+        assert len(modes) == 27
+        pair = make_influence(grid)
+        t = 0.0
+        for _ in range(50):
+            f = step_kinetic(f, params, pair, t)
+            t += params.dt
+            modes = {key: step_mode(s, params.dt) for key, s in modes.items()}
+        for (a, b), s in modes.items():
+            assert np.array_equal(f.coeffs[a, b], s.eta.coeffs), (a, b)
+
     def test_x_independent_matches_homogeneous(self):
         grid = TorusGrid(8, 8, 64)
         pair = make_influence(grid)
@@ -253,7 +285,7 @@ def _reference_transport_half(coeffs, grid, v_eff, half_dt):
         grid.k1[:, None, None] * np.cos(grid.theta)[None, None, :]
         + grid.k2[None, :, None] * np.sin(grid.theta)[None, None, :]
     )
-    phase = grid.theta_phase[None, None, :]
+    phase = (-1.0) ** grid.l
     mixed = np.fft.ifft(coeffs * phase, axis=2) * grid.n_theta
     mixed *= np.exp(-1j * v_eff * half_dt * geometry)
     out = np.fft.fft(mixed, axis=2) / grid.n_theta * phase
@@ -265,7 +297,7 @@ def _reference_alignment_rhs(coeffs, grid, multiplier, kappa):
     l = grid.l.astype(np.float64)
     l[grid.n_theta // 2] = 0.0
     mask = grid.dealias_mask
-    phase = grid.theta_phase[None, None, :]
+    phase = (-1.0) ** grid.l
     fd = np.where(mask, coeffs, 0.0)
     ld = np.where(mask, multiplier * coeffs, 0.0)
     fv = np.fft.ifftn(fd * phase) * grid.size
@@ -277,7 +309,7 @@ def _reference_alignment_rhs(coeffs, grid, multiplier, kappa):
 
 def _full_complex_values(f):
     """Collocation values by one full complex inverse transform (the oracle)."""
-    return np.fft.ifftn(f.coeffs * f.grid.theta_phase[None, None, :]) * f.grid.size
+    return np.fft.ifftn(f.coeffs * (-1.0) ** f.grid.l) * f.grid.size
 
 
 def _reference_step(coeffs, params, pair, t):
@@ -407,8 +439,7 @@ class TestHalfSpectrumStep:
         )
         cached = [
             f.half,
-            kinetic._half_geometry(grid),
-            kinetic._transport_factor(grid, 0.005),
+            spectral.transport_factor(*kinetic._half_wavenumbers(grid), grid.n_theta, 0.005),
             kinetic._half_mask(grid),
             kinetic._flux_factor(grid),
             *spectral._reflection(grid),

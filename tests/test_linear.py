@@ -9,6 +9,8 @@ from kvicsek.errors import NumericsError, SandwichViolation
 from kvicsek.linear import (
     HypoWeights,
     ModeState,
+    _hypo_rows,
+    _ramp,
     comparison_sandwich,
     cutoff_chi,
     ed_schedule,
@@ -18,12 +20,19 @@ from kvicsek.linear import (
     jk_field,
     measure_ed_rate,
     mixing_curve,
+    mixing_window,
     mode_hm1_norm,
     speed_constant,
     speed_decaying,
     step_mode,
 )
-from kvicsek.spectral import TWO_PI, AngularProfile, fft_wavenumbers, theta_points
+from kvicsek.spectral import (
+    TWO_PI,
+    AngularProfile,
+    fft_wavenumbers,
+    theta_derivative,
+    theta_points,
+)
 
 
 def random_mode(rng, n=64, band=None):
@@ -159,6 +168,22 @@ class TestHypoFunctional:
         assert terms.beta_term == pytest.approx(beta_term, rel=1e-6, abs=1e-18)
         assert terms.gamma_term == pytest.approx(gamma_term, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_parseval_terms_match_the_values_space_form(self, n):
+        # random complex rows with Nyquist content; theta_k off the grid
+        rng = np.random.default_rng(n)
+        eta = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        states = [
+            ModeState(k=k, eta=AngularProfile(row), t=2.0, nu=nu)
+            for k, nu, row in zip(((1, 2), (3, -1), (-2, 5)), (1e-3, 4e-3, 2e-2), eta)
+        ]
+        w = HypoWeights(1e-4)
+        got = _hypo_rows(eta, states, 2.0, w)
+        want = _values_space_terms(eta, states, 2.0, w)
+        for name in ("l2", "alpha_term", "beta_term", "gamma_term"):
+            g, v = getattr(got, name), getattr(want, name)
+            assert np.max(np.abs(g - v)) <= 1e-13 * np.max(np.abs(v)), name
+
     def test_monotone_decay_after_saturation(self):
         w = HypoWeights()
         for nu, k in [(1e-3, (1, 0)), (1e-4, (2, 1))]:
@@ -172,6 +197,25 @@ class TestHypoFunctional:
                 if s.t > t_sat and prev is not None:
                     assert val - prev <= 1e-10 * abs(prev)
                 prev = val if s.t > t_sat else None
+
+
+def _values_space_terms(eta, states, t, w):
+    """The four terms by quadrature on the theta collocation values (the form Parseval replaced)."""
+    n = eta.shape[-1]
+    quad = TWO_PI / n
+    values = np.array([AngularProfile(row).values for row in eta])
+    dvalues = np.array([AngularProfile(theta_derivative(n) * row).values for row in eta])
+    sinw = np.array([np.sin(theta_points(n) - s.theta_k) for s in states])
+    zr = [(_ramp(s, t), np.sqrt(s.nu / s.k_norm)) for s in states]
+    alpha, beta, gamma = np.array(
+        [(w.alpha * z * r, -w.beta * z**2, w.gamma * z**3 / r) for z, r in zr]
+    ).T
+    return SimpleNamespace(
+        l2=quad * np.sum(np.abs(values) ** 2, axis=-1),
+        alpha_term=alpha * quad * np.sum(np.abs(dvalues) ** 2, axis=-1),
+        beta_term=beta * quad * np.real(np.sum(1j * sinw * values * np.conj(dvalues), axis=-1)),
+        gamma_term=gamma * quad * np.sum(np.abs(sinw * values) ** 2, axis=-1),
+    )
 
 
 class TestSandwich:
@@ -240,6 +284,12 @@ class TestRates:
         with pytest.raises(ValueError):
             measure_ed_rate(s, horizon_factor=6.0)
 
+    @pytest.mark.parametrize("horizon_factor", [0.0, -2.0, np.nan])
+    def test_schedule_rejects_nonpositive_horizon(self, horizon_factor):
+        s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 32), t=0.0, nu=1e-2)
+        with pytest.raises(ValueError, match="horizon_factor must be > 0"):
+            ed_schedule(s, horizon_factor)
+
     def test_batch_over_two_time_steps_matches_per_state_calls(self):
         eta0 = AngularProfile.from_function(np.cos, 64)
         states = [ModeState(k=k, eta=eta0, t=0.0, nu=nu) for k in ((1, 0), (1, 1)) for nu in (0.5, 1e-2)]
@@ -271,6 +321,15 @@ class TestMixing:
         eta0 = AngularProfile.from_function(np.cos, 64)
         with pytest.raises(ValueError):
             mixing_curve(ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-2), horizon=100.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.05, np.nan, np.inf])
+    def test_window_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            mixing_window(1e-2, 10.0, dt)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one mode state"):
+            mixing_curve([], horizon=10.0)
 
     def test_batch_matches_per_state_calls(self):
         eta0 = AngularProfile.from_function(np.cos, 128)
@@ -409,6 +468,16 @@ class TestBatchedEvolution:
         ]
         with pytest.raises(SandwichViolation, match=r"k=\(0, 3\), nu=0.02"):
             evolve_mode(states, 0.05, 5, weights=bad_weights)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
+    def test_bad_dt_rejected(self, dt):
+        s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 16), t=0.0, nu=1e-2)
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            evolve_mode(s, dt, 3)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one mode state"):
+            evolve_mode([], 0.05, 3)
 
     def test_step_counts_and_cadence_are_checked(self):
         s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 16), t=0.0, nu=1e-2)

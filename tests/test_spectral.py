@@ -24,16 +24,16 @@ from kvicsek.spectral import (
     split_step,
     theta_derivative,
     theta_points,
+    transport_factor,
     write_snapshot,
     x_average,
 )
 from kvicsek.influence import make_influence
-from kvicsek.linear import _sin_offset, transport_factor
 
 
 def full_complex_values(f):
     """Collocation values by one full complex inverse transform (the oracle)."""
-    return np.fft.ifftn(f.coeffs * f.grid.theta_phase[None, None, :]) * f.grid.size
+    return np.fft.ifftn(f.coeffs * (-1.0) ** f.grid.l) * f.grid.size
 
 
 def random_real_field(grid, rng, band_fraction=3):
@@ -132,6 +132,12 @@ class TestBatchedSplitStep:
             split_step(g, 0.0, dt, heat, rhs=partial(rhs, kappa=kappa), kappa=kappa)
         others = [0, 2]
         split_step(g[others], 0.0, dt, heat, rhs=partial(rhs, kappa=kappa[others]), kappa=kappa[others])
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
+    def test_bad_dt_rejected(self, dt):
+        g, _ = self.rows()
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            split_step(g, 0.0, dt, np.ones(self.N))
 
 
 class TestAverageAndRemainder:
@@ -334,6 +340,52 @@ def test_snapshot_read_rejects_inconsistent_files(tmp_path, edit_header, payload
     assert str(path) in str(err.value)
 
 
+def _without(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def _with(**edit):
+    return lambda h: {**h, **edit}
+
+
+def _nan_payload(p):
+    return np.full(len(p) // 8, np.nan).tobytes()
+
+
+@pytest.mark.parametrize(
+    "header_edit,raw_header,payload_edit,match",
+    [
+        (None, b"", None, "not JSON"),
+        (None, b"snapshot", None, "not JSON"),
+        (None, b"[8, 8, 12]", None, "header is list, expected an object"),
+        (_without("n_theta"), None, None, "n_theta must be an even integer >= 4, got None"),
+        (_with(n_x1="4"), None, None, "n_x1 must be an even integer >= 4, got '4'"),
+        (_with(n_x2=4.0), None, None, "n_x2 must be an even integer >= 4, got 4.0"),
+        (_with(n_theta=True), None, None, "n_theta must be an even integer >= 4, got True"),
+        (_with(n_x1=5), None, None, "n_x1 must be an even integer >= 4, got 5"),
+        (_without("time"), None, None, "time None, expected a finite number"),
+        (_with(time=float("nan")), None, None, "time nan, expected a finite number"),
+        (_with(time="0.5"), None, None, "time '0.5', expected a finite number"),
+        (None, None, _nan_payload, "non-finite coefficients"),
+    ],
+    ids=[
+        "empty", "not-json", "not-an-object", "missing-count", "string-count", "float-count",
+        "bool-count", "odd-count", "missing-time", "nan-time", "string-time", "nan-payload",
+    ],
+)
+def test_snapshot_read_checks_the_whole_header(tmp_path, header_edit, raw_header, payload_edit, match):
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, random_real_field(TorusGrid(8, 8, 12), np.random.default_rng(9)), time=0.5)
+    with open(path, "rb") as fh:
+        header, payload = json.loads(fh.readline()), fh.read()
+    line = raw_header if raw_header is not None else json.dumps((header_edit or dict)(header)).encode()
+    payload = (payload_edit or bytes)(payload)
+    path.write_bytes(line + b"\n" + payload if line else b"")
+    with pytest.raises(ValueError, match=re.escape(match)) as err:
+        read_snapshot(path)
+    assert str(path) in str(err.value)
+
+
 def test_grid_caches_are_read_only():
     grid = TorusGrid(8, 12, 16)
     for arr in (
@@ -343,8 +395,7 @@ def test_grid_caches_are_read_only():
         theta_derivative(16),
         diffusion_factor(16, 0.1, 0.01),
         dealias_keep(16),
-        transport_factor((1, 2), 16, 1.0, 0.01),
-        _sin_offset(16, 0.3),
+        transport_factor((1,), (2,), 16, 0.005),
     ):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
