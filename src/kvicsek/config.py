@@ -1,4 +1,4 @@
-"""Flat key-value configuration, the typed option resolver, run manifests, and CSV output."""
+"""Flat key-value configuration, the typed option resolver, the run schedule, manifests and CSV output."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import math
 import time
 from pathlib import Path
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -79,6 +81,16 @@ def _in_range(key: str, value: float) -> float:
 def step_count(t_end: float, dt: float) -> int:
     """Steps of size dt that a run to t_end takes: t_end / dt, rounded."""
     return int(round(t_end / dt))
+
+
+def step_times(t0: float, dt: float, n: int) -> np.ndarray:
+    """t0 and the time after each of n steps, accumulated one dt at a time (``t += dt``, bit for bit)."""
+    return np.cumsum(np.r_[t0, np.full(n, dt)])
+
+
+def due(m, n, every):
+    """Whether a run of n steps samples after its m-th step (m = 0 is the start): every k-th and the last."""
+    return (m % every == 0) | (m == n)
 
 
 def resolve_options(raw: Mapping[str, str], table: Mapping[str, object]) -> dict[str, object]:

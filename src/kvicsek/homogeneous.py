@@ -17,7 +17,8 @@ form and the kinetic solver's step-size guard.  ``evolve_homogeneous``
 advances a sequence of states that share n_theta, nu and t as one stack
 of rows with kappa per row (the ratios of a phase diagram), with the
 RHS and the guard evaluated row-wise; a single state, and
-``step_homogeneous``, are batches of one.
+``step_homogeneous``, are batches of one.  The stack runs through
+``spectral.evolve_rows``, on the clock of the kinetic and per-mode layers.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .spectral import (
     AngularProfile,
     dealias_keep,
     diffusion_factor,
+    evolve_rows,
     split_step,
     theta_derivative,
     theta_points,
@@ -113,7 +115,7 @@ def evolve_homogeneous(
 
     ``s`` is one state or a sequence of states that share n_theta, nu and
     t, with kappa per state; a sequence is stepped as one stack of rows
-    by ``split_step`` and gives one trajectory per state, in order.
+    by ``spectral.evolve_rows`` and gives one trajectory per state, in order.
     Raises NumericsError naming the row on NaN at a sample.
     """
     states = [s] if isinstance(s, HomogeneousState) else list(s)
@@ -122,44 +124,30 @@ def evolve_homogeneous(
     first = states[0]
     if any((x.g.n, x.nu, x.t) != (first.g.n, first.nu, first.t) for x in states):
         raise ValueError("batched homogeneous states must share n_theta, nu and t")
-    if n_steps < 0 or sample_every < 1:
-        raise ValueError("n_steps must be >= 0 and sample_every >= 1")
     heat = diffusion_factor(first.g.n, first.nu, dt)
-    kappa = np.array([[x.kappa] for x in states])
-    rhs = partial(_alignment_rhs, psi_coeffs=kernel.psi.coeffs, kappa=kappa)
-    c = np.stack([x.g.coeffs for x in states])
-    t0 = first.t
-    ts, ms, fs, ds = [], [], [], []
+    records = [[] for _ in states]
+    final = list(states)
 
-    def sample(t, rows):
-        ts.append(t)
-        ms.append([x.order_parameter for x in rows])
-        if record_energy:
-            fs.append([free_energy(x, kernel) for x in rows])
-            ds.append([fisher_information(x, kernel) for x in rows])
-        return rows
+    def sample(rows, c, t):
+        finite = np.isfinite(c).all(axis=-1)
+        if not finite.all():
+            raise NumericsError(f"NaN in homogeneous evolution near t={t} in row {rows[np.argmin(finite)]}")
+        for j, g in zip(rows, c):
+            x = final[j] = replace(states[j], g=AngularProfile(g), t=float(t))
+            energy = (free_energy(x, kernel), fisher_information(x, kernel)) if record_energy else ()
+            records[j].append((x.t, x.order_parameter, *energy))
 
-    final = sample(t0, states)
-    for i in range(n_steps):
-        c = split_step(c, t0 + i * dt, dt, heat, rhs=rhs, kappa=kappa)
-        if (i + 1) % sample_every == 0 or i == n_steps - 1:
-            t = t0 + (i + 1) * dt
-            if not np.isfinite(c).all():
-                row = int(np.argmin(np.isfinite(c).all(axis=-1)))
-                raise NumericsError(f"NaN in homogeneous evolution near t={t} in row {row}")
-            final = sample(t, [replace(x, g=AngularProfile(g), t=t) for x, g in zip(states, c)])
+    def stepper(rows):
+        kappa = np.array([[states[j].kappa] for j in rows])
+        rhs = partial(_alignment_rhs, psi_coeffs=kernel.psi.coeffs, kappa=kappa)
+        return lambda c, t: split_step(c, t, dt, heat, rhs=rhs, kappa=kappa)
 
-    ms, fs, ds = np.asarray(ms), np.asarray(fs), np.asarray(ds)
-    out = [
-        HomogeneousTrajectory(
-            t=np.asarray(ts),
-            order_parameter=ms[:, j],
-            free_energy=fs[:, j] if record_energy else None,
-            fisher=ds[:, j] if record_energy else None,
-            final=x,
-        )
-        for j, x in enumerate(final)
-    ]
+    evolve_rows(np.stack([x.g.coeffs for x in states]), first.t, dt, n_steps, sample_every, stepper, sample)
+    out = []
+    for x, rec in zip(final, records):
+        t, m, *energy = (np.asarray(col) for col in zip(*rec))
+        fe, fi = energy or (None, None)
+        out.append(HomogeneousTrajectory(t=t, order_parameter=m, free_energy=fe, fisher=fi, final=x))
     return out[0] if isinstance(s, HomogeneousState) else out
 
 

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import step_count
+from .config import due, step_count, step_times
 from .errors import NumericsError
 from .influence import InfluencePair
 from .linear import speed_constant
@@ -251,8 +251,8 @@ def run_experiment(
         raise ValueError("sample_every must be >= 1")
 
     n_steps = step_count(params.t_end, params.dt)
+    times = step_times(0.0, params.dt, n_steps).tolist()
     f = f0
-    t = 0.0
     rows = []
     snapshots: list[Path] = []
     warned_negative = False
@@ -279,26 +279,14 @@ def run_experiment(
             )
         )
 
-    sample(f, t)
-    for i in range(n_steps):
-        f = step_kinetic(f, params, kernels, t)
-        t += params.dt
-        if (i + 1) % sample_every == 0 or i == n_steps - 1:
-            sample(f, t)
-        if snapshot_every > 0 and ((i + 1) % snapshot_every == 0 or i == n_steps - 1):
-            path = Path(out_dir) / f"snapshot_{i + 1:08d}.bin"
-            write_snapshot(path, f, time=t, parameters={"kappa": params.kappa, "nu": params.nu})
+    sample(f, times[0])
+    for step in range(1, n_steps + 1):
+        f = step_kinetic(f, params, kernels, times[step - 1])
+        if due(step, n_steps, sample_every):
+            sample(f, times[step])
+        if snapshot_every > 0 and due(step, n_steps, snapshot_every):
+            path = Path(out_dir) / f"snapshot_{step:08d}.bin"
+            write_snapshot(path, f, time=times[step], parameters={"kappa": params.kappa, "nu": params.nu})
             snapshots.append(path)
 
-    cols = list(zip(*rows))
-    return KineticRun(
-        t=np.asarray(cols[0]),
-        fneq_l2=np.asarray(cols[1]),
-        fneq_hm1=np.asarray(cols[2]),
-        favg_l2=np.asarray(cols[3]),
-        min_f=np.asarray(cols[4]),
-        mass=np.asarray(cols[5]),
-        order_parameter=np.asarray(cols[6]),
-        snapshots=snapshots,
-        final=f,
-    )
+    return KineticRun(*(np.asarray(col) for col in zip(*rows)), snapshots=snapshots, final=f)

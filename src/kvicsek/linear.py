@@ -20,13 +20,14 @@ beta^2 <= alpha gamma.
 The step is ``spectral.split_step`` at kappa = 0 with the kinetic
 layer's ``spectral.transport``: the kinetic step restricted to single
 x-Fourier modes.  ``evolve_mode`` advances a stack of modes, one row per
-(k, nu) with its own step count and sampling cadence, through one
-``split_step`` call per step, and evaluates the norms and the comparison
-sandwich row-wise by Parseval sums; ``step_mode`` and a
-single-state ``evolve_mode`` are batches of one.  The two measurements
-are ``evolve_mode`` batches too: ``measure_ed_rate`` runs its states on
-their ``ed_schedule``, one stack per time step, and ``mixing_curve``
-runs its states as one stack sampled every step.
+(k, nu) with its own step count and sampling cadence, through
+``spectral.evolve_rows`` (shared with the homogeneous layer), and
+evaluates the norms and the comparison sandwich row-wise by Parseval
+sums; ``step_mode`` and a single-state ``evolve_mode`` are batches of
+one.  The two measurements are ``evolve_mode`` batches too:
+``measure_ed_rate`` runs its states on their ``ed_schedule``, one stack
+per time step, and ``mixing_curve`` runs its states as one stack sampled
+every step.
 """
 
 from __future__ import annotations
@@ -37,12 +38,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import due, step_times
 from .errors import NumericsError, SandwichViolation
 from .fitting import MIN_SAMPLES, fit_rate
 from .spectral import (
     TWO_PI,
     AngularProfile,
+    _check_dt,
     diffusion_factor,
+    evolve_rows,
     fft_wavenumbers,
     split_step,
     theta_derivative,
@@ -247,20 +251,9 @@ class ModeSeries:
     zeta: np.ndarray
 
 
-def _step_times(t0: float, dt: float, n_steps: int) -> np.ndarray:
-    """t0 and the time after each of n_steps steps, accumulated one dt at a time like step_mode."""
-    return np.cumsum(np.r_[t0, np.full(n_steps, dt)])
-
-
-def _due(m, n_steps, sample_every):
-    """Whether a row is sampled after its m-th step (m = 0 is the start)."""
-    return (m % sample_every == 0) | (m == n_steps)
-
-
 def sample_times(t0: float, dt: float, n_steps: int, sample_every: int) -> np.ndarray:
-    """The times at which ``evolve_mode`` samples a row, in its own arithmetic."""
-    m = np.arange(n_steps + 1)
-    return _step_times(t0, dt, n_steps)[_due(m, n_steps, sample_every)]
+    """The times at which ``evolve_mode`` samples a row: ``step_times`` where ``due``."""
+    return step_times(t0, dt, n_steps)[due(np.arange(n_steps + 1), n_steps, sample_every)]
 
 
 def evolve_mode(
@@ -286,10 +279,6 @@ def evolve_mode(
         raise ValueError("evolve_mode needs at least one mode state")
     if any((x.t, x.eta.n) != (states[0].t, states[0].eta.n) for x in states):
         raise ValueError("batched mode states must share t and n_theta")
-    n_steps = np.broadcast_to(n_steps, len(states))
-    every = np.broadcast_to(sample_every, len(states))
-    if np.any(n_steps < 0) or np.any(every < 1):
-        raise ValueError("n_steps must be >= 0 and sample_every >= 1")
     rows = [[] for _ in states]
 
     def sample(idx, eta, t):
@@ -305,25 +294,10 @@ def evolve_mode(
         for j, x, *cols in zip(idx, picked, l2, hm1, val, lo, up):
             rows[j].append((t, *cols, _ramp(x, t)))
 
-    c = np.stack([x.eta.coeffs for x in states])
-    times = _step_times(states[0].t, dt, int(np.max(n_steps, initial=0)))
-    sample(range(len(states)), c, times[0])
-    done = 0
-    for end in sorted(set(n_steps.tolist()) - {0}):
-        active = np.flatnonzero(n_steps >= end)
-        step = _mode_step([states[j] for j in active], dt)
-        steps = np.arange(done + 1, end + 1)
-        due = _due(steps[:, None], n_steps[active], every[active])
-        ca = c[active]
-        for m, d, n_due in zip(steps.tolist(), due, np.count_nonzero(due, axis=1).tolist()):
-            ca = step(ca, times[m - 1])
-            if n_due == len(active):
-                sample(active, ca, times[m])
-            elif n_due:
-                sample(active[d], ca[d], times[m])
-        c[active] = ca
-        done = end
-
+    c = evolve_rows(
+        np.stack([x.eta.coeffs for x in states]), states[0].t, dt, n_steps, sample_every,
+        lambda idx: _mode_step([states[j] for j in idx], dt), sample,
+    )
     out = []
     for x, eta, samples in zip(states, c, rows):
         final = replace(x, eta=AngularProfile(eta), t=float(samples[-1][0]))
@@ -382,6 +356,8 @@ def measure_ed_rate(
     and stops once the norm falls below UNDERFLOW_FLOOR of its start.
     """
     states = [s] if isinstance(s, ModeState) else list(s)
+    if not states:
+        raise ValueError("measure_ed_rate needs at least one mode state")
     plans = [ed_schedule(x, horizon_factor) for x in states]
     if any(x.eta.norm_l2() == 0.0 for x in states):
         raise ValueError("eta0 must be nonzero")
@@ -416,8 +392,7 @@ def mixing_window(nu: float, horizon: float, dt: float) -> tuple[float, float]:
     Raises ValueError unless dt is finite and > 0, horizon <= 2 nu^{-1/2}, where
     phase mixing is seen, and the window holds MIN_SAMPLES of the curve's sample times.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    _check_dt(dt)
     if horizon > 2.0 / np.sqrt(nu):
         raise ValueError("horizon beyond 2 nu^{-1/2} leaves the mixing window")
     window = (1.0, min(horizon, 1.0 / np.sqrt(nu)))

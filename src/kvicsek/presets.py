@@ -24,7 +24,7 @@ from . import agents as ag
 from . import homogeneous as hom
 from . import kinetic as kin
 from . import linear as lin
-from .config import parse_option, resolve_options, step_count, write_csv, write_manifest
+from .config import due, parse_option, resolve_options, step_count, write_csv, write_manifest
 from .errors import ConfigError, NumericsError
 from .influence import angular_kernel, make_influence
 from .spectral import TWO_PI, AngularProfile, TorusGrid, theta_points, write_header_and_payload
@@ -230,12 +230,12 @@ def _kinetic(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
 # ---------------------------------------------------------------------------
 
 
-@_preset("homogeneous", ratio=4.0, kappa=lambda o: o["ratio"] * o["nu"], nu=0.1,
-         n_theta=256, dt=0.005, t_end=50.0, amplitude=0.2, sample_every=10)
+@_preset("homogeneous", ratio=4.0, nu=0.1, n_theta=256, dt=0.005, t_end=50.0, amplitude=0.2,
+         sample_every=10)
 def _homogeneous(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
     kernel = angular_kernel(o["n_theta"])
     g0 = perturbed_profile(o["n_theta"], o["amplitude"], cfg.seed)
-    state = hom.HomogeneousState(g=g0, t=0.0, kappa=o["kappa"], nu=o["nu"])
+    state = hom.HomogeneousState(g=g0, t=0.0, kappa=o["ratio"] * o["nu"], nu=o["nu"])
 
     def run() -> list[Path]:
         traj = hom.evolve_homogeneous(
@@ -303,15 +303,15 @@ def _agents(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
         paths: list[Path] = []
         m = ag.order_parameter(e)
         rows.append((e.t, m.real, m.imag, abs(m)))
-        for i in range(n_steps):
+        for step in range(1, n_steps + 1):
             e = ag.em_step(e, dt)
-            if (i + 1) % o["sample_every"] == 0 or i == n_steps - 1:
+            if due(step, n_steps, o["sample_every"]):
                 m = ag.order_parameter(e)
                 rows.append((e.t, m.real, m.imag, abs(m)))
-            if snapshot_every > 0 and ((i + 1) % snapshot_every == 0 or i == n_steps - 1):
+            if snapshot_every > 0 and due(step, n_steps, snapshot_every):
                 header = {"n": e.n, "time": e.t, "layout": "rows (x1,x2,theta) float64 little-endian"}
                 payload = np.column_stack([e.x, e.theta]).astype("<f8")
-                path = cfg.out_dir / f"agents_{i + 1:08d}.bin"
+                path = cfg.out_dir / f"agents_{step:08d}.bin"
                 paths.append(write_header_and_payload(path, header, payload))
         paths.append(write_csv(cfg.out_dir / "agents.csv", ["t", "re_m", "im_m", "abs_m"], rows))
         return paths
@@ -346,9 +346,9 @@ def _compare(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
         times = [e.t]
         m_sde = [abs(ag.order_parameter(e))]
         n_steps = step_count(t_end, dt_sde)
-        for i in range(n_steps):
+        for step in range(1, n_steps + 1):
             e = ag.em_step(e, dt_sde)
-            if (i + 1) % max(1, n_steps // 200) == 0 or i == n_steps - 1:
+            if due(step, n_steps, max(1, n_steps // 200)):
                 times.append(e.t)
                 m_sde.append(abs(ag.order_parameter(e)))
         times = np.asarray(times)

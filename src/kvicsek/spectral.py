@@ -23,7 +23,8 @@ for its transport sub-step ``transport``, the ``transport_factor``.
 Its leading axes are a batch: the 1-D layers stack independent rows
 ``c[batch, n_theta]`` (one per alignment strength, or per x-mode and
 viscosity) and advance them in one call, with the alignment step-size
-guard evaluated per row.
+guard evaluated per row.  ``evolve_rows``, the one row loop of both 1-D
+layers, steps such a stack on the ``config`` clock and cadence.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import due, step_times
 from .errors import StepSizeError
 
 TWO_PI = 2.0 * np.pi
@@ -79,9 +81,15 @@ def theta_derivative(n: int) -> np.ndarray:
     return _readonly(1j * l)
 
 
+def _check_dt(dt: float) -> None:
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+
+
 @lru_cache(maxsize=64)
 def diffusion_factor(n: int, nu: float, dt: float) -> np.ndarray:
-    """exp(-nu l^2 dt): exact angular diffusion over dt."""
+    """exp(-nu l^2 dt), exact angular diffusion over dt; ValueError, before caching, on a bad dt."""
+    _check_dt(dt)
     l = fft_wavenumbers(n).astype(np.float64)
     return _readonly(np.exp(-nu * l**2 * dt))
 
@@ -313,8 +321,7 @@ def split_step(
     != 0 at the first stage of either Heun step; StepSizeError names the
     first row that breaks it and its sup.  ValueError: dt not finite and > 0.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    _check_dt(dt)
 
     def align_half(c):
         h = 0.5 * dt
@@ -340,6 +347,36 @@ def split_step(
         c = align_half(c)
     if advect is not None:
         c = advect(c, t + 0.75 * dt)
+    return c
+
+
+def evolve_rows(c: np.ndarray, t0: float, dt: float, n_steps, every, stepper, sample) -> np.ndarray:
+    """The row loop of the 1-D layers: advance the stack c[batch, n_theta] in place and return it.
+
+    Row j takes n_steps[j] steps (an int or one per row, as ``every``), then leaves the stack;
+    ``stepper(rows)`` is the step (c, t) -> c of the rows still running.  ``sample(rows, c[rows], t)``
+    runs at t0 and where ``config.due`` says, at the times of ``config.step_times``.
+    """
+    n_steps = np.broadcast_to(n_steps, len(c))
+    every = np.broadcast_to(every, len(c))
+    if np.any(n_steps < 0) or np.any(every < 1):
+        raise ValueError("n_steps must be >= 0 and sample_every >= 1")
+    times = step_times(t0, dt, int(np.max(n_steps, initial=0)))
+    sample(np.arange(len(c)), c, times[0])
+    ends = sorted(set(n_steps.tolist()) - {0})
+    for start, end in zip([0, *ends], ends):
+        active = np.flatnonzero(n_steps >= end)
+        step = stepper(active)
+        steps = np.arange(start + 1, end + 1)
+        sampled = due(steps[:, None], n_steps[active], every[active])
+        ca = c[active]
+        for m, d, n_due in zip(steps.tolist(), sampled, np.count_nonzero(sampled, axis=1).tolist()):
+            ca = step(ca, times[m - 1])
+            if n_due == len(active):
+                sample(active, ca, times[m])
+            elif n_due:
+                sample(active[d], ca[d], times[m])
+        c[active] = ca
     return c
 
 

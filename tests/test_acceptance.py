@@ -12,6 +12,7 @@ import pytest
 from scipy.special import ive
 
 import kvicsek.agents as ag
+from kvicsek.config import step_count
 from kvicsek.fitting import fit_rate
 from kvicsek.homogeneous import (
     HomogeneousState,
@@ -42,6 +43,7 @@ from kvicsek.spectral import (
     SpectralField,
     TorusGrid,
     fft_wavenumbers,
+    remainder,
     x_average,
 )
 
@@ -418,4 +420,47 @@ def test_ac13_inhomogeneous_sde_pde_agreement():
         f"bump-Phi agents (N={AC13_N}) vs kinetic PDE on x-inhomogeneous data: max |m| gap "
         f"{gap_m:.4f} <= {AC13_BAND_M}, max |rho(1,0)| gap {gap_rho:.4f} <= {AC13_BAND_RHO}; "
         f"alignment moves m by {drift_effect:.3f} >= {2 * AC13_BAND_M}; {elapsed:.0f}s <= 60s",
+    )
+
+
+def test_ac14_kinetic_phase_transition():
+    # x-inhomogeneous data mix away and the x-average then follows the homogeneous
+    # dynamics through kappa/nu = 2: decay to m = 0 at ratio 1.5, |m| -> r2 at ratio 4
+    t0 = time.time()
+    grid = TorusGrid(8, 8, 32)
+    nu, dt, t_end, every = 0.25, 0.02, 40.0, 50
+    kernels = make_influence(grid, phi="bump", sigma=1.0)
+    g0 = perturbed_profile(32, 0.2, seed=8)
+    avg = SpectralField.from_values(grid, np.broadcast_to(g0.values.real, grid.shape))
+    f0 = SpectralField(grid, avg.coeffs + remainder(default_initial(grid, 0.5 / TWO_PI**3)).coeffs)
+    ratios = (1.5, 4.0)
+    runs = [
+        run_experiment(KineticParams(kappa=r * nu, nu=nu, grid=grid, dt=dt, t_end=t_end), kernels, f0, every)
+        for r in ratios
+    ]
+    homs = evolve_homogeneous(
+        [HomogeneousState(g=g0, t=0.0, kappa=r * nu, nu=nu) for r in ratios],
+        angular_kernel(32), dt, step_count(t_end, dt), sample_every=every,
+    )
+    gap = max(np.max(np.abs(run.order_parameter - hom.order_parameter)) for run, hom in zip(runs, homs))
+    same_clock = all(np.array_equal(run.t, hom.t) for run, hom in zip(runs, homs))
+    m_low, m_high = (np.abs(run.order_parameter) for run in runs)
+    decay_low, decay_high = (run.fneq_l2[-1] / run.fneq_l2[0] for run in runs)
+    r2 = solve_compatibility(4.0).r2
+    elapsed = time.time() - t0
+    ok = (
+        gap <= 1e-5
+        and same_clock
+        and m_low[-1] <= 0.1 * m_low[0]
+        and decay_low <= 1e-3
+        and abs(m_high[-1] - r2) <= 1e-3
+        and elapsed <= 10.0
+    )
+    report(
+        "AC-14",
+        ok,
+        f"kinetic vs homogeneous |m| gap {gap:.1e} <= 1e-5; ratio 1.5: |m| {m_low[0]:.4f} -> "
+        f"{m_low[-1]:.5f} <= 0.1 |m(0)|, remainder L2 x{decay_low:.1e} <= 1e-3; ratio 4: "
+        f"|m| - r2 = {abs(m_high[-1] - r2):.1e} <= 1e-3, remainder L2 only x{decay_high:.3f} "
+        f"(slow in the ordered phase); {elapsed:.1f}s <= 10s",
     )

@@ -304,7 +304,7 @@ class TestCli:
             ["mixing", "--nu", "1e-2", "--n-theta", "64", "--horizon", "0.5"],
             ["linear-ed", "--nu-list", "1e-2,0.01,1.0000001e-2", "--n-theta", "64"],
             ["mixing", "--k-list", "1,0;1,0", "--nu", "1e-2", "--n-theta", "64", "--horizon", "10"],
-            ["homogeneous", "--kappa", "-0.4", "--t-end", "1"],
+            ["homogeneous", "--ratio", "-0.4", "--t-end", "1"],
             ["agents", "--kappa", "-1", "--n", "256", "--t-end", "0.2"],
         ],
     )
@@ -314,6 +314,13 @@ class TestCli:
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == 2
         assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_homogeneous_has_one_spelling_of_kappa(self, tmp_path, capsys):
+        # kappa is ratio * nu; a second spelling would let one of them be ignored
+        out = tmp_path / "run"
+        assert main(["homogeneous", "--ratio", "1", "--kappa", "0.5", "--out", str(out)]) == 2
+        assert "--kappa" in capsys.readouterr().err
         assert not out.exists()
 
     def test_happy_path_kinetic(self, tmp_path, capsys):
@@ -423,11 +430,12 @@ def _bench_workloads():
 
 
 @pytest.mark.parametrize("size", ["smoke", "full"])
-def test_sweep_workload_matches_bench_reference(tmp_path, size):
-    """The bench sweep workload at seed 0 passes its output checks and its recorded reference."""
+@pytest.mark.parametrize("name", ["kinetic", "sweep", "agents", "compare"])
+def test_bench_workload_matches_reference(tmp_path, name, size):
+    """Each bench workload at seed 0 passes its output checks and its recorded reference."""
     workloads = _bench_workloads()
-    sweep = workloads.WORKLOADS["sweep"]
-    out = sweep.run(sweep.setup(0, sweep.sizes[size], tmp_path))
-    assert sweep.check(out, sweep.sizes[size]) == []
-    ref = json.loads((ROOT / "bench" / "reference" / f"sweep-{size}.json").read_text())
+    workload = workloads.WORKLOADS[name]
+    out = workload.run(workload.setup(0, workload.sizes[size], tmp_path))
+    assert workload.check(out, workload.sizes[size]) == []
+    ref = json.loads((ROOT / "bench" / "reference" / f"{name}-{size}.json").read_text())
     assert workloads.compare_reference(workloads.output_tables(out), ref) == []

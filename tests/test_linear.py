@@ -290,6 +290,10 @@ class TestRates:
         with pytest.raises(ValueError, match="horizon_factor must be > 0"):
             ed_schedule(s, horizon_factor)
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one mode state"):
+            measure_ed_rate([])
+
     def test_batch_over_two_time_steps_matches_per_state_calls(self):
         eta0 = AngularProfile.from_function(np.cos, 64)
         states = [ModeState(k=k, eta=eta0, t=0.0, nu=nu) for k in ((1, 0), (1, 1)) for nu in (0.5, 1e-2)]

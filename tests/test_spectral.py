@@ -7,9 +7,12 @@ from functools import partial
 import numpy as np
 import pytest
 
+from kvicsek.config import due, step_times
 from kvicsek.errors import StepSizeError
-from kvicsek.homogeneous import _alignment_rhs
+from kvicsek.homogeneous import HomogeneousState, _alignment_rhs, constant_state, evolve_homogeneous
 from kvicsek.influence import angular_kernel
+from kvicsek.kinetic import KineticParams, run_experiment
+from kvicsek.linear import ModeState, evolve_mode
 from kvicsek.presets import perturbed_profile
 from kvicsek.spectral import (
     TWO_PI,
@@ -18,6 +21,7 @@ from kvicsek.spectral import (
     TorusGrid,
     dealias_keep,
     diffusion_factor,
+    evolve_rows,
     norm,
     read_snapshot,
     remainder,
@@ -138,6 +142,69 @@ class TestBatchedSplitStep:
         g, _ = self.rows()
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             split_step(g, 0.0, dt, np.ones(self.N))
+
+
+class TestRunSchedule:
+    """The one clock and cadence of ``config``, and ``evolve_rows``, the row loop of the 1-D layers."""
+
+    def test_clock_is_a_chain_of_single_steps(self):
+        t, chain = 0.25, [0.25]
+        for _ in range(1000):
+            t += 0.005
+            chain.append(t)
+        assert np.array_equal(step_times(0.25, 0.005, 1000), chain)
+
+    def test_cadence_is_start_every_kth_and_last(self):
+        assert np.flatnonzero(due(np.arange(11), 10, 4)).tolist() == [0, 4, 8, 10]
+        assert due(7, 7, 3) and due(6, 7, 3) and not due(5, 7, 3)
+
+    def test_every_layer_reports_one_clock(self):
+        dt, n_steps, every = 0.1, 23, 5
+        grid = TorusGrid(4, 4, 8)
+        params = KineticParams(kappa=0.0, nu=0.1, grid=grid, dt=dt, t_end=n_steps * dt)
+        f0 = SpectralField.from_values(grid, np.ones(grid.shape))
+        kinetic = run_experiment(params, make_influence(grid), f0, sample_every=every)
+        hom = evolve_homogeneous(constant_state(8, 0.0, 0.1), angular_kernel(8), dt, n_steps, every)
+        s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 8), t=0.0, nu=0.1)
+        _, mode = evolve_mode(s, dt, n_steps, sample_every=every)
+        assert len(kinetic.t) == 6
+        assert np.array_equal(kinetic.t, hom.t) and np.array_equal(kinetic.t, mode.t)
+        assert kinetic.t[2] != 10 * dt  # ten steps accumulated, not t0 + 10 dt
+
+    def test_rows_leave_the_stack_after_their_last_step(self):
+        built, seen = [], []
+
+        def stepper(rows):
+            built.append(rows.tolist())
+            return lambda c, t: c + 1.0
+
+        c = evolve_rows(
+            np.zeros((3, 4)), 0.0, 0.5, [4, 0, 2], [3, 1, 1], stepper,
+            lambda rows, c, t: seen.append((rows.tolist(), c[:, 0].tolist(), float(t))),
+        )
+        assert c[:, 0].tolist() == [4.0, 0.0, 2.0]
+        assert built == [[0, 2], [0]]
+        assert seen == [
+            ([0, 1, 2], [0.0, 0.0, 0.0], 0.0),
+            ([2], [1.0], 0.5),
+            ([2], [2.0], 1.0),
+            ([0], [3.0], 1.5),
+            ([0], [4.0], 2.0),
+        ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dt", [np.inf, np.nan, -0.1, 0.0])
+    @pytest.mark.parametrize("layer", ["mode", "homogeneous"])
+    def test_bad_dt_rejected_before_any_table_is_cached(self, layer, dt):
+        diffusion_factor.cache_clear()
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            if layer == "mode":
+                s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 16), t=0.0, nu=0.1)
+                evolve_mode(s, dt, 3)
+            else:
+                s = HomogeneousState(g=perturbed_profile(16, 0.2, seed=1), t=0.0, kappa=0.2, nu=0.1)
+                evolve_homogeneous(s, angular_kernel(16), dt, 3)
+        assert diffusion_factor.cache_info().currsize == 0
 
 
 class TestAverageAndRemainder:
