@@ -28,12 +28,12 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ive
 
 from .errors import StepSizeError
+from .homogeneous import bessel_ratios
 from .influence import InfluencePair
 from .linear import speed_constant, wrap_angle
-from .spectral import TWO_PI, AngularProfile, SpectralField, TorusGrid, theta_points
+from .spectral import TWO_PI, AngularProfile, SpectralField, TorusGrid, _check_dt, theta_points
 
 _PAIRWISE_CHUNK = 512
 
@@ -225,8 +225,7 @@ def em_step(e: AgentEnsemble, dt: float, noise: np.ndarray | None = None) -> Age
 
     Guard: dt * kappa * max|Phi| * max|Psi| <= 0.1.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     if dt * e.kappa * e.influence.phi_max * e.influence.psi_max > 0.1:
         raise StepSizeError("dt violates the drift guard dt*kappa*max|Phi Psi| <= 0.1")
     drift = angular_drift(e)
@@ -281,22 +280,14 @@ def order_parameter(e: AgentEnsemble) -> complex:
 def empirical_density(e: AgentEnsemble, grid: TorusGrid, bandwidth: float = 0.3) -> SpectralField:
     """Periodic von Mises product-kernel density estimate, total mass one.
 
-    Computed exactly in coefficient space: the KDE coefficients are the
-    empirical characteristic function times the kernel coefficients
-    I_k(1/h^2) / (2pi I_0(1/h^2)) per axis, truncated to the grid.
+    Computed exactly in coefficient space: the empirical characteristic
+    function times I_k(1/h^2) / (2pi I_0(1/h^2)) per axis (``bessel_ratios``)
+    on the grid.  ValueError unless the bandwidth h is finite and > 0.
     """
-    c = 1.0 / bandwidth**2
-
-    def axis_weights(ks: np.ndarray) -> np.ndarray:
-        return ive(np.abs(ks), c) / ive(0, c)
-
-    w1 = axis_weights(grid.k1)
-    w2 = axis_weights(grid.k2)
-    w3 = axis_weights(grid.l)
-
+    if not (np.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth}")
+    ratios = np.array(bessel_ratios(1.0 / bandwidth**2, max(grid.shape) // 2))
+    w1, w2, w3 = (ratios[np.abs(ks)] for ks in (grid.k1, grid.k2, grid.l))
     s = _characteristic(_phases(e.x[:, 0], -grid.k1), _phases(e.x[:, 1], -grid.k2), _phases(e.theta, -grid.l))
-
-    kernel = (
-        w1[:, None, None] * w2[None, :, None] * w3[None, None, :] / TWO_PI**3
-    )
+    kernel = w1[:, None, None] * w2[None, :, None] * w3[None, None, :] / TWO_PI**3
     return SpectralField(grid, kernel * s)

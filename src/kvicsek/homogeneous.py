@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +58,8 @@ class HomogeneousState:
     def __post_init__(self):
         if abs(self.g.mass - 1.0) > 1e-10:
             raise ValueError(f"g must have unit mass, got {self.g.mass}")
+        if not (math.isfinite(self.kappa) and math.isfinite(self.nu) and self.nu > 0):
+            raise ValueError(f"kappa must be finite and nu finite and > 0, got {self.kappa}, {self.nu}")
 
     @property
     def order_parameter(self) -> complex:
@@ -229,45 +233,33 @@ def linear_stability(kernel: AngularKernel, kappa: float, nu: float, l_max: int)
 # Modified Bessel ratio and the compatibility condition
 # ---------------------------------------------------------------------------
 
-_SERIES_CUT = 15.0
+
+def bessel_ratios(z, n: int) -> list:
+    """[I_k(z)/I_0(z) for k = 0..n] as a list; [1, 0, ..., 0] at z = 0.
+
+    t_k = I_k/I_{k-1} satisfies 1/t_k = 2k/z + t_{k+1}: the continued
+    fraction runs as a backward recurrence from t = 0 at depth
+    max(n, |z|) + 50, and the ratios are the running products of the t_k.
+    Accepts complex z (enables complex-step differentiation).
+    """
+    if z == 0:
+        return [1.0] + [0.0] * n
+    t, tail = 0.0, []
+    for k in range(int(max(n, abs(z))) + 50, 0, -1):
+        t = 1.0 / (2.0 * k / z + t)
+        if k <= n:
+            tail.append(t)
+    return list(accumulate(reversed(tail), mul, initial=1.0))
 
 
 def bessel_ratio(z):
     """I_1(z)/I_0(z), increasing from 0 at z=0 toward 1 as z -> infinity.
 
-    Power series below |z| = 15, continued fraction beyond; accepts
-    complex arguments (enables complex-step differentiation).
+    The k = 1 entry of ``bessel_ratios``, elementwise on an array.
     """
     if isinstance(z, np.ndarray):
         return np.array([bessel_ratio(zi) for zi in z.ravel()]).reshape(z.shape)
-    if abs(z) <= _SERIES_CUT:
-        return _ratio_series(z)
-    return _ratio_continued_fraction(z)
-
-
-def _ratio_series(z):
-    q = z * z / 4.0
-    term0 = 1.0
-    i0 = term0
-    term1 = 0.5
-    i1 = term1
-    for m in range(1, 200):
-        term0 = term0 * q / (m * m)
-        term1 = term1 * q / (m * (m + 1))
-        i0 += term0
-        i1 += term1
-        if abs(term0) < 1e-18 * abs(i0) and abs(term1) < 1e-18 * abs(i1):
-            break
-    return z * i1 / i0
-
-
-def _ratio_continued_fraction(z):
-    # t_nu = I_nu / I_{nu-1} satisfies 1/t_nu = 2 nu / z + t_{nu+1}
-    depth = int(abs(z)) + 50
-    t = 0.0
-    for nu in range(depth, 0, -1):
-        t = 1.0 / (2.0 * nu / z + t)
-    return t
+    return bessel_ratios(z, 1)[1]
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,9 @@ x-Fourier modes.  ``evolve_mode`` advances a stack of modes, one row per
 ``spectral.evolve_rows`` (shared with the homogeneous layer), and
 evaluates the norms and the comparison sandwich row-wise by Parseval
 sums; ``step_mode`` and a single-state ``evolve_mode`` are batches of
-one.  The two measurements are ``evolve_mode`` batches too:
-``measure_ed_rate`` runs its states on their ``ed_schedule``, one stack
-per time step, and ``mixing_curve`` runs its states as one stack sampled
-every step.
+one.  ``measure_ed_rate`` runs ``evolve_mode`` batches, one per time
+step of its states' ``ed_schedule``; ``mixing_curve`` runs one stack on
+the same row loop and samples only the H^{-1} norm, every step.
 """
 
 from __future__ import annotations
@@ -104,8 +103,8 @@ class ModeState:
     def __post_init__(self):
         if self.k == (0, 0):
             raise ValueError("ModeState requires k != (0,0)")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
+        if not (np.isfinite(self.nu) and self.nu > 0):
+            raise ValueError(f"nu must be finite and > 0, got {self.nu}")
 
     @cached_property
     def k_norm(self) -> float:
@@ -256,6 +255,34 @@ def sample_times(t0: float, dt: float, n_steps: int, sample_every: int) -> np.nd
     return step_times(t0, dt, n_steps)[due(np.arange(n_steps + 1), n_steps, sample_every)]
 
 
+def _mode_batch(s: ModeState | Sequence[ModeState], name: str) -> list[ModeState]:
+    """s as a list of states; ValueError if it is empty or its states differ in t or n_theta."""
+    states = [s] if isinstance(s, ModeState) else list(s)
+    if not states:
+        raise ValueError(f"{name} needs at least one mode state")
+    if any((x.t, x.eta.n) != (states[0].t, states[0].eta.n) for x in states):
+        raise ValueError("batched mode states must share t and n_theta")
+    return states
+
+
+def _evolve_modes(states: Sequence[ModeState], dt: float, n_steps, every, sample) -> np.ndarray:
+    """``spectral.evolve_rows`` over the states' eta, stepped by ``_mode_step``.
+
+    Before each ``sample(idx, eta, t)``, NumericsError names the k and nu of the first row not finite.
+    """
+    def checked(idx, eta, t):
+        finite = np.isfinite(eta).all(axis=-1)
+        if not finite.all():
+            bad = states[idx[np.argmin(finite)]]
+            raise NumericsError(f"NaN in per-mode evolution at t={t} for k={bad.k}, nu={bad.nu:g}")
+        sample(idx, eta, t)
+
+    return evolve_rows(
+        np.stack([x.eta.coeffs for x in states]), states[0].t, dt, n_steps, every,
+        lambda idx: _mode_step([states[j] for j in idx], dt), checked,
+    )
+
+
 def evolve_mode(
     s: ModeState | Sequence[ModeState],
     dt: float,
@@ -274,30 +301,17 @@ def evolve_mode(
     step.  Raises NumericsError (NaN) or SandwichViolation at a sample,
     naming the row's k and nu.
     """
-    states = [s] if isinstance(s, ModeState) else list(s)
-    if not states:
-        raise ValueError("evolve_mode needs at least one mode state")
-    if any((x.t, x.eta.n) != (states[0].t, states[0].eta.n) for x in states):
-        raise ValueError("batched mode states must share t and n_theta")
+    states = _mode_batch(s, "evolve_mode")
     rows = [[] for _ in states]
 
     def sample(idx, eta, t):
         picked = [states[j] for j in idx]
         terms = _hypo_rows(eta, picked, t, weights)
-        l2 = np.sqrt(terms.l2)
-        finite = np.isfinite(l2)
-        if not finite.all():
-            bad = picked[int(np.argmin(finite))]
-            raise NumericsError(f"NaN in per-mode evolution at t={t} for k={bad.k}, nu={bad.nu:g}")
         lo, val, up = _sandwich_rows(terms, picked, t)
-        hm1 = _hm1_rows(eta, picked)
-        for j, x, *cols in zip(idx, picked, l2, hm1, val, lo, up):
+        for j, x, *cols in zip(idx, picked, np.sqrt(terms.l2), _hm1_rows(eta, picked), val, lo, up):
             rows[j].append((t, *cols, _ramp(x, t)))
 
-    c = evolve_rows(
-        np.stack([x.eta.coeffs for x in states]), states[0].t, dt, n_steps, sample_every,
-        lambda idx: _mode_step([states[j] for j in idx], dt), sample,
-    )
+    c = _evolve_modes(states, dt, n_steps, sample_every, sample)
     out = []
     for x, eta, samples in zip(states, c, rows):
         final = replace(x, eta=AngularProfile(eta), t=float(samples[-1][0]))
@@ -355,9 +369,7 @@ def measure_ed_rate(
     dt.  The fit starts t_ed after the start, past the ramp transient,
     and stops once the norm falls below UNDERFLOW_FLOOR of its start.
     """
-    states = [s] if isinstance(s, ModeState) else list(s)
-    if not states:
-        raise ValueError("measure_ed_rate needs at least one mode state")
+    states = _mode_batch(s, "measure_ed_rate")
     plans = [ed_schedule(x, horizon_factor) for x in states]
     if any(x.eta.norm_l2() == 0.0 for x in states):
         raise ValueError("eta0 must be nonzero")
@@ -411,17 +423,22 @@ def mixing_curve(
 ) -> MixingCurve | list[MixingCurve]:
     """Sample the per-mode H^{-1} norm every step and fit its algebraic decay exponent.
 
-    The states run to ``horizon`` as one ``evolve_mode`` stack.  The fit
-    is log-log on the ``mixing_window`` [1, nu^{-1/2}], where phase
-    mixing produces the t^{-1/2} law before the enhanced-dissipation
-    time takes over.
+    The states run to ``horizon`` as one stack, stepped as by ``evolve_mode``
+    but sampling only the H^{-1} norm; NumericsError names the k and nu of a
+    row that is not finite.  The fit is log-log on the ``mixing_window``
+    [1, nu^{-1/2}], where phase mixing produces the t^{-1/2} law before the
+    enhanced-dissipation time takes over.
     """
-    states = [s] if isinstance(s, ModeState) else list(s)
+    states = _mode_batch(s, "mixing_curve")
     windows = [mixing_window(x.nu, horizon, dt) for x in states]
+    n_steps = int(np.ceil(horizon / dt))
+    norms = []
+    _evolve_modes(states, dt, n_steps, 1, lambda idx, eta, t: norms.append(_hm1_rows(eta, states)))
+    t = step_times(states[0].t, dt, n_steps)
     curves = []
-    for window, (_, ser) in zip(windows, evolve_mode(states, dt, int(np.ceil(horizon / dt)))):
-        slope, stderr = fit_rate(ser.t, ser.norm_hm1, window=window, loglog=True)
-        curves.append(MixingCurve(t=ser.t, norm_hm1=ser.norm_hm1, slope=slope, stderr=stderr))
+    for window, norm_hm1 in zip(windows, np.array(norms).T):
+        slope, stderr = fit_rate(t, norm_hm1, window=window, loglog=True)
+        curves.append(MixingCurve(t=t, norm_hm1=norm_hm1, slope=slope, stderr=stderr))
     return curves[0] if isinstance(s, ModeState) else curves
 
 

@@ -124,6 +124,12 @@ class TestEmStep:
         with pytest.raises(StepSizeError):
             em_step(e, 1e4)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_bad_dt(self, uniform_influence, dt):
+        e = make_ensemble(np.random.default_rng(0), 10, uniform_influence, kappa=1.0)
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            em_step(e, dt)
+
     def test_wrapping(self, uniform_influence):
         e = AgentEnsemble(
             x=np.array([[TWO_PI - 0.01, 0.01]]),
@@ -383,6 +389,12 @@ class TestEmpiricalDensity:
         var = np.sum(np.abs(kern) ** 2) - np.abs(kern[0, 0, 0]) ** 2
         expected = np.sqrt(TWO_PI**3 * var / n)
         assert err < 3.0 * expected
+
+    @pytest.mark.parametrize("h", [-0.3, 0.0, np.nan, np.inf])
+    def test_rejects_bad_bandwidth(self, uniform_influence, h):
+        e = make_ensemble(np.random.default_rng(0), 10, uniform_influence, kappa=0.0)
+        with pytest.raises(ValueError, match="bandwidth must be finite and > 0"):
+            empirical_density(e, TorusGrid(8, 8, 8), bandwidth=h)
 
     def test_cluster_mode_location(self, uniform_influence):
         grid = TorusGrid(32, 32, 32)

@@ -5,7 +5,10 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import os
+import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -417,6 +420,50 @@ def test_unused_imports_detected():
 def test_package_modules_have_no_unused_imports(module):
     # __init__.py is exempt: its imports are the package's public names
     assert _unused_imports((ROOT / "src" / "kvicsek" / module).read_text()) == []
+
+
+def _third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports in source that are not in the standard library."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def _fresh_packages(statement: str) -> set[str]:
+    """Top-level packages in sys.modules after statement runs in a fresh interpreter."""
+    src = str(Path(kvicsek.__file__).resolve().parent.parent)
+    probe = f"import sys\n{statement}\nprint(' '.join({{m.split('.')[0] for m in sys.modules}}))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return set(out.stdout.split())
+
+
+def test_third_party_imports_and_fresh_packages_detected():
+    source = (
+        "from __future__ import annotations\nimport os, numpy.fft as f\n"
+        "from scipy import special\nfrom . import spectral\n"
+    )
+    assert _third_party_imports(source) == {"numpy", "scipy"}
+    assert "scipy" in _fresh_packages("import scipy.special")
+
+
+def test_runtime_dependencies_are_the_package_imports():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]}
+    modules = (ROOT / "src" / "kvicsek").glob("*.py")
+    imported = set().union(*(_third_party_imports(p.read_text()) for p in modules))
+    assert imported == declared
+
+
+def test_import_loads_no_scipy():
+    assert "scipy" not in _fresh_packages("import kvicsek")
 
 
 def _bench_workloads():

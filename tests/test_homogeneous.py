@@ -5,13 +5,14 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy.special import i0, i1
+from scipy.special import i0, i1, ive
 
 from kvicsek.errors import NumericsError, StepSizeError
 from kvicsek.homogeneous import (
     HomogeneousState,
     _alignment_rhs,
     bessel_ratio,
+    bessel_ratios,
     constant_state,
     evolve_homogeneous,
     fisher_information,
@@ -52,6 +53,13 @@ class TestEvolution:
         bad = AngularProfile.from_values(np.full(64, 1.0))
         with pytest.raises(ValueError):
             HomogeneousState(g=bad, t=0.0, kappa=0.1, nu=0.1)
+
+    @pytest.mark.parametrize(
+        "kappa, nu", [(0.1, 0.0), (0.1, -1.0), (0.1, np.nan), (0.1, np.inf), (np.nan, 0.1), (-np.inf, 0.1)]
+    )
+    def test_requires_finite_kappa_and_positive_nu(self, kappa, nu):
+        with pytest.raises(ValueError, match="kappa must be finite and nu finite and > 0"):
+            constant_state(64, kappa, nu)
 
     def test_subcritical_decay_rate(self, kernel):
         # ratio 1.5: |m| decays at nu - kappa/2 (linearized mode l=1)
@@ -262,6 +270,15 @@ class TestBesselRatio:
             r = bessel_ratio(z)
             dr = bessel_ratio(complex(z, h)).imag / h
             assert abs(dr - (1.0 - r / z - r * r)) < 1e-10
+
+
+def test_bessel_ratios_against_scipy():
+    # the entries the kernel density estimate uses: z = 1/h^2 for bandwidths h in [0.1, 1]
+    ks = np.arange(65)
+    for z in 1.0 / np.linspace(0.1, 1.0, 10) ** 2:
+        ratios = bessel_ratios(z, 64)
+        assert np.max(np.abs(np.array(ratios) - ive(ks, z) / ive(0, z))) < 1e-14
+    assert bessel_ratios(0.0, 3) == [1.0, 0.0, 0.0, 0.0]
 
 
 class TestCompatibility:

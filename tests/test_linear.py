@@ -61,6 +61,11 @@ class TestStepMode:
         with pytest.raises(ValueError):
             ModeState(k=(0, 0), eta=AngularProfile.from_function(np.cos, 16), t=0.0, nu=0.1)
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0, np.nan, np.inf])
+    def test_requires_finite_positive_nu(self, nu):
+        with pytest.raises(ValueError, match="nu must be finite and > 0"):
+            ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 16), t=0.0, nu=nu)
+
     def test_transport_isometry(self):
         # nu -> 0 limit: pure transport conserves the L2 norm
         s = ModeState(k=(2, 1), eta=AngularProfile.from_function(np.cos, 128), t=0.0, nu=1e-300)
@@ -334,6 +339,19 @@ class TestMixing:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one mode state"):
             mixing_curve([], horizon=10.0)
+
+    def test_curve_is_the_evolve_mode_series(self):
+        eta0 = AngularProfile.from_function(np.cos, 128)
+        states = [ModeState(k=k, eta=eta0, t=0.0, nu=3e-3) for k in ((1, 0), (1, 1))]
+        for curve, (_, ser) in zip(mixing_curve(states, horizon=10.0), evolve_mode(states, 0.05, 200)):
+            assert np.array_equal(curve.t, ser.t) and np.array_equal(curve.norm_hm1, ser.norm_hm1)
+
+    def test_nan_in_one_row_names_that_row(self):
+        good = AngularProfile.from_function(np.cos, 32)
+        bad = AngularProfile(np.where(fft_wavenumbers(32) == 3, np.nan, good.coeffs))
+        states = [ModeState(k=(1, 0), eta=good, t=0.0, nu=1e-2), ModeState(k=(0, 2), eta=bad, t=0.0, nu=3e-3)]
+        with pytest.raises(NumericsError, match=r"k=\(0, 2\), nu=0.003"):
+            mixing_curve(states, horizon=10.0)
 
     def test_batch_matches_per_state_calls(self):
         eta0 = AngularProfile.from_function(np.cos, 128)
