@@ -36,6 +36,7 @@ from .linear import speed_constant, wrap_angle
 from .spectral import TWO_PI, AngularProfile, SpectralField, TorusGrid, _check_dt, theta_points
 
 _PAIRWISE_CHUNK = 512
+SAMPLE_RESOLUTION = 4096  # angles on which sample_angles tabulates the distribution
 
 
 def _make_rng(seed: int) -> np.random.Generator:
@@ -104,9 +105,9 @@ def ensemble_from_profile(
     return AgentEnsemble(x=x, theta=theta, kappa=kappa, nu=nu, influence=influence, rng=rng, v=v)
 
 
-def sample_angles(profile: AngularProfile, n: int, rng: np.random.Generator, resolution: int = 4096) -> np.ndarray:
-    """Inverse-transform sampling from a nonnegative angular density."""
-    th = theta_points(resolution)
+def sample_angles(profile: AngularProfile, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-transform sampling from a nonnegative angular density on SAMPLE_RESOLUTION angles."""
+    th = theta_points(SAMPLE_RESOLUTION)
     dens = np.maximum(profile.eval(th).real, 0.0)
     cdf = np.cumsum(dens)
     cdf = np.concatenate([[0.0], cdf]) / cdf[-1]

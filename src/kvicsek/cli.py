@@ -1,7 +1,7 @@
 """Command-line entry point with one subcommand per experiment preset.
 
 The flags are the names in each preset's option table (``n_theta`` is
-``--n-theta``); a config file, then the flags, then ``--set`` give values.
+``--n-theta``); a config file gives values, and the flags override it.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical assertion
 failure, 4 I/O error.
@@ -27,28 +27,19 @@ def build_parser() -> argparse.ArgumentParser:
     for name in sorted(PRESETS):
         p = sub.add_parser(name, help=f"run the {name} preset")
         p.add_argument("--config", type=Path, help="flat key = value config file")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
+        p.add_argument("--out", type=Path, default=Path("out") / name, help="output directory")
         p.add_argument("--seed", default=None)
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override any option")
         for option in PRESETS[name].options:
             p.add_argument("--" + option.replace("_", "-"), dest=option, default=None)
     return parser
 
 
 def _collect_options(args: argparse.Namespace) -> dict[str, str]:
-    options: dict[str, str] = {}
-    if args.config is not None:
-        options.update(parse_config(args.config))
-    for option in PRESETS[args.preset].options:
+    options = parse_config(args.config) if args.config is not None else {}
+    for option in ("seed", *PRESETS[args.preset].options):
         value = getattr(args, option)
         if value is not None:
             options[option] = value
-    for item in args.set:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        options[key.strip().replace("-", "_")] = value.strip()
     return options
 
 
@@ -60,10 +51,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         options = _collect_options(args)
-        out_dir = args.out if args.out is not None else Path("out") / args.preset
-        seed_text = options.pop("seed", "0")
-        seed = parse_option("seed", args.seed if args.seed is not None else seed_text, 0)
-        cfg = ExperimentConfig(preset=args.preset, options=options, out_dir=out_dir, seed=seed)
+        seed = parse_option("seed", options.pop("seed", "0"), 0)
+        cfg = ExperimentConfig(preset=args.preset, options=options, out_dir=args.out, seed=seed)
         paths = run_preset(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -93,6 +93,13 @@ def due(m, n, every):
     return (m % every == 0) | (m == n)
 
 
+def check_cadence(name: str, every, least: int) -> None:
+    """ValueError unless the ``due`` cadence ``every`` (or each of an array) is an integer >= least."""
+    a = np.asarray(every)
+    if a.dtype.kind not in "iu" or np.any(a < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {every!r}")
+
+
 def resolve_options(raw: Mapping[str, str], table: Mapping[str, object]) -> dict[str, object]:
     """Every option of ``table`` (name -> default), typed; an unknown key raises ConfigError.
 

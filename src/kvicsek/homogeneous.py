@@ -172,14 +172,9 @@ def free_energy(s: HomogeneousState, kernel: AngularKernel) -> float:
     return s.nu * entropy + 0.5 * s.kappa * interaction
 
 
-def fisher_information(s: HomogeneousState, kernel: AngularKernel, floor: float | None = None) -> float:
-    """int g |nu d_theta log g + kappa (Psi*g)|^2 dtheta.
-
-    Requires g > 0; pass ``floor`` to clamp instead of rejecting.
-    """
+def fisher_information(s: HomogeneousState, kernel: AngularKernel) -> float:
+    """int g |nu d_theta log g + kappa (Psi*g)|^2 dtheta; ValueError unless g > 0."""
     g = s.g.values.real
-    if floor is not None:
-        g = np.maximum(g, floor)
     if np.min(g) <= 0.0:
         raise ValueError("Fisher information requires a positive density")
     dg = s.g.derivative().values.real
@@ -239,13 +234,17 @@ def bessel_ratios(z, n: int) -> list:
 
     t_k = I_k/I_{k-1} satisfies 1/t_k = 2k/z + t_{k+1}: the continued
     fraction runs as a backward recurrence from t = 0 at depth
-    max(n, |z|) + 50, and the ratios are the running products of the t_k.
-    Accepts complex z (enables complex-step differentiation).
+    max(n, min(|z|, 10 |z|^{1/2})) + 50 (I_k/I_0 ~ exp(-k^2/2z) is e^-50
+    at k = 10 |z|^{1/2}); the ratios are the running products of the t_k.
+    Complex z is accepted (complex-step differentiation); ValueError unless
+    |z| is finite.
     """
     if z == 0:
         return [1.0] + [0.0] * n
+    if not math.isfinite(abs(z)):
+        raise ValueError(f"bessel_ratios needs a finite argument, got z = {z!r}")
     t, tail = 0.0, []
-    for k in range(int(max(n, abs(z))) + 50, 0, -1):
+    for k in range(int(max(n, min(abs(z), 10.0 * math.sqrt(abs(z))))) + 50, 0, -1):
         t = 1.0 / (2.0 * k / z + t)
         if k <= n:
             tail.append(t)
@@ -306,7 +305,7 @@ def solve_compatibility(ratio: float) -> StationaryRoot:
             a = mid
         else:
             b = mid
-        if b - a <= BISECTION_TOL:
+        if b - a <= BISECTION_TOL or math.nextafter(a, b) == b:  # adjacent floats stay put
             break
     z_root = 0.5 * (a + b)
     r2 = z_root / ratio

@@ -7,7 +7,7 @@ the primitive U(theta) = int_{-pi}^theta Psi is nonpositive on T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -18,6 +18,7 @@ from .spectral import (
     AngularProfile,
     SpectralField,
     TorusGrid,
+    _readonly,
     _reflect,
     fft_wavenumbers,
     theta_points,
@@ -91,22 +92,27 @@ PHI_SERIES_RTOL = 1e-16
 # Largest sampling grid (per axis) tried for the series of Phi.
 PHI_SERIES_MAX_GRID = 1024
 
+# Relative tolerance of the structural checks in validate_kernels.
+KERNEL_CHECK_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class InfluencePair:
-    """The (Phi, Psi) kernel pair with precomputed spectra on a grid."""
+    """The (Phi, Psi) kernel pair with precomputed spectra on a grid; Phi is given once, as phi_fn."""
 
     grid: TorusGrid
-    phi_values: np.ndarray
     phi_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     angular: AngularKernel
 
     def __post_init__(self):
-        pv = np.ascontiguousarray(self.phi_values, dtype=np.float64)
-        pv.flags.writeable = False
-        object.__setattr__(self, "phi_values", pv)
         if self.angular.n_theta != self.grid.n_theta:
             raise ValueError("angular kernel resolution differs from grid")
+
+    @cached_property
+    def phi_values(self) -> np.ndarray:
+        """phi_fn on the (x1, x2) grid, float64 of shape (n_x1, n_x2); read-only."""
+        pv = np.asarray(self.phi_fn(self.grid.x1[:, None], self.grid.x2[None, :]), dtype=np.float64)
+        return _readonly(np.broadcast_to(pv, self.grid.shape[:2]).copy())
 
     @cached_property
     def phi_coeffs(self) -> np.ndarray:
@@ -219,14 +225,6 @@ def make_influence(
     else:
         raise ValueError(f"unknown phi choice {phi!r}")
 
-    pv = np.asarray(phi_fn(grid.x1[:, None], grid.x2[None, :]), dtype=np.float64)
-    pv = np.broadcast_to(pv, (grid.n_x1, grid.n_x2)).copy()
-    if normalize:
-        mass = float(np.sum(pv)) * TWO_PI**2 / (grid.n_x1 * grid.n_x2)
-        pv /= mass
-        base_fn = phi_fn
-        phi_fn = lambda x1, x2, _fn=base_fn, _m=mass: _fn(x1, x2) / _m
-
     if psi_factor in (None, "one"):
         pf = None
     elif psi_factor == "cos_squared":
@@ -236,12 +234,11 @@ def make_influence(
     else:
         raise ValueError(f"unknown psi_factor choice {psi_factor!r}")
 
-    return InfluencePair(
-        grid=grid,
-        phi_values=pv,
-        phi_fn=phi_fn,
-        angular=angular_kernel(grid.n_theta, pf),
-    )
+    pair = InfluencePair(grid=grid, phi_fn=phi_fn, angular=angular_kernel(grid.n_theta, pf))
+    if not normalize:
+        return pair
+    mass = float(np.sum(pair.phi_values)) * TWO_PI**2 / (grid.n_x1 * grid.n_x2)
+    return replace(pair, phi_fn=lambda x1, x2: phi_fn(x1, x2) / mass)
 
 
 @dataclass(frozen=True)
@@ -264,8 +261,9 @@ class KernelReport:
         return [c for c in self.checks if not c.passed]
 
 
-def validate_kernels(pair: InfluencePair, tol: float = 1e-12) -> KernelReport:
-    """Check every structural assumption; reports violations, never raises."""
+def validate_kernels(pair: InfluencePair) -> KernelReport:
+    """Check every structural assumption to KERNEL_CHECK_TOL; reports violations, never raises."""
+    tol = KERNEL_CHECK_TOL
     checks: list[KernelCheck] = []
     pv = pair.phi_values
     scale = max(float(np.max(np.abs(pv))), 1e-300)

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import due, step_count, step_times
+from .config import check_cadence, due, step_count, step_times
 from .errors import NumericsError
 from .influence import InfluencePair
 from .linear import speed_constant
@@ -245,10 +245,10 @@ def run_experiment(
     """
     if f0.grid != params.grid:
         raise ValueError(f"f0 lives on {f0.grid}, the run on {params.grid}")
+    check_cadence("sample_every", sample_every, 1)
+    check_cadence("snapshot_every", snapshot_every, 0)
     if snapshot_every > 0 and out_dir is None:
         raise ValueError("snapshots requested without an output directory")
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
 
     n_steps = step_count(params.t_end, params.dt)
     times = step_times(0.0, params.dt, n_steps).tolist()

@@ -65,6 +65,7 @@ def speed_decaying(tau: float) -> Callable[[float], float]:
 
 
 MAX_BETA = 1.0 / 4096.0
+CHI_WIDTH = TWO_PI / 3.0  # half-width of the support of cutoff_chi
 
 
 @dataclass(frozen=True)
@@ -478,9 +479,9 @@ def wrap_angle(x: np.ndarray) -> np.ndarray:
     return np.mod(np.asarray(x) + np.pi, TWO_PI) - np.pi
 
 
-def cutoff_chi(n: int, theta_k: float, width: float = TWO_PI / 3.0) -> np.ndarray:
-    """Smooth bump supported on |theta - theta_k| < width, equal to 1 at theta_k."""
-    u = wrap_angle(theta_points(n) - theta_k) / width
+def cutoff_chi(n: int, theta_k: float) -> np.ndarray:
+    """Smooth bump supported on |theta - theta_k| < CHI_WIDTH, equal to 1 at theta_k."""
+    u = wrap_angle(theta_points(n) - theta_k) / CHI_WIDTH
     out = np.zeros(n)
     inside = np.abs(u) < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))

@@ -36,10 +36,12 @@ from typing import Callable
 
 import numpy as np
 
-from .config import due, step_times
+from .config import check_cadence, due, step_times
 from .errors import StepSizeError
 
 TWO_PI = 2.0 * np.pi
+EVAL_CUTOFF = 1e-15  # AngularProfile.eval drops terms at or below this times max(max|ghat|, 1)
+REAL_RTOL = 1e-12  # relative tolerance of SpectralField.is_real
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -266,13 +268,13 @@ class AngularProfile:
         """Profile of theta -> g(theta + phi)."""
         return AngularProfile(self.coeffs * np.exp(1j * self.l * phi))
 
-    def eval(self, theta: np.ndarray, cutoff: float = 1e-15) -> np.ndarray:
-        """Evaluate the trigonometric sum at arbitrary angles."""
+    def eval(self, theta: np.ndarray) -> np.ndarray:
+        """Evaluate the trigonometric sum at arbitrary angles, skipping the terms below EVAL_CUTOFF."""
         theta = np.asarray(theta, dtype=np.float64)
         amax = np.max(np.abs(self.coeffs))
         out = np.zeros(theta.shape, dtype=np.complex128)
         for l, c in zip(self.l, self.coeffs):
-            if np.abs(c) > cutoff * max(amax, 1.0):
+            if np.abs(c) > EVAL_CUTOFF * max(amax, 1.0):
                 out += c * np.exp(1j * l * theta)
         return out
 
@@ -357,10 +359,11 @@ def evolve_rows(c: np.ndarray, t0: float, dt: float, n_steps, every, stepper, sa
     ``stepper(rows)`` is the step (c, t) -> c of the rows still running.  ``sample(rows, c[rows], t)``
     runs at t0 and where ``config.due`` says, at the times of ``config.step_times``.
     """
+    check_cadence("sample_every", every, 1)
     n_steps = np.broadcast_to(n_steps, len(c))
     every = np.broadcast_to(every, len(c))
-    if np.any(n_steps < 0) or np.any(every < 1):
-        raise ValueError("n_steps must be >= 0 and sample_every >= 1")
+    if np.any(n_steps < 0):
+        raise ValueError("n_steps must be >= 0")
     times = step_times(t0, dt, int(np.max(n_steps, initial=0)))
     sample(np.arange(len(c)), c, times[0])
     ends = sorted(set(n_steps.tolist()) - {0})
@@ -461,11 +464,11 @@ class SpectralField:
         """integral f dx dtheta = (2pi)^3 fhat(0,0,0)."""
         return float((TWO_PI**3 * self.coeffs[0, 0, 0]).real)
 
-    def is_real(self, rtol: float = 1e-12) -> bool:
-        """Conjugate symmetry fhat(-k,-l) = conj(fhat(k,l)) to rtol (relative)."""
+    def is_real(self) -> bool:
+        """Conjugate symmetry fhat(-k,-l) = conj(fhat(k,l)) to REAL_RTOL (relative)."""
         dev = np.max(np.abs(_reflect(self.coeffs) - np.conj(self.coeffs)))
         scale = np.max(np.abs(self.coeffs))
-        return bool(dev <= rtol * max(scale, 1e-300))
+        return bool(dev <= REAL_RTOL * max(scale, 1e-300))
 
     def dealiased(self) -> "SpectralField":
         return SpectralField(self.grid, np.where(self.grid.dealias_mask, self.coeffs, 0.0))

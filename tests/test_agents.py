@@ -21,6 +21,7 @@ from kvicsek.agents import (
 )
 from kvicsek.errors import StepSizeError
 from kvicsek.influence import AngularKernel, InfluencePair, make_influence
+from kvicsek.linear import speed_constant, speed_decaying
 from kvicsek.spectral import TWO_PI, AngularProfile, TorusGrid, norm, remainder, theta_points
 
 _PAIRWISE_CHUNK = 512
@@ -226,7 +227,6 @@ class TestFourierDrift:
         prof = AngularProfile.from_values(0.3 + np.sin(th) + 0.5 * np.cos(32 * th))
         influence = InfluencePair(
             grid=bump_influence.grid,
-            phi_values=bump_influence.phi_values,
             phi_fn=bump_influence.phi_fn,
             angular=AngularKernel(psi=prof, psi_factor=prof, primitive=prof),
         )
@@ -325,6 +325,30 @@ class TestOrderParameter:
         for _ in range(int(60.0 / 0.05)):
             e = em_step(e, 0.05)
         assert abs(abs(order_parameter(e)) - r2) < 0.05
+
+
+class TestSpeed:
+    def test_zero_speed_keeps_positions(self, uniform_influence):
+        g0 = AngularProfile.from_values(np.full(64, 1 / TWO_PI))
+        e = ensemble_from_profile(256, g0, uniform_influence, kappa=0.5, nu=0.1, seed=4, v=speed_constant(0.0))
+        for _ in range(3):
+            stepped = em_step(e, 0.05)
+            assert np.array_equal(stepped.x, e.x)
+            assert not np.array_equal(stepped.theta, e.theta)
+            e = stepped
+
+    def test_decaying_speed_moves_along_headings(self, uniform_influence):
+        dens = lambda x1, x2, th: (1.0 + np.cos(th)) / TWO_PI**3
+        v = speed_decaying(0.2)
+        e = ensemble_from_density(512, dens, uniform_influence, kappa=0.5, nu=0.1, seed=5, v=v)
+        dt = 0.05
+        for _ in range(3):
+            stepped = em_step(e, dt)
+            heading = np.column_stack([np.cos(e.theta), np.sin(e.theta)])
+            moved = np.mod(stepped.x - e.x + np.pi, TWO_PI) - np.pi
+            assert np.max(np.abs(moved - v(e.t) * dt * heading)) < 1e-14
+            e = stepped
+        assert v(2 * dt) < 0.85 * v(0.0)  # the speed did decay over the steps checked
 
 
 class TestSampling:

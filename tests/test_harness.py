@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import re
 import shlex
@@ -296,7 +297,7 @@ class TestCli:
             ["homogeneous", "--sample-every", "0"],
             ["linear-ed", "--horizon-factor", "0"],
             ["phase-diagram", "--ratio-steps", "0"],
-            ["homogeneous", "--set", "kapa=0.5"],
+            ["homogeneous", "--config", "unknown_key.cfg"],
             ["homogeneous", "--config", "bad_seed.cfg"],
             ["homogeneous", "--n-theta", "64", "--dt", "5", "--t-end", "1"],
             ["kinetic", "--grid", "8,8,16", "--dt", "1", "--t-end", "0.3"],
@@ -314,9 +315,17 @@ class TestCli:
     def test_bad_option_exit_2_before_output(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         Path("bad_seed.cfg").write_text("seed = abc\n")
+        Path("unknown_key.cfg").write_text("kapa = 0.5\n")
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == 2
         assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_options_come_only_from_config_and_flags(self, tmp_path, capsys):
+        # there is no --set: a config file and the flags are the two sources
+        out = tmp_path / "run"
+        assert main(["homogeneous", "--set", "ratio=2", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --set" in capsys.readouterr().err
         assert not out.exists()
 
     def test_homogeneous_has_one_spelling_of_kappa(self, tmp_path, capsys):
@@ -420,6 +429,75 @@ def test_unused_imports_detected():
 def test_package_modules_have_no_unused_imports(module):
     # __init__.py is exempt: its imports are the package's public names
     assert _unused_imports((ROOT / "src" / "kvicsek" / module).read_text()) == []
+
+
+def _unset_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """Parameters with a default that no call in ``callers`` passes, as 'module:function(param)'.
+
+    ``modules`` maps a module name to its source; every ``def`` in it counts, methods
+    and nested functions too (dataclass fields are not parameters).  A call matches
+    a def by name, as ``f(...)``, ``obj.f(...)`` or ``partial(f, ...)``; a method's
+    positional arguments start after ``self``.  A ``*args`` or ``**kwargs`` at a call
+    passes every parameter of its kind.
+    """
+    def called(func):
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    calls: dict[str, list[tuple[float, set]]] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if called(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            name = called(func)
+            n_positional = math.inf if any(isinstance(a, ast.Starred) for a in args) else len(args)
+            calls.setdefault(name, []).append((n_positional, {k.arg for k in node.keywords}))
+    unset = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            first = 1 if id(node) in methods and not static else 0
+            defaults = [
+                (i - first, p) for i, p in enumerate(positional) if i >= len(positional) - len(a.defaults)
+            ]
+            defaults += [(math.inf, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for index, param in defaults:
+                passed = (param in kw or None in kw or index < n for n, kw in calls.get(node.name, []))
+                if not any(passed):
+                    unset.append(f"{module}:{node.name}({param})")
+    return sorted(unset)
+
+
+def test_unset_defaults_detected():
+    module = (
+        "import functools\n"
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+        "def g(x=0):\n    pass\n"
+        "def h(y=0):\n    pass\n"
+        "class K:\n"
+        "    def m(self, u, v=0):\n        pass\n"
+        "    def n(self, w=0):\n        pass\n"
+    )
+    callers = [
+        module,
+        "f(1, c=3)\nfunctools.partial(g, 5)\nh(**{})\nk.m(1)\nk.n(1)\n",
+    ]
+    assert _unset_defaults({"mod": module}, callers) == ["mod:f(b)", "mod:f(d)", "mod:m(v)"]
+
+
+def test_every_parameter_default_has_a_caller():
+    # a default that no call sets is a knob with no use: make it a constant or drop it
+    modules = {p.name: p.read_text() for p in sorted((ROOT / "src" / "kvicsek").glob("*.py"))}
+    callers = [p.read_text() for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert _unset_defaults(modules, callers) == []
 
 
 def _third_party_imports(source: str) -> set[str]:

@@ -161,10 +161,11 @@ class TestBatchedEvolution:
         with pytest.raises(ValueError, match="at least one state"):
             evolve_homogeneous([], kernel, 0.01, 2)
 
-    @pytest.mark.parametrize("n_steps, sample_every", [(10, 0), (-3, 1)])
+    @pytest.mark.parametrize("n_steps, sample_every", [(10, 0), (10, 1.5), (-3, 1)])
     def test_bad_counts_rejected_before_stepping(self, kernel, n_steps, sample_every):
         s = HomogeneousState(g=perturbed_profile(256, 0.2, seed=5), t=0.0, kappa=0.2, nu=0.1)
-        with pytest.raises(ValueError, match="n_steps must be >= 0 and sample_every >= 1"):
+        message = "n_steps must be >= 0" if n_steps < 0 else "sample_every must be an integer >= 1"
+        with pytest.raises(ValueError, match=message):
             evolve_homogeneous(s, kernel, 0.01, n_steps, sample_every=sample_every)
 
 
@@ -281,6 +282,20 @@ def test_bessel_ratios_against_scipy():
     assert bessel_ratios(0.0, 3) == [1.0, 0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("z", [1e3, 1e4, 1e6, 1e8])
+def test_bessel_ratios_at_large_argument_against_scipy(z):
+    # the backward recurrence starts at depth 10 z^{1/2} + 50 here, not z + 50
+    for n in (1, 16, 64):
+        expected = ive(np.arange(n + 1), z) / ive(0, z)
+        assert np.max(np.abs(np.array(bessel_ratios(z, n)) / expected - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(math.inf, 0.0), 1.0 / 1e-160**2])
+def test_bessel_ratios_reject_a_non_finite_argument(z):
+    with pytest.raises(ValueError, match="z = "):
+        bessel_ratios(z, 16)
+
+
 class TestCompatibility:
     def test_subcritical_only_trivial(self):
         for ratio in (0.5, 1.0, 2.0):
@@ -317,6 +332,11 @@ class TestCompatibility:
     def test_positive_ratio_required(self):
         with pytest.raises(ValueError):
             solve_compatibility(-1.0)
+
+    def test_large_ratio_root(self):
+        # I_1/I_0(z) = 1 - 1/(2z) + O(z^-2), so r2 = 1 - 1/(2 ratio) + O(ratio^-2)
+        ratio = 1e5
+        assert abs(solve_compatibility(ratio).r2 - (1.0 - 0.5 / ratio)) < 1e-9
 
 
 class TestVonMises:

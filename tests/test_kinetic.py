@@ -88,6 +88,21 @@ class TestValidateKernels:
         assert abs(psi_vals.sum() * TWO_PI / 64) < 1e-12
 
 
+class TestPhiValues:
+    @pytest.mark.parametrize("phi", ["bump", "uniform", lambda x1, x2: 2.0 + np.cos(x1) * np.cos(2 * x2)])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_phi_values_are_phi_fn_on_the_grid_and_read_only(self, phi, normalize):
+        grid = TorusGrid(8, 16, 8)
+        pair = make_influence(grid, phi=phi, sigma=0.5, normalize=normalize)
+        samples = pair.phi_fn(grid.x1[:, None], grid.x2[None, :])
+        assert pair.phi_values.shape == (8, 16) and pair.phi_values.dtype == np.float64
+        assert np.array_equal(pair.phi_values, np.broadcast_to(samples, (8, 16)))
+        with pytest.raises(ValueError, match="read-only"):
+            pair.phi_values[0, 0] = 1.0
+        if normalize:
+            assert abs(np.sum(pair.phi_values) * TWO_PI**2 / 128 - 1.0) < 1e-15
+
+
 class TestAlignmentOperator:
     def test_x_independent_data(self):
         grid = TorusGrid(8, 8, 32)
@@ -388,7 +403,7 @@ class TestHalfSpectrumStep:
             ref = _reference_step(ref, params, pair, t)
             t += params.dt
         assert np.max(np.abs(f.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert f.is_real(1e-12)
+        assert f.is_real()
 
     def test_nyquist_content_stays_conjugate_symmetric(self):
         # Data that are not dealiased carry content in the rows k1 = -n1/2
@@ -401,7 +416,7 @@ class TestHalfSpectrumStep:
         for _ in range(10):
             f = step_kinetic(f, params, make_influence(grid), t)
             t += params.dt
-        assert f.is_real(1e-12)
+        assert f.is_real()
         full = _full_complex_values(f)
         assert np.max(np.abs(full.imag)) <= 1e-12 * np.max(np.abs(full))
 
@@ -525,6 +540,18 @@ class TestRunExperiment:
             run_experiment(
                 params, make_influence(grid), default_initial(grid, 0.5 / TWO_PI**3, seed=0), sample_every=0
             )
+
+    @pytest.mark.parametrize(
+        "name, every, least",
+        [("sample_every", 1.5, 1), ("sample_every", -2, 1), ("snapshot_every", -1, 0), ("snapshot_every", 2.0, 0)],
+    )
+    def test_bad_cadence_rejected_before_output(self, tmp_path, name, every, least):
+        grid = TorusGrid(8, 8, 16)
+        params = KineticParams(kappa=0.0, nu=0.05, grid=grid, dt=0.05, t_end=0.2)
+        f0 = default_initial(grid, 0.5 / TWO_PI**3, seed=0)
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= {least}"):
+            run_experiment(params, make_influence(grid), f0, out_dir=tmp_path, **{name: every})
+        assert list(tmp_path.iterdir()) == []
 
     def test_f0_on_another_grid_rejected(self):
         grid = TorusGrid(8, 8, 16)

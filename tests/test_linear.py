@@ -396,17 +396,20 @@ class TestJkFields:
         rng = np.random.default_rng(5)
         eta0 = random_mode(rng, n=128, band=20)
         s = ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-3)
-        chi = cutoff_chi(128, s.theta_k)
+        # J_k^+ (sign +1) lives near theta_k, J_k^- (sign -1) near theta_k + pi
+        chi = {sign: cutoff_chi(128, s.theta_k + (sign < 0) * np.pi) for sign in (+1, -1)}
         h1 = eta0.norm_hs(1.0)
         quad = TWO_PI / 128
-        worst = 0.0
+        worst = {+1: 0.0, -1: 0.0}
         for _ in range(300):
             s = step_mode(s, 0.2)
-            j, _, _ = jk_field(s)
-            val = np.sqrt(quad * np.sum(np.abs(chi * j.values) ** 2))
-            worst = max(worst, val / h1)
-        assert np.isfinite(worst)
-        assert worst < 50.0  # recorded constant stays O(1)
+            for sign in worst:
+                j, _, _ = jk_field(s, sign)
+                val = np.sqrt(quad * np.sum(np.abs(chi[sign] * j.values) ** 2))
+                worst[sign] = max(worst[sign], val / h1)
+        for sign in worst:
+            assert np.isfinite(worst[sign])
+            assert worst[sign] < 50.0  # recorded constant stays O(1)
 
     def test_cutoff_shape(self):
         chi = cutoff_chi(256, theta_k=0.0)
@@ -503,6 +506,9 @@ class TestBatchedEvolution:
 
     def test_step_counts_and_cadence_are_checked(self):
         s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 16), t=0.0, nu=1e-2)
-        for n_steps, every in ((-1, 1), ([3, -1], 1), (3, 0)):
+        for n_steps, every in ((-1, 1), ([3, -1], 1)):
             with pytest.raises(ValueError, match="n_steps must be >= 0"):
                 evolve_mode([s, s], 0.05, n_steps, sample_every=every)
+        for every in (0, [2, 0], 1.5, [1, 1.5]):
+            with pytest.raises(ValueError, match="sample_every must be an integer >= 1"):
+                evolve_mode([s, s], 0.05, 3, sample_every=every)
