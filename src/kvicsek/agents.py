@@ -20,6 +20,19 @@ sigma = 0.5, 30 at sigma = 0.3 and 0 for a uniform Phi; it grows like
 PHI_SERIES_MAX_GRID grid (a jump, or a bump narrower than sigma ~ 0.03)
 is rejected with ValueError.  The kernel density estimate uses the same
 characteristic-function sums.
+
+Both reduce over the agents with complex GEMMs ((2K+1) x N by N x (2K+1)
+for the drift).  OpenBLAS 0.3.31 may hand a GEMM with m*n*k of 2**16 or
+more to its thread pool (29 x 78 x 29 and 32 x 64 x 32 went there, 29 x 77
+x 29 stayed).  For the drift at K <= 15 the hand-off cost milliseconds
+against microseconds for the product, or left a worker spinning: a whole
+drift at N = 1024, K = 14 took 16 ms, in blocks 2-3 ms.  From K = 16 on
+the pool pays (a whole drift at K = 30, N = 8000 took 27 ms, in blocks
+45 ms).  ``_agent_blocks`` therefore splits the agent axis into contiguous
+blocks within GEMM_MAX_WORK, kept on the calling thread, only where a block
+still holds MIN_BLOCK_ROWS agents, and leaves wider products whole.  The
+bound was measured for the drift's shape; the density estimate's 16 x 16
+shape stayed on the calling thread even whole, so there it is conservative.
 """
 
 from __future__ import annotations
@@ -36,6 +49,8 @@ from .linear import speed_constant, wrap_angle
 from .spectral import TWO_PI, AngularProfile, SpectralField, TorusGrid, _check_dt, theta_points
 
 _PAIRWISE_CHUNK = 512
+GEMM_MAX_WORK = 2**16 - 1  # m*n*k of the largest GEMM that OpenBLAS keeps on the calling thread
+MIN_BLOCK_ROWS = 64  # blocks any shorter mean a GEMM wide enough for the pool to pay (drift, K >= 16)
 SAMPLE_RESOLUTION = 4096  # angles on which sample_angles tabulates the distribution
 
 
@@ -181,10 +196,13 @@ def angular_drift(e: AgentEnsemble) -> np.ndarray:
     s = _characteristic(e1, e2, e3)
     coeffs = weight * psi.coeffs[support]
     out = np.zeros(e.n)
+    e1m = np.empty(e1.shape, dtype=np.complex128)
     for c in range(len(ls)):
         # the real part of the conjugated sum, which needs no conjugated factors
         m = np.conj(coeffs[c] * phihat * s[:, :, c])
-        out += (np.einsum("ij,ij->i", e1 @ m, e2) * e3[:, c]).real
+        for block in _agent_blocks(e.n, m.size):
+            np.matmul(e1[block], m, out=e1m[block])
+        out += (np.einsum("ij,ij->i", e1m, e2) * e3[:, c]).real
     return e.kappa * out
 
 
@@ -210,12 +228,30 @@ def _characteristic(e1: np.ndarray, e2: np.ndarray, e3: np.ndarray) -> np.ndarra
     """S[a, b, c] = (1/N) sum_j e1[j, a] e2[j, b] e3[j, c].
 
     The separable factors of the empirical characteristic function; one
-    GEMM over the agents per column of e3.
+    GEMM over the agents per column of e3, summed over the agent blocks.
     """
     s = np.empty((e1.shape[1], e2.shape[1], e3.shape[1]), dtype=np.complex128)
     for c in range(e3.shape[1]):
-        s[:, :, c] = (e1 * e3[:, c, None]).T @ e2
+        weighted = e1 * e3[:, c, None]
+        partial = np.zeros(s.shape[:2], dtype=np.complex128)  # contiguous: s[:, :, c] is strided
+        for block in _agent_blocks(e1.shape[0], partial.size):
+            partial += weighted[block].T @ e2[block]
+        s[:, :, c] = partial
     return s / e1.shape[0]
+
+
+def _agent_blocks(n: int, width: int) -> list[slice]:
+    """Contiguous slices that tile range(n) for a GEMM over n agents whose other two sizes multiply to width.
+
+    Blocks of GEMM_MAX_WORK // width agents, whose products OpenBLAS keeps
+    on the calling thread, where that is at least MIN_BLOCK_ROWS; else the
+    one slice of all agents, a product wide enough to use the pool.  Every
+    matrix product of the package iterates these slices.
+    """
+    step = GEMM_MAX_WORK // width
+    if step < MIN_BLOCK_ROWS:
+        return [slice(0, n)]
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def em_step(e: AgentEnsemble, dt: float, noise: np.ndarray | None = None) -> AgentEnsemble:

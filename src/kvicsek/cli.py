@@ -22,10 +22,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kvicsek",
         description="Pseudo-spectral experiments for the kinetic alignment model",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="preset", required=True)
     for name in sorted(PRESETS):
-        p = sub.add_parser(name, help=f"run the {name} preset")
+        # one spelling per flag: a prefix unique today breaks when a preset gains an option
+        p = sub.add_parser(name, help=f"run the {name} preset", allow_abbrev=False)
         p.add_argument("--config", type=Path, help="flat key = value config file")
         p.add_argument("--out", type=Path, default=Path("out") / name, help="output directory")
         p.add_argument("--seed", default=None)

@@ -359,11 +359,10 @@ def evolve_rows(c: np.ndarray, t0: float, dt: float, n_steps, every, stepper, sa
     ``stepper(rows)`` is the step (c, t) -> c of the rows still running.  ``sample(rows, c[rows], t)``
     runs at t0 and where ``config.due`` says, at the times of ``config.step_times``.
     """
+    check_cadence("n_steps", n_steps, 0)
     check_cadence("sample_every", every, 1)
     n_steps = np.broadcast_to(n_steps, len(c))
     every = np.broadcast_to(every, len(c))
-    if np.any(n_steps < 0):
-        raise ValueError("n_steps must be >= 0")
     times = step_times(t0, dt, int(np.max(n_steps, initial=0)))
     sample(np.arange(len(c)), c, times[0])
     ends = sorted(set(n_steps.tolist()) - {0})

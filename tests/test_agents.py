@@ -1,14 +1,25 @@
 """Agent SDE: drift forms, noise statistics, density estimation."""
 
 import copy
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ive
 from scipy.stats import chi2
 
+import kvicsek
 from kvicsek.agents import (
+    GEMM_MAX_WORK,
+    MIN_BLOCK_ROWS,
     AgentEnsemble,
+    _agent_blocks,
+    _characteristic,
+    _phases,
     _make_rng,
     angular_drift,
     em_step,
@@ -254,6 +265,81 @@ class TestFourierDrift:
         for a in (ks, phihat):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+
+# The bench `agents` inputs; prints the CPU ticks of every thread but the main
+# one (utime + stime, fields 14-15 of /proc/self/task/<tid>/stat) over 20 calls.
+_THREAD_PROBE = """
+import os
+from kvicsek import agents, influence, presets, spectral
+
+def other_thread_ticks():
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+            ticks += int(fields[11]) + int(fields[12])
+    return ticks
+
+kernels = influence.make_influence(spectral.TorusGrid(8, 8, 64), phi="bump", sigma=1.0)
+e = agents.ensemble_from_profile(1024, presets.perturbed_profile(64, 0.2, 0), kernels, kappa=1.0, nu=0.1)
+kde_grid = spectral.TorusGrid(16, 16, 32)
+agents.angular_drift(e), agents.empirical_density(e, kde_grid)
+before = other_thread_ticks()
+for _ in range(20):
+    agents.angular_drift(e), agents.empirical_density(e, kde_grid)
+print(other_thread_ticks() - before)
+"""
+
+
+class TestAgentBlocks:
+    """The agent-axis GEMMs stay within OpenBLAS's single-thread bound where it pays."""
+
+    @pytest.mark.parametrize("n", [1, 77, 78, 1024, 8000])
+    def test_blocks_tile_the_agents_and_match_the_unblocked_product(self, n, bump_influence, monkeypatch):
+        ks = bump_influence.phi_series[0]
+        width = len(ks) ** 2  # 31 x 31 at K = 15: blocks of 68 agents
+        blocks = _agent_blocks(n, width)
+        assert np.array_equal(np.concatenate([np.arange(n)[block] for block in blocks]), np.arange(n))
+        assert all((block.stop - block.start) * width <= GEMM_MAX_WORK for block in blocks)
+        e = make_ensemble(np.random.default_rng(n), n, bump_influence)
+        e1, e2, e3 = _phases(e.x[:, 0], ks), _phases(e.x[:, 1], ks), _phases(e.theta, np.arange(3))
+        blocked = _characteristic(e1, e2, e3), angular_drift(e)
+        monkeypatch.setattr("kvicsek.agents.GEMM_MAX_WORK", 2**62)  # one block of all agents
+        assert len(_agent_blocks(n, width)) == 1
+        for b, full in zip(blocked, (_characteristic(e1, e2, e3), angular_drift(e))):
+            assert b.shape == full.shape
+            assert np.max(np.abs(b - full)) <= 1e-13 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize(
+        "side, blocked", [(16, True), (29, True), (31, True), (32, False), (33, False), (257, False)]
+    )
+    def test_wide_products_are_left_whole(self, side, blocked):
+        # below MIN_BLOCK_ROWS agents per block the product goes whole to the pool, where the
+        # drift at K >= 16 ran faster; 257 x 257 alone is above GEMM_MAX_WORK
+        blocks = _agent_blocks(8000, side * side)
+        if blocked:
+            assert min(block.stop - block.start for block in blocks[:-1]) >= MIN_BLOCK_ROWS
+            assert max(block.stop - block.start for block in blocks) * side * side <= GEMM_MAX_WORK
+        else:
+            assert blocks == [slice(0, 8000)]
+
+    def test_drift_and_density_stay_on_the_calling_thread(self):
+        if not Path(f"/proc/self/task/{threading.get_native_id()}/stat").exists():
+            pytest.skip("no per-thread CPU times in /proc on this platform")
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        if "openblas" not in str(blas.get("name", "")).lower():
+            pytest.skip(f"the threading bound was measured for OpenBLAS, numpy uses {blas.get('name')}")
+        src = str(Path(kvicsek.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert int(out.stdout) <= 1, (
+            f"the pool ran {out.stdout.strip()} ticks; GEMM_MAX_WORK was measured on OpenBLAS 0.3.31, "
+            f"numpy uses {blas.get('name')} {blas.get('version')}"
+        )
 
 
 class TestProjectionForm:

@@ -328,6 +328,18 @@ class TestCli:
         assert "unrecognized arguments: --set" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [(["homogeneous", "--rat", "2", "--t-e", "1"], "--rat"), (["kinetic", "--s", "3"], "--s")],
+    )
+    def test_flags_are_not_abbreviated(self, tmp_path, capsys, argv, prefix):
+        # one spelling per flag; --s would also become ambiguous as presets gain options
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {prefix}" in err and "config error:" not in err
+        assert not out.exists()
+
     def test_homogeneous_has_one_spelling_of_kappa(self, tmp_path, capsys):
         # kappa is ratio * nu; a second spelling would let one of them be ignored
         out = tmp_path / "run"
@@ -498,6 +510,65 @@ def test_every_parameter_default_has_a_caller():
     modules = {p.name: p.read_text() for p in sorted((ROOT / "src" / "kvicsek").glob("*.py"))}
     callers = [p.read_text() for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
     assert _unset_defaults(modules, callers) == []
+
+
+_BLAS_CALLS = {"matmul", "dot", "tensordot", "inner", "vdot"}
+
+
+def _gemms_outside(source: str, blocks: str) -> list[str]:
+    """Matrix products in source that are not in the body of a ``for`` over ``blocks(...)``.
+
+    A matrix product is ``@``, a call to one of ``_BLAS_CALLS`` (as ``f(...)``
+    or ``obj.f(...)``), or an ``einsum`` with ``optimize=``, which may hand
+    its contraction to BLAS.
+    """
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for loop in ast.walk(tree)
+        if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call)
+        and isinstance(loop.iter.func, ast.Name) and loop.iter.func.id == blocks
+        for statement in loop.body
+        for node in ast.walk(statement)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if name in _BLAS_CALLS or (name == "einsum" and any(k.arg == "optimize" for k in node.keywords)):
+                found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_gemms_outside_the_block_loops_detected():
+    source = (
+        "import numpy as np\n"
+        "def f(a, b, out):\n"
+        "    for block in blocks(len(a), 4):\n        out += a[block] @ b\n        np.matmul(a, b, out=out)\n"
+        "    for block in other(len(a)):\n        out += a[block] @ b\n"
+        "    c = a @ b\n    c @= b\n"
+        "    return np.dot(a, b) + a.vdot(b) + np.einsum('ij,jk', a, b, optimize=True)\n"
+        "def g(a, b):\n    return np.einsum('ij,ij->i', a, b) + np.matmul(a, b) + np.linalg.norm(a)\n"
+    )
+    assert _gemms_outside(source, "blocks") == [
+        "@ (line 7)", "@ (line 8)", "@ (line 9)", "dot (line 10)", "einsum (line 10)", "vdot (line 10)",
+        "matmul (line 12)",
+    ]
+
+
+def test_matrix_products_only_over_agent_blocks():
+    # a GEMM above OpenBLAS's threading bound goes to its pool, where for the drift's
+    # narrow shapes the hand-off costs more than the product: agents._agent_blocks
+    # chooses the blocks, and every product must run over them
+    found = {
+        p.name: _gemms_outside(p.read_text(), "_agent_blocks")
+        for p in sorted((ROOT / "src" / "kvicsek").glob("*.py"))
+    }
+    assert {name: products for name, products in found.items() if products} == {}
 
 
 def _third_party_imports(source: str) -> set[str]:

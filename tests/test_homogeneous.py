@@ -161,10 +161,11 @@ class TestBatchedEvolution:
         with pytest.raises(ValueError, match="at least one state"):
             evolve_homogeneous([], kernel, 0.01, 2)
 
-    @pytest.mark.parametrize("n_steps, sample_every", [(10, 0), (10, 1.5), (-3, 1)])
+    @pytest.mark.parametrize("n_steps, sample_every", [(10, 0), (10, 1.5), (-3, 1), (2.5, 1), (3.0, 1)])
     def test_bad_counts_rejected_before_stepping(self, kernel, n_steps, sample_every):
         s = HomogeneousState(g=perturbed_profile(256, 0.2, seed=5), t=0.0, kappa=0.2, nu=0.1)
-        message = "n_steps must be >= 0" if n_steps < 0 else "sample_every must be an integer >= 1"
+        bad_steps = n_steps < 0 or not isinstance(n_steps, int)
+        message = "n_steps must be an integer >= 0" if bad_steps else "sample_every must be an integer >= 1"
         with pytest.raises(ValueError, match=message):
             evolve_homogeneous(s, kernel, 0.01, n_steps, sample_every=sample_every)
 

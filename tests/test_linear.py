@@ -506,8 +506,8 @@ class TestBatchedEvolution:
 
     def test_step_counts_and_cadence_are_checked(self):
         s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 16), t=0.0, nu=1e-2)
-        for n_steps, every in ((-1, 1), ([3, -1], 1)):
-            with pytest.raises(ValueError, match="n_steps must be >= 0"):
+        for n_steps, every in ((-1, 1), ([3, -1], 1), (2.5, 1), (3.0, 1), ([3, 2.5], 1)):
+            with pytest.raises(ValueError, match="n_steps must be an integer >= 0"):
                 evolve_mode([s, s], 0.05, n_steps, sample_every=every)
         for every in (0, [2, 0], 1.5, [1, 1.5]):
             with pytest.raises(ValueError, match="sample_every must be an integer >= 1"):
