@@ -33,11 +33,21 @@ blocks within GEMM_MAX_WORK, kept on the calling thread, only where a block
 still holds MIN_BLOCK_ROWS agents, and leaves wider products whole.  The
 bound was measured for the drift's shape; the density estimate's 16 x 16
 shape stayed on the calling thread even whole, so there it is conservative.
+
+Each ensemble value evaluates one function of theta, once: its read-only
+``heading`` exp(i theta).  em_step reads the velocity (cos, sin) off it
+as a float view, the drift and the density estimate build their angular
+phases from it, and the order parameter is its conjugated mean.  The
+step wraps x into [0, 2pi) and theta into [-pi, pi) with
+``linear.wrap_angle``: bit for bit np.mod, by one conditional 2pi shift
+where that is exact, with no fmod; only an array with a value more than
+one period out (a noise jump of more than 2pi) takes np.mod.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -66,10 +76,19 @@ def _copy_rng(rng: np.random.Generator) -> np.random.Generator:
 
 
 def _box_muller(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Standard normals from the counter-based uniform stream."""
-    u1 = 1.0 - rng.random(n)  # in (0, 1]
-    u2 = rng.random(n)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(TWO_PI * u2)
+    """Standard normals from the counter-based uniform stream.
+
+    sqrt(-2 log(1 - u1)) cos(2pi u2), evaluated in place in that order.
+    """
+    radius = rng.random(n)
+    np.subtract(1.0, radius, out=radius)  # in (0, 1]
+    np.log(radius, out=radius)
+    np.multiply(-2.0, radius, out=radius)
+    np.sqrt(radius, out=radius)
+    angle = rng.random(n)
+    np.multiply(TWO_PI, angle, out=angle)
+    np.cos(angle, out=angle)
+    return np.multiply(radius, angle, out=radius)
 
 
 @dataclass(frozen=True)
@@ -102,6 +121,18 @@ class AgentEnsemble:
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+    @cached_property
+    def heading(self) -> np.ndarray:
+        """exp(i theta), read-only, computed once per ensemble value.
+
+        The velocity direction (its real and imaginary parts), the drift's
+        angular phases and the order parameter all read it; nothing else in
+        this module takes a cos, sin or exp of theta.
+        """
+        z = np.exp(1j * self.theta)
+        z.flags.writeable = False
+        return z
 
 
 def ensemble_from_profile(
@@ -192,7 +223,7 @@ def angular_drift(e: AgentEnsemble) -> np.ndarray:
     weight = np.where((support == 0) | (support == psi.n // 2), 1.0, 2.0)
     e1 = _phases(e.x[:, 0], ks)
     e2 = _phases(e.x[:, 1], ks)
-    e3 = _phases(e.theta, ls)
+    e3 = _phases(e.heading, ls)
     s = _characteristic(e1, e2, e3)
     coeffs = weight * psi.coeffs[support]
     out = np.zeros(e.n)
@@ -209,18 +240,27 @@ def angular_drift(e: AgentEnsemble) -> np.ndarray:
 def _phases(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """exp(i ks[c] u[j]) as an (N, len(ks)) array.
 
-    Built from running products of exp(i u): one complex exponential per
-    point instead of one per entry, at a phase error that grows like |k|
-    ulps, as the rounding of the argument k u does for the direct form.
+    u holds the angles, or their phasors exp(i u) as a complex array (an
+    ensemble's heading), which are used as given.  Built from running
+    products of exp(i u): at most one complex exponential per point
+    instead of one per entry, at a phase error that grows like |k| ulps,
+    as the rounding of the argument k u does for the direct form.  A k < 0
+    row is the conjugate of the |k| power, written straight into place.
     """
+    n = u.shape[0]
     k_max = int(np.max(np.abs(ks), initial=0))
-    powers = np.ones((k_max + 1, u.shape[0]), dtype=np.complex128)
+    powers = [np.ones(n, dtype=np.complex128)]
     if k_max:
-        z = np.exp(1j * u)
-        for k in range(1, k_max + 1):
-            np.multiply(powers[k - 1], z, out=powers[k])
-    rows = powers[np.abs(ks)]
-    np.conjugate(rows, out=rows, where=(ks < 0)[:, None])
+        z = u if np.iscomplexobj(u) else np.exp(1j * u)
+        powers.append(z)
+        for _ in range(2, k_max + 1):
+            powers.append(powers[-1] * z)
+    rows = np.empty((len(ks), n), dtype=np.complex128)
+    for row, k in zip(rows, ks):
+        if k < 0:
+            np.conjugate(powers[-k], out=row)
+        else:
+            row[:] = powers[k]
     return rows.T
 
 
@@ -265,14 +305,19 @@ def em_step(e: AgentEnsemble, dt: float, noise: np.ndarray | None = None) -> Age
     _check_dt(dt)
     if dt * e.kappa * e.influence.phi_max * e.influence.psi_max > 0.1:
         raise StepSizeError("dt violates the drift guard dt*kappa*max|Phi Psi| <= 0.1")
-    drift = angular_drift(e)
     rng = _copy_rng(e.rng)
     if noise is None:
         noise = _box_muller(rng, e.n)
+    else:
+        noise = np.asarray(noise, dtype=np.float64)
+        if noise.shape != (e.n,) or not np.all(np.isfinite(noise)):
+            raise ValueError(f"noise must be finite with shape ({e.n},), got shape {noise.shape}")
+    drift = angular_drift(e)
     speed = e.v(e.t)
-    x_new = e.x + speed * dt * np.column_stack([np.cos(e.theta), np.sin(e.theta)])
+    velocity = e.heading.view(np.float64).reshape(e.n, 2)  # (cos theta, sin theta) rows, no copy
+    x_new = e.x + speed * dt * velocity
     theta_new = e.theta + drift * dt + np.sqrt(2.0 * e.nu * dt) * noise
-    return replace(e, x=np.mod(x_new, TWO_PI), theta=wrap_angle(theta_new), t=e.t + dt, rng=rng)
+    return replace(e, x=wrap_angle(x_new, 0.0), theta=wrap_angle(theta_new), t=e.t + dt, rng=rng)
 
 
 def projection_drift_check(e: AgentEnsemble) -> float:
@@ -282,8 +327,8 @@ def projection_drift_check(e: AgentEnsemble) -> float:
     over pairs here, must match the angular drift that em_step uses times
     the unit tangent (-sin, cos); the identity rests on psi being even.
     """
-    cos_t, sin_t = np.cos(e.theta), np.sin(e.theta)
-    vvec = np.column_stack([cos_t, sin_t])
+    vvec = e.heading.view(np.float64).reshape(e.n, 2)
+    cos_t, sin_t = vvec.T
     a = angular_drift(e)
 
     psi_factor = e.influence.angular.psi_factor
@@ -305,8 +350,8 @@ def projection_drift_check(e: AgentEnsemble) -> float:
 
 
 def order_parameter(e: AgentEnsemble) -> complex:
-    """(1/N) sum_i e^{-i theta^i}."""
-    return complex(np.mean(np.exp(-1j * e.theta)))
+    """(1/N) sum_i e^{-i theta^i}, the conjugated mean of the heading."""
+    return complex(np.conj(np.mean(e.heading)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +370,6 @@ def empirical_density(e: AgentEnsemble, grid: TorusGrid, bandwidth: float = 0.3)
         raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth}")
     ratios = np.array(bessel_ratios(1.0 / bandwidth**2, max(grid.shape) // 2))
     w1, w2, w3 = (ratios[np.abs(ks)] for ks in (grid.k1, grid.k2, grid.l))
-    s = _characteristic(_phases(e.x[:, 0], -grid.k1), _phases(e.x[:, 1], -grid.k2), _phases(e.theta, -grid.l))
+    s = _characteristic(_phases(e.x[:, 0], -grid.k1), _phases(e.x[:, 1], -grid.k2), _phases(e.heading, -grid.l))
     kernel = w1[:, None, None] * w2[None, :, None] * w3[None, None, :] / TWO_PI**3
     return SpectralField(grid, kernel * s)

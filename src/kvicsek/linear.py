@@ -474,9 +474,24 @@ def jk_field(s: ModeState, sign: int = +1) -> tuple[AngularProfile, complex, com
     return AngularProfile.from_values(values), A, B
 
 
-def wrap_angle(x: np.ndarray) -> np.ndarray:
-    """Wrap angles into [-pi, pi)."""
-    return np.mod(np.asarray(x) + np.pi, TWO_PI) - np.pi
+def wrap_angle(x: np.ndarray, shift: float = np.pi) -> np.ndarray:
+    """Wrap angles into [-shift, 2pi - shift), bit for bit np.mod(x + shift, 2pi) - shift.
+
+    Where every x + shift lies in [-2pi, 4pi), np.mod is one conditional
+    2pi shift: its fmod is exact there (Sterbenz) and numpy adds the
+    divisor to a negative remainder the same way, so no fmod is needed.
+    An array with anything outside, such as a noise jump of more than one
+    period or a NaN, takes np.mod whole.  (Like np.mod, a tiny negative
+    x + shift rounds up to 2pi - shift.)
+    """
+    a = np.add(x, shift, out=np.empty(np.shape(x)))  # x + 0.0 also turns -0.0 into +0.0, as np.mod does
+    if a.size and not (-TWO_PI <= a.min() and a.max() < 2 * TWO_PI):
+        np.mod(a, TWO_PI, out=a)
+    else:
+        np.subtract(a, TWO_PI, out=a, where=a >= TWO_PI)
+        np.add(a, TWO_PI, out=a, where=a < 0.0)
+    a -= shift
+    return a
 
 
 def cutoff_chi(n: int, theta_k: float) -> np.ndarray:

@@ -364,7 +364,7 @@ def _compare(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
         for tc in np.linspace(0.0, t_end, o["checkpoints"] + 1)[1:]:
             idx = int(np.argmin(np.abs(times - tc)))
             gap = abs(m_pde[idx] - m_sde[idx])
-            if gap > band:
+            if not gap <= band:  # a NaN order parameter fails too
                 raise NumericsError(
                     f"SDE/PDE order parameters differ by {gap:.3f} > {band} at t={times[idx]:.2f}"
                 )

@@ -2,9 +2,11 @@
 
 import copy
 import os
+import re
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +156,17 @@ class TestEmStep:
         e2 = em_step(e, 1.0, noise=np.zeros(1))
         assert 0.0 <= e2.x[0, 0] < TWO_PI
         assert -np.pi <= e2.theta[0] < np.pi
+
+    @pytest.mark.parametrize(
+        "noise, shape",
+        [(np.zeros(1), "(1,)"), (np.zeros((10, 1)), "(10, 1)"), (np.zeros(11), "(11,)"),
+         (np.full(10, np.nan), "(10,)"), (np.r_[np.zeros(9), np.inf], "(10,)")],
+    )
+    def test_rejects_bad_noise(self, uniform_influence, noise, shape):
+        # a (1,) draw would broadcast to every agent, a NaN one would poison every heading
+        e = make_ensemble(np.random.default_rng(0), 10, uniform_influence)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            em_step(e, 0.01, noise=noise)
 
 
 class TestDrift:
@@ -411,6 +424,55 @@ class TestOrderParameter:
         for _ in range(int(60.0 / 0.05)):
             e = em_step(e, 0.05)
         assert abs(abs(order_parameter(e)) - r2) < 0.05
+
+
+class TestHeading:
+    """One exp(i theta) per ensemble value, shared by the step, the drift and the order parameter."""
+
+    def test_cached_and_read_only(self, uniform_influence):
+        e = make_ensemble(np.random.default_rng(13), 64, uniform_influence)
+        assert e.heading is e.heading
+        assert np.array_equal(e.heading, np.exp(1j * e.theta))
+        with pytest.raises(ValueError):
+            e.heading[0] = 1.0
+
+    def test_replace_gets_a_fresh_heading(self, uniform_influence):
+        e = make_ensemble(np.random.default_rng(14), 64, uniform_influence)
+        e.heading  # fill the cache
+        moved = replace(e, theta=e.theta[::-1])
+        assert np.array_equal(moved.heading, np.exp(1j * moved.theta))
+        stepped = em_step(e, 0.02)
+        assert np.array_equal(stepped.heading, np.exp(1j * stepped.theta))
+
+    def test_order_parameter_is_the_mean_of_the_conjugate_phasors(self, uniform_influence):
+        e = make_ensemble(np.random.default_rng(15), 10**5, uniform_influence)
+        want = np.mean(np.exp(-1j * e.theta))
+        assert abs(order_parameter(e) - want) <= 1e-15 * abs(want)
+        if np.array_equal(np.exp(-1j * e.theta), np.conj(np.exp(1j * e.theta))):
+            # conjugation commutes with the rounded sum, so a conjugate-symmetric exp gives equality
+            assert order_parameter(e) == want
+
+
+class TestPhases:
+    """_phases(u, ks) is exp(i ks u) from running products of one phasor per point."""
+
+    @pytest.mark.parametrize(
+        "ks", [[0], [3, -7, 0, 7, -1, 3, 0, 13], [-2, -2, 5, -5, 1], np.arange(-15, 16), [-40, 40, 2]]
+    )
+    def test_matches_the_direct_exponential(self, ks):
+        ks = np.asarray(ks)
+        u = np.random.default_rng(16).uniform(0.0, TWO_PI, 5000)
+        got = _phases(u, ks)
+        assert got.shape == (u.size, ks.size)
+        # the direct form's own argument rounding reaches ~pi |k| eps for u < 2pi
+        bound = 8 * np.maximum(np.abs(ks), 1) * np.finfo(float).eps
+        assert np.all(np.max(np.abs(got - np.exp(1j * ks * u[:, None])), axis=0) <= bound)
+        assert np.array_equal(_phases(np.exp(1j * u), ks), got)  # phasors in, as an ensemble's heading
+        for c, k in enumerate(ks):
+            if k == 0:
+                assert np.all(got[:, c] == 1.0)
+            elif -k in ks:
+                assert np.array_equal(got[:, c], np.conj(got[:, list(ks).index(-k)]))
 
 
 class TestSpeed:

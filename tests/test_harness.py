@@ -260,6 +260,11 @@ class TestCli:
         ])
         assert code == 3
 
+    def test_nan_order_parameter_exit_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("kvicsek.agents.order_parameter", lambda e: complex(np.nan, np.nan))
+        code = main(["compare", "--out", str(tmp_path), "--n", "64", "--t-end", "0.2", "--band", "0.5"])
+        assert code == 3
+
     def test_io_error_exit_4(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
@@ -569,6 +574,50 @@ def test_matrix_products_only_over_agent_blocks():
         for p in sorted((ROOT / "src" / "kvicsek").glob("*.py"))
     }
     assert {name: products for name, products in found.items() if products} == {}
+
+
+_TRANSCENDENTALS = {"cos", "sin", "exp"}
+
+
+def _theta_transcendentals(source: str, cls: str, keeper: str) -> list[str]:
+    """np.cos / np.sin / np.exp calls whose arguments read ``.theta``, outside method ``keeper`` of ``cls``."""
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == cls
+        for f in c.body if isinstance(f, ast.FunctionDef) and f.name == keeper
+        for node in ast.walk(f)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt or not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not (isinstance(func, ast.Attribute) and func.attr in _TRANSCENDENTALS
+                and isinstance(func.value, ast.Name) and func.value.id == "np"):
+            continue
+        arguments = node.args + [k.value for k in node.keywords]
+        if any(isinstance(n, ast.Attribute) and n.attr == "theta" for a in arguments for n in ast.walk(a)):
+            found.append((node.lineno, node.col_offset, func.attr))
+    return [f"np.{name} (line {line})" for line, _, name in sorted(found)]
+
+
+def test_theta_transcendentals_outside_the_heading_detected():
+    source = (
+        "import numpy as np\n"
+        "class E:\n"
+        "    def heading(self):\n        return np.exp(1j * self.theta)\n"
+        "    def other(self):\n        return np.cos(self.theta)\n"
+        "def f(e, u):\n"
+        "    return np.sin(e.theta[0]) + np.exp(-1j * u) + np.cos(x=2 * e.theta) + math.cos(e.theta)\n"
+    )
+    assert _theta_transcendentals(source, "E", "heading") == ["np.cos (line 6)", "np.sin (line 8)", "np.cos (line 8)"]
+
+
+def test_agents_evaluate_theta_only_in_the_heading():
+    # exp(i theta) is computed once per ensemble value; cos, sin and exp(-i theta) are read off it
+    source = (ROOT / "src" / "kvicsek" / "agents.py").read_text()
+    assert _theta_transcendentals(source, "AgentEnsemble", "heading") == []
 
 
 def _third_party_imports(source: str) -> set[str]:

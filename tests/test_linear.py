@@ -25,6 +25,7 @@ from kvicsek.linear import (
     speed_constant,
     speed_decaying,
     step_mode,
+    wrap_angle,
 )
 from kvicsek.spectral import (
     TWO_PI,
@@ -417,6 +418,42 @@ class TestJkFields:
         assert chi[np.argmin(np.abs(th))] == pytest.approx(1.0)
         assert np.all(chi[np.abs(np.mod(th + np.pi, TWO_PI) - np.pi) >= TWO_PI / 3] == 0.0)
         assert np.all(chi >= 0.0) and np.all(chi <= 1.0)
+
+
+class TestWrapAngle:
+    """wrap_angle is np.mod(y + s, 2pi) - s bit for bit, signed zeros and NaN included."""
+
+    EDGES = [
+        -TWO_PI, -np.nextafter(TWO_PI, 0.0), -1e-300, -0.0, 0.0, 1e-300,
+        np.nextafter(TWO_PI, 0.0), TWO_PI, np.nextafter(2 * TWO_PI, 0.0),
+    ]
+    FAR = [  # more than one period out: the np.mod fallback
+        np.nextafter(-TWO_PI, -np.inf), -3 * TWO_PI - 0.1, 2 * TWO_PI, 1e6, -1e6, np.inf, -np.inf, np.nan,
+    ]
+
+    @staticmethod
+    def _assert_bits_equal(y, s):
+        with np.errstate(invalid="ignore"):  # np.mod of an infinity
+            got, want = wrap_angle(y, s), np.mod(y + s, TWO_PI) - s
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (y, s)
+
+    @pytest.mark.parametrize("s", [0.0, np.pi])
+    def test_edges_one_at_a_time(self, s):
+        for v in self.EDGES + self.FAR:
+            for y in (v, v - s):  # v as the input and as the shifted input y + s
+                self._assert_bits_equal(np.array([y]), s)
+
+    @pytest.mark.parametrize("s", [0.0, np.pi])
+    def test_random_sample_with_and_without_far_values(self, s):
+        rng = np.random.default_rng(11)
+        y = rng.uniform(-TWO_PI, 2 * TWO_PI, 10**5) - s
+        y[: len(self.EDGES)] = np.array(self.EDGES) - s
+        assert -TWO_PI <= np.min(y + s) and np.max(y + s) < 2 * TWO_PI  # all on the conditional-shift path
+        self._assert_bits_equal(y, s)
+        y[-len(self.FAR):] = self.FAR
+        self._assert_bits_equal(y, s)
+        self._assert_bits_equal(y.reshape(-1, 2), s)
 
 
 def test_evolve_mode_series_columns():
