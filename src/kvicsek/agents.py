@@ -315,9 +315,18 @@ def em_step(e: AgentEnsemble, dt: float, noise: np.ndarray | None = None) -> Age
     drift = angular_drift(e)
     speed = e.v(e.t)
     velocity = e.heading.view(np.float64).reshape(e.n, 2)  # (cos theta, sin theta) rows, no copy
-    x_new = e.x + speed * dt * velocity
-    theta_new = e.theta + drift * dt + np.sqrt(2.0 * e.nu * dt) * noise
-    return replace(e, x=wrap_angle(x_new, 0.0), theta=wrap_angle(theta_new), t=e.t + dt, rng=rng)
+    # e.x + speed dt velocity and e.theta + drift dt + sqrt(2 nu dt) noise, in
+    # that order, then the wraps, in two fresh buffers (drift is one): fewer
+    # large temporaries for the allocator to hand back and fault in again.
+    # An injected noise is never written.
+    x_new = np.multiply(speed * dt, velocity)
+    np.add(e.x, x_new, out=x_new)
+    theta_new = np.multiply(drift, dt, out=drift)
+    np.add(e.theta, theta_new, out=theta_new)
+    np.add(theta_new, np.sqrt(2.0 * e.nu * dt) * noise, out=theta_new)
+    x_new = wrap_angle(x_new, 0.0, out=x_new)
+    theta_new = wrap_angle(theta_new, out=theta_new)
+    return replace(e, x=x_new, theta=theta_new, t=e.t + dt, rng=rng)
 
 
 def projection_drift_check(e: AgentEnsemble) -> float:

@@ -73,14 +73,15 @@ def constant_state(n_theta: int, kappa: float, nu: float) -> HomogeneousState:
 
 
 def _alignment_rhs(
-    g_coeffs: np.ndarray, psi_coeffs: np.ndarray, kappa: np.ndarray | float
-) -> tuple[np.ndarray, np.ndarray]:
+    g_coeffs: np.ndarray, psi_coeffs: np.ndarray, kappa: np.ndarray | float, with_sup: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """kappa d_theta(g (Psi*g)) in coefficients, 2/3-dealiased flux form.
 
     Row-wise over a stack ``g_coeffs[..., n_theta]``, with kappa a scalar
     or one per row; returns the right-hand side and max|Psi*g| per row,
-    shaped ``(..., 1)``.  The product is pointwise, so the (-1)^l
-    grid-offset phase cancels between the transforms and is left out.
+    shaped ``(..., 1)`` (None unless ``with_sup``).  The product is
+    pointwise, so the (-1)^l grid-offset phase cancels between the
+    transforms and is left out.
     """
     n = g_coeffs.shape[-1]
     mask = dealias_keep(n)
@@ -90,7 +91,7 @@ def _alignment_rhs(
     cv = np.fft.ifft(conv, axis=-1) * n
     prod = np.fft.fft(gv * cv, axis=-1) / n
     rhs = kappa * theta_derivative(n) * np.where(mask, prod, 0.0)
-    return rhs, np.max(np.abs(cv), axis=-1, keepdims=True)
+    return rhs, np.max(np.abs(cv), axis=-1, keepdims=True) if with_sup else None
 
 
 def step_homogeneous(s: HomogeneousState, kernel: AngularKernel, dt: float) -> HomogeneousState:

@@ -191,11 +191,11 @@ class InfluencePair:
             raise ValueError("field lives on a different grid")
         return SpectralField(self.grid, self.multiplier * f.coeffs)
 
-    @property
+    @cached_property
     def phi_max(self) -> float:
         return float(np.max(np.abs(self.phi_values)))
 
-    @property
+    @cached_property
     def psi_max(self) -> float:
         return float(np.max(np.abs(self.angular.psi.values.real)))
 

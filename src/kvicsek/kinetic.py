@@ -8,21 +8,32 @@ The density f(t, x, theta) obeys
 with L[f] the (Phi, Psi) convolution.  The step is ``spectral.split_step``,
 the Strang composition shared with the homogeneous and per-mode solvers:
 exact transport and diffusion sub-propagators, and Heun's method for the
-alignment flux, evaluated here pseudospectrally with 2/3-rule dealiasing
-in all three indices, which keeps the total mass invariant to round-off.
+alignment flux, evaluated here pseudospectrally in x and as a banded
+product in theta, with 2/3-rule dealiasing in all three indices, which
+keeps the total mass invariant to round-off.
 
 f is real, so the step works on its half spectrum k2 >= 0, whose layout
-lives in ``spectral``: it reads ``SpectralField.half`` on entry and
-returns ``SpectralField.from_half`` on exit.  Transport is the per-mode
-layer's ``spectral.transport`` with the Nyquist wavenumbers zeroed; the
-flux product uses real-to-complex transforms over ``spectral.HALF_AXES``.
-L[f] is built in real space from the angular planes where Psihat is nonzero
-(``InfluencePair.psi_support``): one 2-D x-transform per plane, then one
-real theta-transform.  For Psi = sin that is a single plane; for a dense
-Psihat it is an ordinary inverse real transform.  Everything the step
-reuses is cached read-only: the dealias mask, the flux factor, the
-transport factor for each repeated v h (one for a constant speed) and the
-support planes of the multiplier (on the InfluencePair).
+lives in ``spectral``: ``step_kinetic`` reads ``SpectralField.half`` on
+entry and returns ``SpectralField.from_half`` on exit, and
+``run_experiment`` carries the half itself, building a field only where it
+samples, writes a snapshot or returns.  Both advance it with one half-step.
+Transport is the per-mode layer's ``spectral.transport`` with the Nyquist
+wavenumbers zeroed.
+
+The flux is a banded product in theta.  L[f] has only the angular modes
++-j, j in the support S of Psihat (``InfluencePair.psi_support``), so the
+flux modes 0 <= l <= n_theta/3 that dealiasing keeps are
+P_l = sum_j (a_j f_{l-j} + conj(a_j) f_{l+j}) in x-values, exactly, with
+f_{-l} = conj(f_l); the modes l < 0 are conjugate reflections.  The right-
+hand side thus takes one batched inverse 2-D x-transform of the planes f_l
+and a_j and one forward transform of the P_l, and no transform over theta;
+its cost grows with |S| (Psi = sin has one plane, a dense Psihat n_theta/3).
+The guard's max|L[f]| on the collocation grid costs one theta-transform of
+the a_j, paid only where ``split_step`` reads it.  Everything the step
+reuses is cached read-only: the dealias mask, the flux factor, the gather
+and scatter maps of the band, the transport factor for each repeated v h
+(one for a constant speed) and the support planes of the multiplier (on
+the InfluencePair).
 """
 
 from __future__ import annotations
@@ -40,12 +51,10 @@ from .errors import NumericsError
 from .influence import InfluencePair
 from .linear import speed_constant
 from .spectral import (
-    HALF_AXES,
     TWO_PI,
     SpectralField,
     TorusGrid,
     _readonly,
-    _unfold,
     diffusion_factor,
     norm,
     remainder,
@@ -114,9 +123,31 @@ def _half_mask(grid: TorusGrid) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _band(grid: TorusGrid) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Index maps between the half and the planes l = 0..n_theta/3 of the banded flux.
+
+    The planes hold the full (k1, k2) grid, l first.  ``gather`` reads their
+    retained k2 < 0 columns, k2 = -n_x2/3..-1, at (-k1, -k2, -l) of the half;
+    ``scatter`` reads the half's retained modes k2 = 0..n_x2/3 at
+    l = -n_theta/3..-1 from (-l, -k1, -k2) of the planes.
+    """
+    n1, n2, n = grid.shape
+    m, m2 = n // 3, n2 // 3
+    neg_k1, neg_k2, neg_l = (-np.arange(n1)) % n1, (-np.arange(m2 + 1)) % n2, (-np.arange(m + 1)) % n
+    gather = (neg_k1[None, :, None], np.arange(m2, 0, -1)[None, None, :], neg_l[:, None, None])
+    scatter = (np.arange(m, 0, -1)[None, None, :], neg_k1[:, None, None], neg_k2[None, :, None])
+    return tuple(map(_readonly, gather)), tuple(map(_readonly, scatter))
+
+
+@lru_cache(maxsize=8)
 def _flux_factor(grid: TorusGrid) -> np.ndarray:
-    """The dealiased theta-derivative, applied to the flux f L[f]."""
-    return _readonly(theta_derivative(grid.n_theta)[None, None, :] * _half_mask(grid))
+    """The dealiased theta-derivative, applied to the flux f L[f], times n_x1 n_x2.
+
+    The factor n_x1 n_x2 undoes the 1/(n_x1 n_x2) that the inverse
+    x-transform puts on both factors of the banded product of x-values.
+    """
+    n_x = grid.n_x1 * grid.n_x2
+    return _readonly(n_x * theta_derivative(grid.n_theta)[None, None, :] * _half_mask(grid))
 
 
 def _transport_half(half: np.ndarray, grid: TorusGrid, v_eff: float, half_dt: float) -> np.ndarray:
@@ -127,30 +158,108 @@ def _transport_half(half: np.ndarray, grid: TorusGrid, v_eff: float, half_dt: fl
     return out
 
 
+def _alignment_sup(planes: np.ndarray, band: np.ndarray, grid: TorusGrid) -> float:
+    """max|L[f]| on the collocation grid, from the x-values ``planes[c]`` of the modes l = band[c]."""
+    lhat = np.zeros((grid.n_x1, grid.n_x2, band.max(initial=0) + 1), dtype=np.complex128)
+    lhat[:, :, band] = planes.transpose(1, 2, 0)
+    lv = np.fft.irfft(lhat, n=grid.n_theta, axis=2)
+    lv *= grid.size
+    return float(np.max(np.abs(lv, out=lv)))
+
+
 def _alignment_rhs(
     half: np.ndarray,
     grid: TorusGrid,
     kernels: InfluencePair,
     kappa: float,
-) -> tuple[np.ndarray, float]:
+    with_sup: bool = True,
+) -> tuple[np.ndarray, float | None]:
     """-kappa d_theta(f L[f]) on the k2 >= 0 half, dealiased flux form.
 
-    L[f] is synthesised from the angular planes in the support of Psihat
-    only: one 2-D x-transform per plane, then a real theta-transform that
-    zero-pads the modes above the support.  Returns the right-hand side
-    and max|L[f]| on the collocation grid.
+    L[f] has only the angular modes +-j, j in the support S of Psihat, so
+    the modes 0 <= l <= n_theta/3 that the 2/3 rule keeps of the flux are
+    the banded sums P_l = sum_j (a_j f_{l-j} + conj(a_j) f_{l+j}) of
+    x-values, with f_{-l} = conj(f_l) and a_j the mode j of L[f]; the
+    modes l < 0 follow from P(k, -l) = conj(P(-k, l)).  One batched 2-D
+    transform gives f_l and a_j, one more takes P back: there is no
+    transform over theta.  Returns the right-hand side and max|L[f]| on the
+    collocation grid (None unless ``with_sup``).
     """
-    # The product is pointwise, so the (-1)^l grid-offset phase cancels
-    # between the inverse and forward transforms and is left out.
-    fd = half * _half_mask(grid)
-    fv = np.fft.irfftn(fd, axes=HALF_AXES) * grid.size
+    n1, n2, n = grid.shape
+    m, m1, m2 = n // 3, n1 // 3, n2 // 3
+    gather, scatter = _band(grid)
     support = kernels.psi_support
-    planes = _unfold(fd, grid, support) * kernels.support_multiplier
-    lhat = np.zeros((grid.n_x1, grid.n_x2, support.max(initial=0) + 1), dtype=np.complex128)
-    lhat[:, :, support] = np.fft.ifft2(planes, axes=(0, 1))
-    lv = np.fft.irfft(lhat, n=grid.n_theta, axis=2) * grid.size
-    prod = np.fft.rfftn(fv * lv, axes=HALF_AXES) / grid.size
-    return -kappa * _flux_factor(grid) * prod, float(np.max(np.abs(lv)))
+    band = support[support <= m]  # the planes above n_theta/3 are zero after dealiasing
+
+    # f_l for l = 0..m, then the planes a_j of L[f], on the full (k1, k2)
+    # grid; the 2/3 rule of x zeroes the rows and columns |k| > n/3.
+    planes = np.empty((m + 1 + len(band), n1, n2), dtype=np.complex128)
+    fl = planes[: m + 1]
+    fl[:, :, : m2 + 1] = half[:, : m2 + 1, : m + 1].transpose(2, 0, 1)
+    fl[:, :, m2 + 1 : n2 - m2] = 0.0
+    np.conjugate(half[gather], out=fl[:, :, n2 - m2 :])
+    fl[:, m1 + 1 : n1 - m1] = 0.0
+    np.multiply(
+        fl[band], kernels.support_multiplier[:, :, : len(band)].transpose(2, 0, 1), out=planes[m + 1 :]
+    )
+    # The product is pointwise in x, and the (-1)^l grid-offset phase
+    # cancels in the banded sum, so both are left out.
+    for axis in (-1, -2):  # np.fft.ifft2, in place
+        np.fft.ifft(planes, axis=axis, out=planes)
+    f_x, a_x = planes[: m + 1], planes[m + 1 :]
+
+    prod = np.zeros((m + 1, n1, n2), dtype=np.complex128)
+    term = np.empty_like(prod)
+    for a, j in zip(-kappa * a_x, band.tolist()):
+        if j == 0:
+            prod += np.multiply(a, f_x, out=term)
+            continue
+        k = m + 1 - j
+        prod[j:] += np.multiply(a, f_x[:k], out=term[:k])
+        prod[:j] += np.multiply(a, np.conj(f_x[j:0:-1]), out=term[:j])
+        prod[:k] += np.multiply(np.conj(a), f_x[j:], out=term[:k])
+    for axis in (-1, -2):  # np.fft.fft2, in place: prod holds the coefficients of P from here
+        np.fft.fft(prod, axis=axis, out=prod)
+
+    factor = _flux_factor(grid)
+    rhs = np.zeros(half.shape, dtype=np.complex128)
+    np.multiply(
+        factor[:, : m2 + 1, : m + 1], prod[:, :, : m2 + 1].transpose(1, 2, 0), out=rhs[:, : m2 + 1, : m + 1]
+    )
+    np.multiply(factor[:, : m2 + 1, n - m :], np.conj(prod[scatter]), out=rhs[:, : m2 + 1, n - m :])
+    return rhs, _alignment_sup(a_x, band, grid) if with_sup else None
+
+
+def _numerics_error(c: np.ndarray, t: float) -> NumericsError:
+    finite = np.isfinite(c)
+    return NumericsError(
+        f"NaN detected at t={t}: mass={TWO_PI**3 * c[0, 0, 0]!r}, "
+        f"max|fhat|={np.max(np.abs(c[finite])) if np.any(finite) else 'n/a'}"
+    )
+
+
+def _step_half(
+    half: np.ndarray, grid: TorusGrid, params: KineticParams, kernels: InfluencePair, t: float
+) -> np.ndarray:
+    """One ``split_step`` of the k2 >= 0 half from t; NumericsError on NaN in the result."""
+    dt = params.dt
+    c = split_step(
+        half,
+        t,
+        dt,
+        diffusion_factor(grid.n_theta, params.nu, dt),
+        advect=lambda c, s: _transport_half(c, grid, params.v(s), 0.5 * dt),
+        rhs=lambda c, with_sup: _alignment_rhs(c, grid, kernels, params.kappa, with_sup),
+        kappa=params.kappa,
+    )
+    if not np.all(np.isfinite(c)):
+        raise _numerics_error(c, t + dt)
+    return c
+
+
+def _check_kernels(params: KineticParams, kernels: InfluencePair, grid: TorusGrid) -> None:
+    if params.kappa != 0.0 and kernels.grid != grid:
+        raise ValueError("kernels live on a different grid")
 
 
 def step_kinetic(
@@ -165,27 +274,12 @@ def step_kinetic(
     StepSizeError when dt violates the explicit alignment guard
     dt <= 0.5 / (kappa l_max max|L[f]| + 1), and NumericsError on NaN.
     """
-    grid = f.grid
-    dt = params.dt
-    if params.kappa != 0.0 and kernels.grid != grid:
-        raise ValueError("kernels live on a different grid")
-    c = split_step(
-        f.half,
-        t,
-        dt,
-        diffusion_factor(grid.n_theta, params.nu, dt),
-        advect=lambda c, s: _transport_half(c, grid, params.v(s), 0.5 * dt),
-        rhs=lambda c: _alignment_rhs(c, grid, kernels, params.kappa),
-        kappa=params.kappa,
-    )
-
+    _check_kernels(params, kernels, f.grid)
+    c = _step_half(f.half, f.grid, params, kernels, t)
     # the k2 < 0 columns of f were not read: check them here too
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(f.coeffs[:, c.shape[1]:, :]))):
-        raise NumericsError(
-            f"NaN detected at t={t + dt}: mass={TWO_PI**3 * c[0, 0, 0]!r}, "
-            f"max|fhat|={np.max(np.abs(c[np.isfinite(c)])) if np.any(np.isfinite(c)) else 'n/a'}"
-        )
-    return SpectralField.from_half(grid, c)
+    if not np.all(np.isfinite(f.coeffs[:, c.shape[1] :, :])):
+        raise _numerics_error(c, t + params.dt)
+    return SpectralField.from_half(f.grid, c)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +344,10 @@ def run_experiment(
     if snapshot_every > 0 and out_dir is None:
         raise ValueError("snapshots requested without an output directory")
 
+    grid = params.grid
+    _check_kernels(params, kernels, grid)
     n_steps = step_count(params.t_end, params.dt)
     times = step_times(0.0, params.dt, n_steps).tolist()
-    f = f0
     rows = []
     snapshots: list[Path] = []
     warned_negative = False
@@ -279,12 +374,22 @@ def run_experiment(
             )
         )
 
+    # The loop carries the k2 >= 0 half, which is all that a step reads,
+    # and builds the field only where it is sampled, written or returned.
+    half = f0.half
+    if not np.all(np.isfinite(f0.coeffs[:, half.shape[1] :, :])):
+        raise _numerics_error(half, times[0])
+    f = f0
     sample(f, times[0])
     for step in range(1, n_steps + 1):
-        f = step_kinetic(f, params, kernels, times[step - 1])
-        if due(step, n_steps, sample_every):
+        half = _step_half(half, grid, params, kernels, times[step - 1])
+        sampled = due(step, n_steps, sample_every)
+        written = snapshot_every > 0 and due(step, n_steps, snapshot_every)
+        if sampled or written:  # due() samples the last step, which gives ``final``
+            f = SpectralField.from_half(grid, half)
+        if sampled:
             sample(f, times[step])
-        if snapshot_every > 0 and due(step, n_steps, snapshot_every):
+        if written:
             path = Path(out_dir) / f"snapshot_{step:08d}.bin"
             write_snapshot(path, f, time=times[step], parameters={"kappa": params.kappa, "nu": params.nu})
             snapshots.append(path)

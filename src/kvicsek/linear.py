@@ -474,7 +474,7 @@ def jk_field(s: ModeState, sign: int = +1) -> tuple[AngularProfile, complex, com
     return AngularProfile.from_values(values), A, B
 
 
-def wrap_angle(x: np.ndarray, shift: float = np.pi) -> np.ndarray:
+def wrap_angle(x: np.ndarray, shift: float = np.pi, out: np.ndarray | None = None) -> np.ndarray:
     """Wrap angles into [-shift, 2pi - shift), bit for bit np.mod(x + shift, 2pi) - shift.
 
     Where every x + shift lies in [-2pi, 4pi), np.mod is one conditional
@@ -482,9 +482,11 @@ def wrap_angle(x: np.ndarray, shift: float = np.pi) -> np.ndarray:
     divisor to a negative remainder the same way, so no fmod is needed.
     An array with anything outside, such as a noise jump of more than one
     period or a NaN, takes np.mod whole.  (Like np.mod, a tiny negative
-    x + shift rounds up to 2pi - shift.)
+    x + shift rounds up to 2pi - shift.)  The result goes to ``out`` if
+    given (float64 of x's shape, x itself allowed), else to a new array.
     """
-    a = np.add(x, shift, out=np.empty(np.shape(x)))  # x + 0.0 also turns -0.0 into +0.0, as np.mod does
+    # x + 0.0 also turns -0.0 into +0.0, as np.mod does
+    a = np.add(x, shift, out=np.empty(np.shape(x)) if out is None else out)
     if a.size and not (-TWO_PI <= a.min() and a.max() < 2 * TWO_PI):
         np.mod(a, TWO_PI, out=a)
     else:

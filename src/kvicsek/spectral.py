@@ -296,7 +296,7 @@ def transport(c: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """The transport sub-step: coefficients c (theta last) times a ``transport_factor`` table on phi_j."""
     mixed = np.fft.ifft(c, axis=-1)
     mixed *= factor
-    return np.fft.fft(mixed, axis=-1)
+    return np.fft.fft(mixed, axis=-1, out=mixed)
 
 
 def split_step(
@@ -305,7 +305,7 @@ def split_step(
     dt: float,
     diffusion: np.ndarray,
     advect: Callable[[np.ndarray, float], np.ndarray] | None = None,
-    rhs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | float]] | None = None,
+    rhs: Callable[..., tuple[np.ndarray, np.ndarray | float | None]] | None = None,
     kappa: np.ndarray | float = 0.0,
 ) -> np.ndarray:
     """One Strang step T/2 -> A/2 -> D -> A/2 -> T/2 on coefficients, theta last.
@@ -315,9 +315,11 @@ def split_step(
     ``diffusion`` an ``(n_theta,)`` or ``(batch, n_theta)`` array.
     ``advect(c, s)`` advances c over dt/2 by ``transport`` with the speed
     sampled at s (t + dt/4, then t + 3dt/4); None skips it.  Each A/2 is a
-    Heun step over dt/2 with ``rhs(c) -> (alignment right-hand side, sup of
-    the alignment field)``, the sup a scalar or one per row as
-    ``(batch, 1)``; it is skipped when every kappa is 0.  D multiplies by
+    Heun step over dt/2 with ``rhs(c, with_sup) -> (alignment right-hand
+    side, sup of the alignment field)``, the sup a scalar or one per row as
+    ``(batch, 1)``; it is skipped when every kappa is 0.  Only the first
+    stage reads the sup, so the second asks for none (``with_sup=False``),
+    and the rhs may return None in its place.  D multiplies by
     ``diffusion`` (cached ``diffusion_factor`` rows).  The guard
     dt <= 0.5 / (kappa (n_theta/2) sup + 1) is checked per row with kappa
     != 0 at the first stage of either Heun step; StepSizeError names the
@@ -327,7 +329,7 @@ def split_step(
 
     def align_half(c):
         h = 0.5 * dt
-        r1, sup = rhs(c)
+        r1, sup = rhs(c, with_sup=True)
         bad = (dt > 0.5 / (kappa * (c.shape[-1] // 2) * sup + 1.0)) & (kappa != 0.0)
         if np.count_nonzero(bad):
             row = int(np.argmax(np.ravel(bad)))
@@ -336,7 +338,7 @@ def split_step(
                 f"dt={dt} violates the alignment guard at t={t} in row {row} "
                 f"(alignment field max {sup_row:.3g})"
             )
-        r2, _ = rhs(c + h * r1)
+        r2, _ = rhs(c + h * r1, with_sup=False)
         return c + 0.5 * h * (r1 + r2)
 
     aligned = np.count_nonzero(kappa) > 0
@@ -400,20 +402,6 @@ def _reflection(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(neg_k1), _readonly(mirror)
 
 
-def _unfold(half: np.ndarray, grid: TorusGrid, l_index: np.ndarray) -> np.ndarray:
-    """Full (k1, k2) coefficients at the angular indices l_index of a real field.
-
-    The k2 < 0 columns follow from fhat(k, l) = conj(fhat(-k, -l)).
-    """
-    n2h = half.shape[1]
-    out = np.empty((grid.n_x1, grid.n_x2, len(l_index)), dtype=np.complex128)
-    out[:, :n2h] = half[:, :, l_index]
-    neg_k1, mirror = _reflection(grid)
-    neg_l = (-l_index) % grid.n_theta
-    np.conjugate(half[np.ix_(neg_k1, mirror, neg_l)], out=out[:, n2h:])
-    return out
-
-
 @dataclass(frozen=True)
 class SpectralField:
     """Coefficient array fhat(k1, k2, l) on a TorusGrid; immutable value."""
@@ -443,8 +431,14 @@ class SpectralField:
 
     @classmethod
     def from_half(cls, grid: TorusGrid, half: np.ndarray) -> "SpectralField":
-        """The real field with k2 >= 0 coefficients ``half``; k2 < 0 by conjugate symmetry."""
-        return cls(grid, _unfold(half, grid, np.arange(grid.n_theta)))
+        """The real field with k2 >= 0 coefficients ``half``; k2 < 0 by fhat(k, l) = conj(fhat(-k, -l))."""
+        n2h = half.shape[1]
+        out = np.empty(grid.shape, dtype=np.complex128)
+        out[:, :n2h] = half
+        neg_k1, mirror = _reflection(grid)
+        neg_l = (-np.arange(grid.n_theta)) % grid.n_theta
+        np.conjugate(half[np.ix_(neg_k1, mirror, neg_l)], out=out[:, n2h:])
+        return cls(grid, out)
 
     @property
     def half(self) -> np.ndarray:

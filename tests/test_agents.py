@@ -34,7 +34,7 @@ from kvicsek.agents import (
 )
 from kvicsek.errors import StepSizeError
 from kvicsek.influence import AngularKernel, InfluencePair, make_influence
-from kvicsek.linear import speed_constant, speed_decaying
+from kvicsek.linear import speed_constant, speed_decaying, wrap_angle
 from kvicsek.spectral import TWO_PI, AngularProfile, TorusGrid, norm, remainder, theta_points
 
 _PAIRWISE_CHUNK = 512
@@ -167,6 +167,21 @@ class TestEmStep:
         e = make_ensemble(np.random.default_rng(0), 10, uniform_influence)
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
             em_step(e, 0.01, noise=noise)
+
+
+    def test_injected_noise_comes_back_unchanged(self, bump_influence):
+        # the updates run in place in fresh buffers: bit for bit the one-expression
+        # form, and the caller's noise array is never written
+        e = make_ensemble(np.random.default_rng(4), 300, bump_influence, kappa=0.7)
+        e = replace(e, v=speed_decaying(0.3), t=0.4)
+        noise = np.random.default_rng(5).standard_normal(300)
+        kept = noise.copy()
+        e2 = em_step(e, 0.01, noise=noise)
+        assert np.array_equal(noise.view(np.int64), kept.view(np.int64))
+        velocity = e.heading.view(np.float64).reshape(e.n, 2)
+        x = wrap_angle(e.x + e.v(e.t) * 0.01 * velocity, 0.0)
+        theta = wrap_angle(e.theta + angular_drift(e) * 0.01 + np.sqrt(2.0 * e.nu * 0.01) * kept)
+        assert np.array_equal(e2.x, x) and np.array_equal(e2.theta, theta)
 
 
 class TestDrift:

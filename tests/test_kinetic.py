@@ -1,11 +1,14 @@
 """Nonlinear kinetic solver: reductions, conservation, kernels, runner."""
 
+import re
+
 import numpy as np
 import pytest
 
+from kvicsek.config import due, step_count, step_times
 from kvicsek.errors import NumericsError, StepSizeError
 from kvicsek.homogeneous import HomogeneousState, step_homogeneous
-from kvicsek.influence import angular_kernel, make_influence, validate_kernels
+from kvicsek.influence import AngularKernel, InfluencePair, angular_kernel, make_influence, validate_kernels
 from kvicsek import homogeneous, kinetic, spectral
 from kvicsek.kinetic import (
     KineticParams,
@@ -21,6 +24,9 @@ from kvicsek.spectral import (
     AngularProfile,
     SpectralField,
     TorusGrid,
+    norm,
+    read_snapshot,
+    remainder,
     theta_points,
     x_average,
 )
@@ -322,6 +328,24 @@ def _reference_alignment_rhs(coeffs, grid, multiplier, kappa):
     return rhs, float(np.max(np.abs(lv)))
 
 
+def _theta_padded_alignment_rhs(coeffs, grid, multiplier, kappa):
+    """The reference flux with theta zero-padded to 2 n_theta: pseudospectral in x, alias-free in theta."""
+    n = grid.n_theta
+    idx = grid.l % (2 * n)
+    mask = grid.dealias_mask
+
+    def padded_values(c):
+        out = np.zeros(grid.shape[:2] + (2 * n,), dtype=complex)
+        out[:, :, idx] = np.where(mask, c, 0.0)
+        return np.fft.ifftn(out)
+
+    size = 2 * grid.size
+    prod = np.fft.fftn(padded_values(coeffs) * padded_values(multiplier * coeffs))[:, :, idx] * size
+    l = grid.l.astype(np.float64)
+    l[n // 2] = 0.0
+    return -kappa * (1j * l)[None, None, :] * np.where(mask, prod, 0.0)
+
+
 def _full_complex_values(f):
     """Collocation values by one full complex inverse transform (the oracle)."""
     return np.fft.ifftn(f.coeffs * (-1.0) ** f.grid.l) * f.grid.size
@@ -366,6 +390,36 @@ class TestHalfSpectrumStep:
         ref, ref_l_inf = _reference_alignment_rhs(f.coeffs, grid, pair.multiplier, kappa=0.3)
         assert np.max(np.abs(rhs - ref[:, :n2h])) <= 1e-13 * np.max(np.abs(ref))
         assert abs(l_inf - ref_l_inf) <= 1e-13 * ref_l_inf
+
+    def test_rhs_with_mean_and_nyquist_modes_of_psi(self):
+        # Psi = sin * psi never has them; a bare kernel checks the l = 0 plane (one
+        # term, not a conjugate pair) and the Nyquist one (above n_theta/3: dropped)
+        grid = TorusGrid(8, 12, 32)
+        prof = AngularProfile.from_values(0.3 + np.sin(theta_points(32)) + 0.5 * np.cos(16 * theta_points(32)))
+        base = make_influence(grid, phi="bump", sigma=0.8)
+        bare = AngularKernel(psi=prof, psi_factor=prof, primitive=prof)
+        pair = InfluencePair(grid=grid, phi_fn=base.phi_fn, angular=bare)
+        assert pair.psi_support.tolist() == [0, 1, 16]
+        rng = np.random.default_rng(24)
+        f = SpectralField.from_values(grid, 1.0 + 0.5 * rng.standard_normal(grid.shape))
+        rhs, l_inf = _alignment_rhs(f.half, grid, pair, kappa=0.3)
+        ref, ref_l_inf = _reference_alignment_rhs(f.coeffs, grid, pair.multiplier, kappa=0.3)
+        assert np.max(np.abs(rhs - ref[:, :7])) <= 1e-13 * np.max(np.abs(ref))
+        assert abs(l_inf - ref_l_inf) <= 1e-13 * ref_l_inf
+
+    def test_banded_product_has_no_theta_aliasing(self):
+        # With 3 | n_theta and a dense Psihat the flux modes |l| = n_theta/3 pick up
+        # aliases on the n_theta-point grid; the banded sum is the exact product.
+        grid = TorusGrid(8, 12, 24)
+        pair = make_influence(grid, phi="bump", sigma=0.8, psi_factor=PSI_FACTORS["dense"])
+        rng = np.random.default_rng(25)
+        f = SpectralField.from_values(grid, 1.0 + 0.5 * rng.standard_normal(grid.shape))
+        rhs, _ = _alignment_rhs(f.half, grid, pair, kappa=0.3)
+        exact = _theta_padded_alignment_rhs(f.coeffs, grid, pair.multiplier, kappa=0.3)[:, :7]
+        aliased, _ = _reference_alignment_rhs(f.coeffs, grid, pair.multiplier, kappa=0.3)
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(rhs - exact)) <= 1e-13 * scale
+        assert np.max(np.abs(aliased[:, :7] - exact)) > 1e-6 * scale
 
     def test_support_of_psi(self):
         grid = TorusGrid(8, 8, 64)
@@ -464,6 +518,105 @@ class TestHalfSpectrumStep:
         for arr in cached:
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 0
+
+
+def _ac14_data():
+    """AC-14's kernels and initial field: a perturbed x-average plus default_initial's remainder."""
+    grid = TorusGrid(8, 8, 32)
+    kernels = make_influence(grid, phi="bump", sigma=1.0)
+    g0 = perturbed_profile(32, 0.2, seed=8)
+    avg = SpectralField.from_values(grid, np.broadcast_to(g0.values.real, grid.shape))
+    f0 = SpectralField(grid, avg.coeffs + remainder(default_initial(grid, 0.5 / TWO_PI**3)).coeffs)
+    return grid, kernels, f0
+
+
+class TestAlignmentGuard:
+    def test_sup_is_evaluated_at_the_first_stage_of_each_heun_half(self, monkeypatch):
+        grid, kernels, f0 = _ac14_data()
+        calls = {"rhs": 0, "sup": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(kinetic, "_alignment_rhs", counting("rhs", kinetic._alignment_rhs))
+        monkeypatch.setattr(kinetic, "_alignment_sup", counting("sup", kinetic._alignment_sup))
+        params = KineticParams(kappa=1.0, nu=0.25, grid=grid, dt=0.02, t_end=1.0)
+        f = f0
+        for n in range(1, 4):
+            f = step_kinetic(f, params, kernels, 0.02 * (n - 1))
+            assert calls == {"rhs": 4 * n, "sup": 2 * n}
+
+    # The largest dt that passes one step from AC-14's data, and the message at
+    # the next float up, as the pseudospectral 3-D flux product gave them: the
+    # sup is computed from the same planes in the same order, bit for bit.
+    @pytest.mark.parametrize(
+        "ratio, dt_pass",
+        [(1.5, "0x1.53d00c54dd241p-2"), (4.0, "0x1.b3857ab2f5497p-3")],
+    )
+    def test_guard_threshold_at_ac14_data(self, ratio, dt_pass):
+        grid, kernels, f0 = _ac14_data()
+        dt_pass = float.fromhex(dt_pass)
+        dt_fail = float(np.nextafter(dt_pass, np.inf))
+
+        def step(dt):
+            params = KineticParams(kappa=ratio * 0.25, nu=0.25, grid=grid, dt=dt, t_end=40.0)
+            return step_kinetic(f0, params, kernels, 0.0)
+
+        step(dt_pass)
+        message = f"dt={dt_fail!r} violates the alignment guard at t=0.0 in row 0 (alignment field max 0.0845)"
+        with pytest.raises(StepSizeError, match=f"^{re.escape(message)}$"):
+            step(dt_fail)
+
+
+FFT_FUNCTIONS = (
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"
+)
+
+
+class TestTransformBudget:
+    """The FFT calls of one alignment RHS: a batched 2-D x-transform each way, one theta-transform for the sup."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(a, *args, **kwargs):
+                a = np.asarray(a)
+                if name.endswith(("2", "n")):
+                    axes = kwargs.get("axes", (-2, -1) if name.endswith("2") else tuple(range(a.ndim)))
+                    lengths = tuple(a.shape[ax] for ax in axes)
+                else:
+                    lengths = (kwargs.get("n") or a.shape[kwargs.get("axis", -1)],)
+                calls.append((name, lengths))
+                return fn(a, *args, **kwargs)
+
+            return wrapped
+
+        for name in FFT_FUNCTIONS:
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        return calls
+
+    @pytest.mark.parametrize("with_sup", [True, False])
+    def test_one_rhs_at_8x8x32(self, monkeypatch, with_sup):
+        grid = TorusGrid(8, 8, 32)
+        pair = make_influence(grid)
+        assert pair.psi_support.tolist() == [1]  # Psi = sin
+        f = default_initial(grid, 0.5 / TWO_PI**3, seed=3)
+        _ = pair.support_multiplier  # the kernels' own one-off transforms happen outside the count
+        calls = self._record(monkeypatch)
+        _, sup = _alignment_rhs(f.half, grid, pair, 0.3, with_sup)
+        # each 2-D transform runs as two in-place 1-D passes, over x2 and then x1
+        expected = [("ifft", (8,))] * 2 + [("fft", (8,))] * 2 + ([("irfft", (32,))] if with_sup else [])
+        assert calls == expected
+        assert (sup is None) is not with_sup
+        # apart from the sup's, no transform runs over theta
+        theta_calls = [c for c in calls if grid.n_theta in c[1]]
+        assert theta_calls == ([("irfft", (32,))] if with_sup else [])
 
 
 class TestAlignmentBounds:
@@ -567,3 +720,48 @@ class TestRunExperiment:
         f0 = default_initial(grid, 3.0 / TWO_PI**3, seed=0)  # dips negative
         with pytest.warns(UserWarning, match="negative"):
             run_experiment(params, pair, f0=f0, sample_every=1)
+
+    @pytest.mark.parametrize("shape", [(8, 8, 32), (8, 12, 32)])
+    @pytest.mark.parametrize("speed", [None, speed_decaying(0.2)])
+    def test_matches_a_step_kinetic_loop_bit_for_bit(self, tmp_path, shape, speed):
+        # run_experiment carries the k2 >= 0 half between samples; every sampled
+        # row, snapshot and the final field equal those of public steps
+        grid = TorusGrid(*shape)
+        pair = make_influence(grid, phi="bump", sigma=0.8, psi_factor="cos_squared")
+        extra = {} if speed is None else {"v": speed}
+        params = KineticParams(kappa=0.3, nu=0.05, grid=grid, dt=0.02, t_end=0.26, **extra)
+        f0 = default_initial(grid, 0.5 / TWO_PI**3, seed=4)
+        sample_every, snapshot_every = 3, 5
+        run = run_experiment(
+            params, pair, f0, sample_every=sample_every, snapshot_every=snapshot_every, out_dir=tmp_path
+        )
+
+        n_steps = step_count(params.t_end, params.dt)
+        assert n_steps == 13
+        times = step_times(0.0, params.dt, n_steps)
+        fields = [f0]
+        for step in range(1, n_steps + 1):
+            fields.append(step_kinetic(fields[-1], params, pair, times[step - 1]))
+
+        def row(f, t):
+            fneq = remainder(f)
+            return (
+                t, norm(fneq, "L2"), norm(fneq, "Hm1_nonzero"), x_average(f).norm_l2(),
+                float(np.min(f.values)), f.mass, complex(f.coeffs[0, 0, 1] / f.coeffs[0, 0, 0]),
+            )
+
+        sampled = [s for s in range(n_steps + 1) if due(s, n_steps, sample_every)]
+        assert sampled == [0, 3, 6, 9, 12, 13]
+        expected = [row(fields[s], times[s]) for s in sampled]
+        columns = ("t", "fneq_l2", "fneq_hm1", "favg_l2", "min_f", "mass", "order_parameter")
+        for j, name in enumerate(columns):
+            assert np.array_equal(getattr(run, name), np.array([r[j] for r in expected])), name
+
+        written = [s for s in range(1, n_steps + 1) if due(s, n_steps, snapshot_every)]
+        assert [p.name for p in run.snapshots] == [f"snapshot_{s:08d}.bin" for s in written] == [
+            "snapshot_00000005.bin", "snapshot_00000010.bin", "snapshot_00000013.bin"
+        ]
+        for path, s in zip(run.snapshots, written):
+            snap, header = read_snapshot(path)
+            assert np.array_equal(snap.coeffs, fields[s].coeffs) and header["time"] == times[s]
+        assert np.array_equal(run.final.coeffs, fields[-1].coeffs)

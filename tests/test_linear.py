@@ -421,7 +421,7 @@ class TestJkFields:
 
 
 class TestWrapAngle:
-    """wrap_angle is np.mod(y + s, 2pi) - s bit for bit, signed zeros and NaN included."""
+    """wrap_angle is np.mod(y + s, 2pi) - s bit for bit, signed zeros and NaN included, in place too."""
 
     EDGES = [
         -TWO_PI, -np.nextafter(TWO_PI, 0.0), -1e-300, -0.0, 0.0, 1e-300,
@@ -435,8 +435,11 @@ class TestWrapAngle:
     def _assert_bits_equal(y, s):
         with np.errstate(invalid="ignore"):  # np.mod of an infinity
             got, want = wrap_angle(y, s), np.mod(y + s, TWO_PI) - s
+            z = y.copy()
+            in_place = wrap_angle(z, s, out=z)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (y, s)
+        assert in_place is z and np.array_equal(z.view(np.int64), want.view(np.int64)), (y, s)
 
     @pytest.mark.parametrize("s", [0.0, np.pi])
     def test_edges_one_at_a_time(self, s):
