@@ -215,6 +215,11 @@ def make_influence(
     sigma : width of the default bump
     psi_factor : "one" (Psi = sin), "cos_squared" ((1+cos)^2), or callable
     normalize : rescale Phi so its discrete integral is exactly 1
+
+    The kinetic alignment flux costs O(|S| n_theta/3) products of x-planes
+    per right-hand side, S the angular support of Psihat (``psi_support``):
+    one mode for "one", three for "cos_squared", and up to n_theta/3 that
+    count for a callable Psi with wide support.
     """
     if phi == "bump":
         phi_fn = bump_phi(sigma)

@@ -13,12 +13,9 @@ product in theta, with 2/3-rule dealiasing in all three indices, which
 keeps the total mass invariant to round-off.
 
 f is real, so the step works on its half spectrum k2 >= 0, whose layout
-lives in ``spectral``: ``step_kinetic`` reads ``SpectralField.half`` on
-entry and returns ``SpectralField.from_half`` on exit, and
-``run_experiment`` carries the half itself, building a field only where it
-samples, writes a snapshot or returns.  Both advance it with one half-step.
-Transport is the per-mode layer's ``spectral.transport`` with the Nyquist
-wavenumbers zeroed.
+lives in ``spectral``: it reads ``SpectralField.half`` on entry and
+returns ``SpectralField.from_half`` on exit.  Transport is the per-mode
+layer's ``spectral.transport`` with the Nyquist wavenumbers zeroed.
 
 The flux is a banded product in theta.  L[f] has only the angular modes
 +-j, j in the support S of Psihat (``InfluencePair.psi_support``), so the
@@ -203,9 +200,10 @@ def _alignment_rhs(
         fl[band], kernels.support_multiplier[:, :, : len(band)].transpose(2, 0, 1), out=planes[m + 1 :]
     )
     # The product is pointwise in x, and the (-1)^l grid-offset phase
-    # cancels in the banded sum, so both are left out.
-    for axis in (-1, -2):  # np.fft.ifft2, in place
-        np.fft.ifft(planes, axis=axis, out=planes)
+    # cancels in the banded sum, so both are left out.  The 2-D transforms
+    # run in place, as ifftn/fftn over the last two axes: NumPy's ifft2
+    # drops its out= (2.4).
+    planes = np.fft.ifftn(planes, axes=(-2, -1), out=planes)
     f_x, a_x = planes[: m + 1], planes[m + 1 :]
 
     prod = np.zeros((m + 1, n1, n2), dtype=np.complex128)
@@ -218,8 +216,7 @@ def _alignment_rhs(
         prod[j:] += np.multiply(a, f_x[:k], out=term[:k])
         prod[:j] += np.multiply(a, np.conj(f_x[j:0:-1]), out=term[:j])
         prod[:k] += np.multiply(np.conj(a), f_x[j:], out=term[:k])
-    for axis in (-1, -2):  # np.fft.fft2, in place: prod holds the coefficients of P from here
-        np.fft.fft(prod, axis=axis, out=prod)
+    prod = np.fft.fftn(prod, axes=(-2, -1), out=prod)  # the coefficients of P from here
 
     factor = _flux_factor(grid)
     rhs = np.zeros(half.shape, dtype=np.complex128)
@@ -228,38 +225,6 @@ def _alignment_rhs(
     )
     np.multiply(factor[:, : m2 + 1, n - m :], np.conj(prod[scatter]), out=rhs[:, : m2 + 1, n - m :])
     return rhs, _alignment_sup(a_x, band, grid) if with_sup else None
-
-
-def _numerics_error(c: np.ndarray, t: float) -> NumericsError:
-    finite = np.isfinite(c)
-    return NumericsError(
-        f"NaN detected at t={t}: mass={TWO_PI**3 * c[0, 0, 0]!r}, "
-        f"max|fhat|={np.max(np.abs(c[finite])) if np.any(finite) else 'n/a'}"
-    )
-
-
-def _step_half(
-    half: np.ndarray, grid: TorusGrid, params: KineticParams, kernels: InfluencePair, t: float
-) -> np.ndarray:
-    """One ``split_step`` of the k2 >= 0 half from t; NumericsError on NaN in the result."""
-    dt = params.dt
-    c = split_step(
-        half,
-        t,
-        dt,
-        diffusion_factor(grid.n_theta, params.nu, dt),
-        advect=lambda c, s: _transport_half(c, grid, params.v(s), 0.5 * dt),
-        rhs=lambda c, with_sup: _alignment_rhs(c, grid, kernels, params.kappa, with_sup),
-        kappa=params.kappa,
-    )
-    if not np.all(np.isfinite(c)):
-        raise _numerics_error(c, t + dt)
-    return c
-
-
-def _check_kernels(params: KineticParams, kernels: InfluencePair, grid: TorusGrid) -> None:
-    if params.kappa != 0.0 and kernels.grid != grid:
-        raise ValueError("kernels live on a different grid")
 
 
 def step_kinetic(
@@ -274,12 +239,27 @@ def step_kinetic(
     StepSizeError when dt violates the explicit alignment guard
     dt <= 0.5 / (kappa l_max max|L[f]| + 1), and NumericsError on NaN.
     """
-    _check_kernels(params, kernels, f.grid)
-    c = _step_half(f.half, f.grid, params, kernels, t)
+    grid = f.grid
+    dt = params.dt
+    if params.kappa != 0.0 and kernels.grid != grid:
+        raise ValueError("kernels live on a different grid")
+    c = split_step(
+        f.half,
+        t,
+        dt,
+        diffusion_factor(grid.n_theta, params.nu, dt),
+        advect=lambda c, s: _transport_half(c, grid, params.v(s), 0.5 * dt),
+        rhs=lambda c, with_sup: _alignment_rhs(c, grid, kernels, params.kappa, with_sup),
+        kappa=params.kappa,
+    )
+
     # the k2 < 0 columns of f were not read: check them here too
-    if not np.all(np.isfinite(f.coeffs[:, c.shape[1] :, :])):
-        raise _numerics_error(c, t + params.dt)
-    return SpectralField.from_half(f.grid, c)
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(f.coeffs[:, c.shape[1]:, :]))):
+        raise NumericsError(
+            f"NaN detected at t={t + dt}: mass={TWO_PI**3 * c[0, 0, 0]!r}, "
+            f"max|fhat|={np.max(np.abs(c[np.isfinite(c)])) if np.any(np.isfinite(c)) else 'n/a'}"
+        )
+    return SpectralField.from_half(grid, c)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +324,9 @@ def run_experiment(
     if snapshot_every > 0 and out_dir is None:
         raise ValueError("snapshots requested without an output directory")
 
-    grid = params.grid
-    _check_kernels(params, kernels, grid)
     n_steps = step_count(params.t_end, params.dt)
     times = step_times(0.0, params.dt, n_steps).tolist()
+    f = f0
     rows = []
     snapshots: list[Path] = []
     warned_negative = False
@@ -374,22 +353,12 @@ def run_experiment(
             )
         )
 
-    # The loop carries the k2 >= 0 half, which is all that a step reads,
-    # and builds the field only where it is sampled, written or returned.
-    half = f0.half
-    if not np.all(np.isfinite(f0.coeffs[:, half.shape[1] :, :])):
-        raise _numerics_error(half, times[0])
-    f = f0
     sample(f, times[0])
     for step in range(1, n_steps + 1):
-        half = _step_half(half, grid, params, kernels, times[step - 1])
-        sampled = due(step, n_steps, sample_every)
-        written = snapshot_every > 0 and due(step, n_steps, snapshot_every)
-        if sampled or written:  # due() samples the last step, which gives ``final``
-            f = SpectralField.from_half(grid, half)
-        if sampled:
+        f = step_kinetic(f, params, kernels, times[step - 1])
+        if due(step, n_steps, sample_every):
             sample(f, times[step])
-        if written:
+        if snapshot_every > 0 and due(step, n_steps, snapshot_every):
             path = Path(out_dir) / f"snapshot_{step:08d}.bin"
             write_snapshot(path, f, time=times[step], parameters={"kappa": params.kappa, "nu": params.nu})
             snapshots.append(path)

@@ -550,26 +550,59 @@ class TestAlignmentGuard:
             f = step_kinetic(f, params, kernels, 0.02 * (n - 1))
             assert calls == {"rhs": 4 * n, "sup": 2 * n}
 
-    # The largest dt that passes one step from AC-14's data, and the message at
-    # the next float up, as the pseudospectral 3-D flux product gave them: the
-    # sup is computed from the same planes in the same order, bit for bit.
-    @pytest.mark.parametrize(
-        "ratio, dt_pass",
-        [(1.5, "0x1.53d00c54dd241p-2"), (4.0, "0x1.b3857ab2f5497p-3")],
-    )
-    def test_guard_threshold_at_ac14_data(self, ratio, dt_pass):
+    # The sup that the guard reads is the one the 3-D flux product computed
+    # (the support planes' 2-D x-transforms, then one real theta-transform),
+    # bit for bit; so are the largest dt that passes one step from AC-14's
+    # data and the message at the next float up.
+    @pytest.mark.parametrize("ratio", [1.5, 4.0])
+    def test_guard_threshold_at_ac14_data(self, monkeypatch, ratio):
         grid, kernels, f0 = _ac14_data()
-        dt_pass = float.fromhex(dt_pass)
-        dt_fail = float(np.nextafter(dt_pass, np.inf))
 
         def step(dt):
             params = KineticParams(kappa=ratio * 0.25, nu=0.25, grid=grid, dt=dt, t_end=40.0)
             return step_kinetic(f0, params, kernels, 0.0)
 
-        step(dt_pass)
-        message = f"dt={dt_fail!r} violates the alignment guard at t=0.0 in row 0 (alignment field max 0.0845)"
-        with pytest.raises(StepSizeError, match=f"^{re.escape(message)}$"):
-            step(dt_fail)
+        def threshold():
+            dt_pass = _largest_passing_dt(step, 1e-3, 1.0)
+            with pytest.raises(StepSizeError) as failed:
+                step(float(np.nextafter(dt_pass, np.inf)))
+            return dt_pass, str(failed.value)
+
+        banded = threshold()
+        assert 0.1 < banded[0] < 0.5
+        assert re.fullmatch(r"dt=\S+ violates the alignment guard at t=0\.0 in row 0 \(alignment field max \S+\)", banded[1])
+
+        rhs = kinetic._alignment_rhs
+
+        def parent_sup_rhs(half, grid, kernels, kappa, with_sup):
+            return rhs(half, grid, kernels, kappa, False)[0], _parent_sup(half, grid, kernels) if with_sup else None
+
+        monkeypatch.setattr(kinetic, "_alignment_rhs", parent_sup_rhs)
+        assert threshold() == banded
+
+
+def _parent_sup(half, grid, kernels):
+    """max|L[f]| on the collocation grid as the 3-D flux product computed it."""
+    fd = half * kinetic._half_mask(grid)
+    support = kernels.psi_support
+    planes = SpectralField.from_half(grid, fd).coeffs[:, :, support] * kernels.support_multiplier
+    lhat = np.zeros((grid.n_x1, grid.n_x2, support.max(initial=0) + 1), dtype=np.complex128)
+    lhat[:, :, support] = np.fft.ifft2(planes, axes=(0, 1))
+    lv = np.fft.irfft(lhat, n=grid.n_theta, axis=2) * grid.size
+    return float(np.max(np.abs(lv)))
+
+
+def _largest_passing_dt(step, lo, hi):
+    """Bisect the float64 values in [lo, hi] for the largest dt at which step(dt) raises no StepSizeError."""
+    lo_bits, hi_bits = (int(np.float64(x).view(np.int64)) for x in (lo, hi))
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        try:
+            step(float(np.int64(mid).view(np.float64)))
+            lo_bits = mid
+        except StepSizeError:
+            hi_bits = mid
+    return float(np.int64(lo_bits).view(np.float64))
 
 
 FFT_FUNCTIONS = (
@@ -610,8 +643,7 @@ class TestTransformBudget:
         _ = pair.support_multiplier  # the kernels' own one-off transforms happen outside the count
         calls = self._record(monkeypatch)
         _, sup = _alignment_rhs(f.half, grid, pair, 0.3, with_sup)
-        # each 2-D transform runs as two in-place 1-D passes, over x2 and then x1
-        expected = [("ifft", (8,))] * 2 + [("fft", (8,))] * 2 + ([("irfft", (32,))] if with_sup else [])
+        expected = [("ifftn", (8, 8)), ("fftn", (8, 8))] + ([("irfft", (32,))] if with_sup else [])
         assert calls == expected
         assert (sup is None) is not with_sup
         # apart from the sup's, no transform runs over theta
@@ -724,8 +756,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("shape", [(8, 8, 32), (8, 12, 32)])
     @pytest.mark.parametrize("speed", [None, speed_decaying(0.2)])
     def test_matches_a_step_kinetic_loop_bit_for_bit(self, tmp_path, shape, speed):
-        # run_experiment carries the k2 >= 0 half between samples; every sampled
-        # row, snapshot and the final field equal those of public steps
+        # every sampled row, snapshot and the final field equal those of a loop
+        # of public steps, with cadences that do not divide the step count
         grid = TorusGrid(*shape)
         pair = make_influence(grid, phi="bump", sigma=0.8, psi_factor="cos_squared")
         extra = {} if speed is None else {"v": speed}
