@@ -212,11 +212,11 @@ def angular_drift(e: AgentEnsemble) -> np.ndarray:
     tolerance on max|Phi| (``InfluencePair.phi_series``); Phi must be
     smooth, and one that no grid resolves raises ValueError.  A uniform Phi
     is the case K = 0.  The angular modes are the support of Psihat
-    (``InfluencePair.psi_support``); Phi and Psi are real, so the l > 0
+    (``AngularKernel.psi_support``); Phi and Psi are real, so the l > 0
     terms are doubled in place of the l < 0 half.
     """
     ks, phihat = e.influence.phi_series
-    support = e.influence.psi_support
+    support = e.influence.angular.psi_support
     psi = e.influence.angular.psi
     ls = psi.l[support]
     # l = 0 and the Nyquist mode have no partner in the l >= 0 half

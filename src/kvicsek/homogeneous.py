@@ -12,9 +12,12 @@ profiles parameterized by the order parameter appears.
 
 The step is ``spectral.split_step`` without transport (the kinetic step
 restricted to x-independent data): Heun alignment half-steps around
-exact diffusion, with the alignment RHS evaluated in 2/3-dealiased flux
-form and the kinetic solver's step-size guard.  ``evolve_homogeneous``
-advances a sequence of states that share n_theta, nu and t as one stack
+exact diffusion, with the kinetic solver's step-size guard.  The
+alignment RHS is the kinetic one at k = 0: the 2/3-dealiased flux as the
+banded sum ``spectral.band_product`` over the band of Psihat
+(``AngularKernel.band``), with no transform; only the guard's max|Psi*g|
+takes one (``spectral.band_sup``), where ``split_step`` reads it.
+``evolve_homogeneous`` advances a sequence of states that share n_theta, nu and t as one stack
 of rows with kappa per row (the ratios of a phase diagram), with the
 RHS and the guard evaluated row-wise; a single state, and
 ``step_homogeneous``, are batches of one.  The stack runs through
@@ -37,7 +40,8 @@ from .influence import AngularKernel
 from .spectral import (
     TWO_PI,
     AngularProfile,
-    dealias_keep,
+    band_product,
+    band_sup,
     diffusion_factor,
     evolve_rows,
     split_step,
@@ -73,25 +77,28 @@ def constant_state(n_theta: int, kappa: float, nu: float) -> HomogeneousState:
 
 
 def _alignment_rhs(
-    g_coeffs: np.ndarray, psi_coeffs: np.ndarray, kappa: np.ndarray | float, with_sup: bool = True
+    g: np.ndarray, kernel: AngularKernel, kappa: np.ndarray | float, with_sup: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """kappa d_theta(g (Psi*g)) in coefficients, 2/3-dealiased flux form.
+    """kappa d_theta(g (Psi*g)) in coefficients, 2/3-dealiased: the kinetic banded product at k = 0.
 
-    Row-wise over a stack ``g_coeffs[..., n_theta]``, with kappa a scalar
-    or one per row; returns the right-hand side and max|Psi*g| per row,
-    shaped ``(..., 1)`` (None unless ``with_sup``).  The product is
-    pointwise, so the (-1)^l grid-offset phase cancels between the
-    transforms and is left out.
+    Row-wise over one real density ``g[n_theta]`` or a stack
+    ``g[batch, n_theta]``, with kappa a scalar or one per row.  Psi*g has
+    the modes a_j = 2pi Psihat_j ghat_j, j in ``kernel.band``, so the flux
+    modes 0 <= l <= n_theta/3 are the sums P_l of ``spectral.band_product``;
+    rhs_l = kappa i l P_l there, rhs_{-l} = conj(rhs_l), and the other
+    modes are zero.  The right-hand side takes no transform; the sup,
+    max|Psi*g| per row shaped ``(..., 1)``, takes one ``irfft`` (None
+    unless ``with_sup``).
     """
-    n = g_coeffs.shape[-1]
-    mask = dealias_keep(n)
-    gd = np.where(mask, g_coeffs, 0.0)
-    conv = np.where(mask, TWO_PI * psi_coeffs * g_coeffs, 0.0)
-    gv = np.fft.ifft(gd, axis=-1) * n
-    cv = np.fft.ifft(conv, axis=-1) * n
-    prod = np.fft.fft(gv * cv, axis=-1) / n
-    rhs = kappa * theta_derivative(n) * np.where(mask, prod, 0.0)
-    return rhs, np.max(np.abs(cv), axis=-1, keepdims=True) if with_sup else None
+    n = g.shape[-1]
+    m = n // 3
+    band, psi = kernel.band
+    a = (psi * g[..., band]).T  # the planes of band_product: the modes first, then the rows
+    prod = band_product(g[..., : m + 1].T, a, band).T
+    rhs = np.zeros(g.shape, dtype=np.complex128)
+    rhs[..., : m + 1] = kappa * theta_derivative(n)[: m + 1] * prod
+    rhs[..., n - m :] = np.conj(rhs[..., m:0:-1])
+    return rhs, band_sup(a, band, n) * n if with_sup else None
 
 
 def step_homogeneous(s: HomogeneousState, kernel: AngularKernel, dt: float) -> HomogeneousState:
@@ -129,6 +136,10 @@ def evolve_homogeneous(
     first = states[0]
     if any((x.g.n, x.nu, x.t) != (first.g.n, first.nu, first.t) for x in states):
         raise ValueError("batched homogeneous states must share n_theta, nu and t")
+    if kernel.n_theta != first.g.n:
+        raise ValueError(
+            f"the kernel's n_theta = {kernel.n_theta} differs from the states' n_theta = {first.g.n}"
+        )
     heat = diffusion_factor(first.g.n, first.nu, dt)
     records = [[] for _ in states]
     final = list(states)
@@ -144,7 +155,7 @@ def evolve_homogeneous(
 
     def stepper(rows):
         kappa = np.array([[states[j].kappa] for j in rows])
-        rhs = partial(_alignment_rhs, psi_coeffs=kernel.psi.coeffs, kappa=kappa)
+        rhs = partial(_alignment_rhs, kernel=kernel, kappa=kappa)
         return lambda c, t: split_step(c, t, dt, heat, rhs=rhs, kappa=kappa)
 
     evolve_rows(np.stack([x.g.coeffs for x in states]), first.t, dt, n_steps, sample_every, stepper, sample)

@@ -26,6 +26,11 @@ from .spectral import (
 )
 
 
+# Relative cutoff for the support of Psihat.  Off the support the built-in
+# factors leave round-off (<= 1e-16 of max|Psihat|); on it they have >= 0.125.
+PSI_SUPPORT_RTOL = 1e-12
+
+
 @dataclass(frozen=True)
 class AngularKernel:
     """Angular influence Psi = sin * psi with its primitive U."""
@@ -37,6 +42,28 @@ class AngularKernel:
     @property
     def n_theta(self) -> int:
         return self.psi.n
+
+    @cached_property
+    def psi_support(self) -> np.ndarray:
+        """Angular modes 0 <= l <= n_theta/2 where Psihat is nonzero; read-only.
+
+        Nonzero means above PSI_SUPPORT_RTOL * max|Psihat|.  Psi is real, so
+        its support is symmetric in l and this half describes it.
+        """
+        psi = np.abs(self.psi.coeffs[: self.n_theta // 2 + 1])
+        return _readonly(np.flatnonzero(psi > PSI_SUPPORT_RTOL * np.max(psi)))
+
+    @cached_property
+    def band(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support modes j <= n_theta/3 and 2pi Psihat_j there; read-only.
+
+        These are the modes j of the alignment field that the 2/3-dealiased
+        flux reads: the ``band`` of ``spectral.band_product`` in the
+        homogeneous and the kinetic layer, with a_j = 2pi Psihat_j ghat_j
+        in the homogeneous one.
+        """
+        support = self.psi_support[self.psi_support <= self.n_theta // 3]
+        return _readonly(support), _readonly(TWO_PI * self.psi.coeffs[support])
 
 
 def _primitive_profile(psi: AngularProfile) -> AngularProfile:
@@ -78,10 +105,6 @@ def uniform_phi() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 
     return phi
 
-
-# Relative cutoff for the support of Psihat.  Off the support the built-in
-# factors leave round-off (<= 1e-16 of max|Psihat|); on it they have >= 0.125.
-PSI_SUPPORT_RTOL = 1e-12
 
 # Cutoff for the Fourier series of Phi, relative to max|Phi| (not max|Phihat|,
 # which for a peaked Phi lies far below max|Phi| and would put the cutoff
@@ -129,22 +152,10 @@ class InfluencePair:
         return TWO_PI**3 * phi_neg[:, :, None] * psi_neg[None, None, :]
 
     @cached_property
-    def psi_support(self) -> np.ndarray:
-        """Angular modes 0 <= l <= n_theta/2 where Psihat is nonzero; read-only.
-
-        Nonzero means above PSI_SUPPORT_RTOL * max|Psihat|.  Psi is real, so
-        its support is symmetric in l and this half describes it.
-        """
-        psi = np.abs(self.angular.psi.coeffs[: self.grid.n_theta // 2 + 1])
-        out = np.flatnonzero(psi > PSI_SUPPORT_RTOL * np.max(psi))
-        out.flags.writeable = False
-        return out
-
-    @cached_property
     def support_multiplier(self) -> np.ndarray:
-        """The multiplier's planes l in psi_support: multiplier[:, :, psi_support]; read-only."""
+        """The multiplier's planes j in the band of the angular kernel: multiplier[:, :, band]; read-only."""
         phi_neg = np.conj(self.phi_coeffs)
-        psi_neg = np.conj(self.angular.psi.coeffs[self.psi_support])
+        psi_neg = np.conj(self.angular.psi.coeffs[self.angular.band[0]])
         out = TWO_PI**3 * phi_neg[:, :, None] * psi_neg[None, None, :]
         out.flags.writeable = False
         return out
@@ -216,10 +227,11 @@ def make_influence(
     psi_factor : "one" (Psi = sin), "cos_squared" ((1+cos)^2), or callable
     normalize : rescale Phi so its discrete integral is exactly 1
 
-    The kinetic alignment flux costs O(|S| n_theta/3) products of x-planes
-    per right-hand side, S the angular support of Psihat (``psi_support``):
-    one mode for "one", three for "cos_squared", and up to n_theta/3 that
-    count for a callable Psi with wide support.
+    The alignment flux costs O(|S| n_theta/3) products per right-hand side,
+    of x-planes in the kinetic layer and of rows in the homogeneous one, S
+    the support of Psihat up to n_theta/3 (``AngularKernel.band``): one
+    mode for "one", three for "cos_squared", and up to n_theta/3 for a
+    callable Psi with wide support.
     """
     if phi == "bump":
         phi_fn = bump_phi(sigma)

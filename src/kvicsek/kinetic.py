@@ -17,20 +17,21 @@ lives in ``spectral``: it reads ``SpectralField.half`` on entry and
 returns ``SpectralField.from_half`` on exit.  Transport is the per-mode
 layer's ``spectral.transport`` with the Nyquist wavenumbers zeroed.
 
-The flux is a banded product in theta.  L[f] has only the angular modes
-+-j, j in the support S of Psihat (``InfluencePair.psi_support``), so the
-flux modes 0 <= l <= n_theta/3 that dealiasing keeps are
+The flux is a banded product in theta, ``spectral.band_product``, the one
+the homogeneous layer runs at k = 0.  L[f] has only the angular modes +-j,
+j in the support S of Psihat up to n_theta/3 (``AngularKernel.band``), so
+the flux modes 0 <= l <= n_theta/3 that dealiasing keeps are
 P_l = sum_j (a_j f_{l-j} + conj(a_j) f_{l+j}) in x-values, exactly, with
 f_{-l} = conj(f_l); the modes l < 0 are conjugate reflections.  The right-
 hand side thus takes one batched inverse 2-D x-transform of the planes f_l
 and a_j and one forward transform of the P_l, and no transform over theta;
 its cost grows with |S| (Psi = sin has one plane, a dense Psihat n_theta/3).
 The guard's max|L[f]| on the collocation grid costs one theta-transform of
-the a_j, paid only where ``split_step`` reads it.  Everything the step
-reuses is cached read-only: the dealias mask, the flux factor, the gather
-and scatter maps of the band, the transport factor for each repeated v h
-(one for a constant speed) and the support planes of the multiplier (on
-the InfluencePair).
+the a_j (``spectral.band_sup``), paid only where ``split_step`` reads it.
+Everything the step reuses is cached read-only: the dealias mask, the flux
+factor, the gather and scatter maps of the band, the transport factor for
+each repeated v h (one for a constant speed) and the band planes of the
+multiplier (on the InfluencePair).
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     _readonly,
+    band_product,
+    band_sup,
     diffusion_factor,
     norm,
     remainder,
@@ -155,15 +158,6 @@ def _transport_half(half: np.ndarray, grid: TorusGrid, v_eff: float, half_dt: fl
     return out
 
 
-def _alignment_sup(planes: np.ndarray, band: np.ndarray, grid: TorusGrid) -> float:
-    """max|L[f]| on the collocation grid, from the x-values ``planes[c]`` of the modes l = band[c]."""
-    lhat = np.zeros((grid.n_x1, grid.n_x2, band.max(initial=0) + 1), dtype=np.complex128)
-    lhat[:, :, band] = planes.transpose(1, 2, 0)
-    lv = np.fft.irfft(lhat, n=grid.n_theta, axis=2)
-    lv *= grid.size
-    return float(np.max(np.abs(lv, out=lv)))
-
-
 def _alignment_rhs(
     half: np.ndarray,
     grid: TorusGrid,
@@ -173,20 +167,19 @@ def _alignment_rhs(
 ) -> tuple[np.ndarray, float | None]:
     """-kappa d_theta(f L[f]) on the k2 >= 0 half, dealiased flux form.
 
-    L[f] has only the angular modes +-j, j in the support S of Psihat, so
-    the modes 0 <= l <= n_theta/3 that the 2/3 rule keeps of the flux are
-    the banded sums P_l = sum_j (a_j f_{l-j} + conj(a_j) f_{l+j}) of
-    x-values, with f_{-l} = conj(f_l) and a_j the mode j of L[f]; the
+    L[f] has only the angular modes +-j, j in the band of Psihat, so the
+    modes 0 <= l <= n_theta/3 that the 2/3 rule keeps of the flux are the
+    ``spectral.band_product`` sums P_l = sum_j (a_j f_{l-j} + conj(a_j) f_{l+j})
+    of x-values, with f_{-l} = conj(f_l) and a_j the mode j of L[f]; the
     modes l < 0 follow from P(k, -l) = conj(P(-k, l)).  One batched 2-D
     transform gives f_l and a_j, one more takes P back: there is no
     transform over theta.  Returns the right-hand side and max|L[f]| on the
-    collocation grid (None unless ``with_sup``).
+    collocation grid, from ``spectral.band_sup`` (None unless ``with_sup``).
     """
     n1, n2, n = grid.shape
     m, m1, m2 = n // 3, n1 // 3, n2 // 3
     gather, scatter = _band(grid)
-    support = kernels.psi_support
-    band = support[support <= m]  # the planes above n_theta/3 are zero after dealiasing
+    band, _ = kernels.angular.band
 
     # f_l for l = 0..m, then the planes a_j of L[f], on the full (k1, k2)
     # grid; the 2/3 rule of x zeroes the rows and columns |k| > n/3.
@@ -196,26 +189,14 @@ def _alignment_rhs(
     fl[:, :, m2 + 1 : n2 - m2] = 0.0
     np.conjugate(half[gather], out=fl[:, :, n2 - m2 :])
     fl[:, m1 + 1 : n1 - m1] = 0.0
-    np.multiply(
-        fl[band], kernels.support_multiplier[:, :, : len(band)].transpose(2, 0, 1), out=planes[m + 1 :]
-    )
+    np.multiply(fl[band], kernels.support_multiplier.transpose(2, 0, 1), out=planes[m + 1 :])
     # The product is pointwise in x, and the (-1)^l grid-offset phase
     # cancels in the banded sum, so both are left out.  The 2-D transforms
     # run in place, as ifftn/fftn over the last two axes: NumPy's ifft2
     # drops its out= (2.4).
     planes = np.fft.ifftn(planes, axes=(-2, -1), out=planes)
     f_x, a_x = planes[: m + 1], planes[m + 1 :]
-
-    prod = np.zeros((m + 1, n1, n2), dtype=np.complex128)
-    term = np.empty_like(prod)
-    for a, j in zip(-kappa * a_x, band.tolist()):
-        if j == 0:
-            prod += np.multiply(a, f_x, out=term)
-            continue
-        k = m + 1 - j
-        prod[j:] += np.multiply(a, f_x[:k], out=term[:k])
-        prod[:j] += np.multiply(a, np.conj(f_x[j:0:-1]), out=term[:j])
-        prod[:k] += np.multiply(np.conj(a), f_x[j:], out=term[:k])
+    prod = band_product(f_x, -kappa * a_x, band)
     prod = np.fft.fftn(prod, axes=(-2, -1), out=prod)  # the coefficients of P from here
 
     factor = _flux_factor(grid)
@@ -224,7 +205,7 @@ def _alignment_rhs(
         factor[:, : m2 + 1, : m + 1], prod[:, :, : m2 + 1].transpose(1, 2, 0), out=rhs[:, : m2 + 1, : m + 1]
     )
     np.multiply(factor[:, : m2 + 1, n - m :], np.conj(prod[scatter]), out=rhs[:, : m2 + 1, n - m :])
-    return rhs, _alignment_sup(a_x, band, grid) if with_sup else None
+    return rhs, float(np.max(band_sup(a_x, band, n))) * grid.size if with_sup else None
 
 
 def step_kinetic(

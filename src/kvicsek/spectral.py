@@ -25,6 +25,12 @@ Its leading axes are a batch: the 1-D layers stack independent rows
 viscosity) and advance them in one call, with the alignment step-size
 guard evaluated per row.  ``evolve_rows``, the one row loop of both 1-D
 layers, steps such a stack on the ``config`` clock and cadence.
+
+``band_product`` is the one alignment flux product of the homogeneous and
+kinetic layers: the dealiased modes 0..n_theta/3 of a product of two real
+series in theta, as a banded sum over the support of Psihat, with no
+transform and no aliasing.  ``band_sup`` is the one transform behind the
+step-size guard's max|L|.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -299,6 +306,47 @@ def transport(c: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return np.fft.fft(mixed, axis=-1, out=mixed)
 
 
+def band_product(f: np.ndarray, a: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """The modes l = 0..m of a product of two real series in theta, as a banded sum; m = len(f) - 1.
+
+    ``f`` holds the modes l = 0..m of one factor as planes, l first, with
+    f_{-l} = conj(f_l); ``a`` holds the planes a_j of the other at the modes
+    j in ``band`` (0 <= j <= m), its only nonzero ones up to
+    a_{-j} = conj(a_j).  Returns P_l = sum_j (a_j f_{l-j} + conj(a_j) f_{l+j})
+    (the j = 0 term once) with the terms |l +- j| > m dropped: the exact
+    modes 0..m of the product of the truncated series, free of aliasing.
+    The planes are pointwise factors of any one shape: x-values of the
+    kinetic layer, or the rows of a 1-D stack.
+    """
+    m = len(f) - 1
+    prod = np.zeros(f.shape, dtype=np.complex128)
+    term = np.empty_like(prod)
+    for aj, j in zip(a, band.tolist()):
+        if j == 0:
+            prod += np.multiply(aj, f, out=term)
+            continue
+        k = m + 1 - j
+        prod[j:] += np.multiply(aj, f[:k], out=term[:k])
+        prod[:j] += np.multiply(aj, np.conj(f[j:0:-1]), out=term[:j])
+        prod[:k] += np.multiply(np.conj(aj), f[j:], out=term[:k])
+    return prod
+
+
+def band_sup(a: np.ndarray, band: np.ndarray, n: int) -> np.ndarray:
+    """max over the n angles phi_j = 2pi j/n of |irfft| of the real series with the modes a_j, j in ``band``.
+
+    ``a`` holds the planes as ``band_product`` reads them; the max is taken
+    per plane point, shaped ``(..., 1)``.  The series is numpy's ``irfft``,
+    so 1/n times its values: the caller multiplies the max by its own
+    transform sizes, which gives the max of the scaled values bit for bit
+    (rounding is monotone).
+    """
+    lhat = np.zeros(a.shape[1:] + (band.max(initial=0) + 1,), dtype=np.complex128)
+    lhat[..., band] = a.transpose(*range(1, a.ndim), 0)
+    lv = np.fft.irfft(lhat, n=n, axis=-1)
+    return np.abs(lv, out=lv).max(axis=-1, keepdims=True)
+
+
 def split_step(
     c: np.ndarray,
     t: float,
@@ -394,12 +442,9 @@ def evolve_rows(c: np.ndarray, t0: float, dt: float, n_steps, every, stepper, sa
 HALF_AXES = (0, 2, 1)
 
 
-@lru_cache(maxsize=8)
-def _reflection(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of -k1 and of the k2 >= 0 columns mirroring k2 < 0."""
-    neg_k1 = (-np.arange(grid.n_x1)) % grid.n_x1
-    mirror = np.arange(grid.n_x2 // 2 - 1, 0, -1)
-    return _readonly(neg_k1), _readonly(mirror)
+# An axis of wavenumbers k in FFT layout split for k -> -k: index 0 stays,
+# the rest reverses (the target slice, then the source slice).
+_NEGATE = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
 
 
 @dataclass(frozen=True)
@@ -435,9 +480,9 @@ class SpectralField:
         n2h = half.shape[1]
         out = np.empty(grid.shape, dtype=np.complex128)
         out[:, :n2h] = half
-        neg_k1, mirror = _reflection(grid)
-        neg_l = (-np.arange(grid.n_theta)) % grid.n_theta
-        np.conjugate(half[np.ix_(neg_k1, mirror, neg_l)], out=out[:, n2h:])
+        neg, mirror = out[:, n2h:], half[:, n2h - 2 : 0 : -1]  # k2 < 0 and the columns -k2
+        for (to1, from1), (to3, from3) in product(_NEGATE, _NEGATE):
+            np.conjugate(mirror[from1, :, from3], out=neg[to1, :, to3])
         return cls(grid, out)
 
     @property

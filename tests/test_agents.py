@@ -269,7 +269,7 @@ class TestFourierDrift:
             phi_fn=bump_influence.phi_fn,
             angular=AngularKernel(psi=prof, psi_factor=prof, primitive=prof),
         )
-        assert influence.psi_support.tolist() == [0, 1, 32]
+        assert influence.angular.psi_support.tolist() == [0, 1, 32]
         e = make_ensemble(np.random.default_rng(3), 257, influence, kappa=0.7)
         d_pair = _drift_pairwise(e)
         assert np.max(np.abs(angular_drift(e) - d_pair)) <= 1e-13 * np.max(np.abs(d_pair))

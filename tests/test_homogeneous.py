@@ -135,7 +135,7 @@ class TestBatchedEvolution:
                 assert np.array_equal(getattr(traj, name), getattr(one, name))
             assert traj.final.t == one.final.t and traj.final.kappa == s.kappa
             # the per-state loop with a scalar kappa, as before batching
-            rhs = partial(_alignment_rhs, psi_coeffs=kernel.psi.coeffs, kappa=s.kappa)
+            rhs = partial(_alignment_rhs, kernel=kernel, kappa=s.kappa)
             heat = diffusion_factor(256, nu, dt)
             c = s.g.coeffs
             for i in range(n_steps):
@@ -157,6 +157,13 @@ class TestBatchedEvolution:
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             evolve_homogeneous(s, kernel, dt, 20)
 
+    @pytest.mark.parametrize("n_kernel", [64, 256])
+    def test_kernel_resolution_must_match_the_states(self, n_kernel):
+        # the banded RHS reads only the modes <= n_theta/3, so a finer kernel
+        # would run without a broadcast error
+        with pytest.raises(ValueError, match=rf"n_theta = {n_kernel}.*n_theta = 128"):
+            evolve_homogeneous(constant_state(128, 0.4, 0.1), angular_kernel(n_kernel), 0.01, 2)
+
     def test_empty_batch_rejected(self, kernel):
         with pytest.raises(ValueError, match="at least one state"):
             evolve_homogeneous([], kernel, 0.01, 2)
@@ -168,6 +175,70 @@ class TestBatchedEvolution:
         message = "n_steps must be an integer >= 0" if bad_steps else "sample_every must be an integer >= 1"
         with pytest.raises(ValueError, match=message):
             evolve_homogeneous(s, kernel, 0.01, n_steps, sample_every=sample_every)
+
+
+def _pseudospectral_alignment_rhs(g, psi, kappa):
+    """kappa d_theta(g (Psi*g)) as the 1-D layer first computed it: 2/3-masked, three FFTs on n_theta points."""
+    n = g.shape[-1]
+    mask = np.abs(fft_wavenumbers(n)) <= n // 3
+    gv = np.fft.ifft(np.where(mask, g, 0.0), axis=-1) * n
+    cv = np.fft.ifft(np.where(mask, TWO_PI * psi * g, 0.0), axis=-1) * n
+    prod = np.fft.fft(gv * cv, axis=-1) / n
+    l = fft_wavenumbers(n).astype(np.float64)
+    l[n // 2] = 0.0
+    return kappa * 1j * l * np.where(mask, prod, 0.0), np.max(np.abs(cv), axis=-1, keepdims=True)
+
+
+def _theta_padded_alignment_rhs(g, psi, kappa):
+    """The same flux with theta zero-padded to 2 n_theta: the exact dealiased product."""
+    n = g.shape[-1]
+    mask = np.abs(fft_wavenumbers(n)) <= n // 3
+    idx = fft_wavenumbers(n) % (2 * n)
+
+    def padded_values(c):
+        out = np.zeros(c.shape[:-1] + (2 * n,), dtype=complex)
+        out[..., idx] = np.where(mask, c, 0.0)
+        return np.fft.ifft(out, axis=-1) * (2 * n)
+
+    prod = np.fft.fft(padded_values(g) * padded_values(TWO_PI * psi * g), axis=-1)[..., idx] / (2 * n)
+    l = fft_wavenumbers(n).astype(np.float64)
+    l[n // 2] = 0.0
+    return kappa * 1j * l * np.where(mask, prod, 0.0)
+
+
+class TestBandedAlignmentRhs:
+    """The homogeneous RHS is the kinetic banded product at k = 0."""
+
+    KAPPA = np.array([[0.2], [1.0], [3.0]])
+
+    @staticmethod
+    def rows(n, seed):
+        rng = np.random.default_rng(seed)
+        return np.stack([AngularProfile.from_values(1.0 + 0.5 * rng.standard_normal(n)).coeffs for _ in range(3)])
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("psi_factor", [None, lambda th: (1.0 + np.cos(th)) ** 2])
+    def test_matches_the_pseudospectral_product_when_3_does_not_divide_n_theta(self, n, psi_factor):
+        ker = angular_kernel(n, psi_factor)
+        g = self.rows(n, 31)
+        rhs, sup = _alignment_rhs(g, ker, self.KAPPA)
+        ref, ref_sup = _pseudospectral_alignment_rhs(g, ker.psi.coeffs, self.KAPPA)
+        assert np.max(np.abs(rhs - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(sup - ref_sup) / ref_sup) <= 1e-13
+
+    def test_has_no_theta_aliasing_when_3_divides_n_theta(self):
+        # A dense Psihat reaches mode n_theta/3 = 8; the n_theta-point product
+        # aliases onto |l| = 8, the banded sum is the exact product.
+        n = 24
+        ker = angular_kernel(n, lambda th: 1.0 / (1.25 - np.cos(th)))
+        assert ker.band[0].tolist() == list(range(1, 9))
+        g = self.rows(n, 32)
+        rhs, _ = _alignment_rhs(g, ker, self.KAPPA)
+        exact = _theta_padded_alignment_rhs(g, ker.psi.coeffs, self.KAPPA)
+        aliased, _ = _pseudospectral_alignment_rhs(g, ker.psi.coeffs, self.KAPPA)
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(rhs - exact)) <= 1e-13 * scale
+        assert np.max(np.abs(aliased - exact)) > 1e-6 * scale
 
 
 class TestEnergy:

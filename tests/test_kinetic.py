@@ -226,7 +226,7 @@ class TestStepKinetic:
         g0 = perturbed_profile(64, 0.3, seed=4)
         f = SpectralField.from_values(grid, np.broadcast_to(g0.values.real, grid.shape))
         kernel, pair = angular_kernel(64), make_influence(grid)
-        _, (sup,) = homogeneous._alignment_rhs(g0.coeffs, kernel.psi.coeffs, 1.0)
+        _, (sup,) = homogeneous._alignment_rhs(g0.coeffs, kernel, 1.0)
         dt_max = 0.5 / (1.0 * 32 * sup + 1.0)
         steps = [
             lambda dt: step_homogeneous(
@@ -399,7 +399,7 @@ class TestHalfSpectrumStep:
         base = make_influence(grid, phi="bump", sigma=0.8)
         bare = AngularKernel(psi=prof, psi_factor=prof, primitive=prof)
         pair = InfluencePair(grid=grid, phi_fn=base.phi_fn, angular=bare)
-        assert pair.psi_support.tolist() == [0, 1, 16]
+        assert pair.angular.psi_support.tolist() == [0, 1, 16]
         rng = np.random.default_rng(24)
         f = SpectralField.from_values(grid, 1.0 + 0.5 * rng.standard_normal(grid.shape))
         rhs, l_inf = _alignment_rhs(f.half, grid, pair, kappa=0.3)
@@ -424,7 +424,7 @@ class TestHalfSpectrumStep:
     def test_support_of_psi(self):
         grid = TorusGrid(8, 8, 64)
         support = {
-            name: make_influence(grid, psi_factor=pf).psi_support.tolist()
+            name: make_influence(grid, psi_factor=pf).angular.psi_support.tolist()
             for name, pf in PSI_FACTORS.items()
         }
         assert support["one"] == [1]
@@ -511,8 +511,8 @@ class TestHalfSpectrumStep:
             spectral.transport_factor(*kinetic._half_wavenumbers(grid), grid.n_theta, 0.005),
             kinetic._half_mask(grid),
             kinetic._flux_factor(grid),
-            *spectral._reflection(grid),
-            pair.psi_support,
+            pair.angular.psi_support,
+            *pair.angular.band,
             pair.support_multiplier,
         ]
         for arr in cached:
@@ -543,7 +543,7 @@ class TestAlignmentGuard:
             return wrapped
 
         monkeypatch.setattr(kinetic, "_alignment_rhs", counting("rhs", kinetic._alignment_rhs))
-        monkeypatch.setattr(kinetic, "_alignment_sup", counting("sup", kinetic._alignment_sup))
+        monkeypatch.setattr(kinetic, "band_sup", counting("sup", kinetic.band_sup))
         params = KineticParams(kappa=1.0, nu=0.25, grid=grid, dt=0.02, t_end=1.0)
         f = f0
         for n in range(1, 4):
@@ -584,7 +584,7 @@ class TestAlignmentGuard:
 def _parent_sup(half, grid, kernels):
     """max|L[f]| on the collocation grid as the 3-D flux product computed it."""
     fd = half * kinetic._half_mask(grid)
-    support = kernels.psi_support
+    support = kernels.angular.psi_support
     planes = SpectralField.from_half(grid, fd).coeffs[:, :, support] * kernels.support_multiplier
     lhat = np.zeros((grid.n_x1, grid.n_x2, support.max(initial=0) + 1), dtype=np.complex128)
     lhat[:, :, support] = np.fft.ifft2(planes, axes=(0, 1))
@@ -611,7 +611,7 @@ FFT_FUNCTIONS = (
 
 
 class TestTransformBudget:
-    """The FFT calls of one alignment RHS: a batched 2-D x-transform each way, one theta-transform for the sup."""
+    """The FFT calls of one alignment RHS: a batched 2-D x-transform each way (none at k = 0), one theta-transform for the sup."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -638,7 +638,7 @@ class TestTransformBudget:
     def test_one_rhs_at_8x8x32(self, monkeypatch, with_sup):
         grid = TorusGrid(8, 8, 32)
         pair = make_influence(grid)
-        assert pair.psi_support.tolist() == [1]  # Psi = sin
+        assert pair.angular.psi_support.tolist() == [1]  # Psi = sin
         f = default_initial(grid, 0.5 / TWO_PI**3, seed=3)
         _ = pair.support_multiplier  # the kernels' own one-off transforms happen outside the count
         calls = self._record(monkeypatch)
@@ -649,6 +649,19 @@ class TestTransformBudget:
         # apart from the sup's, no transform runs over theta
         theta_calls = [c for c in calls if grid.n_theta in c[1]]
         assert theta_calls == ([("irfft", (32,))] if with_sup else [])
+
+    @pytest.mark.parametrize("with_sup", [True, False])
+    @pytest.mark.parametrize("rows", [1, 23])
+    def test_one_homogeneous_rhs_at_128(self, monkeypatch, rows, with_sup):
+        # the same banded product at k = 0: no transform but the sup's
+        kernel = angular_kernel(128)
+        _ = kernel.band
+        g = perturbed_profile(128, 0.3, seed=3).coeffs
+        g, kappa = (g, 0.3) if rows == 1 else (np.tile(g, (rows, 1)), np.full((rows, 1), 0.3))
+        calls = self._record(monkeypatch)
+        _, sup = homogeneous._alignment_rhs(g, kernel, kappa, with_sup)
+        assert calls == ([("irfft", (128,))] if with_sup else [])
+        assert (sup is None) is not with_sup
 
 
 class TestAlignmentBounds:

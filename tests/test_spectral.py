@@ -19,6 +19,7 @@ from kvicsek.spectral import (
     AngularProfile,
     SpectralField,
     TorusGrid,
+    band_product,
     dealias_keep,
     diffusion_factor,
     evolve_rows,
@@ -111,7 +112,7 @@ class TestBatchedSplitStep:
 
     def rows(self):
         g = np.stack([perturbed_profile(self.N, 0.3, seed=s).coeffs for s in range(3)])
-        rhs = partial(_alignment_rhs, psi_coeffs=angular_kernel(self.N).psi.coeffs)
+        rhs = partial(_alignment_rhs, kernel=angular_kernel(self.N))
         return g, rhs
 
     def test_batch_is_byte_identical_to_per_row_calls(self):
@@ -451,6 +452,20 @@ def test_snapshot_read_checks_the_whole_header(tmp_path, header_edit, raw_header
     with pytest.raises(ValueError, match=re.escape(match)) as err:
         read_snapshot(path)
     assert str(path) in str(err.value)
+
+
+def test_band_product_is_the_truncated_convolution():
+    # planes of shape (3,): f_l, l = 0..m, and a_j on a band with j = 0, against
+    # the full sum over -m <= l - j <= m of the two conjugate-symmetric series
+    m, band = 7, np.array([0, 2, 5, 7])
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((m + 1, 3)) + 1j * rng.standard_normal((m + 1, 3))
+    a = rng.standard_normal((len(band), 3)) + 1j * rng.standard_normal((len(band), 3))
+    f[0], a[0] = f[0].real, a[0].real
+    series = {l: f[l] for l in range(m + 1)} | {-l: np.conj(f[l]) for l in range(1, m + 1)}
+    modes = {j: aj for j, aj in zip(band.tolist(), a)} | {-j: np.conj(aj) for j, aj in zip(band.tolist(), a) if j}
+    expected = [sum(aj * series[l - j] for j, aj in modes.items() if abs(l - j) <= m) for l in range(m + 1)]
+    assert np.allclose(band_product(f, a, band), expected, rtol=1e-14, atol=1e-14)
 
 
 def test_grid_caches_are_read_only():
