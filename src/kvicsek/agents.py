@@ -177,7 +177,10 @@ def ensemble_from_density(
         np.linspace(0, TWO_PI, 33)[None, :, None],
         np.linspace(-np.pi, np.pi, 33)[None, None, :],
     )
-    bound = 1.1 * float(np.max(probe))
+    top = float(np.max(probe))
+    if not (np.isfinite(top) and top > 0):
+        raise ValueError(f"density probe maximum {top!r} on the 33^3 grid is not finite and > 0")
+    bound = 1.1 * top
     xs, ths = [], []
     have = 0
     while have < n:

@@ -19,8 +19,8 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     _readonly,
-    _reflect,
     fft_wavenumbers,
+    mirror,
     theta_points,
     x_points,
 )
@@ -139,26 +139,27 @@ class InfluencePair:
 
     @cached_property
     def phi_coeffs(self) -> np.ndarray:
-        return np.fft.fft2(self.phi_values) / (self.grid.n_x1 * self.grid.n_x2)
+        """Phihat on the (k1, k2) grid, FFT layout; read-only."""
+        return _readonly(np.fft.fft2(self.phi_values) / (self.grid.n_x1 * self.grid.n_x2))
 
-    @cached_property
-    def multiplier(self) -> np.ndarray:
-        """Coefficient multiplier of L: (2pi)^3 Phihat(-k) Psihat(-l).
+    def _multiplier_planes(self, modes) -> np.ndarray:
+        """(2pi)^3 Phihat(-k) Psihat(-l) at the angular indices ``modes``; read-only.
 
         Phi and Psi are real, so the reflected spectra are the conjugates.
         """
         phi_neg = np.conj(self.phi_coeffs)
-        psi_neg = np.conj(self.angular.psi.coeffs)
-        return TWO_PI**3 * phi_neg[:, :, None] * psi_neg[None, None, :]
+        psi_neg = np.conj(self.angular.psi.coeffs[modes])
+        return _readonly(TWO_PI**3 * phi_neg[:, :, None] * psi_neg[None, None, :])
+
+    @cached_property
+    def multiplier(self) -> np.ndarray:
+        """Coefficient multiplier of L: (2pi)^3 Phihat(-k) Psihat(-l); read-only."""
+        return self._multiplier_planes(slice(None))
 
     @cached_property
     def support_multiplier(self) -> np.ndarray:
         """The multiplier's planes j in the band of the angular kernel: multiplier[:, :, band]; read-only."""
-        phi_neg = np.conj(self.phi_coeffs)
-        psi_neg = np.conj(self.angular.psi.coeffs[self.angular.band[0]])
-        out = TWO_PI**3 * phi_neg[:, :, None] * psi_neg[None, None, :]
-        out.flags.writeable = False
-        return out
+        return self._multiplier_planes(self.angular.band[0])
 
     @cached_property
     def phi_series(self) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +286,7 @@ def validate_kernels(pair: InfluencePair) -> KernelReport:
     pv = pair.phi_values
     scale = max(float(np.max(np.abs(pv))), 1e-300)
 
-    sym_dev = np.abs(pv - _reflect(pv))
+    sym_dev = np.abs(pv - mirror(pv, (0, 1), np.empty_like(pv)))
     idx = np.unravel_index(int(np.argmax(sym_dev)), sym_dev.shape)
     worst = float(sym_dev[idx]) / scale
     checks.append(
@@ -315,7 +316,7 @@ def validate_kernels(pair: InfluencePair) -> KernelReport:
     neg = float(max(0.0, -np.min(pf_vals))) / pscale
     checks.append(KernelCheck("psi_factor_nonneg", neg <= tol, neg))
 
-    even_dev = float(np.max(np.abs(pf_vals - _reflect(pf_vals)))) / pscale
+    even_dev = float(np.max(np.abs(pf_vals - mirror(pf_vals, (0,), np.empty_like(pf_vals))))) / pscale
     checks.append(KernelCheck("psi_factor_even", even_dev <= tol, even_dev))
 
     mean_psi = abs(pair.angular.psi.mass) / max(pscale, 1.0)

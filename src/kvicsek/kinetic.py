@@ -22,14 +22,14 @@ the homogeneous layer runs at k = 0.  L[f] has only the angular modes +-j,
 j in the support S of Psihat up to n_theta/3 (``AngularKernel.band``), so
 the flux modes 0 <= l <= n_theta/3 that dealiasing keeps are
 P_l = sum_j (a_j f_{l-j} + conj(a_j) f_{l+j}) in x-values, exactly, with
-f_{-l} = conj(f_l); the modes l < 0 are conjugate reflections.  The right-
+f_{-l} = conj(f_l); the modes l < 0, and the k2 < 0 columns of the f_l,
+are conjugate reflections, ``spectral.mirror``.  The right-
 hand side thus takes one batched inverse 2-D x-transform of the planes f_l
 and a_j and one forward transform of the P_l, and no transform over theta;
 its cost grows with |S| (Psi = sin has one plane, a dense Psihat n_theta/3).
 The guard's max|L[f]| on the collocation grid costs one theta-transform of
 the a_j (``spectral.band_sup``), paid only where ``split_step`` reads it.
-Everything the step reuses is cached read-only: the dealias mask, the flux
-factor, the gather and scatter maps of the band, the transport factor for
+Everything the step reuses is cached read-only: the transport factor for
 each repeated v h (one for a constant speed) and the band planes of the
 multiplier (on the InfluencePair).
 """
@@ -52,10 +52,10 @@ from .spectral import (
     TWO_PI,
     SpectralField,
     TorusGrid,
-    _readonly,
     band_product,
     band_sup,
     diffusion_factor,
+    mirror,
     norm,
     remainder,
     split_step,
@@ -117,39 +117,6 @@ def _half_wavenumbers(grid: TorusGrid) -> tuple[tuple[int, ...], tuple[int, ...]
     return tuple(k1), tuple(k2)
 
 
-@lru_cache(maxsize=8)
-def _half_mask(grid: TorusGrid) -> np.ndarray:
-    return _readonly(grid.dealias_mask[:, : grid.n_x2 // 2 + 1, :].copy())
-
-
-@lru_cache(maxsize=8)
-def _band(grid: TorusGrid) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Index maps between the half and the planes l = 0..n_theta/3 of the banded flux.
-
-    The planes hold the full (k1, k2) grid, l first.  ``gather`` reads their
-    retained k2 < 0 columns, k2 = -n_x2/3..-1, at (-k1, -k2, -l) of the half;
-    ``scatter`` reads the half's retained modes k2 = 0..n_x2/3 at
-    l = -n_theta/3..-1 from (-l, -k1, -k2) of the planes.
-    """
-    n1, n2, n = grid.shape
-    m, m2 = n // 3, n2 // 3
-    neg_k1, neg_k2, neg_l = (-np.arange(n1)) % n1, (-np.arange(m2 + 1)) % n2, (-np.arange(m + 1)) % n
-    gather = (neg_k1[None, :, None], np.arange(m2, 0, -1)[None, None, :], neg_l[:, None, None])
-    scatter = (np.arange(m, 0, -1)[None, None, :], neg_k1[:, None, None], neg_k2[None, :, None])
-    return tuple(map(_readonly, gather)), tuple(map(_readonly, scatter))
-
-
-@lru_cache(maxsize=8)
-def _flux_factor(grid: TorusGrid) -> np.ndarray:
-    """The dealiased theta-derivative, applied to the flux f L[f], times n_x1 n_x2.
-
-    The factor n_x1 n_x2 undoes the 1/(n_x1 n_x2) that the inverse
-    x-transform puts on both factors of the banded product of x-values.
-    """
-    n_x = grid.n_x1 * grid.n_x2
-    return _readonly(n_x * theta_derivative(grid.n_theta)[None, None, :] * _half_mask(grid))
-
-
 def _transport_half(half: np.ndarray, grid: TorusGrid, v_eff: float, half_dt: float) -> np.ndarray:
     out = transport(half, transport_factor(*_half_wavenumbers(grid), grid.n_theta, v_eff * half_dt))
     # p.k vanishes identically at k=(0,0): keep that slice exactly, so the
@@ -178,16 +145,16 @@ def _alignment_rhs(
     """
     n1, n2, n = grid.shape
     m, m1, m2 = n // 3, n1 // 3, n2 // 3
-    gather, scatter = _band(grid)
     band, _ = kernels.angular.band
 
     # f_l for l = 0..m, then the planes a_j of L[f], on the full (k1, k2)
-    # grid; the 2/3 rule of x zeroes the rows and columns |k| > n/3.
+    # grid; the 2/3 rule of x zeroes the rows and columns |k| > n/3.  The
+    # k2 < 0 columns are conj(half) at (-k1, -k2, -l).
     planes = np.empty((m + 1 + len(band), n1, n2), dtype=np.complex128)
     fl = planes[: m + 1]
     fl[:, :, : m2 + 1] = half[:, : m2 + 1, : m + 1].transpose(2, 0, 1)
     fl[:, :, m2 + 1 : n2 - m2] = 0.0
-    np.conjugate(half[gather], out=fl[:, :, n2 - m2 :])
+    mirror(half[:, m2:0:-1], (0, 2), fl[:, :, n2 - m2 :].transpose(1, 2, 0))
     fl[:, m1 + 1 : n1 - m1] = 0.0
     np.multiply(fl[band], kernels.support_multiplier.transpose(2, 0, 1), out=planes[m + 1 :])
     # The product is pointwise in x, and the (-1)^l grid-offset phase
@@ -199,12 +166,15 @@ def _alignment_rhs(
     prod = band_product(f_x, -kappa * a_x, band)
     prod = np.fft.fftn(prod, axes=(-2, -1), out=prod)  # the coefficients of P from here
 
-    factor = _flux_factor(grid)
+    # The theta-derivative times n_x1 n_x2, which undoes the 1/(n_x1 n_x2)
+    # the inverse x-transform put on both factors of P; the 2/3 rule keeps
+    # the slices |l| <= m, k2 <= m2 and, by the last line, |k1| <= m1.
+    factor = (n1 * n2) * theta_derivative(n)
     rhs = np.zeros(half.shape, dtype=np.complex128)
-    np.multiply(
-        factor[:, : m2 + 1, : m + 1], prod[:, :, : m2 + 1].transpose(1, 2, 0), out=rhs[:, : m2 + 1, : m + 1]
-    )
-    np.multiply(factor[:, : m2 + 1, n - m :], np.conj(prod[scatter]), out=rhs[:, : m2 + 1, n - m :])
+    np.multiply(factor[: m + 1], prod[:, :, : m2 + 1].transpose(1, 2, 0), out=rhs[:, : m2 + 1, : m + 1])
+    neg = mirror(prod[m:0:-1].transpose(1, 2, 0), (0, 1), rhs[:, : m2 + 1, n - m :])  # P(k, -l) = conj P(-k, l)
+    np.multiply(factor[n - m :], neg, out=neg)
+    rhs[m1 + 1 : n1 - m1] = 0.0
     return rhs, float(np.max(band_sup(a_x, band, n))) * grid.size if with_sup else None
 
 

@@ -32,7 +32,7 @@ the same row loop and samples only the H^{-1} norm, every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,6 +44,7 @@ from .spectral import (
     TWO_PI,
     AngularProfile,
     _check_dt,
+    _readonly,
     diffusion_factor,
     evolve_rows,
     fft_wavenumbers,
@@ -137,9 +138,15 @@ def _mode_step(states: Sequence[ModeState], dt: float) -> Callable[[np.ndarray, 
     n = states[0].eta.n
     heat = np.array([diffusion_factor(n, s.nu, dt) for s in states])
 
+    # The stack's table, kept while the shifts repeat (a constant speed):
+    # transport_factor caches too few rows for a stack of many k.
+    @lru_cache(maxsize=1)
+    def factors(shifts: tuple[float, ...]) -> np.ndarray:
+        rows = [transport_factor((s.k[0],), (s.k[1],), n, h) for s, h in zip(states, shifts)]
+        return _readonly(np.array(rows)[:, 0, 0])
+
     def advect(coeffs, t_mid):
-        rows = [transport_factor((s.k[0],), (s.k[1],), n, s.v(t_mid) * (0.5 * dt)) for s in states]
-        return transport(coeffs, np.array(rows)[:, 0, 0])
+        return transport(coeffs, factors(tuple(s.v(t_mid) * (0.5 * dt) for s in states)))
 
     return lambda c, t: split_step(c, t, dt, heat, advect=advect)
 

@@ -15,6 +15,10 @@ run on phi_j = theta_j + pi = 2pi j/n, which gives the same product.
 Fields on T^2 x T are real, and their half-spectrum layout (k2 >= 0,
 ``HALF_AXES``) lives here only: ``SpectralField.values`` reads the half
 ``SpectralField.half``, and ``SpectralField.from_half`` rebuilds the rest.
+``mirror`` is the one reflection k -> -k of the package, with the
+conjugate fhat(-k, -l) = conj(fhat(k, l)) of a real field: ``from_half``,
+``SpectralField.is_real``, the evenness checks of the kernels and the
+kinetic flux all use it.
 
 ``split_step`` is the one Strang/Heun step of the three PDE solvers
 (per-mode, homogeneous, kinetic), with the cached angular factors it and
@@ -114,11 +118,26 @@ def _validate_count(n: int, name: str) -> None:
         raise ValueError(f"{name} must be an even integer >= 4, got {n!r}")
 
 
-def _reflect(coeffs: np.ndarray) -> np.ndarray:
-    """Index map k -> -k (mod n) applied on every axis."""
-    out = coeffs
-    for ax in range(coeffs.ndim):
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
+@lru_cache(maxsize=64)
+def _mirror_slices(src_shape: tuple[int, ...], out_shape: tuple[int, ...], axes: tuple[int, ...]) -> tuple:
+    """The (target, source) index tuples of ``mirror``: on each mirrored axis index 0 stays, the rest reverses."""
+    whole = ((slice(None), slice(None)),)
+    per_axis = [
+        ((slice(0, 1), slice(0, 1)), (slice(1, d), slice(n - 1, n - d, -1))) if ax in axes else whole
+        for ax, (n, d) in enumerate(zip(src_shape, out_shape))
+    ]
+    return tuple(tuple(zip(*pairs)) for pairs in product(*per_axis))
+
+
+def mirror(src: np.ndarray, axes: tuple[int, ...], out: np.ndarray) -> np.ndarray:
+    """out[i] = conj(src[-i mod n]) along each of ``axes``, n = src's length there; returns out.
+
+    The one map k -> -k of the package.  ``out`` may be shorter than ``src``
+    on the mirrored axes; the other axes match.  For real input it is the
+    reflection alone.
+    """
+    for target, source in _mirror_slices(src.shape, out.shape, axes):
+        np.conjugate(src[source], out=out[target])
     return out
 
 
@@ -291,7 +310,9 @@ class AngularProfile:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
+# A time-dependent speed gives a new shift v h at every sub-step, so the
+# cache holds only the tables a constant speed repeats: one per grid.
+@lru_cache(maxsize=8)
 def transport_factor(k1: tuple[int, ...], k2: tuple[int, ...], n: int, shift: float) -> np.ndarray:
     """Read-only exp(-i shift p(phi).k) on the outer table (k1, k2, phi_j = 2pi j/n); shift = v h."""
     k1, k2, phi = np.array(k1, np.float64), np.array(k2, np.float64), x_points(n)
@@ -442,11 +463,6 @@ def evolve_rows(c: np.ndarray, t0: float, dt: float, n_steps, every, stepper, sa
 HALF_AXES = (0, 2, 1)
 
 
-# An axis of wavenumbers k in FFT layout split for k -> -k: index 0 stays,
-# the rest reverses (the target slice, then the source slice).
-_NEGATE = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
-
-
 @dataclass(frozen=True)
 class SpectralField:
     """Coefficient array fhat(k1, k2, l) on a TorusGrid; immutable value."""
@@ -480,9 +496,7 @@ class SpectralField:
         n2h = half.shape[1]
         out = np.empty(grid.shape, dtype=np.complex128)
         out[:, :n2h] = half
-        neg, mirror = out[:, n2h:], half[:, n2h - 2 : 0 : -1]  # k2 < 0 and the columns -k2
-        for (to1, from1), (to3, from3) in product(_NEGATE, _NEGATE):
-            np.conjugate(mirror[from1, :, from3], out=neg[to1, :, to3])
+        mirror(half[:, n2h - 2 : 0 : -1], (0, 2), out[:, n2h:])  # from the columns -k2
         return cls(grid, out)
 
     @property
@@ -504,7 +518,7 @@ class SpectralField:
 
     def is_real(self) -> bool:
         """Conjugate symmetry fhat(-k,-l) = conj(fhat(k,l)) to REAL_RTOL (relative)."""
-        dev = np.max(np.abs(_reflect(self.coeffs) - np.conj(self.coeffs)))
+        dev = np.max(np.abs(mirror(self.coeffs, (0, 1, 2), np.empty_like(self.coeffs)) - self.coeffs))
         scale = np.max(np.abs(self.coeffs))
         return bool(dev <= REAL_RTOL * max(scale, 1e-300))
 

@@ -533,6 +533,14 @@ class TestSampling:
         assert cx == pytest.approx(0.25, abs=0.02)  # E cos x1 under (1+0.5 cos)/2pi
 
 
+    @pytest.mark.parametrize("value", [0.0, np.nan])
+    def test_rejection_sampler_rejects_a_density_with_no_positive_maximum(self, uniform_influence, value):
+        # no sample would ever be accepted: the sampler must refuse, not loop
+        dens = lambda x1, x2, th: np.full(np.broadcast(x1, x2, th).shape, value)
+        with pytest.raises(ValueError, match=f"density probe maximum {value!r}"):
+            ensemble_from_density(64, dens, uniform_influence, kappa=0.1, nu=0.1, seed=3)
+
+
 class TestEmpiricalDensity:
     def test_single_agent_is_the_kernel(self, uniform_influence):
         grid = TorusGrid(32, 32, 32)

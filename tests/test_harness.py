@@ -576,6 +576,40 @@ def test_matrix_products_only_over_agent_blocks():
     assert {name: products for name, products in found.items() if products} == {}
 
 
+def _reflections(source: str) -> list[str]:
+    """Hand-made maps k -> -k in source: ``np.flip`` calls and negated ``np.arange`` calls."""
+
+    def is_np(node, attr):
+        func = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(func, ast.Attribute) and func.attr == attr
+                and isinstance(func.value, ast.Name) and func.value.id == "np")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if is_np(node, "flip"):
+            found.append((node.lineno, "np.flip"))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) and is_np(node.operand, "arange"):
+            found.append((node.lineno, "-np.arange"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_reflections_outside_mirror_detected():
+    source = (
+        "import numpy as np\n"
+        "def f(a, n):\n"
+        "    b = np.roll(np.flip(a, axis=0), 1, axis=0)\n"
+        "    return a[(-np.arange(n)) % n] + np.arange(n) - np.arange(-n, 0) + a[::-1] + flip(a)\n"
+    )
+    assert _reflections(source) == ["np.flip (line 3)", "-np.arange (line 4)"]
+
+
+def test_mirror_is_the_only_reflection():
+    # spectral.mirror is the one map k -> -k: a flip or a negated index
+    # range elsewhere is a second layout of the conjugate reflection
+    found = {p.name: _reflections(p.read_text()) for p in sorted((ROOT / "src" / "kvicsek").glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 _TRANSCENDENTALS = {"cos", "sin", "exp"}
 
 

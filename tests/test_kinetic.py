@@ -496,6 +496,20 @@ class TestHalfSpectrumStep:
         f = step_kinetic(default_initial(grid, 0.1 / TWO_PI**3), params, make_influence(grid), 0.0)
         assert np.array_equal(SpectralField.from_half(grid, f.half).coeffs, f.coeffs)
 
+    def test_decaying_speed_keeps_the_transport_cache_small(self):
+        # each transport sub-step of a time-dependent speed has its own v h,
+        # so none repeats: the cache must not grow with the step count
+        grid = TorusGrid(8, 8, 16)
+        pair = make_influence(grid)
+        params = KineticParams(kappa=0.1, nu=0.1, grid=grid, dt=0.01, t_end=1.0, v=speed_decaying(0.5))
+        f = default_initial(grid, 0.1 / TWO_PI**3)
+        spectral.transport_factor.cache_clear()
+        for step in range(20):
+            f = step_kinetic(f, params, pair, 0.01 * step)
+        info = spectral.transport_factor.cache_info()
+        assert (info.hits, info.misses) == (0, 40)
+        assert info.currsize <= 8
+
     def test_cached_factors_are_read_only(self):
         grid = TorusGrid(8, 12, 32)
         pair = make_influence(grid, psi_factor="cos_squared")
@@ -509,10 +523,10 @@ class TestHalfSpectrumStep:
         cached = [
             f.half,
             spectral.transport_factor(*kinetic._half_wavenumbers(grid), grid.n_theta, 0.005),
-            kinetic._half_mask(grid),
-            kinetic._flux_factor(grid),
             pair.angular.psi_support,
             *pair.angular.band,
+            pair.phi_coeffs,
+            pair.multiplier,
             pair.support_multiplier,
         ]
         for arr in cached:
@@ -583,7 +597,7 @@ class TestAlignmentGuard:
 
 def _parent_sup(half, grid, kernels):
     """max|L[f]| on the collocation grid as the 3-D flux product computed it."""
-    fd = half * kinetic._half_mask(grid)
+    fd = half * grid.dealias_mask[:, : grid.n_x2 // 2 + 1]
     support = kernels.angular.psi_support
     planes = SpectralField.from_half(grid, fd).coeffs[:, :, support] * kernels.support_multiplier
     lhat = np.zeros((grid.n_x1, grid.n_x2, support.max(initial=0) + 1), dtype=np.complex128)

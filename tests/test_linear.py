@@ -27,6 +27,7 @@ from kvicsek.linear import (
     step_mode,
     wrap_angle,
 )
+from kvicsek import spectral
 from kvicsek.spectral import (
     TWO_PI,
     AngularProfile,
@@ -135,6 +136,15 @@ class TestStepMode:
         s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 64), t=0.0, nu=1e-3, v=v)
         s = step_mode(s, 0.01)
         assert s.t == pytest.approx(0.01)
+
+    def test_wide_stack_builds_each_row_table_once(self):
+        # a stack of more k than the transport_factor cache holds, at a
+        # constant speed, must not rebuild its rows at every sub-step
+        eta = AngularProfile.from_function(np.cos, 64)
+        states = [ModeState(k=(k, k % 3), eta=eta, t=0.0, nu=1e-3) for k in range(1, 13)]
+        spectral.transport_factor.cache_clear()
+        evolve_mode(states, 0.01, 10, sample_every=10)
+        assert spectral.transport_factor.cache_info().misses == len(states)
 
 
 class TestHypoFunctional:

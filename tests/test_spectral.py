@@ -23,6 +23,7 @@ from kvicsek.spectral import (
     dealias_keep,
     diffusion_factor,
     evolve_rows,
+    mirror,
     norm,
     read_snapshot,
     remainder,
@@ -466,6 +467,37 @@ def test_band_product_is_the_truncated_convolution():
     modes = {j: aj for j, aj in zip(band.tolist(), a)} | {-j: np.conj(aj) for j, aj in zip(band.tolist(), a) if j}
     expected = [sum(aj * series[l - j] for j, aj in modes.items() if abs(l - j) <= m) for l in range(m + 1)]
     assert np.allclose(band_product(f, a, band), expected, rtol=1e-14, atol=1e-14)
+
+
+def _mirror_oracle(src, axes, out_shape):
+    """conj(src[-i mod n]) on each of ``axes`` by fancy indexing, for the first out_shape entries."""
+    index = [
+        (-np.arange(d)) % n if ax in axes else np.arange(d) for ax, (n, d) in enumerate(zip(src.shape, out_shape))
+    ]
+    return np.conj(src[np.ix_(*index)])
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+@pytest.mark.parametrize(
+    "shape, axes, out_shape",
+    [
+        ((7,), (0,), (7,)),
+        ((8,), (0,), (3,)),
+        ((6, 5), (0, 1), (6, 5)),
+        ((6, 5), (1,), (6, 2)),
+        ((8, 9, 10), (0, 2), (8, 9, 4)),
+        ((5, 8, 7), (0, 1, 2), (5, 8, 7)),
+        ((5, 8, 7), (0, 1, 2), (3, 1, 6)),
+    ],
+)
+def test_mirror_matches_the_fancy_index_oracle(dtype, shape, axes, out_shape):
+    rng = np.random.default_rng(sum(shape))
+    src = rng.standard_normal(shape).astype(dtype)
+    if dtype is np.complex128:
+        src += 1j * rng.standard_normal(shape)
+    out = np.full(out_shape, np.nan, dtype=dtype)
+    assert mirror(src, axes, out) is out
+    assert np.array_equal(out, _mirror_oracle(src, axes, out_shape))
 
 
 def test_grid_caches_are_read_only():
