@@ -1,5 +1,6 @@
 """Pseudo-spectral simulation suite for the kinetic Vicsek alignment model."""
 
+from .config import CODE_VERSION as __version__
 from .spectral import (
     AngularProfile,
     SpectralField,
@@ -53,5 +54,3 @@ from .agents import (
 )
 from .fitting import fit_rate
 from .presets import ExperimentConfig, run_preset
-
-__version__ = "0.1.0"

@@ -12,12 +12,9 @@ import numpy as np
 
 from .errors import ConfigError
 
-try:
-    from importlib.metadata import version as _pkg_version
-
-    CODE_VERSION = _pkg_version("kvicsek")
-except Exception:  # pragma: no cover - metadata missing in odd installs
-    CODE_VERSION = "0.1.0"
+# The package's one version string: kvicsek.__version__, the manifests'
+# code_version and, through setuptools' attr, pyproject's version read it.
+CODE_VERSION = "0.1.0"
 
 
 def parse_config(path: str | Path) -> dict[str, str]:

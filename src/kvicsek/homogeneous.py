@@ -16,7 +16,10 @@ exact diffusion, with the kinetic solver's step-size guard.  The
 alignment RHS is the kinetic one at k = 0: the 2/3-dealiased flux as the
 banded sum ``spectral.band_product`` over the band of Psihat
 (``AngularKernel.band``), with no transform; only the guard's max|Psi*g|
-takes one (``spectral.band_sup``), where ``split_step`` reads it.
+takes one (``spectral.band_sup``), where ``split_step`` reads it.  The
+Heun stages run on the modes 0..n_theta/3 of each row, the block the flux
+reads and writes (``spectral.Alignment``); ``_lower`` adds the increment
+of a half-step to the row and its conjugate to the modes -n_theta/3..-1.
 ``evolve_homogeneous`` advances a sequence of states that share n_theta, nu and t as one stack
 of rows with kappa per row (the ratios of a phase diagram), with the
 RHS and the guard evaluated row-wise; a single state, and
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import accumulate
 from operator import mul
 from typing import Sequence
@@ -39,6 +41,7 @@ from .errors import NumericsError
 from .influence import AngularKernel
 from .spectral import (
     TWO_PI,
+    Alignment,
     AngularProfile,
     band_product,
     band_sup,
@@ -79,26 +82,43 @@ def constant_state(n_theta: int, kappa: float, nu: float) -> HomogeneousState:
 def _alignment_rhs(
     g: np.ndarray, kernel: AngularKernel, kappa: np.ndarray | float, with_sup: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """kappa d_theta(g (Psi*g)) in coefficients, 2/3-dealiased: the kinetic banded product at k = 0.
+    """kappa d_theta(g (Psi*g)) on the modes 0..n_theta/3 of g, 2/3-dealiased: the kinetic banded product at k = 0.
 
-    Row-wise over one real density ``g[n_theta]`` or a stack
-    ``g[batch, n_theta]``, with kappa a scalar or one per row.  Psi*g has
-    the modes a_j = 2pi Psihat_j ghat_j, j in ``kernel.band``, so the flux
-    modes 0 <= l <= n_theta/3 are the sums P_l of ``spectral.band_product``;
-    rhs_l = kappa i l P_l there, rhs_{-l} = conj(rhs_l), and the other
-    modes are zero.  The right-hand side takes no transform; the sup,
+    Row-wise over the modes ``g[m + 1]`` of one real density, m =
+    n_theta/3, or a stack ``g[batch, m + 1]`` of them, with kappa a scalar
+    or one per row.  Psi*g has the modes a_j = 2pi Psihat_j ghat_j, j in
+    ``kernel.band``, so the flux modes 0 <= l <= m are the sums P_l of
+    ``spectral.band_product``, and the right-hand side there is
+    kappa i l P_l; the modes l < 0 are their conjugates (``_lower``) and the
+    others zero.  The right-hand side takes no transform; the sup,
     max|Psi*g| per row shaped ``(..., 1)``, takes one ``irfft`` (None
     unless ``with_sup``).
     """
-    n = g.shape[-1]
-    m = n // 3
+    n = kernel.n_theta
     band, psi = kernel.band
     a = (psi * g[..., band]).T  # the planes of band_product: the modes first, then the rows
-    prod = band_product(g[..., : m + 1].T, a, band).T
-    rhs = np.zeros(g.shape, dtype=np.complex128)
-    rhs[..., : m + 1] = kappa * theta_derivative(n)[: m + 1] * prod
-    rhs[..., n - m :] = np.conj(rhs[..., m:0:-1])
-    return rhs, band_sup(a, band, n) * n if with_sup else None
+    prod = band_product(g.T, a, band).T
+    rhs = kappa * theta_derivative(n)[: g.shape[-1]] * prod
+    return rhs, band_sup(a[..., None], band, n) * n if with_sup else None
+
+
+def _lower(g: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """g plus the increment inc of its modes 0..m, and plus conj(inc) on the modes -m..-1."""
+    m = inc.shape[-1] - 1
+    out = g.copy()
+    out[..., : m + 1] += inc
+    out[..., g.shape[-1] - m :] += np.conj(inc[..., m:0:-1])
+    return out
+
+
+def _alignment(kernel: AngularKernel, kappa: np.ndarray | float) -> Alignment:
+    """The homogeneous alignment sub-step of ``split_step`` on the modes 0..n_theta/3 of each row."""
+    m = kernel.n_theta // 3
+    return Alignment(
+        lift=lambda g: g[..., : m + 1],
+        rhs=lambda g, with_sup: _alignment_rhs(g, kernel, kappa, with_sup),
+        lower=_lower,
+    )
 
 
 def step_homogeneous(s: HomogeneousState, kernel: AngularKernel, dt: float) -> HomogeneousState:
@@ -155,8 +175,8 @@ def evolve_homogeneous(
 
     def stepper(rows):
         kappa = np.array([[states[j].kappa] for j in rows])
-        rhs = partial(_alignment_rhs, kernel=kernel, kappa=kappa)
-        return lambda c, t: split_step(c, t, dt, heat, rhs=rhs, kappa=kappa)
+        align = _alignment(kernel, kappa)
+        return lambda c, t: split_step(c, t, dt, heat, align=align, kappa=kappa)
 
     evolve_rows(np.stack([x.g.coeffs for x in states]), first.t, dt, n_steps, sample_every, stepper, sample)
     out = []

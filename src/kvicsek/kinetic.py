@@ -22,13 +22,19 @@ the homogeneous layer runs at k = 0.  L[f] has only the angular modes +-j,
 j in the support S of Psihat up to n_theta/3 (``AngularKernel.band``), so
 the flux modes 0 <= l <= n_theta/3 that dealiasing keeps are
 P_l = sum_j (a_j f_{l-j} + conj(a_j) f_{l+j}) in x-values, exactly, with
-f_{-l} = conj(f_l); the modes l < 0, and the k2 < 0 columns of the f_l,
-are conjugate reflections, ``spectral.mirror``.  The right-
-hand side thus takes one batched inverse 2-D x-transform of the planes f_l
-and a_j and one forward transform of the P_l, and no transform over theta;
-its cost grows with |S| (Psi = sin has one plane, a dense Psihat n_theta/3).
-The guard's max|L[f]| on the collocation grid costs one theta-transform of
-the a_j (``spectral.band_sup``), paid only where ``split_step`` reads it.
+f_{-l} = conj(f_l).  The Heun stages of an alignment half-step run on that
+block (``spectral.Alignment``): ``_lift`` gathers the planes f_l,
+l = 0..n_theta/3, on the full (k1, k2) grid, x-dealiased, once per
+half-step; the right-hand side reads and returns planes in that layout;
+``_lower`` adds the half-step's increment back to the half spectrum once,
+the modes l < 0 as conjugate reflections (``spectral.mirror``).  The
+right-hand side takes one batched inverse 2-D x-transform of the planes
+f_l and a_j and one forward transform of the P_l, and no transform over
+theta; its cost grows with |S| (Psi = sin has one plane, a dense Psihat
+n_theta/3).  The guard's max|L[f]| on the collocation grid costs one
+theta-transform of the a_j (``spectral.band_sup``), paid only where
+``split_step`` reads it and only at the x-points whose bound can reach the
+max.
 Everything the step reuses is cached read-only: the transport factor for
 each repeated v h (one for a constant speed) and the band planes of the
 multiplier (on the InfluencePair).
@@ -50,6 +56,7 @@ from .influence import InfluencePair
 from .linear import speed_constant
 from .spectral import (
     TWO_PI,
+    Alignment,
     SpectralField,
     TorusGrid,
     band_product,
@@ -125,37 +132,47 @@ def _transport_half(half: np.ndarray, grid: TorusGrid, v_eff: float, half_dt: fl
     return out
 
 
+def _lift(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The block of the flux: the planes f_l, l = 0..n_theta/3, on the full (k1, k2) grid, x-dealiased.
+
+    The 2/3 rule of x zeroes the rows and columns |k| > n/3; the k2 < 0
+    columns are conj(half) at (-k1, -k2, -l).
+    """
+    n1, n2, n = grid.shape
+    m, m1, m2 = n // 3, n1 // 3, n2 // 3
+    fl = np.empty((m + 1, n1, n2), dtype=np.complex128)
+    fl[:, :, : m2 + 1] = half[:, : m2 + 1, : m + 1].transpose(2, 0, 1)
+    fl[:, :, m2 + 1 : n2 - m2] = 0.0
+    mirror(half[:, m2:0:-1], (0, 2), fl[:, :, n2 - m2 :].transpose(1, 2, 0))
+    fl[:, m1 + 1 : n1 - m1] = 0.0
+    return fl
+
+
 def _alignment_rhs(
-    half: np.ndarray,
+    fl: np.ndarray,
     grid: TorusGrid,
     kernels: InfluencePair,
     kappa: float,
     with_sup: bool = True,
 ) -> tuple[np.ndarray, float | None]:
-    """-kappa d_theta(f L[f]) on the k2 >= 0 half, dealiased flux form.
+    """-kappa d_theta(f L[f]) on the block ``_lift`` returns, dealiased flux form, in the same layout.
 
     L[f] has only the angular modes +-j, j in the band of Psihat, so the
     modes 0 <= l <= n_theta/3 that the 2/3 rule keeps of the flux are the
     ``spectral.band_product`` sums P_l = sum_j (a_j f_{l-j} + conj(a_j) f_{l+j})
-    of x-values, with f_{-l} = conj(f_l) and a_j the mode j of L[f]; the
-    modes l < 0 follow from P(k, -l) = conj(P(-k, l)).  One batched 2-D
-    transform gives f_l and a_j, one more takes P back: there is no
-    transform over theta.  Returns the right-hand side and max|L[f]| on the
-    collocation grid, from ``spectral.band_sup`` (None unless ``with_sup``).
+    of x-values, with f_{-l} = conj(f_l) and a_j the mode j of L[f].  One
+    batched 2-D transform gives f_l and a_j, one more takes P back: there
+    is no transform over theta, and no scatter into the half spectrum
+    (``_lower`` adds the increment of a whole Heun step once).  Returns the
+    right-hand side and max|L[f]| on the collocation grid, from
+    ``spectral.band_sup`` (None unless ``with_sup``).
     """
     n1, n2, n = grid.shape
     m, m1, m2 = n // 3, n1 // 3, n2 // 3
     band, _ = kernels.angular.band
 
-    # f_l for l = 0..m, then the planes a_j of L[f], on the full (k1, k2)
-    # grid; the 2/3 rule of x zeroes the rows and columns |k| > n/3.  The
-    # k2 < 0 columns are conj(half) at (-k1, -k2, -l).
     planes = np.empty((m + 1 + len(band), n1, n2), dtype=np.complex128)
-    fl = planes[: m + 1]
-    fl[:, :, : m2 + 1] = half[:, : m2 + 1, : m + 1].transpose(2, 0, 1)
-    fl[:, :, m2 + 1 : n2 - m2] = 0.0
-    mirror(half[:, m2:0:-1], (0, 2), fl[:, :, n2 - m2 :].transpose(1, 2, 0))
-    fl[:, m1 + 1 : n1 - m1] = 0.0
+    planes[: m + 1] = fl
     np.multiply(fl[band], kernels.support_multiplier.transpose(2, 0, 1), out=planes[m + 1 :])
     # The product is pointwise in x, and the (-1)^l grid-offset phase
     # cancels in the banded sum, so both are left out.  The 2-D transforms
@@ -163,19 +180,38 @@ def _alignment_rhs(
     # drops its out= (2.4).
     planes = np.fft.ifftn(planes, axes=(-2, -1), out=planes)
     f_x, a_x = planes[: m + 1], planes[m + 1 :]
-    prod = band_product(f_x, -kappa * a_x, band)
-    prod = np.fft.fftn(prod, axes=(-2, -1), out=prod)  # the coefficients of P from here
+    rhs = band_product(f_x, -kappa * a_x, band)
+    rhs = np.fft.fftn(rhs, axes=(-2, -1), out=rhs)
 
     # The theta-derivative times n_x1 n_x2, which undoes the 1/(n_x1 n_x2)
     # the inverse x-transform put on both factors of P; the 2/3 rule keeps
-    # the slices |l| <= m, k2 <= m2 and, by the last line, |k1| <= m1.
-    factor = (n1 * n2) * theta_derivative(n)
-    rhs = np.zeros(half.shape, dtype=np.complex128)
-    np.multiply(factor[: m + 1], prod[:, :, : m2 + 1].transpose(1, 2, 0), out=rhs[:, : m2 + 1, : m + 1])
-    neg = mirror(prod[m:0:-1].transpose(1, 2, 0), (0, 1), rhs[:, : m2 + 1, n - m :])  # P(k, -l) = conj P(-k, l)
-    np.multiply(factor[n - m :], neg, out=neg)
-    rhs[m1 + 1 : n1 - m1] = 0.0
-    return rhs, float(np.max(band_sup(a_x, band, n))) * grid.size if with_sup else None
+    # |k1| <= m1 and |k2| <= m2.  On the columns k2 < 0 this is the
+    # reflection of the modes l < 0 of the half: i l = conj(-i l) bit for bit.
+    rhs *= ((n1 * n2) * theta_derivative(n))[: m + 1, None, None]
+    rhs[:, m1 + 1 : n1 - m1] = 0.0
+    rhs[:, :, m2 + 1 : n2 - m2] = 0.0
+    return rhs, float(band_sup(a_x.reshape(len(band), -1), band, n)[0]) * grid.size if with_sup else None
+
+
+def _lower(half: np.ndarray, inc: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """half plus the block increment inc: inc on k2 >= 0, l >= 0, and the modes l < 0 by P(k, -l) = conj P(-k, l)."""
+    n1, n2, n = grid.shape
+    m, m2 = n // 3, n2 // 3
+    out = half.copy()
+    out[:, : m2 + 1, : m + 1] += inc[:, :, : m2 + 1].transpose(1, 2, 0)
+    out[:, : m2 + 1, n - m :] += mirror(
+        inc[m:0:-1].transpose(1, 2, 0), (0, 1), np.empty((n1, m2 + 1, m), dtype=np.complex128)
+    )
+    return out
+
+
+def _alignment(grid: TorusGrid, kernels: InfluencePair, kappa: float) -> Alignment:
+    """The kinetic alignment sub-step of ``split_step`` on the half spectrum."""
+    return Alignment(
+        lift=lambda half: _lift(half, grid),
+        rhs=lambda fl, with_sup: _alignment_rhs(fl, grid, kernels, kappa, with_sup),
+        lower=lambda half, inc: _lower(half, inc, grid),
+    )
 
 
 def step_kinetic(
@@ -200,7 +236,7 @@ def step_kinetic(
         dt,
         diffusion_factor(grid.n_theta, params.nu, dt),
         advect=lambda c, s: _transport_half(c, grid, params.v(s), 0.5 * dt),
-        rhs=lambda c, with_sup: _alignment_rhs(c, grid, kernels, params.kappa, with_sup),
+        align=_alignment(grid, kernels, params.kappa),
         kappa=params.kappa,
     )
 

@@ -27,14 +27,20 @@ for its transport sub-step ``transport``, the ``transport_factor``.
 Its leading axes are a batch: the 1-D layers stack independent rows
 ``c[batch, n_theta]`` (one per alignment strength, or per x-mode and
 viscosity) and advance them in one call, with the alignment step-size
-guard evaluated per row.  ``evolve_rows``, the one row loop of both 1-D
-layers, steps such a stack on the ``config`` clock and cadence.
+guard evaluated per row.  The alignment sub-steps run on the block of
+modes the dealiased flux reads and writes, in the layer's own layout
+(``Alignment``): the layer lifts the block out of its coefficients once
+per Heun step and lowers the increment back once, so the right-hand side
+never scatters into a full coefficient array.  ``evolve_rows``, the one
+row loop of both 1-D layers, steps such a stack on the ``config`` clock
+and cadence.
 
 ``band_product`` is the one alignment flux product of the homogeneous and
 kinetic layers: the dealiased modes 0..n_theta/3 of a product of two real
 series in theta, as a banded sum over the support of Psihat, with no
 transform and no aliasing.  ``band_sup`` is the one transform behind the
-step-size guard's max|L|.
+step-size guard's max|L|; over many points (the kinetic x-grid) it runs
+only at those whose bound can reach the largest value.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +59,7 @@ from .errors import StepSizeError
 TWO_PI = 2.0 * np.pi
 EVAL_CUTOFF = 1e-15  # AngularProfile.eval drops terms at or below this times max(max|ghat|, 1)
 REAL_RTOL = 1e-12  # relative tolerance of SpectralField.is_real
+SUP_ROUNDING = 1e-9  # band_sup's relative margin on its bound 2 sum_j |a_j|, for rounding
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -353,19 +360,63 @@ def band_product(f: np.ndarray, a: np.ndarray, band: np.ndarray) -> np.ndarray:
     return prod
 
 
-def band_sup(a: np.ndarray, band: np.ndarray, n: int) -> np.ndarray:
-    """max over the n angles phi_j = 2pi j/n of |irfft| of the real series with the modes a_j, j in ``band``.
+def _reachable(a: np.ndarray, band: np.ndarray, n: int) -> np.ndarray:
+    """The points (last axis) of one row of planes ``a`` where the series of ``band_sup`` can reach its max.
 
-    ``a`` holds the planes as ``band_product`` reads them; the max is taken
-    per plane point, shaped ``(..., 1)``.  The series is numpy's ``irfft``,
-    so 1/n times its values: the caller multiplies the max by its own
-    transform sizes, which gives the max of the scaled values bit for bit
-    (rounding is monotone).
+    At a point the series is Re(a_0) + 2 sum_{j > 0} Re(a_j e^{i j phi})
+    (numpy's ``irfft``; the band lies below n/2), so 2 sum_j |a_j| bounds
+    it.  The value found is its max over the n angles at the point of
+    largest bound, summed directly.  A point whose bound is below that
+    value, with SUP_ROUNDING to spare, cannot hold the max of the
+    transform; a NaN bound or value keeps every point it is compared with.
     """
+    bound = np.abs(a).sum(axis=0)
+    top = a[:, np.argmax(bound)]
+    terms = np.exp((TWO_PI * 1j / n) * np.multiply.outer(band, np.arange(n)))
+    terms *= (np.where(band == 0, 1.0, 2.0) * top)[:, None]
+    found = np.abs(terms.sum(axis=0).real).max()
+    return ~(bound * (2.0 * (1.0 + SUP_ROUNDING)) < found)
+
+
+def band_sup(a: np.ndarray, band: np.ndarray, n: int) -> np.ndarray:
+    """max of |irfft| of the real series with the modes a_j, j in ``band``, over the n angles phi_j = 2pi j/n and a row's points.
+
+    ``a`` holds the planes as ``band_product`` reads them, with the points
+    of a row on their last axis: one point per row of a 1-D stack
+    (``a[..., None]``), or one row of the n_x1 n_x2 x-points of the kinetic
+    layer (``a`` of shape ``(len(band), n_x1 n_x2)``).  Returns the max
+    per row, shaped ``(..., 1)``.  The series is numpy's ``irfft``, so 1/n
+    times its values: the caller multiplies the max by its own transform
+    sizes, which gives the max of the scaled values bit for bit (rounding
+    is monotone).  Over one row of many points the transform runs only at
+    the points that can hold the max (``_reachable``): the result is the
+    max over all of them bit for bit, NaN and inf included.
+    """
+    if a.ndim == 2 and a.shape[1] > 1:
+        a = a[:, _reachable(a, band, n)]
     lhat = np.zeros(a.shape[1:] + (band.max(initial=0) + 1,), dtype=np.complex128)
     lhat[..., band] = a.transpose(*range(1, a.ndim), 0)
     lv = np.fft.irfft(lhat, n=n, axis=-1)
-    return np.abs(lv, out=lv).max(axis=-1, keepdims=True)
+    return np.abs(lv, out=lv).max(axis=(-2, -1))[..., None]
+
+
+class Alignment(NamedTuple):
+    """The alignment sub-step of ``split_step``, on the block of modes its right-hand side reads and writes.
+
+    ``lift(c)`` returns that block of the coefficients c in the right-hand
+    side's own layout.  ``rhs(y, with_sup)`` returns the block's
+    right-hand side, a new array that ``split_step`` updates in place, and
+    the sup of the alignment field, a scalar or one per row as
+    ``(batch, 1)`` (None unless ``with_sup``).  ``lower(c, inc)``
+    returns c plus the block increment inc, and plus conj(inc) on the
+    modes l < 0 that the block holds only as reflections; it adds to c
+    rather than writing the lifted block back, so the modes the block
+    reads twice keep c's own values.
+    """
+
+    lift: Callable[[np.ndarray], np.ndarray]
+    rhs: Callable[..., tuple[np.ndarray, np.ndarray | float | None]]
+    lower: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def split_step(
@@ -374,7 +425,7 @@ def split_step(
     dt: float,
     diffusion: np.ndarray,
     advect: Callable[[np.ndarray, float], np.ndarray] | None = None,
-    rhs: Callable[..., tuple[np.ndarray, np.ndarray | float | None]] | None = None,
+    align: Alignment | None = None,
     kappa: np.ndarray | float = 0.0,
 ) -> np.ndarray:
     """One Strang step T/2 -> A/2 -> D -> A/2 -> T/2 on coefficients, theta last.
@@ -384,21 +435,22 @@ def split_step(
     ``diffusion`` an ``(n_theta,)`` or ``(batch, n_theta)`` array.
     ``advect(c, s)`` advances c over dt/2 by ``transport`` with the speed
     sampled at s (t + dt/4, then t + 3dt/4); None skips it.  Each A/2 is a
-    Heun step over dt/2 with ``rhs(c, with_sup) -> (alignment right-hand
-    side, sup of the alignment field)``, the sup a scalar or one per row as
-    ``(batch, 1)``; it is skipped when every kappa is 0.  Only the first
-    stage reads the sup, so the second asks for none (``with_sup=False``),
-    and the rhs may return None in its place.  D multiplies by
+    Heun step over dt/2 on the block y = ``align.lift(c)``: r1 = rhs(y),
+    r2 = rhs(y + r1 dt/2), then ``align.lower(c, (r1 + r2) dt/4)``; it is
+    skipped when every kappa is 0.  Only the first stage reads the sup, so
+    the second asks for none (``with_sup=False``).  D multiplies by
     ``diffusion`` (cached ``diffusion_factor`` rows).  The guard
-    dt <= 0.5 / (kappa (n_theta/2) sup + 1) is checked per row with kappa
-    != 0 at the first stage of either Heun step; StepSizeError names the
-    first row that breaks it and its sup.  ValueError: dt not finite and > 0.
+    dt <= 0.5 / (kappa (n_theta/2) sup + 1), n_theta the length of c's last
+    axis, is checked per row with kappa != 0 at the first stage of either
+    Heun step; StepSizeError names the first row that breaks it and its
+    sup.  ValueError: dt not finite and > 0.
     """
     _check_dt(dt)
 
     def align_half(c):
         h = 0.5 * dt
-        r1, sup = rhs(c, with_sup=True)
+        y = align.lift(c)
+        r1, sup = align.rhs(y, with_sup=True)
         bad = (dt > 0.5 / (kappa * (c.shape[-1] // 2) * sup + 1.0)) & (kappa != 0.0)
         if np.count_nonzero(bad):
             row = int(np.argmax(np.ravel(bad)))
@@ -407,8 +459,13 @@ def split_step(
                 f"dt={dt} violates the alignment guard at t={t} in row {row} "
                 f"(alignment field max {sup_row:.3g})"
             )
-        r2, _ = rhs(c + h * r1, with_sup=False)
-        return c + 0.5 * h * (r1 + r2)
+        # y + h r1 and 0.5 h (r1 + r2), in place on the fresh products
+        stage = np.multiply(h, r1)
+        stage += y
+        r2, _ = align.rhs(stage, with_sup=False)
+        r1 += r2
+        r1 *= 0.5 * h
+        return align.lower(c, r1)
 
     aligned = np.count_nonzero(kappa) > 0
     if advect is not None:

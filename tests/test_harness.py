@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import importlib.util
 import inspect
 import json
@@ -696,6 +697,28 @@ def test_runtime_dependencies_are_the_package_imports():
 
 def test_import_loads_no_scipy():
     assert "scipy" not in _fresh_packages("import kvicsek")
+
+
+def test_import_reads_no_package_metadata():
+    # the version is one literal, config.CODE_VERSION; a metadata lookup
+    # cost every process's import ~24 ms and failed when not installed
+    src = str(Path(kvicsek.__file__).resolve().parent.parent)
+    probe = "import sys, kvicsek\nprint(sorted(m for m in sys.modules if m.startswith('importlib.metadata')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.split() == ["[]"]
+
+
+def test_one_version_string(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert pyproject["project"]["dynamic"] == ["version"] and "version" not in pyproject["project"]
+    module, _, name = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"].rpartition(".")
+    assert getattr(importlib.import_module(module), name) == kvicsek.__version__
+    manifest = json.loads(write_manifest(tmp_path, "kinetic", 0, {}).read_text())
+    assert manifest["code_version"] == kvicsek.__version__
 
 
 def _bench_workloads():

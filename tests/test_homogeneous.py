@@ -1,7 +1,6 @@
 """Homogeneous dynamics, energy structure, stability and ordered states."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from scipy.special import i0, i1, ive
 from kvicsek.errors import NumericsError, StepSizeError
 from kvicsek.homogeneous import (
     HomogeneousState,
-    _alignment_rhs,
+    _alignment,
     bessel_ratio,
     bessel_ratios,
     constant_state,
@@ -31,11 +30,15 @@ from kvicsek.presets import perturbed_profile
 from kvicsek.spectral import (
     TWO_PI,
     AngularProfile,
+    band_product,
     diffusion_factor,
     fft_wavenumbers,
     split_step,
+    theta_derivative,
     theta_points,
 )
+
+from full_rhs import full_rhs
 
 
 @pytest.fixture(scope="module")
@@ -135,12 +138,40 @@ class TestBatchedEvolution:
                 assert np.array_equal(getattr(traj, name), getattr(one, name))
             assert traj.final.t == one.final.t and traj.final.kappa == s.kappa
             # the per-state loop with a scalar kappa, as before batching
-            rhs = partial(_alignment_rhs, kernel=kernel, kappa=s.kappa)
+            align = _alignment(kernel, s.kappa)
             heat = diffusion_factor(256, nu, dt)
             c = s.g.coeffs
             for i in range(n_steps):
-                c = split_step(c, s.t + i * dt, dt, heat, rhs=rhs, kappa=s.kappa)
+                c = split_step(c, s.t + i * dt, dt, heat, align=align, kappa=s.kappa)
             assert np.array_equal(traj.final.g.coeffs, c)
+
+    def test_batch_equals_the_full_array_heun_bit_for_bit(self, kernel):
+        # the Heun stages on the modes 0..n_theta/3 against stages on whole
+        # rows, the RHS scattered into them; kappa = 0 rows ride along
+        nu, dt, n_steps, n = 0.1, 0.01, 40, 256
+        g0 = perturbed_profile(n, 0.2, seed=6)
+        states = [HomogeneousState(g=g0, t=0.0, kappa=r * nu, nu=nu) for r in (0.0, 4.0, 1.5, 0.0)]
+        batch = evolve_homogeneous(states, kernel, dt, n_steps)
+        kappa, heat, m = np.array([[s.kappa] for s in states]), diffusion_factor(n, nu, dt), n // 3
+        band, psi = kernel.band
+
+        def full_rhs_rows(g):
+            prod = band_product(g[..., : m + 1].T, (psi * g[..., band]).T, band).T
+            rhs = np.zeros(g.shape, dtype=np.complex128)
+            rhs[..., : m + 1] = kappa * theta_derivative(n)[: m + 1] * prod
+            rhs[..., n - m :] = np.conj(rhs[..., m:0:-1])
+            return rhs
+
+        def align_half(c):
+            r1 = full_rhs_rows(c)
+            r2 = full_rhs_rows(c + 0.5 * dt * r1)
+            return c + 0.5 * (0.5 * dt) * (r1 + r2)
+
+        c = np.stack([s.g.coeffs for s in states])
+        for _ in range(n_steps):
+            c = align_half(align_half(c) * heat)
+        got = np.stack([traj.final.g.coeffs for traj in batch])
+        assert np.array_equal(got.view(np.uint64), c.view(np.uint64))
 
     def test_states_must_share_nu_and_t(self, kernel):
         g0 = perturbed_profile(256, 0.2, seed=5)
@@ -221,7 +252,7 @@ class TestBandedAlignmentRhs:
     def test_matches_the_pseudospectral_product_when_3_does_not_divide_n_theta(self, n, psi_factor):
         ker = angular_kernel(n, psi_factor)
         g = self.rows(n, 31)
-        rhs, sup = _alignment_rhs(g, ker, self.KAPPA)
+        rhs, sup = full_rhs(_alignment(ker, self.KAPPA), g)
         ref, ref_sup = _pseudospectral_alignment_rhs(g, ker.psi.coeffs, self.KAPPA)
         assert np.max(np.abs(rhs - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.max(np.abs(sup - ref_sup) / ref_sup) <= 1e-13
@@ -233,7 +264,7 @@ class TestBandedAlignmentRhs:
         ker = angular_kernel(n, lambda th: 1.0 / (1.25 - np.cos(th)))
         assert ker.band[0].tolist() == list(range(1, 9))
         g = self.rows(n, 32)
-        rhs, _ = _alignment_rhs(g, ker, self.KAPPA)
+        rhs, _ = full_rhs(_alignment(ker, self.KAPPA), g)
         exact = _theta_padded_alignment_rhs(g, ker.psi.coeffs, self.KAPPA)
         aliased, _ = _pseudospectral_alignment_rhs(g, ker.psi.coeffs, self.KAPPA)
         scale = np.max(np.abs(exact))

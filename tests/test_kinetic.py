@@ -12,7 +12,7 @@ from kvicsek.influence import AngularKernel, InfluencePair, angular_kernel, make
 from kvicsek import homogeneous, kinetic, spectral
 from kvicsek.kinetic import (
     KineticParams,
-    _alignment_rhs,
+    _alignment,
     default_initial,
     run_experiment,
     step_kinetic,
@@ -24,12 +24,15 @@ from kvicsek.spectral import (
     AngularProfile,
     SpectralField,
     TorusGrid,
+    diffusion_factor,
     norm,
     read_snapshot,
     remainder,
     theta_points,
     x_average,
 )
+
+from full_rhs import full_rhs
 
 
 class TestParams:
@@ -226,7 +229,7 @@ class TestStepKinetic:
         g0 = perturbed_profile(64, 0.3, seed=4)
         f = SpectralField.from_values(grid, np.broadcast_to(g0.values.real, grid.shape))
         kernel, pair = angular_kernel(64), make_influence(grid)
-        _, (sup,) = homogeneous._alignment_rhs(g0.coeffs, kernel, 1.0)
+        _, (sup,) = full_rhs(homogeneous._alignment(kernel, 1.0), g0.coeffs)
         dt_max = 0.5 / (1.0 * 32 * sup + 1.0)
         steps = [
             lambda dt: step_homogeneous(
@@ -258,7 +261,7 @@ class TestStepKinetic:
         pair = make_influence(grid)
         rng = np.random.default_rng(5)
         f = SpectralField.from_values(grid, 1.0 + 0.5 * rng.standard_normal(grid.shape))
-        rhs, _ = _alignment_rhs(f.coeffs[:, : grid.n_x2 // 2 + 1], grid, pair, kappa=0.3)
+        rhs, _ = full_rhs(_alignment(grid, pair, 0.3), f.coeffs[:, : grid.n_x2 // 2 + 1])
         assert rhs[0, 0, 0] == 0.0
 
     def test_step_guard(self):
@@ -386,7 +389,7 @@ class TestHalfSpectrumStep:
         rng = np.random.default_rng(21)
         f = SpectralField.from_values(grid, 1.0 + 0.5 * rng.standard_normal(grid.shape))
         n2h = grid.n_x2 // 2 + 1
-        rhs, l_inf = _alignment_rhs(f.coeffs[:, :n2h], grid, pair, kappa=0.3)
+        rhs, l_inf = full_rhs(_alignment(grid, pair, 0.3), f.coeffs[:, :n2h])
         ref, ref_l_inf = _reference_alignment_rhs(f.coeffs, grid, pair.multiplier, kappa=0.3)
         assert np.max(np.abs(rhs - ref[:, :n2h])) <= 1e-13 * np.max(np.abs(ref))
         assert abs(l_inf - ref_l_inf) <= 1e-13 * ref_l_inf
@@ -402,7 +405,7 @@ class TestHalfSpectrumStep:
         assert pair.angular.psi_support.tolist() == [0, 1, 16]
         rng = np.random.default_rng(24)
         f = SpectralField.from_values(grid, 1.0 + 0.5 * rng.standard_normal(grid.shape))
-        rhs, l_inf = _alignment_rhs(f.half, grid, pair, kappa=0.3)
+        rhs, l_inf = full_rhs(_alignment(grid, pair, 0.3), f.half)
         ref, ref_l_inf = _reference_alignment_rhs(f.coeffs, grid, pair.multiplier, kappa=0.3)
         assert np.max(np.abs(rhs - ref[:, :7])) <= 1e-13 * np.max(np.abs(ref))
         assert abs(l_inf - ref_l_inf) <= 1e-13 * ref_l_inf
@@ -414,7 +417,7 @@ class TestHalfSpectrumStep:
         pair = make_influence(grid, phi="bump", sigma=0.8, psi_factor=PSI_FACTORS["dense"])
         rng = np.random.default_rng(25)
         f = SpectralField.from_values(grid, 1.0 + 0.5 * rng.standard_normal(grid.shape))
-        rhs, _ = _alignment_rhs(f.half, grid, pair, kappa=0.3)
+        rhs, _ = full_rhs(_alignment(grid, pair, 0.3), f.half)
         exact = _theta_padded_alignment_rhs(f.coeffs, grid, pair.multiplier, kappa=0.3)[:, :7]
         aliased, _ = _reference_alignment_rhs(f.coeffs, grid, pair.multiplier, kappa=0.3)
         scale = np.max(np.abs(exact))
@@ -534,6 +537,74 @@ class TestHalfSpectrumStep:
                 arr[(0,) * arr.ndim] = 0
 
 
+def _scatter_alignment_rhs(half, grid, kernels, kappa):
+    """The alignment RHS on the whole k2 >= 0 half, as the full-array Heun read it: one gather and one scatter per call."""
+    n1, n2, n = grid.shape
+    m, m1, m2 = n // 3, n1 // 3, n2 // 3
+    band, _ = kernels.angular.band
+    planes = np.empty((m + 1 + len(band), n1, n2), dtype=np.complex128)
+    fl = planes[: m + 1]
+    fl[:, :, : m2 + 1] = half[:, : m2 + 1, : m + 1].transpose(2, 0, 1)
+    fl[:, :, m2 + 1 : n2 - m2] = 0.0
+    spectral.mirror(half[:, m2:0:-1], (0, 2), fl[:, :, n2 - m2 :].transpose(1, 2, 0))
+    fl[:, m1 + 1 : n1 - m1] = 0.0
+    np.multiply(fl[band], kernels.support_multiplier.transpose(2, 0, 1), out=planes[m + 1 :])
+    planes = np.fft.ifftn(planes, axes=(-2, -1), out=planes)
+    prod = spectral.band_product(planes[: m + 1], -kappa * planes[m + 1 :], band)
+    prod = np.fft.fftn(prod, axes=(-2, -1), out=prod)
+    factor = (n1 * n2) * spectral.theta_derivative(n)
+    rhs = np.zeros(half.shape, dtype=np.complex128)
+    np.multiply(factor[: m + 1], prod[:, :, : m2 + 1].transpose(1, 2, 0), out=rhs[:, : m2 + 1, : m + 1])
+    neg = spectral.mirror(prod[m:0:-1].transpose(1, 2, 0), (0, 1), rhs[:, : m2 + 1, n - m :])
+    np.multiply(factor[n - m :], neg, out=neg)
+    rhs[m1 + 1 : n1 - m1] = 0.0
+    return rhs
+
+
+def _full_array_step(f, params, pair, t):
+    """step_kinetic with its Heun stages on the whole half spectrum, each RHS scattered into it."""
+    grid, dt, h = params.grid, params.dt, 0.5 * params.dt
+
+    def align_half(c):
+        r1 = _scatter_alignment_rhs(c, grid, pair, params.kappa)
+        r2 = _scatter_alignment_rhs(c + h * r1, grid, pair, params.kappa)
+        return c + 0.5 * h * (r1 + r2)
+
+    c = kinetic._transport_half(f.half, grid, params.v(t + 0.25 * dt), h)
+    c = align_half(c) * diffusion_factor(grid.n_theta, params.nu, dt)
+    c = kinetic._transport_half(align_half(c), grid, params.v(t + 0.75 * dt), h)
+    return SpectralField.from_half(grid, c)
+
+
+class TestBlockHeun:
+    """The Heun stages on the lifted flux block give the full-array Heun's step bit for bit."""
+
+    @pytest.mark.parametrize("shape", ORACLE_GRIDS)
+    @pytest.mark.parametrize("psi", sorted(PSI_FACTORS))
+    @pytest.mark.parametrize("speed", [None, speed_decaying(0.5)])
+    def test_steps_equal_the_full_array_heun_bit_for_bit(self, shape, psi, speed):
+        grid = TorusGrid(*shape)
+        pair = make_influence(grid, phi="bump", sigma=0.8, psi_factor=PSI_FACTORS[psi])
+        extra = {} if speed is None else {"v": speed}
+        params = KineticParams(kappa=0.3, nu=0.05, grid=grid, dt=0.01, t_end=1.0, **extra)
+        rng = np.random.default_rng(26)
+        f = ref = SpectralField.from_values(grid, 1.0 + 0.3 * rng.standard_normal(grid.shape))
+        for step in range(8):
+            f = step_kinetic(f, params, pair, 0.01 * step)
+            ref = _full_array_step(ref, params, pair, 0.01 * step)
+            assert np.array_equal(f.coeffs.view(np.uint64), ref.coeffs.view(np.uint64)), step
+
+    def test_lower_adds_to_the_entries_the_block_reads_twice(self):
+        # The k2 = 0 column holds l >= 0 and l < 0 both; their lifted planes
+        # are the l >= 0 entries, so lowering must add to the l < 0 ones, not
+        # overwrite them with reflections, to keep them bit for bit.
+        grid = TorusGrid(8, 8, 32)
+        rng = np.random.default_rng(27)
+        half = rng.standard_normal((8, 5, 32)) + 1j * rng.standard_normal((8, 5, 32))
+        align = _alignment(grid, make_influence(grid), 0.3)
+        assert np.array_equal(align.lower(half, np.zeros_like(align.lift(half))), half)
+
+
 def _ac14_data():
     """AC-14's kernels and initial field: a perturbed x-average plus default_initial's remainder."""
     grid = TorusGrid(8, 8, 32)
@@ -588,18 +659,17 @@ class TestAlignmentGuard:
 
         rhs = kinetic._alignment_rhs
 
-        def parent_sup_rhs(half, grid, kernels, kappa, with_sup):
-            return rhs(half, grid, kernels, kappa, False)[0], _parent_sup(half, grid, kernels) if with_sup else None
+        def parent_sup_rhs(fl, grid, kernels, kappa, with_sup):
+            return rhs(fl, grid, kernels, kappa, False)[0], _parent_sup(fl, grid, kernels) if with_sup else None
 
         monkeypatch.setattr(kinetic, "_alignment_rhs", parent_sup_rhs)
         assert threshold() == banded
 
 
-def _parent_sup(half, grid, kernels):
-    """max|L[f]| on the collocation grid as the 3-D flux product computed it."""
-    fd = half * grid.dealias_mask[:, : grid.n_x2 // 2 + 1]
+def _parent_sup(fl, grid, kernels):
+    """max|L[f]| on the collocation grid as the 3-D flux product computed it, from the lifted planes f_l."""
     support = kernels.angular.psi_support
-    planes = SpectralField.from_half(grid, fd).coeffs[:, :, support] * kernels.support_multiplier
+    planes = fl[support].transpose(1, 2, 0) * kernels.support_multiplier
     lhat = np.zeros((grid.n_x1, grid.n_x2, support.max(initial=0) + 1), dtype=np.complex128)
     lhat[:, :, support] = np.fft.ifft2(planes, axes=(0, 1))
     lv = np.fft.irfft(lhat, n=grid.n_theta, axis=2) * grid.size
@@ -656,13 +726,30 @@ class TestTransformBudget:
         f = default_initial(grid, 0.5 / TWO_PI**3, seed=3)
         _ = pair.support_multiplier  # the kernels' own one-off transforms happen outside the count
         calls = self._record(monkeypatch)
-        _, sup = _alignment_rhs(f.half, grid, pair, 0.3, with_sup)
+        _, sup = full_rhs(_alignment(grid, pair, 0.3), f.half, with_sup)
         expected = [("ifftn", (8, 8)), ("fftn", (8, 8))] + ([("irfft", (32,))] if with_sup else [])
         assert calls == expected
         assert (sup is None) is not with_sup
         # apart from the sup's, no transform runs over theta
         theta_calls = [c for c in calls if grid.n_theta in c[1]]
         assert theta_calls == ([("irfft", (32,))] if with_sup else [])
+
+    def test_sup_transforms_only_the_points_that_can_hold_the_max(self, monkeypatch):
+        # the data vary in x, so most of the 8 x 8 points' bounds lie below the max
+        grid = TorusGrid(8, 8, 32)
+        pair = make_influence(grid)
+        f = default_initial(grid, 0.5 / TWO_PI**3, seed=3)
+        _ = pair.support_multiplier
+        irfft, points = np.fft.irfft, []
+
+        def recorded(a, *args, **kwargs):
+            points.append(int(np.prod(np.shape(a)[:-1])))
+            return irfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", recorded)
+        _, sup = full_rhs(_alignment(grid, pair, 0.3), f.half)
+        assert len(points) == 1 and 0 < points[0] < 64
+        assert sup == _parent_sup(kinetic._lift(f.half, grid), grid, pair)
 
     @pytest.mark.parametrize("with_sup", [True, False])
     @pytest.mark.parametrize("rows", [1, 23])
@@ -673,7 +760,7 @@ class TestTransformBudget:
         g = perturbed_profile(128, 0.3, seed=3).coeffs
         g, kappa = (g, 0.3) if rows == 1 else (np.tile(g, (rows, 1)), np.full((rows, 1), 0.3))
         calls = self._record(monkeypatch)
-        _, sup = homogeneous._alignment_rhs(g, kernel, kappa, with_sup)
+        _, sup = full_rhs(homogeneous._alignment(kernel, kappa), g, with_sup)
         assert calls == ([("irfft", (128,))] if with_sup else [])
         assert (sup is None) is not with_sup
 

@@ -9,7 +9,7 @@ import pytest
 
 from kvicsek.config import due, step_times
 from kvicsek.errors import StepSizeError
-from kvicsek.homogeneous import HomogeneousState, _alignment_rhs, constant_state, evolve_homogeneous
+from kvicsek.homogeneous import HomogeneousState, _alignment, constant_state, evolve_homogeneous
 from kvicsek.influence import angular_kernel
 from kvicsek.kinetic import KineticParams, run_experiment
 from kvicsek.linear import ModeState, evolve_mode
@@ -20,6 +20,7 @@ from kvicsek.spectral import (
     SpectralField,
     TorusGrid,
     band_product,
+    band_sup,
     dealias_keep,
     diffusion_factor,
     evolve_rows,
@@ -35,6 +36,8 @@ from kvicsek.spectral import (
     x_average,
 )
 from kvicsek.influence import make_influence
+
+from full_rhs import full_rhs
 
 
 def full_complex_values(f):
@@ -113,31 +116,30 @@ class TestBatchedSplitStep:
 
     def rows(self):
         g = np.stack([perturbed_profile(self.N, 0.3, seed=s).coeffs for s in range(3)])
-        rhs = partial(_alignment_rhs, kernel=angular_kernel(self.N))
-        return g, rhs
+        return g, partial(_alignment, angular_kernel(self.N))
 
     def test_batch_is_byte_identical_to_per_row_calls(self):
-        g, rhs = self.rows()
+        g, align = self.rows()
         kappa = np.array([[0.2], [1.0], [3.0]])
         heat = diffusion_factor(self.N, 0.1, 0.01)
-        batch = split_step(g, 0.0, 0.01, heat, rhs=partial(rhs, kappa=kappa), kappa=kappa)
+        batch = split_step(g, 0.0, 0.01, heat, align=align(kappa), kappa=kappa)
         for j, k in enumerate(kappa[:, 0].tolist()):
-            row = split_step(g[j], 0.0, 0.01, heat, rhs=partial(rhs, kappa=k), kappa=k)
+            row = split_step(g[j], 0.0, 0.01, heat, align=align(k), kappa=k)
             assert np.array_equal(batch[j], row)
 
     def test_guard_names_the_row_that_breaks_it(self):
-        g, rhs = self.rows()
+        g, align = self.rows()
         kappa = np.array([[0.2], [3.0], [1.0]])
-        _, sup = rhs(g, kappa=kappa)
+        _, sup = full_rhs(align(kappa), g)
         bound = (0.5 / (kappa * (self.N // 2) * sup + 1.0))[:, 0]
         assert bound[1] < min(bound[0], bound[2])
         dt = 0.5 * (bound[1] + min(bound[0], bound[2]))
         heat = diffusion_factor(self.N, 0.1, dt)
         message = f"in row 1 (alignment field max {sup[1, 0]:.3g})"
         with pytest.raises(StepSizeError, match=re.escape(message)):
-            split_step(g, 0.0, dt, heat, rhs=partial(rhs, kappa=kappa), kappa=kappa)
+            split_step(g, 0.0, dt, heat, align=align(kappa), kappa=kappa)
         others = [0, 2]
-        split_step(g[others], 0.0, dt, heat, rhs=partial(rhs, kappa=kappa[others]), kappa=kappa[others])
+        split_step(g[others], 0.0, dt, heat, align=align(kappa[others]), kappa=kappa[others])
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
     def test_bad_dt_rejected(self, dt):
@@ -467,6 +469,52 @@ def test_band_product_is_the_truncated_convolution():
     modes = {j: aj for j, aj in zip(band.tolist(), a)} | {-j: np.conj(aj) for j, aj in zip(band.tolist(), a) if j}
     expected = [sum(aj * series[l - j] for j, aj in modes.items() if abs(l - j) <= m) for l in range(m + 1)]
     assert np.allclose(band_product(f, a, band), expected, rtol=1e-14, atol=1e-14)
+
+
+def _sup_planes(kind, band, rng):
+    """Planes a_j on one row of 96 points for band_sup, with magnitudes from 1e-8 to 1e3."""
+    scale = 10.0 ** rng.uniform(-8, 3, size=(len(band), 96))
+    a = scale * (rng.standard_normal(scale.shape) + 1j * rng.standard_normal(scale.shape))
+    if kind == "ties":
+        a[:, 40:60] = a[:, 7:8]  # the point of largest bound, and 20 copies
+        a[:, :30] = a[:, 30:60]
+    elif kind == "all-equal":
+        a[:] = a[:, :1]
+    elif kind == "zeros":
+        a[:, ::2] = 0.0
+        a[:, 1::4] = -0.0
+        a[:, 3::4] = complex(-0.0, -0.0)
+    elif kind == "all-zero":
+        a[:] = complex(-0.0, 0.0)
+    elif kind == "mean-first":
+        # largest bound at point 0 (20) but its series is the mean alone,
+        # counted once: the max, 12, sits at point 1
+        a *= 1e-6
+        a[:, :2] = 0.0
+        a[0, 0], a[-1, 1] = 10.0, 6.0
+    elif kind in ("nan", "inf", "-inf", "inf-and-nan"):
+        a[-1, 5] = {"nan": np.nan, "inf": np.inf, "-inf": complex(0.0, -np.inf), "inf-and-nan": np.inf}[kind]
+        if kind == "inf-and-nan":
+            a[0, 90] = complex(1.0, np.nan)
+    return a
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("band", [[1], [1, 2, 3], [0, 1, 16], list(range(1, 22))], ids=str)
+@pytest.mark.parametrize(
+    "kind", ["random", "ties", "all-equal", "zeros", "all-zero", "mean-first", "nan", "inf", "-inf", "inf-and-nan"]
+)
+def test_band_sup_over_many_points_is_the_full_max_bit_for_bit(band, kind):
+    # one row of points transforms only where the max can be; one point per
+    # row (a[..., None]) transforms every point
+    band = np.array(band)
+    rng = np.random.default_rng(len(band) + sum(map(ord, kind)))
+    a = _sup_planes(kind, band, rng)
+    pruned = band_sup(a, band, 64)
+    full = np.max(band_sup(a[..., None], band, 64))
+    assert pruned.shape == (1,)
+    assert pruned.view(np.uint64)[0] == full.view(np.uint64) or (np.isnan(pruned[0]) and np.isnan(full))
+    assert np.isfinite(full) == (kind not in ("nan", "inf", "-inf", "inf-and-nan"))
 
 
 def _mirror_oracle(src, axes, out_shape):
