@@ -152,10 +152,16 @@ def ensemble_from_profile(
 
 
 def sample_angles(profile: AngularProfile, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-transform sampling from a nonnegative angular density on SAMPLE_RESOLUTION angles."""
+    """Inverse-transform sampling from a nonnegative angular density on SAMPLE_RESOLUTION angles.
+
+    ValueError, before any draw, if its positive part has no finite mass > 0 there.
+    """
     th = theta_points(SAMPLE_RESOLUTION)
     dens = np.maximum(profile.eval(th).real, 0.0)
     cdf = np.cumsum(dens)
+    mass = float(cdf[-1]) * TWO_PI / SAMPLE_RESOLUTION
+    if not (np.isfinite(mass) and mass > 0):
+        raise ValueError(f"angular density has mass {mass!r} on {SAMPLE_RESOLUTION} angles, not finite and > 0")
     cdf = np.concatenate([[0.0], cdf]) / cdf[-1]
     edges = np.concatenate([th, [np.pi]])
     return np.interp(rng.random(n), cdf, edges)

@@ -226,7 +226,8 @@ def make_influence(
     phi : "bump", "uniform" or a periodic callable phi(x1, x2)
     sigma : width of the default bump
     psi_factor : "one" (Psi = sin), "cos_squared" ((1+cos)^2), or callable
-    normalize : rescale Phi so its discrete integral is exactly 1
+    normalize : rescale Phi so its discrete integral, which must be > 0 past
+        round-off (1e-12 of the integral of |Phi|), is exactly 1
 
     The alignment flux costs O(|S| n_theta/3) products per right-hand side,
     of x-planes in the kinetic layer and of rows in the homogeneous one, S
@@ -255,7 +256,10 @@ def make_influence(
     pair = InfluencePair(grid=grid, phi_fn=phi_fn, angular=angular_kernel(grid.n_theta, pf))
     if not normalize:
         return pair
-    mass = float(np.sum(pair.phi_values)) * TWO_PI**2 / (grid.n_x1 * grid.n_x2)
+    total = float(np.sum(pair.phi_values))
+    mass = total * TWO_PI**2 / (grid.n_x1 * grid.n_x2)
+    if not (np.isfinite(mass) and total > 1e-12 * float(np.sum(abs(pair.phi_values)))):  # round-off: Phi x ~1e15
+        raise ValueError(f"Phi has discrete mass {mass!r} on the x-grid, not finite and > 1e-12 of that of |Phi|")
     return replace(pair, phi_fn=lambda x1, x2: phi_fn(x1, x2) / mass)
 
 

@@ -15,7 +15,7 @@ keeps the total mass invariant to round-off.
 f is real, so the step works on its half spectrum k2 >= 0, whose layout
 lives in ``spectral``: it reads ``SpectralField.half`` on entry and
 returns ``SpectralField.from_half`` on exit.  Transport is the per-mode
-layer's ``spectral.transport`` with the Nyquist wavenumbers zeroed.
+layer's ``spectral.transport`` on ``TorusGrid.half_wavenumbers``.
 
 The flux is a banded product in theta, ``spectral.band_product``, the one
 the homogeneous layer runs at k = 0.  L[f] has only the angular modes +-j,
@@ -35,16 +35,16 @@ n_theta/3).  The guard's max|L[f]| on the collocation grid costs one
 theta-transform of the a_j (``spectral.band_sup``), paid only where
 ``split_step`` reads it and only at the x-points whose bound can reach the
 max.
-Everything the step reuses is cached read-only: the transport factor for
-each repeated v h (one for a constant speed) and the band planes of the
-multiplier (on the InfluencePair).
+Everything the step reuses is cached read-only: the half spectrum's
+transport table for each repeated v h (one for a constant speed), the
+guard's angle table, and the band planes of the multiplier (on the
+InfluencePair).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -111,21 +111,8 @@ class KineticParams:
         return self.kappa <= C_DAGGER * self.nu
 
 
-@lru_cache(maxsize=8)
-def _half_wavenumbers(grid: TorusGrid) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """k1 and the k2 >= 0 wavenumbers of the half spectrum, Nyquist ones zeroed.
-
-    The Nyquist rows k1 = -n1/2 and k2 = -n2/2 are their own reflections:
-    only a zero wavenumber there keeps a real field's coefficients
-    conjugate-symmetric, as for l in spectral.theta_derivative.
-    """
-    k1, k2 = grid.k1.tolist(), grid.k2[: grid.n_x2 // 2 + 1].tolist()
-    k1[grid.n_x1 // 2] = k2[grid.n_x2 // 2] = 0
-    return tuple(k1), tuple(k2)
-
-
 def _transport_half(half: np.ndarray, grid: TorusGrid, v_eff: float, half_dt: float) -> np.ndarray:
-    out = transport(half, transport_factor(*_half_wavenumbers(grid), grid.n_theta, v_eff * half_dt))
+    out = transport(half, transport_factor(*grid.half_wavenumbers, grid.n_theta, v_eff * half_dt))
     # p.k vanishes identically at k=(0,0): keep that slice exactly, so the
     # x-average (and with it the total mass) never sees FFT round-off
     out[0, 0, :] = half[0, 0, :]

@@ -19,8 +19,9 @@ beta^2 <= alpha gamma.
 
 The step is ``spectral.split_step`` at kappa = 0 with the kinetic
 layer's ``spectral.transport``: the kinetic step restricted to single
-x-Fourier modes.  ``evolve_mode`` advances a stack of modes, one row per
-(k, nu) with its own step count and sampling cadence, through
+x-Fourier modes, with one ``transport_factor`` table per stack.
+``evolve_mode`` advances a stack of modes, one row per (k, nu) with its
+own step count and sampling cadence, through
 ``spectral.evolve_rows`` (shared with the homogeneous layer), and
 evaluates the norms and the comparison sandwich row-wise by Parseval
 sums; ``step_mode`` and a single-state ``evolve_mode`` are batches of
@@ -32,7 +33,7 @@ the same row loop and samples only the H^{-1} norm, every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,7 +45,6 @@ from .spectral import (
     TWO_PI,
     AngularProfile,
     _check_dt,
-    _readonly,
     diffusion_factor,
     evolve_rows,
     fft_wavenumbers,
@@ -131,22 +131,16 @@ def _mode_step(states: Sequence[ModeState], dt: float) -> Callable[[np.ndarray, 
 
     Row j of c is states[j]'s eta, advanced with that state's k, nu and
     speed; the states share n_theta.  Transport is ``spectral.transport``
-    with each row's ``transport_factor`` row ((k1,), (k2,)), v(t) sampled
-    at the sub-step midpoints; diffusion multiplies coefficients by
-    exp(-nu l^2 dt).
+    with one ``transport_factor`` table of the rows' k and v(t) dt/2 (v at
+    the sub-step midpoints); diffusion multiplies by exp(-nu l^2 dt).
     """
     n = states[0].eta.n
-    heat = np.array([diffusion_factor(n, s.nu, dt) for s in states])
-
-    # The stack's table, kept while the shifts repeat (a constant speed):
-    # transport_factor caches too few rows for a stack of many k.
-    @lru_cache(maxsize=1)
-    def factors(shifts: tuple[float, ...]) -> np.ndarray:
-        rows = [transport_factor((s.k[0],), (s.k[1],), n, h) for s, h in zip(states, shifts)]
-        return _readonly(np.array(rows)[:, 0, 0])
+    k1, k2 = zip(*(s.k for s in states))
+    heat = diffusion_factor(n, tuple(s.nu for s in states), dt)
 
     def advect(coeffs, t_mid):
-        return transport(coeffs, factors(tuple(s.v(t_mid) * (0.5 * dt) for s in states)))
+        shifts = tuple(s.v(t_mid) * (0.5 * dt) for s in states)
+        return transport(coeffs, transport_factor(k1, k2, n, shifts))
 
     return lambda c, t: split_step(c, t, dt, heat, advect=advect)
 

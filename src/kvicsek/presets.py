@@ -96,14 +96,18 @@ def _parse_k_list(text: str) -> list[tuple[int, int]]:
 
 
 def perturbed_profile(n_theta: int, amplitude: float = 0.2, seed: int = 0) -> AngularProfile:
-    """Unit-mass density 1/2pi plus a low-mode perturbation, strictly positive."""
+    """Unit-mass density 1/2pi plus a low-mode perturbation; ValueError unless it is > 0 on its grid."""
     rng = np.random.default_rng(seed)
     th = theta_points(n_theta)
     pert = np.cos(th) + 0.4 * rng.uniform(-1, 1) * np.sin(2 * th) + 0.2 * rng.uniform(-1, 1) * np.cos(3 * th)
     pert /= np.max(np.abs(pert))
     vals = (1.0 + amplitude * pert) / TWO_PI
     prof = AngularProfile.from_values(vals)
-    return AngularProfile(prof.coeffs / (TWO_PI * prof.coeffs[0]))
+    g = AngularProfile(prof.coeffs / (TWO_PI * prof.coeffs[0]))
+    low = float(np.min(g.values.real))
+    if not low > 0:
+        raise ValueError(f"amplitude {amplitude!r} gives an initial density with min g = {low:.3g}, not > 0")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +297,9 @@ def _agents(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
     grid = TorusGrid(o["n_x"], o["n_x"], n_theta)
     influence = make_influence(grid, phi=o["phi"], sigma=o["sigma"])
     influence.phi_series  # the drift's series of Phi: resolve it before any output
+    g0 = perturbed_profile(n_theta, o["amplitude"], cfg.seed)
 
     def run() -> list[Path]:
-        g0 = perturbed_profile(n_theta, o["amplitude"], cfg.seed)
         e = ag.ensemble_from_profile(o["n"], g0, influence, kappa=o["kappa"], nu=o["nu"], seed=cfg.seed)
 
         n_steps = step_count(o["t_end"], dt)

@@ -21,9 +21,9 @@ conjugate fhat(-k, -l) = conj(fhat(k, l)) of a real field: ``from_half``,
 kinetic flux all use it.
 
 ``split_step`` is the one Strang/Heun step of the three PDE solvers
-(per-mode, homogeneous, kinetic), with the cached angular factors it and
-they share: the theta-derivative, the diffusion factor, the 2/3 mask and,
-for its transport sub-step ``transport``, the ``transport_factor``.
+(per-mode, homogeneous, kinetic).  The tables the steps read are built
+and cached here only, one per stack: the theta-derivative, the 2/3 mask,
+the ``diffusion_factor``, the ``transport_factor`` of ``transport``.
 Its leading axes are a batch: the 1-D layers stack independent rows
 ``c[batch, n_theta]`` (one per alignment strength, or per x-mode and
 viscosity) and advance them in one call, with the alignment step-size
@@ -107,11 +107,11 @@ def _check_dt(dt: float) -> None:
 
 
 @lru_cache(maxsize=64)
-def diffusion_factor(n: int, nu: float, dt: float) -> np.ndarray:
-    """exp(-nu l^2 dt), exact angular diffusion over dt; ValueError, before caching, on a bad dt."""
+def diffusion_factor(n: int, nu: float | tuple[float, ...], dt: float) -> np.ndarray:
+    """exp(-nu l^2 dt), a row per nu of a tuple: exact diffusion over dt; ValueError, uncached, on a bad dt."""
     _check_dt(dt)
     l = fft_wavenumbers(n).astype(np.float64)
-    return _readonly(np.exp(-nu * l**2 * dt))
+    return _readonly(np.exp(-np.array(nu, np.float64)[..., None] * l**2 * dt))
 
 
 @lru_cache(maxsize=64)
@@ -202,25 +202,15 @@ class TorusGrid:
         )
 
     @cached_property
-    def k_squared(self) -> np.ndarray:
-        """|k|^2 + l^2 on the full coefficient array; read-only."""
-        out = (
-            self.k1[:, None, None] ** 2
-            + self.k2[None, :, None] ** 2
-            + self.l[None, None, :] ** 2
-        ).astype(np.float64)
-        out.flags.writeable = False
-        return out
+    def half_wavenumbers(self) -> tuple[tuple[tuple[int], ...], tuple[int, ...]]:
+        """``transport_factor``'s k1 (a column of 1-tuples) and k2 >= 0 of the half spectrum, Nyquist ones 0.
 
-    @cached_property
-    def hm1_weights(self) -> np.ndarray:
-        """1/(|k|^2 + l^2) off the k=(0,0) slice and 0 on it; read-only."""
-        out = np.zeros(self.shape)
-        nonzero = np.ones(self.shape, dtype=bool)
-        nonzero[0, 0, :] = False
-        out[nonzero] = 1.0 / self.k_squared[nonzero]
-        out.flags.writeable = False
-        return out
+        The Nyquist rows are their own reflections: only a zero wavenumber
+        there keeps a real field conjugate-symmetric, as in ``theta_derivative``.
+        """
+        k1, k2 = self.k1.tolist(), self.k2[: self.n_x2 // 2 + 1].tolist()
+        k1[self.n_x1 // 2] = k2[self.n_x2 // 2] = 0
+        return tuple((k,) for k in k1), tuple(k2)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -318,13 +308,13 @@ class AngularProfile:
 
 
 # A time-dependent speed gives a new shift v h at every sub-step, so the
-# cache holds only the tables a constant speed repeats: one per grid.
+# cache holds only the tables a constant speed repeats: one per stack.
 @lru_cache(maxsize=8)
-def transport_factor(k1: tuple[int, ...], k2: tuple[int, ...], n: int, shift: float) -> np.ndarray:
-    """Read-only exp(-i shift p(phi).k) on the outer table (k1, k2, phi_j = 2pi j/n); shift = v h."""
-    k1, k2, phi = np.array(k1, np.float64), np.array(k2, np.float64), x_points(n)
-    pk = k1[:, None, None] * np.cos(phi) + k2[None, :, None] * np.sin(phi)
-    return _readonly(np.exp(-1j * shift * pk))
+def transport_factor(k1: tuple, k2: tuple, n: int, shift: float | tuple[float, ...]) -> np.ndarray:
+    """Read-only exp(-i shift p(phi).k), phi_j = 2pi j/n last; k1, k2 and shift = v h broadcast as arrays."""
+    k1, k2, shift = (np.array(a, np.float64)[..., None] for a in (k1, k2, shift))
+    phi = x_points(n)
+    return _readonly(np.exp(-1j * shift * (k1 * np.cos(phi) + k2 * np.sin(phi))))
 
 
 def transport(c: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -360,6 +350,12 @@ def band_product(f: np.ndarray, a: np.ndarray, band: np.ndarray) -> np.ndarray:
     return prod
 
 
+@lru_cache(maxsize=8)
+def _angle_table(band: tuple[int, ...], n: int) -> np.ndarray:
+    """Read-only e^{i j phi_k}, one row per j in band, phi_k = 2pi k/n."""
+    return _readonly(np.exp((TWO_PI * 1j / n) * np.multiply.outer(np.array(band), np.arange(n))))
+
+
 def _reachable(a: np.ndarray, band: np.ndarray, n: int) -> np.ndarray:
     """The points (last axis) of one row of planes ``a`` where the series of ``band_sup`` can reach its max.
 
@@ -372,8 +368,7 @@ def _reachable(a: np.ndarray, band: np.ndarray, n: int) -> np.ndarray:
     """
     bound = np.abs(a).sum(axis=0)
     top = a[:, np.argmax(bound)]
-    terms = np.exp((TWO_PI * 1j / n) * np.multiply.outer(band, np.arange(n)))
-    terms *= (np.where(band == 0, 1.0, 2.0) * top)[:, None]
+    terms = _angle_table(tuple(band.tolist()), n) * (np.where(band == 0, 1.0, 2.0) * top)[:, None]
     found = np.abs(terms.sum(axis=0).real).max()
     return ~(bound * (2.0 * (1.0 + SUP_ROUNDING)) < found)
 
@@ -609,6 +604,8 @@ def norm(f: SpectralField, kind: str = "L2", s: float | None = None) -> float:
         Sobolev order, required for kind "Hs".
     """
     g = f.grid
+    def k_squared():  # |k|^2 + l^2 on the full coefficient array
+        return (g.k1[:, None, None] ** 2 + g.k2[:, None] ** 2 + g.l**2).astype(np.float64)
     if kind == "L2":
         return float(np.sqrt(TWO_PI**3 * np.sum(np.abs(f.coeffs) ** 2)))
     if kind == "L1":
@@ -617,7 +614,7 @@ def norm(f: SpectralField, kind: str = "L2", s: float | None = None) -> float:
     if kind == "Hs":
         if s is None:
             raise ValueError("Hs norm requires the order s")
-        weights = (1.0 + g.k_squared) ** s
+        weights = (1.0 + k_squared()) ** s
         return float(np.sqrt(TWO_PI**3 * np.sum(weights * np.abs(f.coeffs) ** 2)))
     if kind == "Hm1_nonzero":
         zero_slice = np.max(np.abs(f.coeffs[0, 0, :]))
@@ -626,7 +623,9 @@ def norm(f: SpectralField, kind: str = "L2", s: float | None = None) -> float:
             raise ValueError(
                 "Hm1_nonzero requires the x-average removed; pass remainder(f)"
             )
-        return float(np.sqrt(TWO_PI**3 * np.sum(g.hm1_weights * np.abs(f.coeffs) ** 2)))
+        weights = k_squared()
+        weights[0, 0] = np.inf  # weight 1/inf = 0 on the k=(0,0) slice
+        return float(np.sqrt(TWO_PI**3 * np.sum(1.0 / weights * np.abs(f.coeffs) ** 2)))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 

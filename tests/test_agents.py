@@ -540,6 +540,21 @@ class TestSampling:
         with pytest.raises(ValueError, match=f"density probe maximum {value!r}"):
             ensemble_from_density(64, dens, uniform_influence, kappa=0.1, nu=0.1, seed=3)
 
+    @pytest.mark.parametrize(
+        "coeffs, mass",
+        [(np.zeros(32), "0.0"), (np.eye(32)[0] * -1 / TWO_PI, "0.0"), (np.full(32, np.nan), "0.0")],
+        ids=["zero", "negative", "nan"],
+    )
+    def test_profile_samplers_reject_a_profile_with_no_mass(self, uniform_influence, coeffs, mass):
+        # the inverse-transform CDF would divide by zero and give all-NaN headings
+        g = AngularProfile(coeffs.astype(complex))
+        rng = _make_rng(0)
+        with pytest.raises(ValueError, match=f"angular density has mass {mass} "):
+            sample_angles(g, 16, rng)
+        assert rng.random() == _make_rng(0).random()  # no draw before the check
+        with pytest.raises(ValueError, match=f"angular density has mass {mass} "):
+            ensemble_from_profile(16, g, uniform_influence, kappa=0.1, nu=0.1)
+
 
 class TestEmpiricalDensity:
     def test_single_agent_is_the_kernel(self, uniform_influence):

@@ -327,6 +327,16 @@ class TestCli:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("amplitude", ["1.2", "-1.5"])
+    @pytest.mark.parametrize("preset", ["homogeneous", "phase-diagram", "agents"])
+    def test_initial_density_not_positive_exit_2_before_output(self, tmp_path, capsys, preset, amplitude):
+        # perturbed_profile promises a density > 0: an |amplitude| past about 1 breaks it at build
+        out = tmp_path / "run"
+        assert main([preset, "--amplitude", amplitude, "--t-end", "0.05", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"amplitude {float(amplitude)!r}" in err and "min g" in err
+        assert not out.exists()
+
     def test_options_come_only_from_config_and_flags(self, tmp_path, capsys):
         # there is no --set: a config file and the flags are the two sources
         out = tmp_path / "run"
@@ -609,6 +619,49 @@ def test_mirror_is_the_only_reflection():
     # range elsewhere is a second layout of the conjugate reflection
     found = {p.name: _reflections(p.read_text()) for p in sorted((ROOT / "src" / "kvicsek").glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _lru_caches(source: str) -> list[str]:
+    """Functions decorated with ``lru_cache`` or ``cache`` (bare, called, or via ``functools.``), nested ones too."""
+
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    found = [
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(name(d) in {"lru_cache", "cache"} for d in node.decorator_list)
+    ]
+    return [f"{fn} (line {line})" for line, fn in sorted(found)]
+
+
+def test_lru_caches_outside_spectral_detected():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=8)\n"
+        "def a(n):\n    return n\n"
+        "@functools.lru_cache\n"
+        "def b(n):\n"
+        "    @lru_cache(maxsize=1)\n"
+        "    def c(m):\n        return m\n"
+        "    return c\n"
+        "@cache\n"
+        "def d(n):\n    return lru_cache(n)\n"
+        "@functools.cached_property\n"
+        "def e(self):\n    return cache(self)\n"
+    )
+    assert _lru_caches(source) == ["a (line 4)", "b (line 7)", "c (line 9)", "d (line 13)"]
+
+
+def test_step_tables_are_cached_only_in_spectral():
+    # spectral builds and caches the tables a step reads, one per stack: a
+    # second cache elsewhere is a second copy of a table, or a table no step reads
+    found = {p.name: _lru_caches(p.read_text()) for p in sorted((ROOT / "src" / "kvicsek").glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits and name != "spectral.py"} == {}
+    assert found["spectral.py"]
 
 
 _TRANSCENDENTALS = {"cos", "sin", "exp"}

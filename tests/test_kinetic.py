@@ -111,6 +111,21 @@ class TestPhiValues:
         if normalize:
             assert abs(np.sum(pair.phi_values) * TWO_PI**2 / 128 - 1.0) < 1e-15
 
+    @pytest.mark.parametrize(
+        "phi, mass",
+        [(lambda x1, x2: 0.0 * x1 * x2, "0.0"),
+         (lambda x1, x2: np.full(np.broadcast(x1, x2).shape, np.nan), "nan"),
+         (lambda x1, x2: -1.0 + 0.0 * x1 * x2, "-39.4"),
+         (lambda x1, x2: np.cos(x1) + 0.0 * x2, r"-2\.7\d*e-15"),
+         (lambda x1, x2: -np.cos(x1) + 0.0 * x2, r"2\.7\d*e-15")],
+        ids=["zero", "nan", "negative", "round-off-negative", "round-off-positive"],
+    )
+    def test_normalize_rejects_a_phi_with_no_mass(self, phi, mass):
+        # dividing by the discrete mass would give NaN, sign-flipped or ~1e15-scaled kernels;
+        # cos(x1) sums to -/+2.7e-15 on the 8x8 grid, round-off of its |Phi| mass 23.8
+        with pytest.raises(ValueError, match=f"Phi has discrete mass {mass}"):
+            make_influence(TorusGrid(8, 8, 8), phi=phi)
+
 
 class TestAlignmentOperator:
     def test_x_independent_data(self):
@@ -525,7 +540,7 @@ class TestHalfSpectrumStep:
         )
         cached = [
             f.half,
-            spectral.transport_factor(*kinetic._half_wavenumbers(grid), grid.n_theta, 0.005),
+            spectral.transport_factor(*grid.half_wavenumbers, grid.n_theta, 0.005),
             pair.angular.psi_support,
             *pair.angular.band,
             pair.phi_coeffs,

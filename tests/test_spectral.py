@@ -12,13 +12,14 @@ from kvicsek.errors import StepSizeError
 from kvicsek.homogeneous import HomogeneousState, _alignment, constant_state, evolve_homogeneous
 from kvicsek.influence import angular_kernel
 from kvicsek.kinetic import KineticParams, run_experiment
-from kvicsek.linear import ModeState, evolve_mode
+from kvicsek.linear import ModeState, _mode_step, evolve_mode, speed_constant, speed_decaying
 from kvicsek.presets import perturbed_profile
 from kvicsek.spectral import (
     TWO_PI,
     AngularProfile,
     SpectralField,
     TorusGrid,
+    _angle_table,
     band_product,
     band_sup,
     dealias_keep,
@@ -31,9 +32,11 @@ from kvicsek.spectral import (
     split_step,
     theta_derivative,
     theta_points,
+    transport,
     transport_factor,
     write_snapshot,
     x_average,
+    x_points,
 )
 from kvicsek.influence import make_influence
 
@@ -552,12 +555,128 @@ def test_grid_caches_are_read_only():
     grid = TorusGrid(8, 12, 16)
     for arr in (
         grid.dealias_mask,
-        grid.k_squared,
-        grid.hm1_weights,
         theta_derivative(16),
         diffusion_factor(16, 0.1, 0.01),
         dealias_keep(16),
         transport_factor((1,), (2,), 16, 0.005),
+        _angle_table((1, 2), 16),
     ):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
+
+
+# ---------------------------------------------------------------------------
+# Step tables: spectral's one table per stack against tables built one row,
+# one grid or one call at a time, compared bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _outer_transport_table(k1, k2, n, shift):
+    """exp(-i shift p(phi).k) on the outer table (k1, k2, phi_j) of two 1-D wavenumber lists."""
+    k1, k2, phi = np.array(k1, np.float64), np.array(k2, np.float64), x_points(n)
+    pk = k1[:, None, None] * np.cos(phi) + k2[None, :, None] * np.sin(phi)
+    return np.exp(-1j * shift * pk)
+
+
+def _row_diffusion(n, nu, dt):
+    l = np.fft.fftfreq(n, d=1.0 / n).astype(np.float64)
+    return np.exp(-nu * l**2 * dt)
+
+
+_SPEEDS = [speed_constant(), speed_decaying(0.5), speed_constant(0.7), speed_decaying(2.0)]
+
+
+def _mixed_stack(n=32):
+    """Rows with k2 != 0 and negative k, four nu and a mix of constant and decaying speeds."""
+    eta = AngularProfile.from_function(lambda th: np.cos(th) + 0.4 * np.sin(3 * th), n)
+    ks = [(1, 0), (0, 1), (2, -3), (-1, 2), (3, 3), (-4, -1), (1, 1), (5, -2)]
+    return [
+        ModeState(k=k, eta=eta, t=0.3, nu=(1e-1, 1e-2, 3e-3, 1e-4)[j % 4], v=_SPEEDS[j % 4])
+        for j, k in enumerate(ks)
+    ]
+
+
+def test_stack_transport_table_is_the_per_row_tables_bit_for_bit():
+    states, n, dt = _mixed_stack(), 32, 0.02
+    for t_mid in (0.3 + 0.25 * dt, 0.3 + 0.75 * dt, 7.1):
+        shifts = tuple(s.v(t_mid) * (0.5 * dt) for s in states)
+        k1, k2 = zip(*(s.k for s in states))
+        rows = np.array([_outer_transport_table((s.k[0],), (s.k[1],), n, h)[0, 0] for s, h in zip(states, shifts)])
+        assert _same_bits(transport_factor(k1, k2, n, shifts), rows)
+
+
+def test_kinetic_transport_table_is_the_outer_table_bit_for_bit():
+    for grid in (TorusGrid(8, 12, 32), TorusGrid(6, 4, 16)):
+        k1, k2 = grid.half_wavenumbers
+        assert all(len(k) == 1 for k in k1) and len(k2) == grid.n_x2 // 2 + 1
+        assert k1[grid.n_x1 // 2] == (0,) and k2[-1] == 0
+        ref_k1, ref_k2 = grid.k1.tolist(), grid.k2[: grid.n_x2 // 2 + 1].tolist()
+        ref_k1[grid.n_x1 // 2] = ref_k2[-1] = 0
+        assert [k for (k,) in k1] == ref_k1 and list(k2) == ref_k2
+        for shift in (0.005, speed_decaying(0.5)(0.37) * 0.025, -1.25):
+            table = transport_factor(k1, k2, grid.n_theta, shift)
+            assert table.shape == (grid.n_x1, grid.n_x2 // 2 + 1, grid.n_theta)
+            assert _same_bits(table, _outer_transport_table(ref_k1, ref_k2, grid.n_theta, shift))
+
+
+def test_stack_diffusion_table_is_the_per_row_tables_bit_for_bit():
+    nus = (1e-1, 1e-2, 3e-3, 1e-4, 1e-2)
+    for n, dt in ((16, 0.01), (64, 0.0371)):
+        assert _same_bits(diffusion_factor(n, nus, dt), np.array([_row_diffusion(n, nu, dt) for nu in nus]))
+        assert _same_bits(diffusion_factor(n, 3e-3, dt), _row_diffusion(n, 3e-3, dt))
+
+
+def test_mode_step_reads_the_per_row_tables_bit_for_bit():
+    # the per-mode step on one stack table equals split_step on tables built row by row
+    states, n, dt = _mixed_stack(), 32, 0.02
+    heat = np.array([_row_diffusion(n, s.nu, dt) for s in states])
+
+    def advect(c, t_mid):
+        rows = [_outer_transport_table((s.k[0],), (s.k[1],), n, s.v(t_mid) * (0.5 * dt))[0, 0] for s in states]
+        return transport(c, np.array(rows))
+
+    c = ref = np.stack([s.eta.coeffs for s in states])
+    step = _mode_step(states, dt)
+    for t in step_times(0.3, dt, 6)[:-1]:
+        c, ref = step(c, t), split_step(ref, t, dt, heat, advect=advect)
+    assert _same_bits(c, ref)
+
+
+@pytest.mark.parametrize("s", [1.0, -0.5, 2.5])
+def test_sobolev_norms_match_the_full_weight_tables_bit_for_bit(s):
+    grid = TorusGrid(8, 12, 16)
+    f = random_real_field(grid, np.random.default_rng(17), band_fraction=2)
+    ksq = (grid.k1[:, None, None] ** 2 + grid.k2[None, :, None] ** 2 + grid.l[None, None, :] ** 2).astype(np.float64)
+    hm1 = np.zeros(grid.shape)
+    nonzero = np.ones(grid.shape, dtype=bool)
+    nonzero[0, 0, :] = False
+    hm1[nonzero] = 1.0 / ksq[nonzero]
+    hs = float(np.sqrt(TWO_PI**3 * np.sum((1.0 + ksq) ** s * np.abs(f.coeffs) ** 2)))
+    r = remainder(f)
+    neg = float(np.sqrt(TWO_PI**3 * np.sum(hm1 * np.abs(r.coeffs) ** 2)))
+    assert _same_bits(np.float64(norm(f, "Hs", s)), np.float64(hs))
+    assert _same_bits(np.float64(norm(r, "Hm1_nonzero")), np.float64(neg))
+
+
+@pytest.mark.parametrize("band", [[1], [1, 2, 3], [0, 1, 16], list(range(1, 22))], ids=str)
+def test_angle_table_is_the_per_call_table_bit_for_bit(band):
+    for n in (32, 64):
+        ref = np.exp((TWO_PI * 1j / n) * np.multiply.outer(np.array(band), np.arange(n)))
+        assert _same_bits(_angle_table(tuple(band), n), ref)
+
+
+def test_angle_table_is_built_once_per_band_and_n_over_a_kinetic_run():
+    # the guard's sup runs twice a step; its angle table is built at the first
+    grid = TorusGrid(8, 8, 32)
+    params = KineticParams(kappa=0.1, nu=0.1, grid=grid, dt=0.01, t_end=0.05)
+    f0 = SpectralField.from_function(grid, lambda x1, x2, th: (1.0 + 0.3 * np.cos(x1 + th)) / TWO_PI**3)
+    _angle_table.cache_clear()
+    for j, psi in enumerate(("one", "cos_squared"), 1):
+        run_experiment(params, make_influence(grid, psi_factor=psi), f0, sample_every=5)
+        info = _angle_table.cache_info()
+        assert (info.misses, info.hits) == (j, j * 2 * 5 - j)
