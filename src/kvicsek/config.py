@@ -75,6 +75,9 @@ def _in_range(key: str, value: float) -> float:
     return value
 
 
+MAX_STEPS = 10**9  # the most steps a run may take: its clock array alone is 8 GB
+
+
 def step_count(t_end: float, dt: float) -> int:
     """Steps of size dt that a run to t_end takes: t_end / dt, rounded."""
     return int(round(t_end / dt))
@@ -101,7 +104,7 @@ def resolve_options(raw: Mapping[str, str], table: Mapping[str, object]) -> dict
     """Every option of ``table`` (name -> default), typed; an unknown key raises ConfigError.
 
     A callable default derives the value from the others when the key is absent.
-    Every time step (``dt``, ``dt_*``) must give ``t_end`` at least one step.
+    Every time step (``dt``, ``dt_*``) must give ``t_end`` at least one step and at most MAX_STEPS.
     """
     unknown = sorted(set(raw) - set(table))
     if unknown:
@@ -113,6 +116,8 @@ def resolve_options(raw: Mapping[str, str], table: Mapping[str, object]) -> dict
             values[key] = _in_range(key, derive(values))
     for key, dt in values.items():
         if (key == "dt" or key.startswith("dt_")) and "t_end" in values:
+            if values["t_end"] / dt > MAX_STEPS:
+                raise ConfigError(f"option {key!r} = {dt:g} gives t_end = {values['t_end']:g} more than {MAX_STEPS:.0e} steps")
             if step_count(values["t_end"], dt) < 1:
                 raise ConfigError(
                     f"option {key!r} = {dt:g} leaves t_end = {values['t_end']:g} with no step"

@@ -45,7 +45,6 @@ from .spectral import (
     AngularProfile,
     band_product,
     band_sup,
-    diffusion_factor,
     evolve_rows,
     split_step,
     theta_derivative,
@@ -115,6 +114,7 @@ def _alignment(kernel: AngularKernel, kappa: np.ndarray | float) -> Alignment:
     """The homogeneous alignment sub-step of ``split_step`` on the modes 0..n_theta/3 of each row."""
     m = kernel.n_theta // 3
     return Alignment(
+        kappa=kappa,
         lift=lambda g: g[..., : m + 1],
         rhs=lambda g, with_sup: _alignment_rhs(g, kernel, kappa, with_sup),
         lower=_lower,
@@ -122,7 +122,7 @@ def _alignment(kernel: AngularKernel, kappa: np.ndarray | float) -> Alignment:
 
 
 def step_homogeneous(s: HomogeneousState, kernel: AngularKernel, dt: float) -> HomogeneousState:
-    """One step of ``evolve_homogeneous``: Heun alignment half / diffusion / alignment half."""
+    """One ``split_step`` without transport: a batch of one of ``evolve_homogeneous``."""
     return evolve_homogeneous(s, kernel, dt, 1).final
 
 
@@ -160,7 +160,6 @@ def evolve_homogeneous(
         raise ValueError(
             f"the kernel's n_theta = {kernel.n_theta} differs from the states' n_theta = {first.g.n}"
         )
-    heat = diffusion_factor(first.g.n, first.nu, dt)
     records = [[] for _ in states]
     final = list(states)
 
@@ -174,9 +173,8 @@ def evolve_homogeneous(
             records[j].append((x.t, x.order_parameter, *energy))
 
     def stepper(rows):
-        kappa = np.array([[states[j].kappa] for j in rows])
-        align = _alignment(kernel, kappa)
-        return lambda c, t: split_step(c, t, dt, heat, align=align, kappa=kappa)
+        align = _alignment(kernel, np.array([[states[j].kappa] for j in rows]))
+        return lambda c, t: split_step(c, t, dt, first.nu, align=align)
 
     evolve_rows(np.stack([x.g.coeffs for x in states]), first.t, dt, n_steps, sample_every, stepper, sample)
     out = []
@@ -248,8 +246,8 @@ def linear_stability(kernel: AngularKernel, kappa: float, nu: float, l_max: int)
 
     The verdict is stable iff every sigma_l is strictly negative.
     """
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
+    if not 1 <= l_max <= kernel.n_theta // 2:
+        raise ValueError(f"l_max must lie in [1, n_theta/2 = {kernel.n_theta // 2}], got {l_max}")
     ls = np.arange(1, l_max + 1)
     uh = np.array([u_hat_unnormalized(kernel, int(l)).real for l in ls])
     rates = -(ls.astype(np.float64) ** 2) * (nu + kappa / TWO_PI * uh)

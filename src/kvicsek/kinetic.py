@@ -36,9 +36,8 @@ theta-transform of the a_j (``spectral.band_sup``), paid only where
 ``split_step`` reads it and only at the x-points whose bound can reach the
 max.
 Everything the step reuses is cached read-only: the half spectrum's
-transport table for each repeated v h (one for a constant speed), the
-guard's angle table, and the band planes of the multiplier (on the
-InfluencePair).
+transport table for each repeated v h (one for a constant speed), and
+the band planes of the multiplier (on the InfluencePair).
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from .spectral import (
     TorusGrid,
     band_product,
     band_sup,
-    diffusion_factor,
     mirror,
     norm,
     remainder,
@@ -111,8 +109,8 @@ class KineticParams:
         return self.kappa <= C_DAGGER * self.nu
 
 
-def _transport_half(half: np.ndarray, grid: TorusGrid, v_eff: float, half_dt: float) -> np.ndarray:
-    out = transport(half, transport_factor(*grid.half_wavenumbers, grid.n_theta, v_eff * half_dt))
+def _transport_half(half: np.ndarray, grid: TorusGrid, v_eff: float, h: float) -> np.ndarray:
+    out = transport(half, transport_factor(*grid.half_wavenumbers, grid.n_theta, v_eff * h))
     # p.k vanishes identically at k=(0,0): keep that slice exactly, so the
     # x-average (and with it the total mass) never sees FFT round-off
     out[0, 0, :] = half[0, 0, :]
@@ -195,6 +193,7 @@ def _lower(half: np.ndarray, inc: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def _alignment(grid: TorusGrid, kernels: InfluencePair, kappa: float) -> Alignment:
     """The kinetic alignment sub-step of ``split_step`` on the half spectrum."""
     return Alignment(
+        kappa=kappa,
         lift=lambda half: _lift(half, grid),
         rhs=lambda fl, with_sup: _alignment_rhs(fl, grid, kernels, kappa, with_sup),
         lower=lambda half, inc: _lower(half, inc, grid),
@@ -207,11 +206,9 @@ def step_kinetic(
     kernels: InfluencePair,
     t: float,
 ) -> SpectralField:
-    """One ``split_step``: transport / alignment / diffusion / alignment / transport.
+    """One ``split_step`` of ``f.half``, returned as ``SpectralField.from_half``.
 
-    The step evolves ``f.half`` and returns ``SpectralField.from_half``.  Raises
-    StepSizeError when dt violates the explicit alignment guard
-    dt <= 0.5 / (kappa l_max max|L[f]| + 1), and NumericsError on NaN.
+    Raises StepSizeError from the guard of ``split_step``, and NumericsError on NaN.
     """
     grid = f.grid
     dt = params.dt
@@ -221,10 +218,9 @@ def step_kinetic(
         f.half,
         t,
         dt,
-        diffusion_factor(grid.n_theta, params.nu, dt),
-        advect=lambda c, s: _transport_half(c, grid, params.v(s), 0.5 * dt),
+        params.nu,
+        advect=lambda c, s, h: _transport_half(c, grid, params.v(s), h),
         align=_alignment(grid, kernels, params.kappa),
-        kappa=params.kappa,
     )
 
     # the k2 < 0 columns of f were not read: check them here too

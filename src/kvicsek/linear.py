@@ -45,7 +45,6 @@ from .spectral import (
     TWO_PI,
     AngularProfile,
     _check_dt,
-    diffusion_factor,
     evolve_rows,
     fft_wavenumbers,
     split_step,
@@ -131,26 +130,20 @@ def _mode_step(states: Sequence[ModeState], dt: float) -> Callable[[np.ndarray, 
 
     Row j of c is states[j]'s eta, advanced with that state's k, nu and
     speed; the states share n_theta.  Transport is ``spectral.transport``
-    with one ``transport_factor`` table of the rows' k and v(t) dt/2 (v at
-    the sub-step midpoints); diffusion multiplies by exp(-nu l^2 dt).
+    with one ``transport_factor`` table of the rows' k and v h.
     """
     n = states[0].eta.n
     k1, k2 = zip(*(s.k for s in states))
-    heat = diffusion_factor(n, tuple(s.nu for s in states), dt)
+    nus = tuple(s.nu for s in states)
 
-    def advect(coeffs, t_mid):
-        shifts = tuple(s.v(t_mid) * (0.5 * dt) for s in states)
-        return transport(coeffs, transport_factor(k1, k2, n, shifts))
+    def advect(coeffs, t_mid, h):
+        return transport(coeffs, transport_factor(k1, k2, n, tuple(s.v(t_mid) * h for s in states)))
 
-    return lambda c, t: split_step(c, t, dt, heat, advect=advect)
+    return lambda c, t: split_step(c, t, dt, nus, advect=advect)
 
 
 def step_mode(s: ModeState, dt: float) -> ModeState:
-    """One ``split_step`` with exact transport and diffusion sub-propagators.
-
-    A batch of one of the stepper behind ``evolve_mode``.  The L2 norm
-    never increases.
-    """
+    """One ``split_step`` at kappa = 0: a batch of one of ``evolve_mode``.  The L2 norm never increases."""
     coeffs = _mode_step([s], dt)(s.eta.coeffs[None], s.t)[0]
     return replace(s, eta=AngularProfile(coeffs), t=s.t + dt)
 

@@ -9,7 +9,7 @@ everything that can reject input, writes the manifest, and only then
 runs, so a configuration error (exit 2) leaves no output behind.  The
 runs emit plot-ready CSVs with deterministic content for a fixed seed,
 and raise NumericsError when one of their built-in assertions (sandwich,
-mass, equivalence bands) fails.
+mass, equivalence bands) fails; a ValueError raised by a run is one too.
 """
 
 from __future__ import annotations
@@ -79,7 +79,10 @@ def run_preset(cfg: ExperimentConfig) -> list[Path]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     write_manifest(cfg.out_dir, cfg.preset, cfg.seed, options)
-    return run()
+    try:
+        return run()
+    except ValueError as exc:
+        raise NumericsError(str(exc)) from exc
 
 
 def _parse_k_list(text: str) -> list[tuple[int, int]]:
@@ -202,6 +205,9 @@ def _kinetic(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
     params = kin.KineticParams(o["kappa"], o["nu"], grid, o["dt"], o["t_end"])
     kernels = make_influence(grid, phi="bump", sigma=o["sigma"])
     f0 = kin.default_initial(grid, o["eps_rel"] / TWO_PI**3, cfg.seed)
+    low = float(np.min(f0.values))
+    if not low > 0:
+        raise ValueError(f"eps_rel {o['eps_rel']!r} gives an initial density with min f = {low:.3g}, not > 0")
 
     def run() -> list[Path]:
         result = kin.run_experiment(
@@ -276,7 +282,7 @@ def _phase_diagram(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
         rows = []
         for ratio, traj in zip(ratios, trajs):
             root = hom.solve_compatibility(ratio)
-            stab = hom.linear_stability(kernel, ratio * nu, nu, l_max=8)
+            stab = hom.linear_stability(kernel, ratio * nu, nu, l_max=min(8, o["n_theta"] // 2))
             rows.append((ratio, root.r2 or 0.0, abs(traj.order_parameter[-1]), stab.stable))
         rows.sort(key=lambda r: r[0])
         path = write_csv(cfg.out_dir / "phase_diagram.csv", ["ratio", "r2", "final_abs_m", "stable"], rows)

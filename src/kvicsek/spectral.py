@@ -21,9 +21,11 @@ conjugate fhat(-k, -l) = conj(fhat(k, l)) of a real field: ``from_half``,
 kinetic flux all use it.
 
 ``split_step`` is the one Strang/Heun step of the three PDE solvers
-(per-mode, homogeneous, kinetic).  The tables the steps read are built
-and cached here only, one per stack: the theta-derivative, the 2/3 mask,
-the ``diffusion_factor``, the ``transport_factor`` of ``transport``.
+(per-mode, homogeneous, kinetic), and the one place that composes it: a
+layer passes nu, its kappa on the ``Alignment`` and a transport over the
+sub-step h it is given.  The tables the steps read are built and cached
+here only, one per stack: the theta-derivative, the 2/3 mask, the
+``diffusion_factor``, the ``transport_factor`` of ``transport``.
 Its leading axes are a batch: the 1-D layers stack independent rows
 ``c[batch, n_theta]`` (one per alignment strength, or per x-mode and
 viscosity) and advance them in one call, with the alignment step-size
@@ -350,26 +352,26 @@ def band_product(f: np.ndarray, a: np.ndarray, band: np.ndarray) -> np.ndarray:
     return prod
 
 
-@lru_cache(maxsize=8)
-def _angle_table(band: tuple[int, ...], n: int) -> np.ndarray:
-    """Read-only e^{i j phi_k}, one row per j in band, phi_k = 2pi k/n."""
-    return _readonly(np.exp((TWO_PI * 1j / n) * np.multiply.outer(np.array(band), np.arange(n))))
+def _series(a: np.ndarray, band: np.ndarray, n: int) -> np.ndarray:
+    """|irfft| over the n angles of the real series with the modes a_j, j in ``band``, at each point of a's other axes."""
+    lhat = np.zeros(a.shape[1:] + (band.max(initial=0) + 1,), dtype=np.complex128)
+    lhat[..., band] = a.transpose(*range(1, a.ndim), 0)
+    lv = np.fft.irfft(lhat, n=n, axis=-1)
+    return np.abs(lv, out=lv)
 
 
 def _reachable(a: np.ndarray, band: np.ndarray, n: int) -> np.ndarray:
     """The points (last axis) of one row of planes ``a`` where the series of ``band_sup`` can reach its max.
 
     At a point the series is Re(a_0) + 2 sum_{j > 0} Re(a_j e^{i j phi})
-    (numpy's ``irfft``; the band lies below n/2), so 2 sum_j |a_j| bounds
-    it.  The value found is its max over the n angles at the point of
-    largest bound, summed directly.  A point whose bound is below that
-    value, with SUP_ROUNDING to spare, cannot hold the max of the
+    (numpy's ``irfft`` times n; the band lies below n/2), so 2 sum_j |a_j|
+    bounds it.  The value found is its max over the n angles at the point
+    of largest bound, by the same transform.  A point whose bound is below
+    that value, with SUP_ROUNDING to spare, cannot hold the max of the
     transform; a NaN bound or value keeps every point it is compared with.
     """
     bound = np.abs(a).sum(axis=0)
-    top = a[:, np.argmax(bound)]
-    terms = _angle_table(tuple(band.tolist()), n) * (np.where(band == 0, 1.0, 2.0) * top)[:, None]
-    found = np.abs(terms.sum(axis=0).real).max()
+    found = _series(a[:, [np.argmax(bound)]], band, n).max() * n
     return ~(bound * (2.0 * (1.0 + SUP_ROUNDING)) < found)
 
 
@@ -389,26 +391,26 @@ def band_sup(a: np.ndarray, band: np.ndarray, n: int) -> np.ndarray:
     """
     if a.ndim == 2 and a.shape[1] > 1:
         a = a[:, _reachable(a, band, n)]
-    lhat = np.zeros(a.shape[1:] + (band.max(initial=0) + 1,), dtype=np.complex128)
-    lhat[..., band] = a.transpose(*range(1, a.ndim), 0)
-    lv = np.fft.irfft(lhat, n=n, axis=-1)
-    return np.abs(lv, out=lv).max(axis=(-2, -1))[..., None]
+    return _series(a, band, n).max(axis=(-2, -1))[..., None]
 
 
 class Alignment(NamedTuple):
     """The alignment sub-step of ``split_step``, on the block of modes its right-hand side reads and writes.
 
-    ``lift(c)`` returns that block of the coefficients c in the right-hand
-    side's own layout.  ``rhs(y, with_sup)`` returns the block's
-    right-hand side, a new array that ``split_step`` updates in place, and
-    the sup of the alignment field, a scalar or one per row as
-    ``(batch, 1)`` (None unless ``with_sup``).  ``lower(c, inc)``
-    returns c plus the block increment inc, and plus conj(inc) on the
-    modes l < 0 that the block holds only as reflections; it adds to c
-    rather than writing the lifted block back, so the modes the block
-    reads twice keep c's own values.
+    ``kappa`` is the alignment strength the right-hand side was built
+    with, a scalar or one per row as ``(batch, 1)``; the guard and the
+    kappa = 0 skip read it.  ``lift(c)`` returns that block of the
+    coefficients c in the right-hand side's own layout.  ``rhs(y,
+    with_sup)`` returns the block's right-hand side, a new array that
+    ``split_step`` updates in place, and the sup of the alignment field, a
+    scalar or one per row as ``(batch, 1)`` (None unless ``with_sup``).
+    ``lower(c, inc)`` returns c plus the block increment inc, and plus
+    conj(inc) on the modes l < 0 that the block holds only as reflections;
+    it adds to c rather than writing the lifted block back, so the modes
+    the block reads twice keep c's own values.
     """
 
+    kappa: np.ndarray | float
     lift: Callable[[np.ndarray], np.ndarray]
     rhs: Callable[..., tuple[np.ndarray, np.ndarray | float | None]]
     lower: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -418,35 +420,34 @@ def split_step(
     c: np.ndarray,
     t: float,
     dt: float,
-    diffusion: np.ndarray,
-    advect: Callable[[np.ndarray, float], np.ndarray] | None = None,
+    nu: float | tuple[float, ...],
+    advect: Callable[[np.ndarray, float, float], np.ndarray] | None = None,
     align: Alignment | None = None,
-    kappa: np.ndarray | float = 0.0,
 ) -> np.ndarray:
     """One Strang step T/2 -> A/2 -> D -> A/2 -> T/2 on coefficients, theta last.
 
     ``c`` may be a stack of rows ``c[batch, n_theta]`` that share t and
-    dt; ``kappa`` is then a scalar or a ``(batch, 1)`` column and
-    ``diffusion`` an ``(n_theta,)`` or ``(batch, n_theta)`` array.
-    ``advect(c, s)`` advances c over dt/2 by ``transport`` with the speed
-    sampled at s (t + dt/4, then t + 3dt/4); None skips it.  Each A/2 is a
-    Heun step over dt/2 on the block y = ``align.lift(c)``: r1 = rhs(y),
-    r2 = rhs(y + r1 dt/2), then ``align.lower(c, (r1 + r2) dt/4)``; it is
-    skipped when every kappa is 0.  Only the first stage reads the sup, so
-    the second asks for none (``with_sup=False``).  D multiplies by
-    ``diffusion`` (cached ``diffusion_factor`` rows).  The guard
-    dt <= 0.5 / (kappa (n_theta/2) sup + 1), n_theta the length of c's last
-    axis, is checked per row with kappa != 0 at the first stage of either
-    Heun step; StepSizeError names the first row that breaks it and its
-    sup.  ValueError: dt not finite and > 0.
+    dt; ``nu`` is then a scalar or a tuple with one value per row.
+    ``advect(c, s, h)`` advances c over h = dt/2 by ``transport`` with the
+    speed sampled at s (t + dt/4, then t + 3dt/4); None skips it.  Each A/2
+    is a Heun step over dt/2 on the block y = ``align.lift(c)``:
+    r1 = rhs(y), r2 = rhs(y + r1 dt/2), then ``align.lower(c, (r1 + r2) dt/4)``;
+    it is skipped when every ``align.kappa`` is 0 (None: kappa = 0).  Only
+    the first stage reads the sup, so the second asks for none
+    (``with_sup=False``).  D multiplies by the cached
+    ``diffusion_factor(n_theta, nu, dt)``, n_theta the length of c's last
+    axis.  The guard dt <= 0.5 / (kappa (n_theta/2) sup + 1) is checked
+    per row with kappa != 0 at the first stage of either Heun step;
+    StepSizeError names the first row that breaks it and its sup.
+    ValueError: dt not finite and > 0.
     """
     _check_dt(dt)
+    h = 0.5 * dt
 
     def align_half(c):
-        h = 0.5 * dt
         y = align.lift(c)
         r1, sup = align.rhs(y, with_sup=True)
-        bad = (dt > 0.5 / (kappa * (c.shape[-1] // 2) * sup + 1.0)) & (kappa != 0.0)
+        bad = (dt > 0.5 / (align.kappa * (c.shape[-1] // 2) * sup + 1.0)) & (align.kappa != 0.0)
         if np.count_nonzero(bad):
             row = int(np.argmax(np.ravel(bad)))
             sup_row = np.ravel(np.broadcast_to(sup, np.shape(bad)))[row]
@@ -462,16 +463,16 @@ def split_step(
         r1 *= 0.5 * h
         return align.lower(c, r1)
 
-    aligned = np.count_nonzero(kappa) > 0
+    aligned = align is not None and np.count_nonzero(align.kappa) > 0
     if advect is not None:
-        c = advect(c, t + 0.25 * dt)
+        c = advect(c, t + 0.25 * dt, h)
     if aligned:
         c = align_half(c)
-    c = c * diffusion
+    c = c * diffusion_factor(c.shape[-1], nu, dt)
     if aligned:
         c = align_half(c)
     if advect is not None:
-        c = advect(c, t + 0.75 * dt)
+        c = advect(c, t + 0.75 * dt, h)
     return c
 
 
@@ -480,8 +481,9 @@ def evolve_rows(c: np.ndarray, t0: float, dt: float, n_steps, every, stepper, sa
 
     Row j takes n_steps[j] steps (an int or one per row, as ``every``), then leaves the stack;
     ``stepper(rows)`` is the step (c, t) -> c of the rows still running.  ``sample(rows, c[rows], t)``
-    runs at t0 and where ``config.due`` says, at the times of ``config.step_times``.
+    runs at t0 and where ``config.due`` says, at the times of ``config.step_times``.  ValueError first on a bad dt.
     """
+    _check_dt(dt)
     check_cadence("n_steps", n_steps, 0)
     check_cadence("sample_every", every, 1)
     n_steps = np.broadcast_to(n_steps, len(c))

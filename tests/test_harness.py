@@ -247,6 +247,21 @@ class TestPresets:
             run_preset(cfg)
 
 
+# Edge values of the options, at reduced sizes: the exit code and a piece of stderr
+_EDGE_VALUES = [
+    (["homogeneous", "--dt", "1e-300"], 2, "more than 1e+09 steps"),
+    (["kinetic", "--grid", "8,8,32", "--dt", "1e-300"], 2, "more than 1e+09 steps"),
+    (["kinetic", "--grid", "8,8,32", "--t-end", "1e300"], 2, "more than 1e+09 steps"),
+    (["agents", "--dt", "1e-300", "--t-end", "1e300"], 2, "more than 1e+09 steps"),
+    (["kinetic", "--grid", "8,8,16", "--eps-rel", "1.5"], 2, "eps_rel 1.5 gives an initial density with min f"),
+    (["kinetic", "--grid", "8,8,16", "--eps-rel", "-3"], 2, "eps_rel -3.0 gives an initial density with min f"),
+    (["homogeneous", "--n-theta", "4"], 3, "Fisher information requires a positive density"),
+    (["phase-diagram", "--n-theta", "4", "--ratio-steps", "3", "--t-end", "0.1"], 0, ""),
+    (["phase-diagram", "--n-theta", "6", "--ratio-steps", "3", "--t-end", "0.1"], 0, ""),
+    (["phase-diagram", "--n-theta", "8", "--ratio-steps", "3", "--t-end", "0.1"], 0, ""),
+]
+
+
 class TestCli:
     def test_unknown_preset_exit_2(self, capsys):
         assert main(["definitely-not-a-preset"]) == 2
@@ -336,6 +351,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error:" in err and f"amplitude {float(amplitude)!r}" in err and "min g" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code, message", _EDGE_VALUES, ids=[" ".join(v[0]) for v in _EDGE_VALUES])
+    def test_edge_values_exit_with_their_code(self, tmp_path, capsys, argv, code, message):
+        # a run length the clock cannot hold and an f0 not > 0 exit 2 with no
+        # file; a ValueError inside a run exits 3; a small angular grid runs
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        if code == 2:
+            assert not out.exists()
+        if argv[0] == "phase-diagram":
+            # for Psi = sin only l = 1 decides: stable iff ratio <= 2 (ratios 0.5, 3.25, 6)
+            assert [row[-1] for row in _csv_rows(out / "phase_diagram.csv")] == [1.0, 0.0, 0.0]
 
     def test_options_come_only_from_config_and_flags(self, tmp_path, capsys):
         # there is no --set: a config file and the flags are the two sources
@@ -660,6 +689,38 @@ def test_step_tables_are_cached_only_in_spectral():
     # spectral builds and caches the tables a step reads, one per stack: a
     # second cache elsewhere is a second copy of a table, or a table no step reads
     found = {p.name: _lru_caches(p.read_text()) for p in sorted((ROOT / "src" / "kvicsek").glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits and name != "spectral.py"} == {}
+    assert found["spectral.py"]
+
+
+def _uses(source: str, name: str) -> list[str]:
+    """Imports of ``name`` and reads of it, as ``name`` or ``obj.name`` (a call or a ``partial``); its ``def`` is not one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names):
+            found.append((node.lineno, "import"))
+        elif name in (getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append((node.lineno, "read"))
+    return [f"{kind} (line {line})" for line, kind in sorted(found)]
+
+
+def test_uses_of_a_function_detected():
+    source = (
+        "from functools import partial\n"
+        "from .spectral import diffusion_factor as heat, mirror\n"
+        "from . import spectral\n"
+        "def diffusion_factor(n):\n    return n\n"
+        "a = spectral.diffusion_factor(8, 0.1, 0.01)\n"
+        "b = partial(diffusion_factor, 8)\n"
+        "c = diffusion_factors(8) + 'diffusion_factor'\n"
+    )
+    assert _uses(source, "diffusion_factor") == ["import (line 2)", "read (line 6)", "read (line 7)"]
+
+
+def test_only_spectral_builds_the_diffusion_table():
+    # split_step builds the diffusion table of its step: a layer that
+    # builds one splits the step itself
+    found = {p.name: _uses(p.read_text(), "diffusion_factor") for p in sorted((ROOT / "src" / "kvicsek").glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits and name != "spectral.py"} == {}
     assert found["spectral.py"]
 

@@ -139,10 +139,9 @@ class TestBatchedEvolution:
             assert traj.final.t == one.final.t and traj.final.kappa == s.kappa
             # the per-state loop with a scalar kappa, as before batching
             align = _alignment(kernel, s.kappa)
-            heat = diffusion_factor(256, nu, dt)
             c = s.g.coeffs
             for i in range(n_steps):
-                c = split_step(c, s.t + i * dt, dt, heat, align=align, kappa=s.kappa)
+                c = split_step(c, s.t + i * dt, dt, nu, align=align)
             assert np.array_equal(traj.final.g.coeffs, c)
 
     def test_batch_equals_the_full_array_heun_bit_for_bit(self, kernel):
@@ -185,8 +184,9 @@ class TestBatchedEvolution:
     @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
     def test_bad_dt_rejected(self, kernel, dt):
         s = HomogeneousState(g=perturbed_profile(256, 0.2, seed=5), t=0.0, kappa=0.2, nu=0.1)
-        with pytest.raises(ValueError, match="dt must be finite and > 0"):
-            evolve_homogeneous(s, kernel, dt, 20)
+        for n_steps in (0, 20):
+            with pytest.raises(ValueError, match="dt must be finite and > 0"):
+                evolve_homogeneous(s, kernel, dt, n_steps)
 
     @pytest.mark.parametrize("n_kernel", [64, 256])
     def test_kernel_resolution_must_match_the_states(self, n_kernel):
@@ -344,8 +344,12 @@ class TestStability:
         assert abs(sigma1) < 1e-15
 
     def test_l_max_validation(self, kernel):
-        with pytest.raises(ValueError):
-            linear_stability(kernel, 0.1, 0.1, 0)
+        # past n_theta/2 the kernel's modes alias; past n_theta they do not exist
+        n = kernel.n_theta
+        for l_max in (0, n // 2 + 1, n + 1):
+            with pytest.raises(ValueError, match="l_max must lie in"):
+                linear_stability(kernel, 0.1, 0.1, l_max)
+        assert len(linear_stability(kernel, 0.1, 0.1, n // 2).rates) == n // 2
 
 
 class TestBesselRatio:

@@ -547,8 +547,9 @@ class TestBatchedEvolution:
     @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
     def test_bad_dt_rejected(self, dt):
         s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 16), t=0.0, nu=1e-2)
-        with pytest.raises(ValueError, match="dt must be finite and > 0"):
-            evolve_mode(s, dt, 3)
+        for n_steps in (0, 3):
+            with pytest.raises(ValueError, match="dt must be finite and > 0"):
+                evolve_mode(s, dt, n_steps)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one mode state"):

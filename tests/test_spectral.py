@@ -15,11 +15,12 @@ from kvicsek.kinetic import KineticParams, run_experiment
 from kvicsek.linear import ModeState, _mode_step, evolve_mode, speed_constant, speed_decaying
 from kvicsek.presets import perturbed_profile
 from kvicsek.spectral import (
+    SUP_ROUNDING,
     TWO_PI,
     AngularProfile,
     SpectralField,
     TorusGrid,
-    _angle_table,
+    _series,
     band_product,
     band_sup,
     dealias_keep,
@@ -124,10 +125,9 @@ class TestBatchedSplitStep:
     def test_batch_is_byte_identical_to_per_row_calls(self):
         g, align = self.rows()
         kappa = np.array([[0.2], [1.0], [3.0]])
-        heat = diffusion_factor(self.N, 0.1, 0.01)
-        batch = split_step(g, 0.0, 0.01, heat, align=align(kappa), kappa=kappa)
+        batch = split_step(g, 0.0, 0.01, 0.1, align=align(kappa))
         for j, k in enumerate(kappa[:, 0].tolist()):
-            row = split_step(g[j], 0.0, 0.01, heat, align=align(k), kappa=k)
+            row = split_step(g[j], 0.0, 0.01, 0.1, align=align(k))
             assert np.array_equal(batch[j], row)
 
     def test_guard_names_the_row_that_breaks_it(self):
@@ -137,18 +137,17 @@ class TestBatchedSplitStep:
         bound = (0.5 / (kappa * (self.N // 2) * sup + 1.0))[:, 0]
         assert bound[1] < min(bound[0], bound[2])
         dt = 0.5 * (bound[1] + min(bound[0], bound[2]))
-        heat = diffusion_factor(self.N, 0.1, dt)
         message = f"in row 1 (alignment field max {sup[1, 0]:.3g})"
         with pytest.raises(StepSizeError, match=re.escape(message)):
-            split_step(g, 0.0, dt, heat, align=align(kappa), kappa=kappa)
+            split_step(g, 0.0, dt, 0.1, align=align(kappa))
         others = [0, 2]
-        split_step(g[others], 0.0, dt, heat, align=align(kappa[others]), kappa=kappa[others])
+        split_step(g[others], 0.0, dt, 0.1, align=align(kappa[others]))
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
     def test_bad_dt_rejected(self, dt):
         g, _ = self.rows()
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
-            split_step(g, 0.0, dt, np.ones(self.N))
+            split_step(g, 0.0, dt, 0.1)
 
 
 class TestRunSchedule:
@@ -559,7 +558,6 @@ def test_grid_caches_are_read_only():
         diffusion_factor(16, 0.1, 0.01),
         dealias_keep(16),
         transport_factor((1,), (2,), 16, 0.005),
-        _angle_table((1, 2), 16),
     ):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
@@ -632,18 +630,18 @@ def test_stack_diffusion_table_is_the_per_row_tables_bit_for_bit():
 
 
 def test_mode_step_reads_the_per_row_tables_bit_for_bit():
-    # the per-mode step on one stack table equals split_step on tables built row by row
+    # the per-mode step on one stack transport table equals split_step on
+    # transport tables built row by row (the diffusion rows: the test above)
     states, n, dt = _mixed_stack(), 32, 0.02
-    heat = np.array([_row_diffusion(n, s.nu, dt) for s in states])
 
-    def advect(c, t_mid):
-        rows = [_outer_transport_table((s.k[0],), (s.k[1],), n, s.v(t_mid) * (0.5 * dt))[0, 0] for s in states]
+    def advect(c, t_mid, h):
+        rows = [_outer_transport_table((s.k[0],), (s.k[1],), n, s.v(t_mid) * h)[0, 0] for s in states]
         return transport(c, np.array(rows))
 
     c = ref = np.stack([s.eta.coeffs for s in states])
     step = _mode_step(states, dt)
     for t in step_times(0.3, dt, 6)[:-1]:
-        c, ref = step(c, t), split_step(ref, t, dt, heat, advect=advect)
+        c, ref = step(c, t), split_step(ref, t, dt, tuple(s.nu for s in states), advect=advect)
     assert _same_bits(c, ref)
 
 
@@ -664,19 +662,30 @@ def test_sobolev_norms_match_the_full_weight_tables_bit_for_bit(s):
 
 
 @pytest.mark.parametrize("band", [[1], [1, 2, 3], [0, 1, 16], list(range(1, 22))], ids=str)
-def test_angle_table_is_the_per_call_table_bit_for_bit(band):
-    for n in (32, 64):
-        ref = np.exp((TWO_PI * 1j / n) * np.multiply.outer(np.array(band), np.arange(n)))
-        assert _same_bits(_angle_table(tuple(band), n), ref)
+def test_sup_transform_is_the_direct_sum_within_the_rounding_margin(band):
+    # _reachable's value found, band_sup's transform at one point times n,
+    # is the series summed directly, far inside SUP_ROUNDING of its bound
+    band = np.array(band)
+    rng = np.random.default_rng(len(band))
+    for n in (64, 128):
+        a = _sup_planes("random", band, rng)
+        weights = np.where(band == 0, 1.0, 2.0)[:, None, None]
+        angles = np.exp((TWO_PI * 1j / n) * np.multiply.outer(band, np.arange(n)))[:, None, :]
+        direct = np.abs((weights * a[..., None] * angles).sum(axis=0).real).max(axis=-1)
+        found = np.array([_series(a[:, [p]], band, n).max() * n for p in range(a.shape[1])])
+        assert np.all(np.abs(found - direct) <= 1e-3 * SUP_ROUNDING * 2.0 * np.abs(a).sum(axis=0))
 
 
-def test_angle_table_is_built_once_per_band_and_n_over_a_kinetic_run():
-    # the guard's sup runs twice a step; its angle table is built at the first
+def test_guard_sup_is_two_transforms_per_heun_step_over_a_kinetic_run(monkeypatch):
+    # the sup builds no table: one irfft at the point of largest bound and
+    # one at the points that can reach it, at each of a step's two Heun steps
     grid = TorusGrid(8, 8, 32)
     params = KineticParams(kappa=0.1, nu=0.1, grid=grid, dt=0.01, t_end=0.05)
     f0 = SpectralField.from_function(grid, lambda x1, x2, th: (1.0 + 0.3 * np.cos(x1 + th)) / TWO_PI**3)
-    _angle_table.cache_clear()
-    for j, psi in enumerate(("one", "cos_squared"), 1):
-        run_experiment(params, make_influence(grid, psi_factor=psi), f0, sample_every=5)
-        info = _angle_table.cache_info()
-        assert (info.misses, info.hits) == (j, j * 2 * 5 - j)
+    calls, irfft = [], np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: calls.append(1) or irfft(*args, **kwargs))
+    for psi in ("one", "cos_squared"):
+        kernels = make_influence(grid, psi_factor=psi)
+        calls.clear()
+        run_experiment(params, kernels, f0, sample_every=5)
+        assert len(calls) == 2 * 2 * 5
