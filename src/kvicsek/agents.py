@@ -58,7 +58,7 @@ from .influence import InfluencePair
 from .linear import speed_constant, wrap_angle
 from .spectral import TWO_PI, AngularProfile, SpectralField, TorusGrid, _check_dt, theta_points
 
-_PAIRWISE_CHUNK = 512
+PAIR_BLOCK = 2**16  # pairs per block of projection_drift_check: a few MiB of temporaries at any N
 GEMM_MAX_WORK = 2**16 - 1  # m*n*k of the largest GEMM that OpenBLAS keeps on the calling thread
 MIN_BLOCK_ROWS = 64  # blocks any shorter mean a GEMM wide enough for the pool to pay (drift, K >= 16)
 SAMPLE_RESOLUTION = 4096  # angles on which sample_angles tabulates the distribution
@@ -351,8 +351,9 @@ def projection_drift_check(e: AgentEnsemble) -> float:
 
     psi_factor = e.influence.angular.psi_factor
     s = np.zeros((e.n, 2))
-    for start in range(0, e.n, _PAIRWISE_CHUNK):
-        stop = min(start + _PAIRWISE_CHUNK, e.n)
+    rows = max(1, PAIR_BLOCK // e.n)
+    for start in range(0, e.n, rows):
+        stop = min(start + rows, e.n)
         dx1 = e.x[start:stop, None, 0] - e.x[None, :, 0]
         dx2 = e.x[start:stop, None, 1] - e.x[None, :, 1]
         dth = e.theta[start:stop, None] - e.theta[None, :]

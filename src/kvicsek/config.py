@@ -84,7 +84,12 @@ def step_count(t_end: float, dt: float) -> int:
 
 
 def step_times(t0: float, dt: float, n: int) -> np.ndarray:
-    """t0 and the time after each of n steps, accumulated one dt at a time (``t += dt``, bit for bit)."""
+    """t0 and the time after each of n steps, accumulated one dt at a time (``t += dt``, bit for bit).
+
+    ValueError, before anything is allocated, if n > MAX_STEPS.
+    """
+    if n > MAX_STEPS:
+        raise ValueError(f"the run takes more than {MAX_STEPS:.0e} steps of dt = {dt:g}")
     return np.cumsum(np.r_[t0, np.full(n, dt)])
 
 

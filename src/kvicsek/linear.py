@@ -23,15 +23,22 @@ x-Fourier modes, with one ``transport_factor`` table per stack.
 ``evolve_mode`` advances a stack of modes, one row per (k, nu) with its
 own step count and sampling cadence, through
 ``spectral.evolve_rows`` (shared with the homogeneous layer), and
-evaluates the norms and the comparison sandwich row-wise by Parseval
-sums; ``step_mode`` and a single-state ``evolve_mode`` are batches of
-one.  ``measure_ed_rate`` runs ``evolve_mode`` batches, one per time
-step of its states' ``ed_schedule``; ``mixing_curve`` runs one stack on
+evaluates the norms and the comparison sandwich row-wise on the
+coefficients: one p = |eta_l|^2 per sample gives the L2 and H^{-1}
+norms and ||d_theta eta||^2 as weighted sums of p, and the two
+sin(theta - theta_k) terms are two lagged sums, sum_l eta_{l-1} conj
+eta_{l+1} and an l-weighted sum_l eta_{l-1} conj eta_l.  The per-row
+constants (the ramp's rate, (nu/|k|)^{1/2}, e^{-i theta_k}, the H^{-1}
+weights) are built once per stack; ``step_mode``, a single-state
+``evolve_mode`` and the single-state diagnostics are batches of one.
+``measure_ed_rate`` runs ``evolve_mode`` batches, one per time step of
+its states' ``ed_schedule``; ``mixing_curve`` runs one stack on
 the same row loop and samples only the H^{-1} norm, every step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -82,11 +89,11 @@ class HypoWeights:
         if not (0.0 < self.beta <= MAX_BETA):
             raise ValueError(f"beta must lie in (0, 1/4096], got {self.beta}")
 
-    @property
+    @cached_property
     def alpha(self) -> float:
         return np.sqrt(self.beta) / 4.0
 
-    @property
+    @cached_property
     def gamma(self) -> float:
         return 4.0 * self.beta**1.5
 
@@ -148,16 +155,57 @@ def step_mode(s: ModeState, dt: float) -> ModeState:
     return replace(s, eta=AngularProfile(coeffs), t=s.t + dt)
 
 
-def _hm1_rows(eta: np.ndarray, states: Sequence[ModeState]) -> np.ndarray:
-    """Per-row ``mode_hm1_norm`` of a stack of modes eta[j] with states[j]'s k."""
-    l = fft_wavenumbers(eta.shape[-1]).astype(np.float64)
-    w = 1.0 / (np.array([[s.k_norm**2] for s in states]) + l**2)
-    return np.sqrt(TWO_PI * np.sum(w * np.abs(eta) ** 2, axis=-1))
+@dataclass(frozen=True)
+class _ModeRows:
+    """Constants of a stack of modes, per row and of the shared grid, built once per stack.
+
+    Each row's are built as for a single state, so a row's samples do not
+    depend on the stack it runs in; ``rows[idx]`` keeps the rows a sample reads.
+    """
+
+    rate: np.ndarray  # (nu |k|)^{1/2}: the ramp zeta = min(1, rate t)
+    scale: np.ndarray  # (nu/|k|)^{1/2}
+    turn: np.ndarray  # e^{-i theta_k}
+    turn2: np.ndarray  # e^{-2i theta_k}
+    hm1_weight: np.ndarray  # 1/(|k|^2 + l^2), a row per mode
+    dl2: np.ndarray  # l'^2, l' = l off the Nyquist mode (theta_derivative)
+    lag_weight: np.ndarray  # l'_m + l'_{m+1}, cyclic in m
+
+    @classmethod
+    def of(cls, states: Sequence[ModeState]) -> "_ModeRows":
+        n = states[0].eta.n
+        l = fft_wavenumbers(n).astype(np.float64)
+        dl = theta_derivative(n).imag
+        theta_k = np.array([s.theta_k for s in states])
+        return cls(
+            rate=np.array([np.sqrt(s.nu * s.k_norm) for s in states]),
+            scale=np.array([np.sqrt(s.nu / s.k_norm) for s in states]),
+            turn=np.exp(-1j * theta_k),
+            turn2=np.exp(-2j * theta_k),
+            hm1_weight=1.0 / (np.array([[s.k_norm**2] for s in states]) + l**2),
+            dl2=dl**2,
+            lag_weight=dl + np.roll(dl, -1),
+        )
+
+    def __getitem__(self, idx) -> "_ModeRows":
+        return _ModeRows(
+            self.rate[idx], self.scale[idx], self.turn[idx], self.turn2[idx], self.hm1_weight[idx],
+            self.dl2, self.lag_weight,
+        )
+
+    def zeta(self, t: float) -> np.ndarray:
+        """The rows' ramps at time t, as ``_ramp``."""
+        return np.minimum(1.0, self.rate * t)
+
+
+def _hm1_rows(p: np.ndarray, rows: _ModeRows) -> np.ndarray:
+    """Per-row ``mode_hm1_norm`` of a stack of modes with p = |eta|^2."""
+    return np.sqrt(TWO_PI * (rows.hm1_weight * p).sum(axis=-1))
 
 
 def mode_hm1_norm(s: ModeState) -> float:
     """Single-mode homogeneous H^{-1}: coefficients weighted by (|k|^2+l^2)^{-1/2}."""
-    return float(_hm1_rows(s.eta.coeffs[None], [s])[0])
+    return float(_hm1_rows(np.abs(s.eta.coeffs[None]) ** 2, _ModeRows.of([s]))[0])
 
 
 @dataclass(frozen=True)
@@ -174,37 +222,56 @@ class HypoTerms:
         return self.l2 + self.alpha_term + self.beta_term + self.gamma_term
 
 
-def _hypo_rows(eta: np.ndarray, states: Sequence[ModeState], t: float, w: HypoWeights) -> HypoTerms:
-    """The four terms for a stack of modes eta[j] (states[j]'s k, nu) at time t, by Parseval sums."""
-    n = eta.shape[-1]
-    deta = theta_derivative(n) * eta
-    # sin(theta - theta_k) eta: (e^{-i theta_k} eta(l-1) - e^{i theta_k} eta(l+1)) / 2i, cyclic in l,
-    # which on an even grid is exact for the product of the collocation values
-    turn = np.exp(1j * np.array([[s.theta_k] for s in states]))
-    seta = (np.conj(turn) * np.roll(eta, 1, axis=-1) - turn * np.roll(eta, -1, axis=-1)) / 2j
-    # the per-row weights in scalar arithmetic, as for a single state
-    zr = [(_ramp(s, t), np.sqrt(s.nu / s.k_norm)) for s in states]
-    alpha, beta, gamma = np.array(
-        [(w.alpha * z * r, -w.beta * z**2, w.gamma * z**3 / r) for z, r in zr]
-    ).T
+def _hypo_rows(
+    eta: np.ndarray, p: np.ndarray, rows: _ModeRows, zeta: np.ndarray, w: HypoWeights
+) -> HypoTerms:
+    """The four terms for a stack of modes eta[j], p = |eta|^2, with rows' constants and ramps zeta.
 
-    l2 = TWO_PI * np.sum(np.abs(eta) ** 2, axis=-1)
-    d2 = TWO_PI * np.sum(np.abs(deta) ** 2, axis=-1)
-    s2 = TWO_PI * np.sum(np.abs(seta) ** 2, axis=-1)
-    cross = TWO_PI * np.real(np.sum(1j * seta * np.conj(deta), axis=-1))
-    return HypoTerms(l2=l2, alpha_term=alpha * d2, beta_term=beta * cross, gamma_term=gamma * s2)
+    Parseval sums over p and two lagged sums, indices cyclic in the FFT layout:
+    sin(theta - theta_k) eta has coefficients (e^{-i theta_k} eta_{l-1} -
+    e^{i theta_k} eta_{l+1}) / 2i, which on an even grid is exact for the
+    product of the collocation values, so
+
+        2pi ||sin(theta - theta_k) eta||^2 = pi [sum_l p_l - Re(e^{-2i theta_k} sum_l eta_{l-1} conj eta_{l+1})],
+        2pi Re<i sin(theta - theta_k) eta, d_theta eta>
+            = pi Im(e^{-i theta_k} sum_l (l'_l + l'_{l-1}) eta_{l-1} conj eta_l),
+
+    and 2pi ||d_theta eta||^2 = 2pi sum_l l'^2 p_l, with l' = l off the Nyquist mode.
+    """
+    n = eta.shape[-1]
+    # conj eta_{m+1} and conj eta_{m+2} for m = 0 .. n-1: each row with its first two appended
+    ahead = np.concatenate((eta, eta[:, :2]), axis=-1)
+    np.conjugate(ahead, out=ahead)
+    lag1 = (rows.lag_weight * eta * ahead[:, 1:n + 1]).sum(axis=-1)
+    lag2 = (eta * ahead[:, 2:]).sum(axis=-1)
+    total = p.sum(axis=-1)
+    d2 = TWO_PI * (rows.dl2 * p).sum(axis=-1)
+    s2 = np.pi * (total - np.real(rows.turn2 * lag2))
+    cross = np.pi * np.imag(rows.turn * lag1)
+    zeta2 = zeta * zeta
+    alpha = w.alpha * zeta * rows.scale
+    beta = -w.beta * zeta2
+    gamma = w.gamma * (zeta2 * zeta) / rows.scale
+    return HypoTerms(l2=TWO_PI * total, alpha_term=alpha * d2, beta_term=beta * cross, gamma_term=gamma * s2)
+
+
+def _single_terms(s: ModeState, w: HypoWeights) -> HypoTerms:
+    """``_hypo_rows`` of s alone: a batch of one."""
+    eta = s.eta.coeffs[None]
+    rows = _ModeRows.of([s])
+    return _hypo_rows(eta, np.abs(eta) ** 2, rows, rows.zeta(s.t), w)
 
 
 def hypo_functional(s: ModeState, w: HypoWeights = HypoWeights()) -> HypoTerms:
     """Evaluate the four terms of the weighted energy at the current state."""
-    terms = _hypo_rows(s.eta.coeffs[None], [s], s.t, w)
+    terms = _single_terms(s, w)
     return HypoTerms(*(float(getattr(terms, f.name)[0]) for f in fields(HypoTerms)))
 
 
 def _sandwich_rows(
-    terms: HypoTerms, states: Sequence[ModeState], t: float
+    terms: HypoTerms, states: Sequence[ModeState], idx: Sequence[int], t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row ``comparison_sandwich`` of the ``_hypo_rows`` terms of states at time t."""
+    """Per-row ``comparison_sandwich`` of the ``_hypo_rows`` terms at time t of the rows states[idx]."""
     diagonal = terms.alpha_term + terms.gamma_term
     lower = terms.l2 + 0.5 * diagonal
     upper = terms.l2 + 1.5 * diagonal
@@ -213,8 +280,9 @@ def _sandwich_rows(
     bad = (value < lower - tol) | (value > upper + tol)
     if np.count_nonzero(bad):
         j = int(np.argmax(bad))
+        x = states[idx[j]]
         raise SandwichViolation(
-            f"comparison bounds violated at t={t} for k={states[j].k}, nu={states[j].nu:g}: "
+            f"comparison bounds violated at t={t} for k={x.k}, nu={x.nu:g}: "
             f"{lower[j]} <= {value[j]} <= {upper[j]} fails"
         )
     return lower, value, upper
@@ -226,8 +294,7 @@ def comparison_sandwich(s: ModeState, w: HypoWeights = HypoWeights()) -> tuple[f
     Raises SandwichViolation if the bounds fail beyond round-off; that
     signals a convention bug, not a numerical accident.
     """
-    terms = _hypo_rows(s.eta.coeffs[None], [s], s.t, w)
-    return tuple(float(x[0]) for x in _sandwich_rows(terms, [s], s.t))
+    return tuple(float(x[0]) for x in _sandwich_rows(_single_terms(s, w), [s], [0], s.t))
 
 
 @dataclass(frozen=True)
@@ -297,14 +364,17 @@ def evolve_mode(
     naming the row's k and nu.
     """
     states = _mode_batch(s, "evolve_mode")
+    consts = _ModeRows.of(states)
     rows = [[] for _ in states]
 
     def sample(idx, eta, t):
-        picked = [states[j] for j in idx]
-        terms = _hypo_rows(eta, picked, t, weights)
-        lo, val, up = _sandwich_rows(terms, picked, t)
-        for j, x, *cols in zip(idx, picked, np.sqrt(terms.l2), _hm1_rows(eta, picked), val, lo, up):
-            rows[j].append((t, *cols, _ramp(x, t)))
+        picked = consts[idx]
+        p = np.abs(eta) ** 2
+        zeta = picked.zeta(t)
+        terms = _hypo_rows(eta, p, picked, zeta, weights)
+        lo, val, up = _sandwich_rows(terms, states, idx, t)
+        for j, *cols in zip(idx.tolist(), np.sqrt(terms.l2), _hm1_rows(p, picked), val, lo, up, zeta):
+            rows[j].append((t, *cols))
 
     c = _evolve_modes(states, dt, n_steps, sample_every, sample)
     out = []
@@ -330,6 +400,14 @@ class RateFit:
     series: ModeSeries
 
 
+def _steps_to(horizon: float, dt: float) -> int:
+    """ceil(horizon / dt), the steps of a run to horizon; ValueError if that is no finite count."""
+    n = float(horizon) / dt
+    if not math.isfinite(n):
+        raise ValueError(f"a run to {horizon:g} at dt = {dt:g} takes no finite number of steps")
+    return math.ceil(n)
+
+
 def ed_schedule(s: ModeState, horizon_factor: float) -> tuple[float, float, int, int]:
     """(t_ed, dt, n_steps, sample_every) of ``measure_ed_rate`` for s's mode.
 
@@ -342,7 +420,7 @@ def ed_schedule(s: ModeState, horizon_factor: float) -> tuple[float, float, int,
         raise ValueError(f"horizon_factor must be > 0, got {horizon_factor}")
     t_ed = 1.0 / np.sqrt(s.nu * s.k_norm)
     dt = min(0.05, t_ed / 50.0)
-    n_steps = int(np.ceil(horizon_factor * t_ed / dt))
+    n_steps = _steps_to(horizon_factor * t_ed, dt)
     every = max(1, n_steps // 2000)
     n_fit = np.count_nonzero(sample_times(s.t, dt, n_steps, every) >= s.t + t_ed)
     if n_fit < MIN_SAMPLES:
@@ -403,7 +481,7 @@ def mixing_window(nu: float, horizon: float, dt: float) -> tuple[float, float]:
     if horizon > 2.0 / np.sqrt(nu):
         raise ValueError("horizon beyond 2 nu^{-1/2} leaves the mixing window")
     window = (1.0, min(horizon, 1.0 / np.sqrt(nu)))
-    t = sample_times(0.0, dt, int(np.ceil(horizon / dt)), 1)
+    t = sample_times(0.0, dt, _steps_to(horizon, dt), 1)
     n = np.count_nonzero((t >= window[0]) & (t <= window[1]))
     if n < MIN_SAMPLES:
         raise ValueError(
@@ -426,9 +504,14 @@ def mixing_curve(
     """
     states = _mode_batch(s, "mixing_curve")
     windows = [mixing_window(x.nu, horizon, dt) for x in states]
-    n_steps = int(np.ceil(horizon / dt))
+    n_steps = _steps_to(horizon, dt)
+    consts = _ModeRows.of(states)
     norms = []
-    _evolve_modes(states, dt, n_steps, 1, lambda idx, eta, t: norms.append(_hm1_rows(eta, states)))
+
+    def sample(idx, eta, t):
+        norms.append(_hm1_rows(np.abs(eta) ** 2, consts[idx]))
+
+    _evolve_modes(states, dt, n_steps, 1, sample)
     t = step_times(states[0].t, dt, n_steps)
     curves = []
     for window, norm_hm1 in zip(windows, np.array(norms).T):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -392,6 +393,18 @@ class TestProjectionForm:
             e = make_ensemble(rng, 100, bump_influence, kappa=0.9, seed=5)
             worst = max(worst, projection_drift_check(e))
         assert worst < 1e-12
+
+    def test_pair_blocks_bound_the_memory(self, bump_influence):
+        # the O(N^2) pair sums run in blocks of a fixed number of pairs: 512-row
+        # blocks held about 100 MiB of temporaries at N = 2048
+        e = make_ensemble(np.random.default_rng(9), 2048, bump_influence, kappa=0.9, seed=5)
+        tracemalloc.start()
+        try:
+            assert projection_drift_check(e) < 1e-12
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_antipodal_pair_glides_past(self, uniform_influence):
         # Psi(pi) = sin(pi) psi(pi) = 0: opposite headings exert no influence

@@ -253,6 +253,9 @@ _EDGE_VALUES = [
     (["kinetic", "--grid", "8,8,32", "--dt", "1e-300"], 2, "more than 1e+09 steps"),
     (["kinetic", "--grid", "8,8,32", "--t-end", "1e300"], 2, "more than 1e+09 steps"),
     (["agents", "--dt", "1e-300", "--t-end", "1e300"], 2, "more than 1e+09 steps"),
+    (["mixing", "--dt", "1e-10"], 2, "more than 1e+09 steps"),
+    (["linear-ed", "--nu-list", "1e-20"], 2, "more than 1e+09 steps"),
+    (["mixing", "--dt", "1e-320"], 2, "no finite number of steps"),
     (["kinetic", "--grid", "8,8,16", "--eps-rel", "1.5"], 2, "eps_rel 1.5 gives an initial density with min f"),
     (["kinetic", "--grid", "8,8,16", "--eps-rel", "-3"], 2, "eps_rel -3.0 gives an initial density with min f"),
     (["homogeneous", "--n-theta", "4"], 3, "Fisher information requires a positive density"),

@@ -9,6 +9,7 @@ from kvicsek.errors import NumericsError, SandwichViolation
 from kvicsek.linear import (
     HypoWeights,
     ModeState,
+    _ModeRows,
     _hypo_rows,
     _ramp,
     comparison_sandwich,
@@ -184,9 +185,10 @@ class TestHypoFunctional:
         assert terms.beta_term == pytest.approx(beta_term, rel=1e-6, abs=1e-18)
         assert terms.gamma_term == pytest.approx(gamma_term, rel=1e-10)
 
-    @pytest.mark.parametrize("n", [16, 512])
+    @pytest.mark.parametrize("n", [4, 6, 16, 512])
     def test_parseval_terms_match_the_values_space_form(self, n):
-        # random complex rows with Nyquist content; theta_k off the grid
+        # random complex rows with Nyquist content; theta_k off the grid; at n = 4 and 6
+        # the lagged pairs through the Nyquist mode are half and a third of the sums
         rng = np.random.default_rng(n)
         eta = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
         states = [
@@ -194,7 +196,8 @@ class TestHypoFunctional:
             for k, nu, row in zip(((1, 2), (3, -1), (-2, 5)), (1e-3, 4e-3, 2e-2), eta)
         ]
         w = HypoWeights(1e-4)
-        got = _hypo_rows(eta, states, 2.0, w)
+        rows = _ModeRows.of(states)
+        got = _hypo_rows(eta, np.abs(eta) ** 2, rows, rows.zeta(2.0), w)
         want = _values_space_terms(eta, states, 2.0, w)
         for name in ("l2", "alpha_term", "beta_term", "gamma_term"):
             g, v = getattr(got, name), getattr(want, name)
