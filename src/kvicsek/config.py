@@ -158,9 +158,18 @@ def _format_cell(x) -> str:
 
 
 def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> Path:
-    """Single header row, '.' decimal separator, floats formatted %.17g."""
+    """Single header row, '.' decimal separator, floats formatted %.17g.
+
+    A row of floats alone (``float``, ``np.float64``) goes through one joined
+    format string, the same bytes as formatting each cell.
+    """
     path = Path(path)
     lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(c) for c in row) for row in rows)
+    for row in rows:
+        row = tuple(row)
+        if all(isinstance(c, float) for c in row):
+            lines.append(",".join(["%.17g"] * len(row)) % row)
+        else:
+            lines.append(",".join(_format_cell(c) for c in row))
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -91,10 +91,14 @@ def angular_kernel(n_theta: int, psi_factor: Callable[[np.ndarray], np.ndarray] 
 
 
 def bump_phi(sigma: float = 1.0) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Periodic bump concentrated near the origin for width sigma."""
+    """Periodic bump concentrated near the origin for width sigma; ValueError if sigma^2 overflows."""
+    try:
+        width2 = sigma**2
+    except OverflowError:
+        raise ValueError(f"sigma {sigma!r} is too large: sigma^2 overflows") from None
 
     def phi(x1, x2):
-        return np.exp((np.cos(x1) + np.cos(x2) - 2.0) / sigma**2)
+        return np.exp((np.cos(x1) + np.cos(x2) - 2.0) / width2)
 
     return phi
 

@@ -22,18 +22,20 @@ layer's ``spectral.transport``: the kinetic step restricted to single
 x-Fourier modes, with one ``transport_factor`` table per stack.
 ``evolve_mode`` advances a stack of modes, one row per (k, nu) with its
 own step count and sampling cadence, through
-``spectral.evolve_rows`` (shared with the homogeneous layer), and
-evaluates the norms and the comparison sandwich row-wise on the
-coefficients: one p = |eta_l|^2 per sample gives the L2 and H^{-1}
-norms and ||d_theta eta||^2 as weighted sums of p, and the two
-sin(theta - theta_k) terms are two lagged sums, sum_l eta_{l-1} conj
-eta_{l+1} and an l-weighted sum_l eta_{l-1} conj eta_l.  The per-row
-constants (the ramp's rate, (nu/|k|)^{1/2}, e^{-i theta_k}, the H^{-1}
-weights) are built once per stack; ``step_mode``, a single-state
-``evolve_mode`` and the single-state diagnostics are batches of one.
-``measure_ed_rate`` runs ``evolve_mode`` batches, one per time step of
-its states' ``ed_schedule``; ``mixing_curve`` runs one stack on
-the same row loop and samples only the H^{-1} norm, every step.
+``spectral.evolve_rows`` (shared with the homogeneous layer).  A sample
+records per row, on the coefficients, only the sums that depend on eta
+(``_Sums``): of one p = |eta_l|^2, the sums that give the L2 and H^{-1}
+norms and ||d_theta eta||^2, and the two lagged sums sum_l eta_{l-1}
+conj eta_{l+1} and an l-weighted sum_l eta_{l-1} conj eta_l that give
+the sin(theta - theta_k) terms.  Once the run ends, each row's norms,
+weighted energy and comparison sandwich come from its sums in one pass
+over its samples.  The per-row constants (the ramp's rate,
+(nu/|k|)^{1/2}, e^{-i theta_k}, the H^{-1} weights) are built once per
+stack; ``step_mode``, a single-state ``evolve_mode`` and the
+single-state diagnostics are batches of one.  ``measure_ed_rate`` runs
+``evolve_mode`` batches, one per time step of its states' ``ed_schedule``;
+``mixing_curve`` runs one stack on the same row loop and records only
+the H^{-1} sum, every step.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,7 +162,7 @@ class _ModeRows:
     """Constants of a stack of modes, per row and of the shared grid, built once per stack.
 
     Each row's are built as for a single state, so a row's samples do not
-    depend on the stack it runs in; ``rows[idx]`` keeps the rows a sample reads.
+    depend on the stack it runs in; ``rows[j]`` keeps row j's.
     """
 
     rate: np.ndarray  # (nu |k|)^{1/2}: the ramp zeta = min(1, rate t)
@@ -193,24 +195,53 @@ class _ModeRows:
             self.dl2, self.lag_weight,
         )
 
-    def zeta(self, t: float) -> np.ndarray:
-        """The rows' ramps at time t, as ``_ramp``."""
+    def zeta(self, t) -> np.ndarray:
+        """The ramps at time t, as ``_ramp``: of each row at one t, or of one row at each t."""
         return np.minimum(1.0, self.rate * t)
 
 
-def _hm1_rows(p: np.ndarray, rows: _ModeRows) -> np.ndarray:
-    """Per-row ``mode_hm1_norm`` of a stack of modes with p = |eta|^2."""
-    return np.sqrt(TWO_PI * (rows.hm1_weight * p).sum(axis=-1))
+class _Sums(NamedTuple):
+    """What a sample records of eta: five sums over l, per row of a stack or per sample of one row.
+
+    p = |eta_l|^2, l' = l off the Nyquist mode, and indices are cyclic in the FFT layout.
+    """
+
+    total: np.ndarray  # sum_l p_l
+    d2: np.ndarray  # sum_l l'^2 p_l
+    hm1: np.ndarray  # sum_l p_l / (|k|^2 + l^2)
+    lag1: np.ndarray  # sum_m (l'_m + l'_{m+1}) eta_m conj eta_{m+1}
+    lag2: np.ndarray  # sum_m eta_m conj eta_{m+2}
+
+
+def _stack_sums(eta: np.ndarray, rows: _ModeRows, idx=slice(None)) -> _Sums:
+    """The ``_Sums`` of a stack eta[j] of the rows ``idx`` of ``rows``."""
+    n = eta.shape[-1]
+    p = np.abs(eta) ** 2
+    # conj eta_{m+1} and conj eta_{m+2} for m = 0 .. n-1: each row with its first two appended
+    ahead = np.concatenate((eta, eta[:, :2]), axis=-1)
+    np.conjugate(ahead, out=ahead)
+    return _Sums(
+        total=p.sum(axis=-1),
+        d2=(rows.dl2 * p).sum(axis=-1),
+        hm1=(rows.hm1_weight[idx] * p).sum(axis=-1),
+        lag1=(rows.lag_weight * eta * ahead[:, 1:n + 1]).sum(axis=-1),
+        lag2=(eta * ahead[:, 2:]).sum(axis=-1),
+    )
+
+
+def _hm1_norm(hm1: np.ndarray) -> np.ndarray:
+    """``mode_hm1_norm`` from the ``_Sums.hm1`` sums."""
+    return np.sqrt(TWO_PI * hm1)
 
 
 def mode_hm1_norm(s: ModeState) -> float:
     """Single-mode homogeneous H^{-1}: coefficients weighted by (|k|^2+l^2)^{-1/2}."""
-    return float(_hm1_rows(np.abs(s.eta.coeffs[None]) ** 2, _ModeRows.of([s]))[0])
+    return float(_hm1_norm(_stack_sums(s.eta.coeffs[None], _ModeRows.of([s])).hm1)[0])
 
 
 @dataclass(frozen=True)
 class HypoTerms:
-    """The four terms of the weighted energy: floats, or arrays over the rows of a stack."""
+    """The four terms of the weighted energy: floats, or arrays over rows or samples."""
 
     l2: float
     alpha_term: float
@@ -222,12 +253,9 @@ class HypoTerms:
         return self.l2 + self.alpha_term + self.beta_term + self.gamma_term
 
 
-def _hypo_rows(
-    eta: np.ndarray, p: np.ndarray, rows: _ModeRows, zeta: np.ndarray, w: HypoWeights
-) -> HypoTerms:
-    """The four terms for a stack of modes eta[j], p = |eta|^2, with rows' constants and ramps zeta.
+def _hypo_terms(sums: _Sums, rows: _ModeRows, zeta: np.ndarray, w: HypoWeights) -> HypoTerms:
+    """The four terms from the ``_Sums`` of eta, with the rows' constants and ramps zeta.
 
-    Parseval sums over p and two lagged sums, indices cyclic in the FFT layout:
     sin(theta - theta_k) eta has coefficients (e^{-i theta_k} eta_{l-1} -
     e^{i theta_k} eta_{l+1}) / 2i, which on an even grid is exact for the
     product of the collocation values, so
@@ -236,30 +264,22 @@ def _hypo_rows(
         2pi Re<i sin(theta - theta_k) eta, d_theta eta>
             = pi Im(e^{-i theta_k} sum_l (l'_l + l'_{l-1}) eta_{l-1} conj eta_l),
 
-    and 2pi ||d_theta eta||^2 = 2pi sum_l l'^2 p_l, with l' = l off the Nyquist mode.
+    and 2pi ||d_theta eta||^2 = 2pi sum_l l'^2 p_l.
     """
-    n = eta.shape[-1]
-    # conj eta_{m+1} and conj eta_{m+2} for m = 0 .. n-1: each row with its first two appended
-    ahead = np.concatenate((eta, eta[:, :2]), axis=-1)
-    np.conjugate(ahead, out=ahead)
-    lag1 = (rows.lag_weight * eta * ahead[:, 1:n + 1]).sum(axis=-1)
-    lag2 = (eta * ahead[:, 2:]).sum(axis=-1)
-    total = p.sum(axis=-1)
-    d2 = TWO_PI * (rows.dl2 * p).sum(axis=-1)
-    s2 = np.pi * (total - np.real(rows.turn2 * lag2))
-    cross = np.pi * np.imag(rows.turn * lag1)
+    d2 = TWO_PI * sums.d2
+    s2 = np.pi * (sums.total - np.real(rows.turn2 * sums.lag2))
+    cross = np.pi * np.imag(rows.turn * sums.lag1)
     zeta2 = zeta * zeta
     alpha = w.alpha * zeta * rows.scale
     beta = -w.beta * zeta2
     gamma = w.gamma * (zeta2 * zeta) / rows.scale
-    return HypoTerms(l2=TWO_PI * total, alpha_term=alpha * d2, beta_term=beta * cross, gamma_term=gamma * s2)
+    return HypoTerms(l2=TWO_PI * sums.total, alpha_term=alpha * d2, beta_term=beta * cross, gamma_term=gamma * s2)
 
 
 def _single_terms(s: ModeState, w: HypoWeights) -> HypoTerms:
-    """``_hypo_rows`` of s alone: a batch of one."""
-    eta = s.eta.coeffs[None]
+    """``_hypo_terms`` of s alone: a batch of one."""
     rows = _ModeRows.of([s])
-    return _hypo_rows(eta, np.abs(eta) ** 2, rows, rows.zeta(s.t), w)
+    return _hypo_terms(_stack_sums(s.eta.coeffs[None], rows), rows, rows.zeta(s.t), w)
 
 
 def hypo_functional(s: ModeState, w: HypoWeights = HypoWeights()) -> HypoTerms:
@@ -268,24 +288,20 @@ def hypo_functional(s: ModeState, w: HypoWeights = HypoWeights()) -> HypoTerms:
     return HypoTerms(*(float(getattr(terms, f.name)[0]) for f in fields(HypoTerms)))
 
 
-def _sandwich_rows(
-    terms: HypoTerms, states: Sequence[ModeState], idx: Sequence[int], t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row ``comparison_sandwich`` of the ``_hypo_rows`` terms at time t of the rows states[idx]."""
+def _sandwich(terms: HypoTerms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, F, upper) of ``comparison_sandwich`` from the terms, and where F leaves them beyond round-off."""
     diagonal = terms.alpha_term + terms.gamma_term
     lower = terms.l2 + 0.5 * diagonal
     upper = terms.l2 + 1.5 * diagonal
     value = terms.total
     tol = 1e-12 * (1.0 + np.abs(value))
-    bad = (value < lower - tol) | (value > upper + tol)
-    if np.count_nonzero(bad):
-        j = int(np.argmax(bad))
-        x = states[idx[j]]
-        raise SandwichViolation(
-            f"comparison bounds violated at t={t} for k={x.k}, nu={x.nu:g}: "
-            f"{lower[j]} <= {value[j]} <= {upper[j]} fails"
-        )
-    return lower, value, upper
+    return lower, value, upper, (value < lower - tol) | (value > upper + tol)
+
+
+def _violation(s: ModeState, t: float, lower: float, value: float, upper: float) -> SandwichViolation:
+    return SandwichViolation(
+        f"comparison bounds violated at t={t} for k={s.k}, nu={s.nu:g}: {lower} <= {value} <= {upper} fails"
+    )
 
 
 def comparison_sandwich(s: ModeState, w: HypoWeights = HypoWeights()) -> tuple[float, float, float]:
@@ -294,7 +310,10 @@ def comparison_sandwich(s: ModeState, w: HypoWeights = HypoWeights()) -> tuple[f
     Raises SandwichViolation if the bounds fail beyond round-off; that
     signals a convention bug, not a numerical accident.
     """
-    return tuple(float(x[0]) for x in _sandwich_rows(_single_terms(s, w), [s], [0], s.t))
+    lower, value, upper, bad = _sandwich(_single_terms(s, w))
+    if bad[0]:
+        raise _violation(s, s.t, lower[0], value[0], upper[0])
+    return float(lower[0]), float(value[0]), float(upper[0])
 
 
 @dataclass(frozen=True)
@@ -327,22 +346,37 @@ def _mode_batch(s: ModeState | Sequence[ModeState], name: str) -> list[ModeState
     return states
 
 
-def _evolve_modes(states: Sequence[ModeState], dt: float, n_steps, every, sample) -> np.ndarray:
-    """``spectral.evolve_rows`` over the states' eta, stepped by ``_mode_step``.
+def _evolve_modes(
+    states: Sequence[ModeState], dt: float, n_steps, every,
+    sums: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]],
+) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """``spectral.evolve_rows`` over the states' eta, stepped by ``_mode_step``: (final c, samples).
 
-    Before each ``sample(idx, eta, t)``, NumericsError names the k and nu of the first row not finite.
+    At each sample, ``sums(idx, eta)`` gives per-row sums of the stack eta of rows idx.  The
+    first must be finite: else NumericsError names the t, k and nu of the first row where it
+    is not, at that sample.  Row j's samples are (t, *sums), arrays over its ``sample_times``.
     """
-    def checked(idx, eta, t):
-        finite = np.isfinite(eta).all(axis=-1)
+    log = []
+
+    def sample(idx, eta, t):
+        got = sums(idx, eta)
+        finite = np.isfinite(got[0])
         if not finite.all():
             bad = states[idx[np.argmin(finite)]]
-            raise NumericsError(f"NaN in per-mode evolution at t={t} for k={bad.k}, nu={bad.nu:g}")
-        sample(idx, eta, t)
+            raise NumericsError(f"NaN or overflow in per-mode evolution at t={t} for k={bad.k}, nu={bad.nu:g}")
+        log.append((idx, t, got))
 
-    return evolve_rows(
+    c = evolve_rows(
         np.stack([x.eta.coeffs for x in states]), states[0].t, dt, n_steps, every,
-        lambda idx: _mode_step([states[j] for j in idx], dt), checked,
+        lambda idx: _mode_step([states[j] for j in idx], dt), sample,
     )
+    # the log, sample by sample, as one array per column, then split by row in time order
+    rows = np.concatenate([idx for idx, _, _ in log])
+    cols = [np.repeat([t for _, t, _ in log], [len(idx) for idx, _, _ in log])]
+    cols += [np.concatenate(col) for col in zip(*(got for *_, got in log))]
+    order = np.argsort(rows, kind="stable")
+    ends = np.cumsum(np.bincount(rows, minlength=len(states)))[:-1]
+    return c, list(zip(*(np.split(col[order], ends) for col in cols)))
 
 
 def evolve_mode(
@@ -360,27 +394,32 @@ def evolve_mode(
     as one stack of rows, each row leaving the stack after its last step,
     and gives one (final state, series) pair per state, in order.  Each
     row is sampled at the start, every sample_every steps and at its last
-    step.  Raises NumericsError (NaN) or SandwichViolation at a sample,
-    naming the row's k and nu.
+    step.  A sample records only the row's ``_Sums`` of eta; once the run
+    ends, each row's norms, weighted energy and bounds come from them in
+    one pass over its samples.  Raises NumericsError at a sample whose
+    sum of |eta_l|^2 is not finite (a NaN, or a finite |eta| above about
+    1e154 whose square overflows), naming the row's k and nu and the t;
+    after the run, SandwichViolation names the first violating sample,
+    the earliest t and then the first row.
     """
     states = _mode_batch(s, "evolve_mode")
     consts = _ModeRows.of(states)
-    rows = [[] for _ in states]
-
-    def sample(idx, eta, t):
-        picked = consts[idx]
-        p = np.abs(eta) ** 2
-        zeta = picked.zeta(t)
-        terms = _hypo_rows(eta, p, picked, zeta, weights)
-        lo, val, up = _sandwich_rows(terms, states, idx, t)
-        for j, *cols in zip(idx.tolist(), np.sqrt(terms.l2), _hm1_rows(p, picked), val, lo, up, zeta):
-            rows[j].append((t, *cols))
-
-    c = _evolve_modes(states, dt, n_steps, sample_every, sample)
-    out = []
-    for x, eta, samples in zip(states, c, rows):
-        final = replace(x, eta=AngularProfile(eta), t=float(samples[-1][0]))
-        out.append((final, ModeSeries(x.k, x.nu, *(np.asarray(col) for col in zip(*samples)))))
+    c, samples = _evolve_modes(
+        states, dt, n_steps, sample_every, lambda idx, eta: _stack_sums(eta, consts, idx)
+    )
+    out, violations = [], []
+    for j, (x, eta, (t, *cols)) in enumerate(zip(states, c, samples)):
+        row, sums = consts[j], _Sums(*cols)
+        zeta = row.zeta(t)
+        terms = _hypo_terms(sums, row, zeta, weights)
+        lower, value, upper, bad = _sandwich(terms)
+        if bad.any():
+            i = int(np.argmax(bad))
+            violations.append((t[i], j, _violation(x, t[i], lower[i], value[i], upper[i])))
+        series = ModeSeries(x.k, x.nu, t, np.sqrt(terms.l2), _hm1_norm(sums.hm1), value, lower, upper, zeta)
+        out.append((replace(x, eta=AngularProfile(eta), t=float(t[-1])), series))
+    if violations:
+        raise min(violations, key=lambda v: v[:2])[2]
     return out[0] if isinstance(s, ModeState) else out
 
 
@@ -496,25 +535,23 @@ def mixing_curve(
 ) -> MixingCurve | list[MixingCurve]:
     """Sample the per-mode H^{-1} norm every step and fit its algebraic decay exponent.
 
-    The states run to ``horizon`` as one stack, stepped as by ``evolve_mode``
-    but sampling only the H^{-1} norm; NumericsError names the k and nu of a
-    row that is not finite.  The fit is log-log on the ``mixing_window``
+    The states run to ``horizon`` as one stack, stepped as by ``evolve_mode``;
+    a sample records only each row's ``_Sums.hm1``, and the norms come from
+    them once the run ends.  NumericsError names the t, k and nu of a row
+    whose sum is not finite.  The fit is log-log on the ``mixing_window``
     [1, nu^{-1/2}], where phase mixing produces the t^{-1/2} law before the
     enhanced-dissipation time takes over.
     """
     states = _mode_batch(s, "mixing_curve")
     windows = [mixing_window(x.nu, horizon, dt) for x in states]
-    n_steps = _steps_to(horizon, dt)
     consts = _ModeRows.of(states)
-    norms = []
-
-    def sample(idx, eta, t):
-        norms.append(_hm1_rows(np.abs(eta) ** 2, consts[idx]))
-
-    _evolve_modes(states, dt, n_steps, 1, sample)
-    t = step_times(states[0].t, dt, n_steps)
+    _, samples = _evolve_modes(
+        states, dt, _steps_to(horizon, dt), 1,
+        lambda idx, eta: ((consts.hm1_weight[idx] * np.abs(eta) ** 2).sum(axis=-1),),
+    )
     curves = []
-    for window, norm_hm1 in zip(windows, np.array(norms).T):
+    for window, (t, hm1) in zip(windows, samples):
+        norm_hm1 = _hm1_norm(hm1)
         slope, stderr = fit_rate(t, norm_hm1, window=window, loglog=True)
         curves.append(MixingCurve(t=t, norm_hm1=norm_hm1, slope=slope, stderr=stderr))
     return curves[0] if isinstance(s, ModeState) else curves

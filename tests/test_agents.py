@@ -298,8 +298,10 @@ class TestFourierDrift:
 
 # The bench `agents` inputs; prints the CPU ticks of every thread but the main
 # one (utime + stime, fields 14-15 of /proc/self/task/<tid>/stat) over 20 calls.
+# OpenBLAS's pool threads spin for a while after they start before they sleep,
+# so the baseline is read once their ticks stop rising (within about 2 s).
 _THREAD_PROBE = """
-import os
+import os, time
 from kvicsek import agents, influence, presets, spectral
 
 def other_thread_ticks():
@@ -316,6 +318,12 @@ e = agents.ensemble_from_profile(1024, presets.perturbed_profile(64, 0.2, 0), ke
 kde_grid = spectral.TorusGrid(16, 16, 32)
 agents.angular_drift(e), agents.empirical_density(e, kde_grid)
 before = other_thread_ticks()
+deadline = time.monotonic() + 2.0
+while time.monotonic() < deadline:
+    time.sleep(0.1)
+    settled, before = before, other_thread_ticks()
+    if before == settled:
+        break
 for _ in range(20):
     agents.angular_drift(e), agents.empirical_density(e, kde_grid)
 print(other_thread_ticks() - before)

@@ -1,6 +1,7 @@
 """Config parsing, rate fitting, presets, CLI exit codes, determinism."""
 
 import ast
+import contextlib
 import hashlib
 import importlib
 import importlib.util
@@ -9,7 +10,9 @@ import json
 import math
 import os
 import re
+import resource
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +22,7 @@ import pytest
 
 import kvicsek
 from kvicsek.cli import _collect_options, build_parser, main
-from kvicsek.config import parse_config, resolve_options, write_csv, write_manifest
+from kvicsek.config import _format_cell, parse_config, resolve_options, write_csv, write_manifest
 from kvicsek.errors import ConfigError, NumericsError
 from kvicsek.fitting import fit_rate
 from kvicsek.linear import ModeState, measure_ed_rate, mixing_curve
@@ -97,6 +100,26 @@ class TestConfig:
         assert lines[0] == "a,b"
         assert lines[1].startswith("0.3333333333333333")
         assert lines[2] == "0.10000000000000001,1"
+
+    def test_csv_float_rows_match_per_cell_formatting(self, tmp_path):
+        # rows of floats alone take one joined format string; the bytes are those of _format_cell
+        x = 1.0 / 3.0
+        rows = [
+            (x, np.float64(x), -0.0, np.float64(-0.0)),
+            (float("nan"), np.nan, np.inf, -np.inf),
+            (1e300, np.float64(5e-324), -2.5, np.float64(1e-7)),
+            (x, 2, np.float64(x), True),
+            (np.bool_(True), np.bool_(False), False, -0.0),
+            (np.int64(-3), np.nan, 10**20, -np.inf),
+        ]
+        header = ["a", "b", "c", "d"]
+        p = write_csv(tmp_path / "t.csv", header, iter(rows))
+        want = "\n".join([",".join(header)] + [",".join(_format_cell(c) for c in row) for row in rows]) + "\n"
+        assert p.read_bytes() == want.encode()
+        assert p.read_text().splitlines()[1:3] == [
+            "0.33333333333333331,0.33333333333333331,-0,-0",
+            "nan,nan,inf,-inf",
+        ]
 
     def test_manifest_written_with_fields(self, tmp_path):
         path = write_manifest(tmp_path, "kinetic", 3, {"nu": 0.1})
@@ -265,6 +288,71 @@ _EDGE_VALUES = [
 ]
 
 
+
+# Every option of every preset at edge values, each probe at these reduced sizes.
+_PROBE_SIZES = {
+    "linear-ed": {"n_theta": "16", "nu_list": "1e-2", "horizon_factor": "2"},
+    "mixing": {"n_theta": "16", "nu": "1e-2"},
+    "kinetic": {"grid": "4,4,8", "t_end": "0.1"},
+    "homogeneous": {"n_theta": "16", "t_end": "0.1"},
+    "phase-diagram": {"n_theta": "16", "ratio_steps": "3", "t_end": "0.1"},
+    "agents": {"n": "16", "n_theta": "16", "n_x": "4", "t_end": "0.1"},
+    "compare": {"n": "16", "n_theta": "16", "t_end": "0.1", "band": "1"},
+}
+# options that size an array: their edge is the smallest size, never a huge one
+_SIZE_OPTIONS = {"grid", "n_theta", "n", "n_x", "ratio_steps", "checkpoints"}
+
+
+def _edge_values(option: str, default: object) -> list[str]:
+    """Tiny and huge positive numbers, zero, the smallest grids and a sign flip (which the
+    range rule rejects where the option allows none), as text of the option's type."""
+    if isinstance(default, tuple):
+        return ["1,1,1", "1,1,2", "2,2,2", "2,2,-8"]
+    if isinstance(default, int):
+        return ["0", "1", "2", "3", "-1"] + ([] if option in _SIZE_OPTIONS else ["1000000000"])
+    if isinstance(default, str):
+        return ["1e-300", "1e300", "0", "-" + default]
+    return ["1e-300", "1e300", "0", "-1"]
+
+
+def _preset_probes() -> list[list[str]]:
+    probes = []
+    for name, preset in sorted(PRESETS.items()):
+        for option, default in preset.options.items():
+            for value in _edge_values(option, default):
+                opts = {**_PROBE_SIZES[name], option: value}
+                probes.append([name, *(f"--{k.replace('_', '-')}={v}" for k, v in opts.items())])
+    return probes
+
+
+class _ProbeTimeout(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _bounded(seconds: float, extra_bytes: int):
+    """Raise _ProbeTimeout after ``seconds``, and cap the address space ``extra_bytes`` above its size now."""
+
+    def expire(signum, frame):
+        raise _ProbeTimeout(f"ran past {seconds} s")
+
+    statm = Path("/proc/self/statm")
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    if statm.exists():
+        cap = int(statm.read_text().split()[0]) * resource.getpagesize() + extra_bytes
+        if limits[1] != resource.RLIM_INFINITY:
+            cap = min(cap, limits[1])
+        resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+
+
 class TestCli:
     def test_unknown_preset_exit_2(self, capsys):
         assert main(["definitely-not-a-preset"]) == 2
@@ -368,6 +456,25 @@ class TestCli:
         if argv[0] == "phase-diagram":
             # for Psi = sin only l = 1 decides: stable iff ratio <= 2 (ratios 0.5, 3.25, 6)
             assert [row[-1] for row in _csv_rows(out / "phase_diagram.csv")] == [1.0, 0.0, 0.0]
+
+    def test_every_option_at_edge_values_exits_0_2_or_3(self, tmp_path, capsys):
+        # generated from PRESETS; each probe is bounded in time and memory
+        failures = []
+        for j, argv in enumerate(_preset_probes()):
+            out = tmp_path / str(j)
+            try:
+                with _bounded(5.0, 2**30):
+                    code = main([*argv, f"--out={out}"])
+            except Exception as exc:  # what the CLI would end with exit 1 and a traceback
+                code = f"1 ({type(exc).__name__}: {exc})"
+            std = capsys.readouterr()
+            if code not in (0, 2, 3):
+                failures.append(f"{argv}: exit {code}")
+            elif "Traceback" in std.err + std.out:
+                failures.append(f"{argv}: traceback printed")
+            elif code == 2 and out.exists():
+                failures.append(f"{argv}: exit 2 left {sorted(p.name for p in out.iterdir())}")
+        assert not failures, "\n".join(failures)
 
     def test_options_come_only_from_config_and_flags(self, tmp_path, capsys):
         # there is no --set: a config file and the flags are the two sources

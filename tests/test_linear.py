@@ -5,12 +5,14 @@ import pytest
 
 from types import SimpleNamespace
 
+from kvicsek.cli import main
 from kvicsek.errors import NumericsError, SandwichViolation
 from kvicsek.linear import (
     HypoWeights,
     ModeState,
     _ModeRows,
-    _hypo_rows,
+    _hypo_terms,
+    _stack_sums,
     _ramp,
     comparison_sandwich,
     cutoff_chi,
@@ -197,7 +199,7 @@ class TestHypoFunctional:
         ]
         w = HypoWeights(1e-4)
         rows = _ModeRows.of(states)
-        got = _hypo_rows(eta, np.abs(eta) ** 2, rows, rows.zeta(2.0), w)
+        got = _hypo_terms(_stack_sums(eta, rows), rows, rows.zeta(2.0), w)
         want = _values_space_terms(eta, states, 2.0, w)
         for name in ("l2", "alpha_term", "beta_term", "gamma_term"):
             g, v = getattr(got, name), getattr(want, name)
@@ -546,6 +548,57 @@ class TestBatchedEvolution:
         ]
         with pytest.raises(SandwichViolation, match=r"k=\(0, 3\), nu=0.02"):
             evolve_mode(states, 0.05, 5, weights=bad_weights)
+
+    def test_nan_at_a_later_sample_names_its_t(self):
+        # the speed turns NaN mid-run, so row 1 is first not finite at the sample after that step
+        eta0 = AngularProfile.from_function(np.cos, 32)
+        states = [
+            ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-2),
+            ModeState(k=(0, 2), eta=eta0, t=0.0, nu=3e-3, v=lambda t: np.nan if t > 0.2 else 1.0),
+        ]
+        with pytest.raises(NumericsError, match=r"at t=0\.4 for k=\(0, 2\), nu=0.003"):
+            evolve_mode(states, 0.1, 6, sample_every=2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_row_raises(self):
+        # |eta| = 1e160 is finite, but its |eta|^2 overflows: the norms would be inf
+        good = AngularProfile.from_function(np.cos, 32)
+        states = [
+            ModeState(k=(1, 0), eta=good, t=0.0, nu=1e-2),
+            ModeState(k=(0, 2), eta=AngularProfile(good.coeffs * 1e160), t=0.0, nu=3e-3),
+        ]
+        assert np.isfinite(states[1].eta.coeffs).all()
+        with pytest.raises(NumericsError, match=r"at t=0.0 for k=\(0, 2\), nu=0.003"):
+            evolve_mode(states, 0.05, 5)
+        with pytest.raises(NumericsError, match=r"at t=0.0 for k=\(0, 2\), nu=0.003"):
+            mixing_curve(states, horizon=10.0)
+
+    # alpha + gamma < 0 once the ramp has grown: of these rows only (0, 3) breaks the bounds
+    # within 40 steps of 0.05; sampled every 3 steps, first at t = 1.5 (its 29th step is the first to break)
+    DEFERRED_WEIGHTS = SimpleNamespace(alpha=1.0, beta=0.0, gamma=-1.0)
+    DEFERRED_ROWS = (((2, 1), 0.2, 0.0), ((0, 3), 2e-2, 1.0), ((1, 0), 1e-2, 1.0))  # k, nu, amplitude
+
+    def test_sandwich_is_checked_after_the_run_at_the_first_violating_sample(self):
+        eta0 = AngularProfile.from_function(np.cos, 32)
+        states = [ModeState(k=k, eta=AngularProfile(a * eta0.coeffs), t=0.0, nu=nu) for k, nu, a in self.DEFERRED_ROWS]
+        every = [1, 3, 1]
+        for s, e in zip(states, every):
+            if s.k != (0, 3):
+                _reference_evolution(s, 0.05, 40, self.DEFERRED_WEIGHTS, e)  # no violation
+        with pytest.raises(SandwichViolation) as ref:
+            _reference_evolution(states[1], 0.05, 40, self.DEFERRED_WEIGHTS, every[1])
+        assert "at t=1.5000000000000007 for k=(0, 3), nu=0.02" in str(ref.value)
+        with pytest.raises(SandwichViolation) as got:
+            evolve_mode(states, 0.05, 40, weights=self.DEFERRED_WEIGHTS, sample_every=every)
+        assert str(got.value) == str(ref.value)
+
+    def test_cli_run_with_a_violation_exits_3_without_csv(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("kvicsek.linear.HypoWeights", lambda beta: self.DEFERRED_WEIGHTS)
+        out = tmp_path / "run"
+        argv = ["linear-ed", "--k-list", "0,3", "--nu-list", "2e-2", "--n-theta", "32", "--horizon-factor", "2"]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert "comparison bounds violated" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
     def test_bad_dt_rejected(self, dt):
