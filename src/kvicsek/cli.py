@@ -4,16 +4,18 @@ The flags are the names in each preset's option table (``n_theta`` is
 ``--n-theta``); a config file gives values, and the flags override it.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical assertion
-failure, 4 I/O error.
+failure, 4 I/O error.  ``main`` is the one place that maps errors to
+them, and it adds how the run ended to the manifest the run wrote.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
-from .config import parse_config, parse_option
+from .config import finish_manifest, parse_config, parse_option
 from .errors import ConfigError, NumericsError
 from .presets import PRESETS, ExperimentConfig, run_preset
 
@@ -45,7 +47,20 @@ def _collect_options(args: argparse.Namespace) -> dict[str, str]:
     return options
 
 
+def _finish(out_dir: Path, start: float, code: int, error: Exception | None = None, label: str = "") -> int:
+    """Print the error under its label, finalise the run's manifest, and return the exit code (4 if that fails)."""
+    if label:
+        print(f"{label}: {error}", file=sys.stderr)
+    try:
+        finish_manifest(out_dir, code, error, time.perf_counter() - start)
+    except OSError as exc:
+        print(f"I/O error: cannot finalise the manifest under {out_dir}: {exc}", file=sys.stderr)
+        return code or 4
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
+    start = time.perf_counter()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -57,17 +72,17 @@ def main(argv: list[str] | None = None) -> int:
         cfg = ExperimentConfig(preset=args.preset, options=options, out_dir=args.out, seed=seed)
         paths = run_preset(cfg)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _finish(args.out, start, 2, exc, "config error")
     except NumericsError as exc:
-        print(f"numerical assertion failed: {exc}", file=sys.stderr)
-        return 3
+        return _finish(args.out, start, 3, exc, "numerical assertion failed")
     except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 4
+        return _finish(args.out, start, 4, exc, "I/O error")
+    except Exception as exc:  # a defect: the record says so, then the traceback exits 1
+        _finish(args.out, start, 1, exc)
+        raise
     for p in paths:
         print(p)
-    return 0
+    return _finish(args.out, start, 0)
 
 
 if __name__ == "__main__":

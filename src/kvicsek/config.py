@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 import time
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -131,7 +133,7 @@ def resolve_options(raw: Mapping[str, str], table: Mapping[str, object]) -> dict
 
 
 def write_manifest(out_dir: Path, preset: str, seed: int, resolved: Mapping[str, object]) -> Path:
-    """Write the manifest before any data product; returns its path."""
+    """Write the manifest, with status "running", before any data product; returns its path."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -142,11 +144,40 @@ def write_manifest(out_dir: Path, preset: str, seed: int, resolved: Mapping[str,
             "config": {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in resolved.items()},
             "code_version": CODE_VERSION,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "status": "running",
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write manifest under {out_dir}: {exc}") from exc
     return path
+
+
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def finish_manifest(out_dir: Path, exit_code: int, error: Exception | None, wall_s: float) -> None:
+    """Add how the run ended to the manifest under out_dir, if one is still "running".
+
+    The status ("complete" on exit code 0, else "failed"), the exit code,
+    the error's class and message, the wall time, and the Python and numpy
+    versions and the thread variables as found (None where unset).
+    """
+    path = Path(out_dir) / "manifest.json"
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):  # no manifest, or none of this package
+        return
+    if not isinstance(payload, dict) or payload.get("status") != "running":
+        return
+    payload.update(
+        status="failed" if exit_code else "complete",
+        exit_code=exit_code,
+        error=None if error is None else {"class": type(error).__name__, "message": str(error)},
+        wall_s=wall_s,
+        environment={"python": sys.version.split()[0], "numpy": np.__version__}
+        | {name: os.environ.get(name) for name in THREAD_VARIABLES},
+    )
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def _format_cell(x) -> str:

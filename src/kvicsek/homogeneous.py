@@ -24,7 +24,9 @@ of a half-step to the row and its conjugate to the modes -n_theta/3..-1.
 of rows with kappa per row (the ratios of a phase diagram), with the
 RHS and the guard evaluated row-wise; a single state, and
 ``step_homogeneous``, are batches of one.  The stack runs through
-``spectral.evolve_rows``, on the clock of the kinetic and per-mode layers.
+``spectral.evolve_rows``, on the clock of the kinetic and per-mode layers;
+it keeps the sample log of m = 2pi ghat_1 per row (and F, D under
+``record_energy``), and each row's final state is built once.
 """
 
 from __future__ import annotations
@@ -66,11 +68,6 @@ class HomogeneousState:
             raise ValueError(f"g must have unit mass, got {self.g.mass}")
         if not (math.isfinite(self.kappa) and math.isfinite(self.nu) and self.nu > 0):
             raise ValueError(f"kappa must be finite and nu finite and > 0, got {self.kappa}, {self.nu}")
-
-    @property
-    def order_parameter(self) -> complex:
-        """m = integral e^{-i theta} g dtheta."""
-        return complex(TWO_PI * self.g.coeffs[1])
 
 
 def constant_state(n_theta: int, kappa: float, nu: float) -> HomogeneousState:
@@ -148,6 +145,9 @@ def evolve_homogeneous(
     ``s`` is one state or a sequence of states that share n_theta, nu and
     t, with kappa per state; a sequence is stepped as one stack of rows
     by ``spectral.evolve_rows`` and gives one trajectory per state, in order.
+    The final state of a row, built at its last sample time, is the one
+    unit-mass check: the step keeps the mass 2pi Re ghat_0 bit for bit (the
+    flux at l = 0 is i 0 P_0, the diffusion factor there 1).
     Raises NumericsError naming the row on NaN at a sample.
     """
     states = [s] if isinstance(s, HomogeneousState) else list(s)
@@ -160,28 +160,29 @@ def evolve_homogeneous(
         raise ValueError(
             f"the kernel's n_theta = {kernel.n_theta} differs from the states' n_theta = {first.g.n}"
         )
-    records = [[] for _ in states]
-    final = list(states)
 
     def sample(rows, c, t):
         finite = np.isfinite(c).all(axis=-1)
         if not finite.all():
             raise NumericsError(f"NaN in homogeneous evolution near t={t} in row {rows[np.argmin(finite)]}")
-        for j, g in zip(rows, c):
-            x = final[j] = replace(states[j], g=AngularProfile(g), t=float(t))
-            energy = (free_energy(x, kernel), fisher_information(x, kernel)) if record_energy else ()
-            records[j].append((x.t, x.order_parameter, *energy))
+        if not record_energy:
+            return (TWO_PI * c[:, 1],)
+        xs = [replace(states[j], g=AngularProfile(g), t=float(t)) for j, g in zip(rows, c)]
+        energy = [(free_energy(x, kernel), fisher_information(x, kernel)) for x in xs]
+        return (TWO_PI * c[:, 1], *np.array(energy).T)
 
     def stepper(rows):
         align = _alignment(kernel, np.array([[states[j].kappa] for j in rows]))
         return lambda c, t: split_step(c, t, dt, first.nu, align=align)
 
-    evolve_rows(np.stack([x.g.coeffs for x in states]), first.t, dt, n_steps, sample_every, stepper, sample)
+    c, series = evolve_rows(
+        np.stack([x.g.coeffs for x in states]), first.t, dt, n_steps, sample_every, stepper, sample
+    )
     out = []
-    for x, rec in zip(final, records):
-        t, m, *energy = (np.asarray(col) for col in zip(*rec))
+    for x, g, (t, m, *energy) in zip(states, c, series):
         fe, fi = energy or (None, None)
-        out.append(HomogeneousTrajectory(t=t, order_parameter=m, free_energy=fe, fisher=fi, final=x))
+        final = replace(x, g=AngularProfile(g), t=float(t[-1]))
+        out.append(HomogeneousTrajectory(t=t, order_parameter=m, free_energy=fe, fisher=fi, final=final))
     return out[0] if isinstance(s, HomogeneousState) else out
 
 

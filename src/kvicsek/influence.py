@@ -91,11 +91,13 @@ def angular_kernel(n_theta: int, psi_factor: Callable[[np.ndarray], np.ndarray] 
 
 
 def bump_phi(sigma: float = 1.0) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Periodic bump concentrated near the origin for width sigma; ValueError if sigma^2 overflows."""
+    """Periodic bump concentrated near the origin for width sigma; ValueError if sigma^2 overflows or underflows to 0."""
     try:
         width2 = sigma**2
     except OverflowError:
         raise ValueError(f"sigma {sigma!r} is too large: sigma^2 overflows") from None
+    if width2 == 0.0:
+        raise ValueError(f"sigma {sigma!r} is too small: sigma^2 underflows to 0")
 
     def phi(x1, x2):
         return np.exp((np.cos(x1) + np.cos(x2) - 2.0) / width2)
@@ -228,7 +230,7 @@ def make_influence(
     Parameters
     ----------
     phi : "bump", "uniform" or a periodic callable phi(x1, x2)
-    sigma : width of the default bump
+    sigma : width of the default bump, checked by ``bump_phi`` whatever ``phi`` is
     psi_factor : "one" (Psi = sin), "cos_squared" ((1+cos)^2), or callable
     normalize : rescale Phi so its discrete integral, which must be > 0 past
         round-off (1e-12 of the integral of |Phi|), is exactly 1
@@ -239,8 +241,9 @@ def make_influence(
     mode for "one", three for "cos_squared", and up to n_theta/3 for a
     callable Psi with wide support.
     """
+    bump = bump_phi(sigma)
     if phi == "bump":
-        phi_fn = bump_phi(sigma)
+        phi_fn = bump
     elif phi == "uniform":
         phi_fn = uniform_phi()
     elif callable(phi):

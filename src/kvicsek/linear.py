@@ -22,12 +22,13 @@ layer's ``spectral.transport``: the kinetic step restricted to single
 x-Fourier modes, with one ``transport_factor`` table per stack.
 ``evolve_mode`` advances a stack of modes, one row per (k, nu) with its
 own step count and sampling cadence, through
-``spectral.evolve_rows`` (shared with the homogeneous layer).  A sample
-records per row, on the coefficients, only the sums that depend on eta
-(``_Sums``): of one p = |eta_l|^2, the sums that give the L2 and H^{-1}
-norms and ||d_theta eta||^2, and the two lagged sums sum_l eta_{l-1}
-conj eta_{l+1} and an l-weighted sum_l eta_{l-1} conj eta_l that give
-the sin(theta - theta_k) terms.  Once the run ends, each row's norms,
+``spectral.evolve_rows`` (shared with the homogeneous layer), which keeps
+the sample log.  A sample records per row, on the coefficients, only the
+sums that depend on eta (``_Sums``), checked here for NaN and overflow:
+of one p = |eta_l|^2, the sums that give the L2 and H^{-1} norms and
+||d_theta eta||^2, and the two lagged sums sum_l eta_{l-1} conj eta_{l+1}
+and an l-weighted sum_l eta_{l-1} conj eta_l that give the
+sin(theta - theta_k) terms.  Once the run ends, each row's norms,
 weighted energy and comparison sandwich come from its sums in one pass
 over its samples.  The per-row constants (the ramp's rate,
 (nu/|k|)^{1/2}, e^{-i theta_k}, the H^{-1} weights) are built once per
@@ -350,13 +351,12 @@ def _evolve_modes(
     states: Sequence[ModeState], dt: float, n_steps, every,
     sums: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]],
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
-    """``spectral.evolve_rows`` over the states' eta, stepped by ``_mode_step``: (final c, samples).
+    """``spectral.evolve_rows`` over the states' eta, stepped by ``_mode_step``: (final c, series).
 
     At each sample, ``sums(idx, eta)`` gives per-row sums of the stack eta of rows idx.  The
     first must be finite: else NumericsError names the t, k and nu of the first row where it
-    is not, at that sample.  Row j's samples are (t, *sums), arrays over its ``sample_times``.
+    is not, at that sample.  Row j's series is (t, *sums), arrays over its ``sample_times``.
     """
-    log = []
 
     def sample(idx, eta, t):
         got = sums(idx, eta)
@@ -364,19 +364,12 @@ def _evolve_modes(
         if not finite.all():
             bad = states[idx[np.argmin(finite)]]
             raise NumericsError(f"NaN or overflow in per-mode evolution at t={t} for k={bad.k}, nu={bad.nu:g}")
-        log.append((idx, t, got))
+        return got
 
-    c = evolve_rows(
+    return evolve_rows(
         np.stack([x.eta.coeffs for x in states]), states[0].t, dt, n_steps, every,
         lambda idx: _mode_step([states[j] for j in idx], dt), sample,
     )
-    # the log, sample by sample, as one array per column, then split by row in time order
-    rows = np.concatenate([idx for idx, _, _ in log])
-    cols = [np.repeat([t for _, t, _ in log], [len(idx) for idx, _, _ in log])]
-    cols += [np.concatenate(col) for col in zip(*(got for *_, got in log))]
-    order = np.argsort(rows, kind="stable")
-    ends = np.cumsum(np.bincount(rows, minlength=len(states)))[:-1]
-    return c, list(zip(*(np.split(col[order], ends) for col in cols)))
 
 
 def evolve_mode(

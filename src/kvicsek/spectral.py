@@ -35,7 +35,7 @@ modes the dealiased flux reads and writes, in the layer's own layout
 per Heun step and lowers the increment back once, so the right-hand side
 never scatters into a full coefficient array.  ``evolve_rows``, the one
 row loop of both 1-D layers, steps such a stack on the ``config`` clock
-and cadence.
+and cadence, keeps the log of its samples and returns each row's series.
 
 ``band_product`` is the one alignment flux product of the homogeneous and
 kinetic layers: the dealiased modes 0..n_theta/3 of a product of two real
@@ -438,7 +438,7 @@ def split_step(
     ``diffusion_factor(n_theta, nu, dt)``, n_theta the length of c's last
     axis.  The guard dt <= 0.5 / (kappa (n_theta/2) sup + 1) is checked
     per row with kappa != 0 at the first stage of either Heun step;
-    StepSizeError names the first row that breaks it and its sup.
+    StepSizeError names the first row that breaks it, its kappa, sup and bound.
     ValueError: dt not finite and > 0.
     """
     _check_dt(dt)
@@ -447,13 +447,17 @@ def split_step(
     def align_half(c):
         y = align.lift(c)
         r1, sup = align.rhs(y, with_sup=True)
-        bad = (dt > 0.5 / (align.kappa * (c.shape[-1] // 2) * sup + 1.0)) & (align.kappa != 0.0)
+        bound = 0.5 / (align.kappa * (c.shape[-1] // 2) * sup + 1.0)
+        bad = (dt > bound) & (align.kappa != 0.0)
         if np.count_nonzero(bad):
             row = int(np.argmax(np.ravel(bad)))
-            sup_row = np.ravel(np.broadcast_to(sup, np.shape(bad)))[row]
+            kappa, sup, bound = (
+                np.ravel(np.broadcast_to(a, np.shape(bad)))[row] for a in (align.kappa, sup, bound)
+            )
             raise StepSizeError(
-                f"dt={dt} violates the alignment guard at t={t} in row {row} "
-                f"(alignment field max {sup_row:.3g})"
+                f"dt={dt} violates the alignment guard at t={t} in row {row}: "
+                f"dt <= 0.5/(kappa (n_theta/2) sup + 1) = {bound:.3g} "
+                f"(kappa {kappa:.3g}, alignment field max {sup:.3g})"
             )
         # y + h r1 and 0.5 h (r1 + r2), in place on the fresh products
         stage = np.multiply(h, r1)
@@ -476,12 +480,14 @@ def split_step(
     return c
 
 
-def evolve_rows(c: np.ndarray, t0: float, dt: float, n_steps, every, stepper, sample) -> np.ndarray:
-    """The row loop of the 1-D layers: advance the stack c[batch, n_theta] in place and return it.
+def evolve_rows(c: np.ndarray, t0: float, dt: float, n_steps, every, stepper, sample) -> tuple[np.ndarray, list]:
+    """The row loop and sample log of the 1-D layers: advance the stack c[batch, n_theta] in place.
 
     Row j takes n_steps[j] steps (an int or one per row, as ``every``), then leaves the stack;
     ``stepper(rows)`` is the step (c, t) -> c of the rows still running.  ``sample(rows, c[rows], t)``
-    runs at t0 and where ``config.due`` says, at the times of ``config.step_times``.  ValueError first on a bad dt.
+    runs at t0 and where ``config.due`` says, at the times of ``config.step_times``, and returns
+    new arrays (no views of c), a value per row each.  Returns (c, series), ``series[j] = (t, *columns)``
+    of row j in time order.  ValueError first on a bad dt.
     """
     _check_dt(dt)
     check_cadence("n_steps", n_steps, 0)
@@ -489,7 +495,12 @@ def evolve_rows(c: np.ndarray, t0: float, dt: float, n_steps, every, stepper, sa
     n_steps = np.broadcast_to(n_steps, len(c))
     every = np.broadcast_to(every, len(c))
     times = step_times(t0, dt, int(np.max(n_steps, initial=0)))
-    sample(np.arange(len(c)), c, times[0])
+    log = []
+
+    def record(rows, c, t):
+        log.append((rows, t, sample(rows, c, t)))
+
+    record(np.arange(len(c)), c, times[0])
     ends = sorted(set(n_steps.tolist()) - {0})
     for start, end in zip([0, *ends], ends):
         active = np.flatnonzero(n_steps >= end)
@@ -500,11 +511,17 @@ def evolve_rows(c: np.ndarray, t0: float, dt: float, n_steps, every, stepper, sa
         for m, d, n_due in zip(steps.tolist(), sampled, np.count_nonzero(sampled, axis=1).tolist()):
             ca = step(ca, times[m - 1])
             if n_due == len(active):
-                sample(active, ca, times[m])
+                record(active, ca, times[m])
             elif n_due:
-                sample(active[d], ca[d], times[m])
+                record(active[d], ca[d], times[m])
         c[active] = ca
-    return c
+    # the log, sample by sample, as one array per column, then split by row in time order
+    rows = np.concatenate([idx for idx, _, _ in log])
+    cols = [np.repeat([t for _, t, _ in log], [len(idx) for idx, _, _ in log])]
+    cols += [np.concatenate(col) for col in zip(*(got for *_, got in log))]
+    order = np.argsort(rows, kind="stable")
+    cuts = np.cumsum(np.bincount(rows, minlength=len(c)))[:-1]
+    return c, list(zip(*(np.split(col[order], cuts) for col in cols)))
 
 
 # ---------------------------------------------------------------------------

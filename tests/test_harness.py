@@ -9,12 +9,14 @@ import inspect
 import json
 import math
 import os
+import platform
 import re
 import resource
 import shlex
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -459,14 +461,17 @@ class TestCli:
 
     def test_every_option_at_edge_values_exits_0_2_or_3(self, tmp_path, capsys):
         # generated from PRESETS; each probe is bounded in time and memory
+        # a sigma whose square underflows is named at build, before Phi is evaluated
         failures = []
         for j, argv in enumerate(_preset_probes()):
             out = tmp_path / str(j)
-            try:
-                with _bounded(5.0, 2**30):
-                    code = main([*argv, f"--out={out}"])
-            except Exception as exc:  # what the CLI would end with exit 1 and a traceback
-                code = f"1 ({type(exc).__name__}: {exc})"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    with _bounded(5.0, 2**30):
+                        code = main([*argv, f"--out={out}"])
+                except Exception as exc:  # what the CLI would end with exit 1 and a traceback
+                    code = f"1 ({type(exc).__name__}: {exc})"
             std = capsys.readouterr()
             if code not in (0, 2, 3):
                 failures.append(f"{argv}: exit {code}")
@@ -474,6 +479,12 @@ class TestCli:
                 failures.append(f"{argv}: traceback printed")
             elif code == 2 and out.exists():
                 failures.append(f"{argv}: exit 2 left {sorted(p.name for p in out.iterdir())}")
+            elif "--sigma=1e-300" in argv and (
+                code != 2
+                or "config error: sigma 1e-300 is too small: sigma^2 underflows to 0" not in std.err
+                or any(issubclass(w.category, RuntimeWarning) for w in caught)
+            ):
+                failures.append(f"{argv}: exit {code}, {std.err.strip()!r}, {[str(w.message) for w in caught]}")
         assert not failures, "\n".join(failures)
 
     def test_options_come_only_from_config_and_flags(self, tmp_path, capsys):
@@ -510,6 +521,43 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "kinetic.csv").exists()
         assert (tmp_path / "manifest.json").exists()
+
+    def test_manifest_records_how_the_run_ended(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        environment = {
+            "python": platform.python_version(), "numpy": np.__version__, "OMP_NUM_THREADS": "1",
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"), "MKL_NUM_THREADS": None,
+        }
+        # kappa = 1e299 breaks the alignment guard at the first step: exit 3 after the manifest
+        failed = tmp_path / "failed"
+        assert main(["homogeneous", "--ratio", "1e300", "--t-end", "0.05", "--out", str(failed)]) == 3
+        record = json.loads((failed / "manifest.json").read_text())
+        assert (record["status"], record["exit_code"], record["error"]["class"]) == ("failed", 3, "StepSizeError")
+        assert "kappa 1e+299" in record["error"]["message"]
+        assert record["wall_s"] > 0 and record["environment"] == environment
+        done = tmp_path / "done"
+        assert main(["homogeneous", "--n-theta", "16", "--t-end", "0.05", "--out", str(done)]) == 0
+        record = json.loads((done / "manifest.json").read_text())
+        assert (record["status"], record["exit_code"], record["error"]) == ("complete", 0, None)
+        assert record["wall_s"] > 0 and record["environment"] == environment
+
+        # a defect in the run still leaves its record, then the traceback exits 1
+        def defect(*args, **kwargs):
+            raise RuntimeError("defect in the run")
+
+        monkeypatch.setattr("kvicsek.homogeneous.evolve_homogeneous", defect)
+        crashed = tmp_path / "crashed"
+        with pytest.raises(RuntimeError, match="defect in the run"):
+            main(["homogeneous", "--n-theta", "16", "--t-end", "0.05", "--out", str(crashed)])
+        record = json.loads((crashed / "manifest.json").read_text())
+        assert (record["status"], record["exit_code"], record["error"]["class"]) == ("failed", 1, "RuntimeError")
+        # a configuration error writes no file, and leaves an earlier run's record alone
+        before = (done / "manifest.json").read_bytes()
+        assert main(["homogeneous", "--nu", "-1", "--out", str(done)]) == 2
+        assert (done / "manifest.json").read_bytes() == before
+        assert main(["homogeneous", "--nu", "-1", "--out", str(tmp_path / "bad")]) == 2
+        assert not (tmp_path / "bad").exists()
 
     def test_config_file_with_cli_override(self, tmp_path):
         for name, text in [

@@ -144,6 +144,26 @@ class TestBatchedEvolution:
                 c = split_step(c, s.t + i * dt, dt, nu, align=align)
             assert np.array_equal(traj.final.g.coeffs, c)
 
+    def test_one_state_per_row_without_energy(self, kernel, monkeypatch):
+        # a sample records m per row; the final state, the only one built, is the only mass check
+        nu = 0.1
+        g0 = perturbed_profile(256, 0.2, seed=5)
+        states = [HomogeneousState(g=g0, t=0.0, kappa=r * nu, nu=nu) for r in (0.5, 4.0, 2.5)]
+        built, check = [], HomogeneousState.__post_init__
+
+        def counted(x):
+            built.append(x.kappa)
+            check(x)
+
+        monkeypatch.setattr(HomogeneousState, "__post_init__", counted)
+        trajs = evolve_homogeneous(states, kernel, 0.01, 20, sample_every=5)
+        assert built == [s.kappa for s in states]
+        for traj in trajs:
+            assert len(traj.t) == 5 and traj.final.t == traj.t[-1]
+            assert traj.order_parameter[-1] == TWO_PI * traj.final.g.coeffs[1]
+            # the step keeps the mass 2pi Re ghat_0 bit for bit
+            assert traj.final.g.coeffs[0].real == g0.coeffs[0].real
+
     def test_batch_equals_the_full_array_heun_bit_for_bit(self, kernel):
         # the Heun stages on the modes 0..n_theta/3 against stages on whole
         # rows, the RHS scattered into them; kappa = 0 rows ride along

@@ -670,7 +670,11 @@ class TestAlignmentGuard:
 
         banded = threshold()
         assert 0.1 < banded[0] < 0.5
-        assert re.fullmatch(r"dt=\S+ violates the alignment guard at t=0\.0 in row 0 \(alignment field max \S+\)", banded[1])
+        assert re.fullmatch(
+            r"dt=\S+ violates the alignment guard at t=0\.0 in row 0: dt <= 0\.5/\(kappa \(n_theta/2\) sup \+ 1\) = \S+ "
+            r"\(kappa \S+, alignment field max \S+\)",
+            banded[1],
+        )
 
         rhs = kinetic._alignment_rhs
 
@@ -780,6 +784,24 @@ class TestTransformBudget:
         _, sup = full_rhs(homogeneous._alignment(kernel, kappa), g, with_sup)
         assert calls == ([("irfft", (128,))] if with_sup else [])
         assert (sup is None) is not with_sup
+
+
+class TestTemporalOrder:
+    """The split step is second order in time: the measure a change of scheme is held to."""
+
+    @pytest.mark.parametrize("speed", [None, speed_decaying(0.5)], ids=["constant", "decaying"])
+    def test_successive_differences_halve_twice(self, speed):
+        grid = TorusGrid(8, 8, 32)
+        kernels = make_influence(grid, phi="bump", sigma=1.0)
+        f0 = default_initial(grid, 0.5 / TWO_PI**3, seed=0)
+        extra = {} if speed is None else {"v": speed}
+        finals = []
+        for dt in (0.04, 0.02, 0.01, 0.005):
+            params = KineticParams(kappa=1.0, nu=0.1, grid=grid, dt=dt, t_end=0.4, **extra)
+            finals.append(run_experiment(params, kernels, f0, sample_every=10**6).final.coeffs)
+        diffs = [np.linalg.norm(a - b) for a, b in zip(finals, finals[1:])]
+        orders = np.log2(np.array(diffs[:-1]) / diffs[1:])
+        assert np.all(np.abs(orders - 2.0) <= 0.2), orders
 
 
 class TestAlignmentBounds:

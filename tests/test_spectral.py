@@ -137,7 +137,10 @@ class TestBatchedSplitStep:
         bound = (0.5 / (kappa * (self.N // 2) * sup + 1.0))[:, 0]
         assert bound[1] < min(bound[0], bound[2])
         dt = 0.5 * (bound[1] + min(bound[0], bound[2]))
-        message = f"in row 1 (alignment field max {sup[1, 0]:.3g})"
+        message = (
+            f"in row 1: dt <= 0.5/(kappa (n_theta/2) sup + 1) = {bound[1]:.3g} "
+            f"(kappa 3, alignment field max {sup[1, 0]:.3g})"
+        )
         with pytest.raises(StepSizeError, match=re.escape(message)):
             split_step(g, 0.0, dt, 0.1, align=align(kappa))
         others = [0, 2]
@@ -184,18 +187,19 @@ class TestRunSchedule:
             built.append(rows.tolist())
             return lambda c, t: c + 1.0
 
-        c = evolve_rows(
-            np.zeros((3, 4)), 0.0, 0.5, [4, 0, 2], [3, 1, 1], stepper,
-            lambda rows, c, t: seen.append((rows.tolist(), c[:, 0].tolist(), float(t))),
-        )
+        def sample(rows, c, t):
+            seen.append(rows.tolist())
+            return c[:, 0] + 0.0, rows * 10
+
+        c, series = evolve_rows(np.zeros((3, 4)), 0.0, 0.5, [4, 0, 2], [3, 1, 1], stepper, sample)
         assert c[:, 0].tolist() == [4.0, 0.0, 2.0]
         assert built == [[0, 2], [0]]
-        assert seen == [
-            ([0, 1, 2], [0.0, 0.0, 0.0], 0.0),
-            ([2], [1.0], 0.5),
-            ([2], [2.0], 1.0),
-            ([0], [3.0], 1.5),
-            ([0], [4.0], 2.0),
+        assert seen == [[0, 1, 2], [2], [2], [0], [0]]
+        # each row's (t, *columns) in time order: its start, every third step or every step, its last step
+        assert [[col.tolist() for col in row] for row in series] == [
+            [[0.0, 1.5, 2.0], [0.0, 3.0, 4.0], [0, 0, 0]],
+            [[0.0], [0.0], [10]],
+            [[0.0, 0.5, 1.0], [0.0, 1.0, 2.0], [20, 20, 20]],
         ]
 
     @pytest.mark.filterwarnings("error")
