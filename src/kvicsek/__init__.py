@@ -21,7 +21,6 @@ from .influence import (
 from .linear import (
     HypoWeights,
     ModeState,
-    comparison_sandwich,
     evolve_mode,
     hypo_functional,
     jk_coefficients,
@@ -30,7 +29,6 @@ from .linear import (
     mixing_curve,
     speed_constant,
     speed_decaying,
-    step_mode,
 )
 from .kinetic import KineticParams, default_initial, run_experiment, step_kinetic
 from .homogeneous import (

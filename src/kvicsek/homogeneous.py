@@ -22,11 +22,10 @@ reads and writes (``spectral.Alignment``); ``_lower`` adds the increment
 of a half-step to the row and its conjugate to the modes -n_theta/3..-1.
 ``evolve_homogeneous`` advances a sequence of states that share n_theta, nu and t as one stack
 of rows with kappa per row (the ratios of a phase diagram), with the
-RHS and the guard evaluated row-wise; a single state, and
-``step_homogeneous``, are batches of one.  The stack runs through
-``spectral.evolve_rows``, on the clock of the kinetic and per-mode layers;
-it keeps the sample log of m = 2pi ghat_1 per row (and F, D under
-``record_energy``), and each row's final state is built once.
+RHS and the guard evaluated row-wise; a single state is a batch of one.
+The stack runs on ``spectral.evolve_rows``, the one run loop of the PDE
+layers; it keeps the sample log of m = 2pi ghat_1 per row (and F, D
+under ``record_energy``), and each row's final state is built once.
 """
 
 from __future__ import annotations
@@ -118,11 +117,6 @@ def _alignment(kernel: AngularKernel, kappa: np.ndarray | float) -> Alignment:
     )
 
 
-def step_homogeneous(s: HomogeneousState, kernel: AngularKernel, dt: float) -> HomogeneousState:
-    """One ``split_step`` without transport: a batch of one of ``evolve_homogeneous``."""
-    return evolve_homogeneous(s, kernel, dt, 1).final
-
-
 @dataclass(frozen=True)
 class HomogeneousTrajectory:
     t: np.ndarray
@@ -204,7 +198,7 @@ def free_energy(s: HomogeneousState, kernel: AngularKernel) -> float:
 
 
 def fisher_information(s: HomogeneousState, kernel: AngularKernel) -> float:
-    """int g |nu d_theta log g + kappa (Psi*g)|^2 dtheta; ValueError unless g > 0."""
+    """int g |nu d_theta log g + kappa (Psi*g)|^2 dtheta; ValueError unless g > 0, +inf where the integral overflows."""
     g = s.g.values.real
     if np.min(g) <= 0.0:
         raise ValueError("Fisher information requires a positive density")
@@ -212,7 +206,8 @@ def fisher_information(s: HomogeneousState, kernel: AngularKernel) -> float:
     conv = kernel.psi.convolve(s.g).values.real
     drift = s.nu * dg / g + s.kappa * conv
     quad = TWO_PI / s.g.n
-    return quad * float(np.sum(g * drift**2))
+    with np.errstate(over="ignore"):
+        return quad * float(np.sum(g * drift**2))
 
 
 def homogeneous_rhs(s: HomogeneousState, kernel: AngularKernel) -> AngularProfile:

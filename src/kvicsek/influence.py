@@ -91,13 +91,15 @@ def angular_kernel(n_theta: int, psi_factor: Callable[[np.ndarray], np.ndarray] 
 
 
 def bump_phi(sigma: float = 1.0) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Periodic bump concentrated near the origin for width sigma; ValueError if sigma^2 overflows or underflows to 0."""
+    """Periodic bump concentrated near the origin for width sigma; ValueError unless sigma^2 > 0 and 4/sigma^2 are finite."""
     try:
         width2 = sigma**2
     except OverflowError:
         raise ValueError(f"sigma {sigma!r} is too large: sigma^2 overflows") from None
     if width2 == 0.0:
         raise ValueError(f"sigma {sigma!r} is too small: sigma^2 underflows to 0")
+    if not np.isfinite(4.0 / width2):
+        raise ValueError(f"sigma {sigma!r} is too small: the bump exponent 4/sigma^2 overflows")
 
     def phi(x1, x2):
         return np.exp((np.cos(x1) + np.cos(x2) - 2.0) / width2)

@@ -38,6 +38,9 @@ max.
 Everything the step reuses is cached read-only: the half spectrum's
 transport table for each repeated v h (one for a constant speed), and
 the band planes of the multiplier (on the InfluencePair).
+``run_experiment`` runs a stack of one field on ``spectral.evolve_rows``,
+the one run loop of the three PDE layers, one ``step_kinetic`` per step;
+its snapshots come from that loop's snapshot hook.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import check_cadence, due, step_count, step_times
+from .config import step_count
 from .errors import NumericsError
 from .influence import InfluencePair
 from .linear import speed_constant
@@ -60,6 +63,7 @@ from .spectral import (
     TorusGrid,
     band_product,
     band_sup,
+    evolve_rows,
     mirror,
     norm,
     remainder,
@@ -285,52 +289,40 @@ def run_experiment(
 
     Emits per sample: remainder norms (L2 and homogeneous H^{-1}), the
     x-average L2 norm, min f, total mass and the order parameter
-    m = fhat(0,0,1)/fhat(0,0,0).
+    m = fhat(0,0,1)/fhat(0,0,0); the snapshot hook writes f on its cadence.
     """
     if f0.grid != params.grid:
         raise ValueError(f"f0 lives on {f0.grid}, the run on {params.grid}")
-    check_cadence("sample_every", sample_every, 1)
-    check_cadence("snapshot_every", snapshot_every, 0)
     if snapshot_every > 0 and out_dir is None:
         raise ValueError("snapshots requested without an output directory")
 
-    n_steps = step_count(params.t_end, params.dt)
-    times = step_times(0.0, params.dt, n_steps).tolist()
-    f = f0
-    rows = []
+    grid = params.grid
     snapshots: list[Path] = []
     warned_negative = False
 
-    def sample(f, t):
+    def stepper(rows):
+        return lambda c, t: step_kinetic(SpectralField(grid, c[0]), params, kernels, t).coeffs[None]
+
+    def sample(rows, c, t):
         nonlocal warned_negative
+        f = SpectralField(grid, c[0])
         fneq = remainder(f)
         vals = f.values
         min_f = float(np.min(vals))
         if not warned_negative and min_f < -NEGATIVITY_WARN * float(np.max(vals)):
             warnings.warn(f"density went negative beyond tolerance at t={t}: min f = {min_f:.3e}")
             warned_negative = True
-        favg = x_average(f)
         m = complex(f.coeffs[0, 0, 1] / f.coeffs[0, 0, 0])
-        rows.append(
-            (
-                t,
-                norm(fneq, "L2"),
-                norm(fneq, "Hm1_nonzero"),
-                favg.norm_l2(),
-                min_f,
-                f.mass,
-                m,
-            )
-        )
+        row = (norm(fneq, "L2"), norm(fneq, "Hm1_nonzero"), x_average(f).norm_l2(), min_f, f.mass, m)
+        return tuple(np.array([v]) for v in row)
 
-    sample(f, times[0])
-    for step in range(1, n_steps + 1):
-        f = step_kinetic(f, params, kernels, times[step - 1])
-        if due(step, n_steps, sample_every):
-            sample(f, times[step])
-        if snapshot_every > 0 and due(step, n_steps, snapshot_every):
-            path = Path(out_dir) / f"snapshot_{step:08d}.bin"
-            write_snapshot(path, f, time=times[step], parameters={"kappa": params.kappa, "nu": params.nu})
-            snapshots.append(path)
+    def snapshot(step, rows, c, t):
+        path = Path(out_dir) / f"snapshot_{step:08d}.bin"
+        write_snapshot(path, SpectralField(grid, c[0]), time=t, parameters={"kappa": params.kappa, "nu": params.nu})
+        snapshots.append(path)
 
-    return KineticRun(*(np.asarray(col) for col in zip(*rows)), snapshots=snapshots, final=f)
+    c, (series,) = evolve_rows(
+        f0.coeffs[None], 0.0, params.dt, step_count(params.t_end, params.dt), sample_every,
+        stepper, sample, snapshot, snapshot_every,
+    )
+    return KineticRun(*series, snapshots=snapshots, final=SpectralField(grid, c[0]))

@@ -21,22 +21,20 @@ The step is ``spectral.split_step`` at kappa = 0 with the kinetic
 layer's ``spectral.transport``: the kinetic step restricted to single
 x-Fourier modes, with one ``transport_factor`` table per stack.
 ``evolve_mode`` advances a stack of modes, one row per (k, nu) with its
-own step count and sampling cadence, through
-``spectral.evolve_rows`` (shared with the homogeneous layer), which keeps
-the sample log.  A sample records per row, on the coefficients, only the
-sums that depend on eta (``_Sums``), checked here for NaN and overflow:
-of one p = |eta_l|^2, the sums that give the L2 and H^{-1} norms and
+own step count and sampling cadence, through ``spectral.evolve_rows``,
+the one run loop of the three PDE layers, which keeps the sample log.
+A sample records per row, on the coefficients, only the sums that
+depend on eta (``_Sums``), checked here for NaN and overflow: of one
+p = |eta_l|^2, the sums that give the L2 and H^{-1} norms and
 ||d_theta eta||^2, and the two lagged sums sum_l eta_{l-1} conj eta_{l+1}
 and an l-weighted sum_l eta_{l-1} conj eta_l that give the
 sin(theta - theta_k) terms.  Once the run ends, each row's norms,
 weighted energy and comparison sandwich come from its sums in one pass
 over its samples.  The per-row constants (the ramp's rate,
 (nu/|k|)^{1/2}, e^{-i theta_k}, the H^{-1} weights) are built once per
-stack; ``step_mode``, a single-state ``evolve_mode`` and the
-single-state diagnostics are batches of one.  ``measure_ed_rate`` runs
+stack; a single state is a batch of one.  ``measure_ed_rate`` runs
 ``evolve_mode`` batches, one per time step of its states' ``ed_schedule``;
-``mixing_curve`` runs one stack on the same row loop and records only
-the H^{-1} sum, every step.
+``mixing_curve`` runs one stack, recording only the H^{-1} sum, every step.
 """
 
 from __future__ import annotations
@@ -125,15 +123,6 @@ class ModeState:
     def theta_k(self) -> float:
         return float(np.arctan2(self.k[1], self.k[0]))
 
-    @property
-    def zeta(self) -> float:
-        return _ramp(self, self.t)
-
-
-def _ramp(s: ModeState, t: float) -> float:
-    """zeta = min(1, (nu |k|)^{1/2} t) of s's mode at time t."""
-    return min(1.0, np.sqrt(s.nu * s.k_norm) * t)
-
 
 def _mode_step(states: Sequence[ModeState], dt: float) -> Callable[[np.ndarray, float], np.ndarray]:
     """``split_step`` at kappa = 0 of a stack of modes: (c, t) -> c at t + dt.
@@ -150,12 +139,6 @@ def _mode_step(states: Sequence[ModeState], dt: float) -> Callable[[np.ndarray, 
         return transport(coeffs, transport_factor(k1, k2, n, tuple(s.v(t_mid) * h for s in states)))
 
     return lambda c, t: split_step(c, t, dt, nus, advect=advect)
-
-
-def step_mode(s: ModeState, dt: float) -> ModeState:
-    """One ``split_step`` at kappa = 0: a batch of one of ``evolve_mode``.  The L2 norm never increases."""
-    coeffs = _mode_step([s], dt)(s.eta.coeffs[None], s.t)[0]
-    return replace(s, eta=AngularProfile(coeffs), t=s.t + dt)
 
 
 @dataclass(frozen=True)
@@ -197,7 +180,7 @@ class _ModeRows:
         )
 
     def zeta(self, t) -> np.ndarray:
-        """The ramps at time t, as ``_ramp``: of each row at one t, or of one row at each t."""
+        """The ramps zeta = min(1, (nu |k|)^{1/2} t): of each row at one t, or of one row at each t."""
         return np.minimum(1.0, self.rate * t)
 
 
@@ -231,13 +214,8 @@ def _stack_sums(eta: np.ndarray, rows: _ModeRows, idx=slice(None)) -> _Sums:
 
 
 def _hm1_norm(hm1: np.ndarray) -> np.ndarray:
-    """``mode_hm1_norm`` from the ``_Sums.hm1`` sums."""
+    """The single-mode homogeneous H^{-1} norm, coefficients weighted by (|k|^2+l^2)^{-1/2}, from the ``_Sums.hm1`` sums."""
     return np.sqrt(TWO_PI * hm1)
-
-
-def mode_hm1_norm(s: ModeState) -> float:
-    """Single-mode homogeneous H^{-1}: coefficients weighted by (|k|^2+l^2)^{-1/2}."""
-    return float(_hm1_norm(_stack_sums(s.eta.coeffs[None], _ModeRows.of([s])).hm1)[0])
 
 
 @dataclass(frozen=True)
@@ -277,20 +255,15 @@ def _hypo_terms(sums: _Sums, rows: _ModeRows, zeta: np.ndarray, w: HypoWeights) 
     return HypoTerms(l2=TWO_PI * sums.total, alpha_term=alpha * d2, beta_term=beta * cross, gamma_term=gamma * s2)
 
 
-def _single_terms(s: ModeState, w: HypoWeights) -> HypoTerms:
-    """``_hypo_terms`` of s alone: a batch of one."""
-    rows = _ModeRows.of([s])
-    return _hypo_terms(_stack_sums(s.eta.coeffs[None], rows), rows, rows.zeta(s.t), w)
-
-
 def hypo_functional(s: ModeState, w: HypoWeights = HypoWeights()) -> HypoTerms:
     """Evaluate the four terms of the weighted energy at the current state."""
-    terms = _single_terms(s, w)
+    rows = _ModeRows.of([s])
+    terms = _hypo_terms(_stack_sums(s.eta.coeffs[None], rows), rows, rows.zeta(s.t), w)
     return HypoTerms(*(float(getattr(terms, f.name)[0]) for f in fields(HypoTerms)))
 
 
 def _sandwich(terms: HypoTerms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(lower, F, upper) of ``comparison_sandwich`` from the terms, and where F leaves them beyond round-off."""
+    """The comparison bounds lower <= F <= upper (factors 1/2 and 3/2 on the diagonal terms) from the terms, and where F leaves them beyond round-off."""
     diagonal = terms.alpha_term + terms.gamma_term
     lower = terms.l2 + 0.5 * diagonal
     upper = terms.l2 + 1.5 * diagonal
@@ -303,18 +276,6 @@ def _violation(s: ModeState, t: float, lower: float, value: float, upper: float)
     return SandwichViolation(
         f"comparison bounds violated at t={t} for k={s.k}, nu={s.nu:g}: {lower} <= {value} <= {upper} fails"
     )
-
-
-def comparison_sandwich(s: ModeState, w: HypoWeights = HypoWeights()) -> tuple[float, float, float]:
-    """Bounds lower <= F <= upper with factors 1/2 and 3/2 on the diagonal terms.
-
-    Raises SandwichViolation if the bounds fail beyond round-off; that
-    signals a convention bug, not a numerical accident.
-    """
-    lower, value, upper, bad = _sandwich(_single_terms(s, w))
-    if bad[0]:
-        raise _violation(s, s.t, lower[0], value[0], upper[0])
-    return float(lower[0]), float(value[0]), float(upper[0])
 
 
 @dataclass(frozen=True)

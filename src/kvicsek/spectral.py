@@ -34,8 +34,10 @@ modes the dealiased flux reads and writes, in the layer's own layout
 (``Alignment``): the layer lifts the block out of its coefficients once
 per Heun step and lowers the increment back once, so the right-hand side
 never scatters into a full coefficient array.  ``evolve_rows``, the one
-row loop of both 1-D layers, steps such a stack on the ``config`` clock
-and cadence, keeps the log of its samples and returns each row's series.
+run loop of the three PDE layers, steps such a stack on the ``config``
+clock and cadence, keeps the log of its samples and returns each row's
+series; the kinetic run is a stack of one field, and its snapshots come
+from the loop's snapshot hook, on its own cadence.
 
 ``band_product`` is the one alignment flux product of the homogeneous and
 kinetic layers: the dealiased modes 0..n_theta/3 of a product of two real
@@ -268,11 +270,6 @@ class AngularProfile:
         """integral g dtheta = 2pi ghat(0)."""
         return float((TWO_PI * self.coeffs[0]).real)
 
-    @property
-    def order_parameter(self) -> complex:
-        """m = integral e^{-i theta} g dtheta / integral g dtheta = ghat(1)/ghat(0)."""
-        return complex(self.coeffs[1] / self.coeffs[0])
-
     def norm_l2(self) -> float:
         return float(np.sqrt(TWO_PI * np.sum(np.abs(self.coeffs) ** 2)))
 
@@ -480,18 +477,24 @@ def split_step(
     return c
 
 
-def evolve_rows(c: np.ndarray, t0: float, dt: float, n_steps, every, stepper, sample) -> tuple[np.ndarray, list]:
-    """The row loop and sample log of the 1-D layers: advance the stack c[batch, n_theta] in place.
+def evolve_rows(
+    c: np.ndarray, t0: float, dt: float, n_steps, every, stepper, sample, snapshot=None, snapshot_every: int = 0
+) -> tuple[np.ndarray, list]:
+    """The one run loop of the three PDE layers and its sample log: advance the stack c[batch, ...].
 
     Row j takes n_steps[j] steps (an int or one per row, as ``every``), then leaves the stack;
-    ``stepper(rows)`` is the step (c, t) -> c of the rows still running.  ``sample(rows, c[rows], t)``
-    runs at t0 and where ``config.due`` says, at the times of ``config.step_times``, and returns
-    new arrays (no views of c), a value per row each.  Returns (c, series), ``series[j] = (t, *columns)``
-    of row j in time order.  ValueError first on a bad dt.
+    ``stepper(rows)`` is the step (c, t) -> c of the rows still running, which returns a new array.
+    ``sample(rows, c[rows], t)`` runs at t0 and where ``config.due`` says, at the times of
+    ``config.step_times``, and returns new arrays (no views of c), a value per row each.
+    ``snapshot(step, rows, c[rows], t)`` runs after the steps that ``config.due`` gives for the
+    cadence ``snapshot_every`` (0: never), once the previous step's stack is dropped.  Returns
+    (c, series), ``series[j] = (t, *columns)`` of row j in time order; while every row runs, c is
+    the stepper's own output, and c is neither copied nor written.  ValueError first on a bad dt.
     """
     _check_dt(dt)
     check_cadence("n_steps", n_steps, 0)
     check_cadence("sample_every", every, 1)
+    check_cadence("snapshot_every", snapshot_every, 0)
     n_steps = np.broadcast_to(n_steps, len(c))
     every = np.broadcast_to(every, len(c))
     times = step_times(t0, dt, int(np.max(n_steps, initial=0)))
@@ -500,21 +503,30 @@ def evolve_rows(c: np.ndarray, t0: float, dt: float, n_steps, every, stepper, sa
     def record(rows, c, t):
         log.append((rows, t, sample(rows, c, t)))
 
+    def due_rows(active, ca, d, n_due):
+        return (active, ca) if n_due == len(active) else (active[d], ca[d])
+
     record(np.arange(len(c)), c, times[0])
     ends = sorted(set(n_steps.tolist()) - {0})
     for start, end in zip([0, *ends], ends):
         active = np.flatnonzero(n_steps >= end)
+        whole = len(active) == len(c)
         step = stepper(active)
         steps = np.arange(start + 1, end + 1)
         sampled = due(steps[:, None], n_steps[active], every[active])
-        ca = c[active]
-        for m, d, n_due in zip(steps.tolist(), sampled, np.count_nonzero(sampled, axis=1).tolist()):
+        saved = due(steps[:, None], n_steps[active], snapshot_every) if snapshot_every else np.zeros_like(sampled)
+        counts = (np.count_nonzero(sampled, axis=1).tolist(), np.count_nonzero(saved, axis=1).tolist())
+        ca = c if whole else c[active]
+        for m, d, s, n_due, n_saved in zip(steps.tolist(), sampled, saved, *counts):
             ca = step(ca, times[m - 1])
-            if n_due == len(active):
-                record(active, ca, times[m])
-            elif n_due:
-                record(active[d], ca[d], times[m])
-        c[active] = ca
+            if n_due:
+                record(*due_rows(active, ca, d, n_due), times[m])
+            if n_saved:
+                snapshot(m, *due_rows(active, ca, s, n_saved), times[m])
+        if whole:
+            c = ca
+        else:
+            c[active] = ca
     # the log, sample by sample, as one array per column, then split by row in time order
     rows = np.concatenate([idx for idx, _, _ in log])
     cols = [np.repeat([t for _, t, _ in log], [len(idx) for idx, _, _ in log])]

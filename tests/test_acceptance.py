@@ -23,7 +23,6 @@ from kvicsek.homogeneous import (
     homogeneous_rhs,
     linear_stability,
     solve_compatibility,
-    step_homogeneous,
     von_mises_state,
 )
 from kvicsek.influence import angular_kernel, bump_phi, make_influence
@@ -34,7 +33,6 @@ from kvicsek.linear import (
     evolve_mode,
     measure_ed_rate,
     mixing_curve,
-    step_mode,
 )
 from kvicsek.presets import perturbed_profile
 from kvicsek.spectral import (
@@ -159,10 +157,9 @@ def test_ac07_free_energy_dissipation():
 
         dt = 1e-4
         st = HomogeneousState(g=perturbed_profile(256, 0.3, seed=7), t=0.0, kappa=ratio * nu, nu=nu)
-        for _ in range(200):
-            st = step_homogeneous(st, kernel, dt)
-        mid = step_homogeneous(st, kernel, dt)
-        nxt = step_homogeneous(mid, kernel, dt)
+        st = evolve_homogeneous(st, kernel, dt, 200, sample_every=200).final
+        mid = evolve_homogeneous(st, kernel, dt, 1).final
+        nxt = evolve_homogeneous(mid, kernel, dt, 1).final
         fd = (free_energy(nxt, kernel) - free_energy(st, kernel)) / (2 * dt)
         d = fisher_information(mid, kernel)
         rel = abs(fd + d) / d
@@ -282,8 +279,8 @@ def test_ac11_reduction_consistency():
     for _ in range(50):
         f = step_kinetic(f, params, kernels, t)
         t += params.dt
-        for key in modes:
-            modes[key] = step_mode(modes[key], params.dt)
+    finals = evolve_mode(list(modes.values()), params.dt, 50, sample_every=50)
+    modes = {key: s for key, (s, _) in zip(modes, finals)}
     linear_dev = max(
         np.max(np.abs(f.coeffs[a, b, :] - st.eta.coeffs)) for (a, b), st in modes.items()
     )
@@ -301,7 +298,7 @@ def test_ac11_reduction_consistency():
     for _ in range(100):
         f = step_kinetic(f, params, kernels, t)
         t += params.dt
-        hs = step_homogeneous(hs, kernel, params.dt)
+        hs = evolve_homogeneous(hs, kernel, params.dt, 1).final
         hom_dev = max(hom_dev, float(np.max(np.abs(x_average(f).coeffs - hs.g.coeffs))))
 
     ok = linear_dev < 1e-10 and hom_dev < 1e-8

@@ -283,6 +283,10 @@ _EDGE_VALUES = [
     (["mixing", "--dt", "1e-320"], 2, "no finite number of steps"),
     (["kinetic", "--grid", "8,8,16", "--eps-rel", "1.5"], 2, "eps_rel 1.5 gives an initial density with min f"),
     (["kinetic", "--grid", "8,8,16", "--eps-rel", "-3"], 2, "eps_rel -3.0 gives an initial density with min f"),
+    (["kinetic", "--grid", "4,4,8", "--t-end", "0.1", "--sigma", "1e-160"], 2, "sigma 1e-160 is too small: the bump"),
+    (["kinetic", "--grid", "4,4,8", "--t-end", "0.1", "--sigma", "1e-154"], 2, "sigma 1e-154 is too small: the bump"),
+    (["agents", "--phi", "bump", "--sigma", "1e-160"], 2, "sigma 1e-160 is too small: the bump"),
+    (["agents", "--phi", "bump", "--sigma", "1e-154"], 2, "sigma 1e-154 is too small: the bump"),
     (["homogeneous", "--n-theta", "4"], 3, "Fisher information requires a positive density"),
     (["phase-diagram", "--n-theta", "4", "--ratio-steps", "3", "--t-end", "0.1"], 0, ""),
     (["phase-diagram", "--n-theta", "6", "--ratio-steps", "3", "--t-end", "0.1"], 0, ""),
@@ -881,6 +885,37 @@ def test_only_spectral_builds_the_diffusion_table():
     found = {p.name: _uses(p.read_text(), "diffusion_factor") for p in sorted((ROOT / "src" / "kvicsek").glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits and name != "spectral.py"} == {}
     assert found["spectral.py"]
+
+
+def _loops(source: str, function: str) -> list[str]:
+    """The ``for`` and ``while`` statements inside the top-level function ``function``, nested functions included."""
+    tree = ast.parse(source)
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return [
+        f"{type(n).__name__.lower()} (line {n.lineno})"
+        for n in ast.walk(body) if isinstance(n, (ast.For, ast.AsyncFor, ast.While))
+    ]
+
+
+def test_loops_of_a_function_detected():
+    source = (
+        "def f(xs):\n"
+        "    def g():\n        while True:\n            break\n"
+        "    return [x for x in xs]\n"
+        "def h(xs):\n    for x in xs:\n        pass\n"
+    )
+    assert _loops(source, "f") == ["while (line 3)"]
+    assert _loops(source, "h") == ["for (line 7)"]
+
+
+def test_kinetic_run_has_no_loop_of_its_own():
+    # run_experiment steps on spectral.evolve_rows, the one run loop of the three PDE layers
+    assert _loops((ROOT / "src" / "kvicsek" / "kinetic.py").read_text(), "run_experiment") == []
+
+
+def test_kinetic_never_calls_due():
+    # evolve_rows' cadences place the kinetic samples and snapshots
+    assert _uses((ROOT / "src" / "kvicsek" / "kinetic.py").read_text(), "due") == []
 
 
 _TRANSCENDENTALS = {"cos", "sin", "exp"}

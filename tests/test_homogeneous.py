@@ -20,7 +20,6 @@ from kvicsek.homogeneous import (
     homogeneous_rhs,
     linear_stability,
     solve_compatibility,
-    step_homogeneous,
     u_hat_unnormalized,
     von_mises_state,
 )
@@ -99,7 +98,7 @@ class TestEvolution:
     def test_step_guard(self, kernel):
         s = HomogeneousState(g=von_mises_state(4.0, 0.8, 256), t=0.0, kappa=1.0, nu=0.1)
         with pytest.raises(StepSizeError):
-            step_homogeneous(s, kernel, 5.0)
+            evolve_homogeneous(s, kernel, 5.0, 1)
 
     @staticmethod
     def nan_state():
@@ -115,7 +114,7 @@ class TestEvolution:
 
     def test_nan_abort(self, kernel):
         with pytest.raises(NumericsError):
-            step_homogeneous(self.nan_state(), kernel, 0.01)
+            evolve_homogeneous(self.nan_state(), kernel, 0.01, 1)
 
     def test_nan_in_one_row_names_that_row(self, kernel):
         good = HomogeneousState(g=perturbed_profile(256, 0.2, seed=1), t=0.0, kappa=0.3, nu=0.1)
@@ -338,10 +337,9 @@ class TestEnergy:
         for ratio in (1.0, 4.0):
             s = HomogeneousState(g=perturbed_profile(256, 0.3, seed=2), t=0.0, kappa=ratio * 0.1, nu=0.1)
             dt = 1e-4
-            for _ in range(500):
-                s = step_homogeneous(s, kernel, dt)
-            s_mid = step_homogeneous(s, kernel, dt)
-            s_next = step_homogeneous(s_mid, kernel, dt)
+            s = evolve_homogeneous(s, kernel, dt, 500, sample_every=500).final
+            s_mid = evolve_homogeneous(s, kernel, dt, 1).final
+            s_next = evolve_homogeneous(s_mid, kernel, dt, 1).final
             fd = (free_energy(s_next, kernel) - free_energy(s, kernel)) / (2 * dt)
             d = fisher_information(s_mid, kernel)
             assert fd == pytest.approx(-d, rel=0.01)

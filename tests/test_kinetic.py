@@ -7,7 +7,7 @@ import pytest
 
 from kvicsek.config import due, step_count, step_times
 from kvicsek.errors import NumericsError, StepSizeError
-from kvicsek.homogeneous import HomogeneousState, step_homogeneous
+from kvicsek.homogeneous import HomogeneousState, evolve_homogeneous
 from kvicsek.influence import AngularKernel, InfluencePair, angular_kernel, make_influence, validate_kernels
 from kvicsek import homogeneous, kinetic, spectral
 from kvicsek.kinetic import (
@@ -17,7 +17,7 @@ from kvicsek.kinetic import (
     run_experiment,
     step_kinetic,
 )
-from kvicsek.linear import ModeState, speed_decaying, step_mode
+from kvicsek.linear import ModeState, evolve_mode, speed_decaying
 from kvicsek.presets import perturbed_profile
 from kvicsek.spectral import (
     TWO_PI,
@@ -190,8 +190,8 @@ class TestStepKinetic:
         for _ in range(50):
             f = step_kinetic(f, params, pair, t)
             t += params.dt
-            for key in modes:
-                modes[key] = step_mode(modes[key], params.dt)
+        finals = evolve_mode(list(modes.values()), params.dt, 50, sample_every=50)
+        modes = {key: s for key, (s, _) in zip(modes, finals)}
         worst = max(
             np.max(np.abs(f.coeffs[a, b, :] - st.eta.coeffs)) for (a, b), st in modes.items()
         )
@@ -218,7 +218,8 @@ class TestStepKinetic:
         for _ in range(50):
             f = step_kinetic(f, params, pair, t)
             t += params.dt
-            modes = {key: step_mode(s, params.dt) for key, s in modes.items()}
+        finals = evolve_mode(list(modes.values()), params.dt, 50, sample_every=50)
+        modes = {key: s for key, (s, _) in zip(modes, finals)}
         for (a, b), s in modes.items():
             assert np.array_equal(f.coeffs[a, b], s.eta.coeffs), (a, b)
 
@@ -234,7 +235,7 @@ class TestStepKinetic:
         for _ in range(100):
             f = step_kinetic(f, params, pair, t)
             t += params.dt
-            hs = step_homogeneous(hs, ker, params.dt)
+        hs = evolve_homogeneous(hs, ker, params.dt, 100, sample_every=100).final
         assert np.max(np.abs(x_average(f).coeffs - hs.g.coeffs)) < 1e-8
 
     def test_x_independent_data_meet_the_same_step_guard(self):
@@ -247,9 +248,7 @@ class TestStepKinetic:
         _, (sup,) = full_rhs(homogeneous._alignment(kernel, 1.0), g0.coeffs)
         dt_max = 0.5 / (1.0 * 32 * sup + 1.0)
         steps = [
-            lambda dt: step_homogeneous(
-                HomogeneousState(g=g0, t=0.0, kappa=1.0, nu=1.0), kernel, dt
-            ),
+            lambda dt: evolve_homogeneous(HomogeneousState(g=g0, t=0.0, kappa=1.0, nu=1.0), kernel, dt, 1),
             lambda dt: step_kinetic(
                 f, KineticParams(kappa=1.0, nu=1.0, grid=grid, dt=dt, t_end=1.0), pair, 0.0
             ),

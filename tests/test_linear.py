@@ -13,8 +13,6 @@ from kvicsek.linear import (
     _ModeRows,
     _hypo_terms,
     _stack_sums,
-    _ramp,
-    comparison_sandwich,
     cutoff_chi,
     ed_schedule,
     evolve_mode,
@@ -24,10 +22,8 @@ from kvicsek.linear import (
     measure_ed_rate,
     mixing_curve,
     mixing_window,
-    mode_hm1_norm,
     speed_constant,
     speed_decaying,
-    step_mode,
     wrap_angle,
 )
 from kvicsek import spectral
@@ -47,6 +43,12 @@ def random_mode(rng, n=64, band=None):
     sel = np.abs(ls) <= band
     c[sel] = rng.standard_normal(sel.sum()) + 1j * rng.standard_normal(sel.sum())
     return AngularProfile(c)
+
+
+def sandwich(s, w=HypoWeights()):
+    """(lower, F, upper) of s: the t0 sample of a run of no steps."""
+    _, ser = evolve_mode(s, 1.0, 0, weights=w)
+    return ser.f_lower[0], ser.f_hypo[0], ser.f_upper[0]
 
 
 class TestWeights:
@@ -75,8 +77,7 @@ class TestStepMode:
         # nu -> 0 limit: pure transport conserves the L2 norm
         s = ModeState(k=(2, 1), eta=AngularProfile.from_function(np.cos, 128), t=0.0, nu=1e-300)
         n0 = s.eta.norm_l2()
-        for _ in range(1000):
-            s = step_mode(s, 0.05)
+        s, _ = evolve_mode(s, 0.05, 1000, sample_every=1000)
         assert abs(s.eta.norm_l2() - n0) < 1e-12 * n0
 
     def test_pure_heat_exact(self):
@@ -89,20 +90,15 @@ class TestStepMode:
             nu=1e-3,
             v=speed_constant(0.0),
         )
-        for _ in range(1000):
-            s = step_mode(s, 0.01)
+        s, _ = evolve_mode(s, 0.01, 1000, sample_every=1000)
         expected = np.sqrt(TWO_PI) * np.exp(-1e-3 * ell**2 * 10.0)
         assert abs(s.eta.norm_l2() - expected) < 1e-12 * expected
 
     def test_full_step_is_contraction(self):
         rng = np.random.default_rng(0)
         s = ModeState(k=(1, 2), eta=random_mode(rng), t=0.0, nu=1e-2)
-        prev = s.eta.norm_l2()
-        for _ in range(200):
-            s = step_mode(s, 0.05)
-            cur = s.eta.norm_l2()
-            assert cur <= prev * (1 + 1e-13)
-            prev = cur
+        _, series = evolve_mode(s, 0.05, 200)
+        assert np.all(series.norm_l2[1:] <= series.norm_l2[:-1] * (1 + 1e-13))
 
     def test_against_dense_rk4_oracle(self):
         # frozen expected values come from explicit RK4 (dt=1e-5) on the
@@ -128,8 +124,7 @@ class TestStepMode:
             c = c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
         s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 64), t=0.0, nu=nu)
-        for _ in range(2000):
-            s = step_mode(s, 5e-4)
+        s, _ = evolve_mode(s, 5e-4, 2000, sample_every=2000)
         mine = np.array([s.eta.coeffs[np.where(s.eta.l == l)[0][0]] for l in ls])
         assert np.linalg.norm(mine - c) < 1e-6 * np.linalg.norm(c)
 
@@ -137,7 +132,7 @@ class TestStepMode:
         v = speed_decaying(2.0)
         assert 0.5 < v(1.0) < v(0.0) == 1.0
         s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 64), t=0.0, nu=1e-3, v=v)
-        s = step_mode(s, 0.01)
+        s = evolve_mode(s, 0.01, 1)[0]
         assert s.t == pytest.approx(0.01)
 
     def test_wide_stack_builds_each_row_table_once(self):
@@ -175,7 +170,7 @@ class TestHypoFunctional:
         eta = s.eta.values
         deta = (np.roll(eta, -1) * 8 - np.roll(eta, 1) * 8 + np.roll(eta, 2) - np.roll(eta, -2)) / (12 * h)
         sinw = np.sin(th - s.theta_k)
-        zeta = s.zeta
+        zeta = min(1.0, np.sqrt(nu * s.k_norm) * s.t)
         ratio = np.sqrt(nu / 1.0)
         l2 = h * np.sum(np.abs(eta) ** 2)
         alpha_term = w.alpha * zeta * ratio * h * np.sum(np.abs(deta) ** 2)
@@ -213,7 +208,7 @@ class TestHypoFunctional:
             dt = t_sat / 200
             prev = None
             while s.t < 3 * t_sat:
-                s = step_mode(s, dt)
+                s = evolve_mode(s, dt, 1)[0]
                 val = hypo_functional(s, w).total
                 if s.t > t_sat and prev is not None:
                     assert val - prev <= 1e-10 * abs(prev)
@@ -227,7 +222,7 @@ def _values_space_terms(eta, states, t, w):
     values = np.array([AngularProfile(row).values for row in eta])
     dvalues = np.array([AngularProfile(theta_derivative(n) * row).values for row in eta])
     sinw = np.array([np.sin(theta_points(n) - s.theta_k) for s in states])
-    zr = [(_ramp(s, t), np.sqrt(s.nu / s.k_norm)) for s in states]
+    zr = [(min(1.0, np.sqrt(s.nu * s.k_norm) * t), np.sqrt(s.nu / s.k_norm)) for s in states]
     alpha, beta, gamma = np.array(
         [(w.alpha * z * r, -w.beta * z**2, w.gamma * z**3 / r) for z, r in zr]
     ).T
@@ -243,13 +238,13 @@ class TestSandwich:
     def test_equality_at_zero_time(self):
         rng = np.random.default_rng(2)
         s = ModeState(k=(3, -1), eta=random_mode(rng), t=0.0, nu=1e-2)
-        lo, val, up = comparison_sandwich(s)
+        lo, val, up = sandwich(s)
         assert lo == pytest.approx(val, rel=1e-14)
         assert up == pytest.approx(val, rel=1e-14)
 
     def test_zero_state_all_zero(self):
         s = ModeState(k=(1, 0), eta=AngularProfile(np.zeros(16, dtype=complex)), t=5.0, nu=1e-3)
-        assert comparison_sandwich(s) == (0.0, 0.0, 0.0)
+        assert sandwich(s) == (0.0, 0.0, 0.0)
 
     def test_thousand_random_states(self):
         rng = np.random.default_rng(3)
@@ -263,7 +258,7 @@ class TestSandwich:
                 t=float(rng.uniform(0.0, 200.0)),
                 nu=float(10.0 ** rng.uniform(-5, -1)),
             )
-            lo, val, up = comparison_sandwich(s)
+            lo, val, up = sandwich(s)
             assert lo <= val + 1e-12 * (1 + abs(val))
             assert val <= up + 1e-12 * (1 + abs(val))
 
@@ -273,7 +268,7 @@ class TestSandwich:
         s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 32), t=10.0, nu=1e-2)
         bad = SimpleNamespace(alpha=0.01, beta=1.0, gamma=-100.0)
         with pytest.raises(SandwichViolation):
-            comparison_sandwich(s, bad)
+            sandwich(s, bad)
 
 
 def _assert_series_equal(a, b):
@@ -334,7 +329,7 @@ class TestMixing:
         eta0 = AngularProfile.from_function(np.cos, 128)
         s = ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-2)
         curve = mixing_curve(s, horizon=15.0, dt=0.05)
-        assert curve.norm_hm1[0] == pytest.approx(mode_hm1_norm(s), rel=1e-12)
+        assert curve.norm_hm1[0] == pytest.approx(evolve_mode(s, 0.05, 0)[1].norm_hm1[0], rel=1e-12)
 
     def test_no_decay_without_shear(self):
         eta0 = AngularProfile.from_function(np.cos, 128)
@@ -418,7 +413,7 @@ class TestJkFields:
         quad = TWO_PI / 128
         worst = {+1: 0.0, -1: 0.0}
         for _ in range(300):
-            s = step_mode(s, 0.2)
+            s = evolve_mode(s, 0.2, 1)[0]
             for sign in worst:
                 j, _, _ = jk_field(s, sign)
                 val = np.sqrt(quad * np.sum(np.abs(chi[sign] * j.values) ** 2))
@@ -485,16 +480,17 @@ def test_evolve_mode_series_columns():
 
 
 def _reference_evolution(s, dt, n_steps, weights, sample_every):
-    """The per-state loop of step_mode and the single-state diagnostics."""
+    """A loop of single steps of one state, each sample the t0 sample of a run of no steps."""
     rows = []
 
     def sample(st):
-        lo, val, up = comparison_sandwich(st, weights)
-        rows.append((st.t, st.eta.norm_l2(), mode_hm1_norm(st), val, lo, up, st.zeta))
+        _, ser = evolve_mode(st, dt, 0, weights=weights)
+        cols = (ser.t, ser.norm_l2, ser.norm_hm1, ser.f_hypo, ser.f_lower, ser.f_upper, ser.zeta)
+        rows.append(tuple(col[0] for col in cols))
 
     sample(s)
     for i in range(n_steps):
-        s = step_mode(s, dt)
+        s = evolve_mode(s, dt, 1)[0]
         if (i + 1) % sample_every == 0 or i == n_steps - 1:
             sample(s)
     return s, [np.asarray(c) for c in zip(*rows)]

@@ -202,6 +202,38 @@ class TestRunSchedule:
             [[0.0, 0.5, 1.0], [0.0, 1.0, 2.0], [20, 20, 20]],
         ]
 
+    def test_a_stack_whose_rows_all_run_is_the_steppers_own_output(self):
+        # while every row runs, the stack is neither copied into the loop nor written back
+        c0 = np.zeros((2, 4))
+        c0.flags.writeable = False
+        seen, made = [], []
+
+        def step(c, t):
+            seen.append(c)
+            made.append(c + 1.0)
+            return made[-1]
+
+        c, _ = evolve_rows(c0, 0.0, 0.5, 3, 1, lambda rows: step, lambda rows, c, t: (c[:, 0] + 0.0,))
+        assert len(seen) == 3 and seen[0] is c0
+        assert all(a is b for a, b in zip(seen[1:], made)) and c is made[-1]
+
+    def test_snapshot_hook_runs_on_its_own_cadence(self):
+        snaps = []
+
+        def snapshot(step, rows, c, t):
+            snaps.append((step, rows.tolist(), c[:, 0].tolist(), t))
+
+        evolve_rows(
+            np.zeros((3, 4)), 0.0, 0.5, [4, 0, 2], 1, lambda rows: lambda c, t: c + 1.0,
+            lambda rows, c, t: (c[:, 0] + 0.0,), snapshot, 3,
+        )
+        # every third step and each row's last, after the step, at its time
+        assert snaps == [(2, [2], [2.0], 1.0), (3, [0], [3.0], 1.5), (4, [0], [4.0], 2.0)]
+
+    def test_snapshot_cadence_checked(self):
+        with pytest.raises(ValueError, match="snapshot_every must be an integer >= 0"):
+            evolve_rows(np.zeros((1, 4)), 0.0, 0.5, 2, 1, None, None, None, -1)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dt", [np.inf, np.nan, -0.1, 0.0])
     @pytest.mark.parametrize("layer", ["mode", "homogeneous"])
