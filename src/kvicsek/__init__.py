@@ -16,7 +16,6 @@ from .influence import (
     InfluencePair,
     angular_kernel,
     make_influence,
-    validate_kernels,
 )
 from .linear import (
     HypoWeights,

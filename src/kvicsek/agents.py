@@ -16,10 +16,10 @@ O(N K^2) per angular mode, where K is the smallest cutoff that leaves
 every dropped coefficient of Phi below PHI_SERIES_RTOL * max|Phi|
 (influence.PHI_SERIES_RTOL).  K is 14 for the bump at sigma = 1, 21 at
 sigma = 0.5, 30 at sigma = 0.3 and 0 for a uniform Phi; it grows like
-1/sigma.  Phi must therefore be smooth: a Phi with no such series on a
-PHI_SERIES_MAX_GRID grid (a jump, or a bump narrower than sigma ~ 0.03)
-is rejected with ValueError.  The kernel density estimate uses the same
-characteristic-function sums.
+1/sigma.  Phi must therefore be smooth: ``make_influence`` rejects a Phi
+with no such series on a PHI_SERIES_MAX_GRID grid (a jump, or a bump
+narrower than sigma ~ 0.03) with ValueError at build.  The kernel density
+estimate uses the same characteristic-function sums.
 
 Both reduce over the agents with complex GEMMs ((2K+1) x N by N x (2K+1)
 for the drift).  OpenBLAS 0.3.31 may hand a GEMM with m*n*k of 2**16 or

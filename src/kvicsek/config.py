@@ -20,8 +20,9 @@ CODE_VERSION = "0.1.0"
 
 
 def parse_config(path: str | Path) -> dict[str, str]:
-    """Parse one `key = value` per line; '#' starts a comment; no nesting; `t-end` reads as `t_end`."""
+    """Parse one `key = value` per line; '#' starts a comment; no nesting; `t-end` reads as `t_end`; no key twice."""
     out: dict[str, str] = {}
+    first: dict[str, int] = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -33,10 +34,13 @@ def parse_config(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        key = key.strip()
+        key = key.strip().replace("-", "_")
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
-        out[key.replace("-", "_")] = value.strip()
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice, on lines {first[key]} and {lineno}")
+        first[key] = lineno
+        out[key] = value.strip()
     return out
 
 

@@ -3,6 +3,9 @@
 Structural requirements: Phi is even with unit mass; Psi(theta) =
 sin(theta) * psi(theta) with psi smooth, even and nonnegative, so that
 the primitive U(theta) = int_{-pi}^theta Psi is nonpositive on T.
+``angular_kernel`` rejects a psi that is not even and nonnegative, and
+``make_influence`` a Phi with no positive mass, not even or not smooth;
+the rest follows from how the two build Psi, U and the normalised Phi.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from .spectral import (
     x_points,
 )
 
+
+# Relative tolerance of the structural checks of angular_kernel and make_influence.
+KERNEL_CHECK_TOL = 1e-12
 
 # Relative cutoff for the support of Psihat.  Off the support the built-in
 # factors leave round-off (<= 1e-16 of max|Psihat|); on it they have >= 0.125.
@@ -78,11 +84,20 @@ def _primitive_profile(psi: AngularProfile) -> AngularProfile:
 
 
 def angular_kernel(n_theta: int, psi_factor: Callable[[np.ndarray], np.ndarray] | None = None) -> AngularKernel:
-    """Build the angular kernel from the even factor psi (default psi = 1)."""
+    """Build the angular kernel from the even factor psi (default psi = 1).
+
+    ValueError unless psi is finite, nonnegative and even on the angular
+    grid, to KERNEL_CHECK_TOL of max|psi|.
+    """
     th = theta_points(n_theta)
     pf = np.ones_like(th) if psi_factor is None else np.asarray(psi_factor(th), dtype=np.float64)
-    psi_vals = np.sin(th) * pf
-    psi = AngularProfile.from_values(psi_vals)
+    tol = KERNEL_CHECK_TOL * float(np.max(np.abs(pf)))
+    if not (np.isfinite(tol) and np.min(pf) >= -tol):
+        raise ValueError(f"psi is not finite and nonnegative: its minimum is {np.min(pf):.3e}, its tolerance {tol:.3e}")
+    odd = float(np.max(np.abs(pf - mirror(pf, (0,), np.empty_like(pf)))))
+    if not odd <= tol:
+        raise ValueError(f"psi is not even: |psi(theta) - psi(-theta)| reaches {odd:.3e}, above {tol:.3e}")
+    psi = AngularProfile.from_values(np.sin(th) * pf)
     return AngularKernel(
         psi=psi,
         psi_factor=AngularProfile.from_values(pf),
@@ -122,9 +137,6 @@ PHI_SERIES_RTOL = 1e-16
 
 # Largest sampling grid (per axis) tried for the series of Phi.
 PHI_SERIES_MAX_GRID = 1024
-
-# Relative tolerance of the structural checks in validate_kernels.
-KERNEL_CHECK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -225,17 +237,19 @@ def make_influence(
     phi: str | Callable = "bump",
     sigma: float = 1.0,
     psi_factor: str | Callable | None = "one",
-    normalize: bool = True,
 ) -> InfluencePair:
-    """Assemble an InfluencePair on a grid.
+    """Assemble an InfluencePair on a grid, Phi rescaled to discrete mass 1.
 
     Parameters
     ----------
     phi : "bump", "uniform" or a periodic callable phi(x1, x2)
     sigma : width of the default bump, checked by ``bump_phi`` whatever ``phi`` is
     psi_factor : "one" (Psi = sin), "cos_squared" ((1+cos)^2), or callable
-    normalize : rescale Phi so its discrete integral, which must be > 0 past
-        round-off (1e-12 of the integral of |Phi|), is exactly 1
+
+    Raises ValueError unless Phi's discrete integral is finite and > 0 past
+    round-off (1e-12 of the integral of |Phi|), Phi is even on the x-grid
+    to KERNEL_CHECK_TOL of max|Phi|, and ``InfluencePair.phi_series``
+    resolves Phi; ``angular_kernel`` checks psi.
 
     The alignment flux costs O(|S| n_theta/3) products per right-hand side,
     of x-planes in the kinetic layer and of rows in the homogeneous one, S
@@ -263,87 +277,18 @@ def make_influence(
         raise ValueError(f"unknown psi_factor choice {psi_factor!r}")
 
     pair = InfluencePair(grid=grid, phi_fn=phi_fn, angular=angular_kernel(grid.n_theta, pf))
-    if not normalize:
-        return pair
-    total = float(np.sum(pair.phi_values))
-    mass = total * TWO_PI**2 / (grid.n_x1 * grid.n_x2)
-    if not (np.isfinite(mass) and total > 1e-12 * float(np.sum(abs(pair.phi_values)))):  # round-off: Phi x ~1e15
-        raise ValueError(f"Phi has discrete mass {mass!r} on the x-grid, not finite and > 1e-12 of that of |Phi|")
-    return replace(pair, phi_fn=lambda x1, x2: phi_fn(x1, x2) / mass)
-
-
-@dataclass(frozen=True)
-class KernelCheck:
-    name: str
-    passed: bool
-    worst: float
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    checks: tuple[KernelCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[KernelCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
-def validate_kernels(pair: InfluencePair) -> KernelReport:
-    """Check every structural assumption to KERNEL_CHECK_TOL; reports violations, never raises."""
-    tol = KERNEL_CHECK_TOL
-    checks: list[KernelCheck] = []
     pv = pair.phi_values
-    scale = max(float(np.max(np.abs(pv))), 1e-300)
-
-    sym_dev = np.abs(pv - mirror(pv, (0, 1), np.empty_like(pv)))
-    idx = np.unravel_index(int(np.argmax(sym_dev)), sym_dev.shape)
-    worst = float(sym_dev[idx]) / scale
-    checks.append(
-        KernelCheck(
-            "phi_even",
-            worst <= tol,
-            worst,
-            f"max violation at grid index {idx}",
+    total = float(np.sum(pv))
+    mass = total * TWO_PI**2 / (grid.n_x1 * grid.n_x2)
+    if not (np.isfinite(mass) and total > 1e-12 * float(np.sum(abs(pv)))):  # round-off: Phi x ~1e15
+        raise ValueError(f"Phi has discrete mass {mass!r} on the x-grid, not finite and > 1e-12 of that of |Phi|")
+    odd = np.abs(pv - mirror(pv, (0, 1), np.empty_like(pv)))
+    at = np.unravel_index(int(np.argmax(odd)), odd.shape)
+    if not odd[at] <= KERNEL_CHECK_TOL * pair.phi_max:
+        raise ValueError(
+            f"Phi is not even: |Phi(x) - Phi(-x)| reaches {odd[at] / pair.phi_max:.3e} of max|Phi| "
+            f"at x-grid index {tuple(map(int, at))}"
         )
-    )
-
-    mass = float(np.sum(pv)) * TWO_PI**2 / pv.size
-    checks.append(KernelCheck("phi_mass_one", abs(mass - 1.0) <= tol, abs(mass - 1.0)))
-
-    th = theta_points(pair.grid.n_theta)
-    psi_vals = pair.angular.psi.values
-    pf_vals = pair.angular.psi_factor.values
-    pscale = max(float(np.max(np.abs(psi_vals))), 1e-300)
-    imag = max(float(np.max(np.abs(psi_vals.imag))), float(np.max(np.abs(pf_vals.imag))))
-    checks.append(KernelCheck("psi_real", imag <= tol * pscale, imag))
-    psi_vals = psi_vals.real
-    pf_vals = pf_vals.real
-
-    factor_dev = float(np.max(np.abs(psi_vals - np.sin(th) * pf_vals))) / pscale
-    checks.append(KernelCheck("psi_eq_sin_times_factor", factor_dev <= tol, factor_dev))
-
-    neg = float(max(0.0, -np.min(pf_vals))) / pscale
-    checks.append(KernelCheck("psi_factor_nonneg", neg <= tol, neg))
-
-    even_dev = float(np.max(np.abs(pf_vals - mirror(pf_vals, (0,), np.empty_like(pf_vals))))) / pscale
-    checks.append(KernelCheck("psi_factor_even", even_dev <= tol, even_dev))
-
-    mean_psi = abs(pair.angular.psi.mass) / max(pscale, 1.0)
-    checks.append(KernelCheck("psi_zero_mean", mean_psi <= tol, mean_psi))
-
-    u_vals = pair.angular.primitive.values.real
-    u_pos = float(max(0.0, np.max(u_vals))) / max(float(np.max(np.abs(u_vals))), 1e-300)
-    checks.append(KernelCheck("primitive_nonpositive", u_pos <= tol, u_pos))
-
-    u_start = abs(float(u_vals[0]))  # theta grid starts at -pi
-    checks.append(KernelCheck("primitive_zero_at_minus_pi", u_start <= tol * max(pscale, 1.0), u_start))
-
-    dU = pair.angular.primitive.derivative().values.real
-    deriv_dev = float(np.max(np.abs(dU - psi_vals))) / pscale
-    checks.append(KernelCheck("primitive_derivative_is_psi", deriv_dev <= 1e-10, deriv_dev))
-
-    return KernelReport(tuple(checks))
+    pair = replace(pair, phi_fn=lambda x1, x2: phi_fn(x1, x2) / mass)
+    pair.phi_series  # ValueError when no grid resolves Phi
+    return pair

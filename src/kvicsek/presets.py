@@ -91,10 +91,13 @@ def _parse_k_list(text: str) -> list[tuple[int, int]]:
         part = part.strip()
         if not part:
             continue
-        a, b = part.split(",")
-        ks.append((int(a), int(b)))
+        try:
+            a, b = (int(v) for v in part.split(","))
+        except ValueError:
+            raise ConfigError(f"k_list entry {part!r} is not two integers k1,k2") from None
+        ks.append((a, b))
     if not ks:
-        raise ConfigError("empty k list")
+        raise ConfigError("k_list is empty")
     return ks
 
 
@@ -302,7 +305,6 @@ def _agents(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
     n_theta, dt, snapshot_every = o["n_theta"], o["dt"], o["snapshot_every"]
     grid = TorusGrid(o["n_x"], o["n_x"], n_theta)
     influence = make_influence(grid, phi=o["phi"], sigma=o["sigma"])
-    influence.phi_series  # the drift's series of Phi: resolve it before any output
     g0 = perturbed_profile(n_theta, o["amplitude"], cfg.seed)
 
     def run() -> list[Path]:
@@ -342,9 +344,9 @@ def _compare(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
     ratio, nu, t_end, n_theta = o["ratio"], o["nu"], o["t_end"], o["n_theta"]
     th = theta_points(n_theta)
     g0 = AngularProfile.from_values((1.0 + np.cos(th)) / TWO_PI)
-    kernel = angular_kernel(n_theta)
-    state = hom.HomogeneousState(g=g0, t=0.0, kappa=ratio * nu, nu=nu)
     influence = make_influence(TorusGrid(4, 4, n_theta), phi="uniform")
+    kernel = influence.angular
+    state = hom.HomogeneousState(g=g0, t=0.0, kappa=ratio * nu, nu=nu)
 
     def run() -> list[Path]:
         dt_pde, dt_sde = o["dt_pde"], o["dt_sde"]

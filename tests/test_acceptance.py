@@ -25,7 +25,7 @@ from kvicsek.homogeneous import (
     solve_compatibility,
     von_mises_state,
 )
-from kvicsek.influence import angular_kernel, bump_phi, make_influence
+from kvicsek.influence import InfluencePair, angular_kernel, bump_phi, make_influence
 from kvicsek.kinetic import KineticParams, default_initial, run_experiment, step_kinetic
 from kvicsek.linear import (
     HypoWeights,
@@ -372,7 +372,9 @@ def test_ac13_inhomogeneous_sde_pde_agreement():
     # by ~3x the band, so the comparison sees the drift, not only transport
     bump = bump_phi(1.0)
     phi_mass = TWO_PI**2 * ive(0, 1.0) ** 2
-    pair = make_influence(grid, phi=lambda x1, x2: 20.0 * bump(x1, x2) / phi_mass, normalize=False)
+    pair = InfluencePair(
+        grid=grid, phi_fn=lambda x1, x2: 20.0 * bump(x1, x2) / phi_mass, angular=angular_kernel(grid.n_theta)
+    )
     kappa, nu, dt, t_end = 1.0, 0.1, 0.02, 4.0
     n_steps = int(round(t_end / dt))
     checkpoints = {50, 100, 150, 200}  # t = 1, 2, 3, 4

@@ -34,7 +34,7 @@ from kvicsek.agents import (
     sample_angles,
 )
 from kvicsek.errors import StepSizeError
-from kvicsek.influence import AngularKernel, InfluencePair, make_influence
+from kvicsek.influence import AngularKernel, InfluencePair, angular_kernel, make_influence
 from kvicsek.linear import speed_constant, speed_decaying, wrap_angle
 from kvicsek.spectral import TWO_PI, AngularProfile, TorusGrid, norm, remainder, theta_points
 
@@ -282,11 +282,13 @@ class TestFourierDrift:
 
     def test_discontinuous_phi_rejected(self):
         box = lambda x1, x2: ((np.cos(x1) > 0.5) & (np.cos(x2) > 0.5)).astype(float)
-        influence = make_influence(TorusGrid(8, 8, 16), phi=box)
+        grid = TorusGrid(8, 8, 16)
         with pytest.raises(ValueError, match="smooth"):
-            influence.phi_series
+            make_influence(grid, phi=box)
+        # the constructor skips that check; the drift still finds no series
+        influence = InfluencePair(grid=grid, phi_fn=box, angular=angular_kernel(16))
         e = make_ensemble(np.random.default_rng(1), 8, influence)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="smooth"):
             angular_drift(e)
 
     def test_phi_series_read_only(self, bump_influence):

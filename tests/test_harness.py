@@ -86,6 +86,10 @@ class TestConfig:
             parse_config(p)
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "missing.cfg")
+        # a key given twice, in either spelling, is not last-wins
+        p.write_text("nu = 0.1\nt-end = 0.2\nt_end = 0.1\nnu = 0.2\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:3: key 't_end' given twice, on lines 2 and 3"):
+            parse_config(p)
 
     def test_options_coercion(self):
         table = {"a": 0.5, "b": 1, "g": (4, 4, 4)}
@@ -287,6 +291,12 @@ _EDGE_VALUES = [
     (["kinetic", "--grid", "4,4,8", "--t-end", "0.1", "--sigma", "1e-154"], 2, "sigma 1e-154 is too small: the bump"),
     (["agents", "--phi", "bump", "--sigma", "1e-160"], 2, "sigma 1e-160 is too small: the bump"),
     (["agents", "--phi", "bump", "--sigma", "1e-154"], 2, "sigma 1e-154 is too small: the bump"),
+    (["kinetic", "--grid", "4,4,8", "--t-end", "0.1", "--sigma", "1e-100"], 2, "no Fourier series"),
+    (["kinetic", "--grid", "4,4,8", "--t-end", "0.1", "--sigma", "0.01"], 2, "no Fourier series"),
+    (["agents", "--phi", "bump", "--sigma", "1e-100"], 2, "no Fourier series"),
+    (["linear-ed", "--k-list", "1"], 2, "k_list entry '1' is not two integers"),
+    (["linear-ed", "--k-list", "1,0,0"], 2, "k_list entry '1,0,0' is not two integers"),
+    (["linear-ed", "--k-list", "a,0"], 2, "k_list entry 'a,0' is not two integers"),
     (["homogeneous", "--n-theta", "4"], 3, "Fisher information requires a positive density"),
     (["phase-diagram", "--n-theta", "4", "--ratio-steps", "3", "--t-end", "0.1"], 0, ""),
     (["phase-diagram", "--n-theta", "6", "--ratio-steps", "3", "--t-end", "0.1"], 0, ""),

@@ -8,7 +8,15 @@ import pytest
 from kvicsek.config import due, step_count, step_times
 from kvicsek.errors import NumericsError, StepSizeError
 from kvicsek.homogeneous import HomogeneousState, evolve_homogeneous
-from kvicsek.influence import AngularKernel, InfluencePair, angular_kernel, make_influence, validate_kernels
+from kvicsek.influence import (
+    KERNEL_CHECK_TOL,
+    AngularKernel,
+    InfluencePair,
+    angular_kernel,
+    bump_phi,
+    make_influence,
+    uniform_phi,
+)
 from kvicsek import homogeneous, kinetic, spectral
 from kvicsek.kinetic import (
     KineticParams,
@@ -25,6 +33,7 @@ from kvicsek.spectral import (
     SpectralField,
     TorusGrid,
     diffusion_factor,
+    mirror,
     norm,
     read_snapshot,
     remainder,
@@ -66,12 +75,33 @@ class TestParams:
             assert p3.ed_regime is inside
 
 
+def _assert_kernel_structure(pair: InfluencePair) -> None:
+    """The paper's (Phi, Psi) structure, to KERNEL_CHECK_TOL (U' = Psi to 1e-10)."""
+    tol = KERNEL_CHECK_TOL
+    pv = pair.phi_values
+    assert np.max(np.abs(pv - mirror(pv, (0, 1), np.empty_like(pv)))) <= tol * np.max(np.abs(pv))  # Phi even
+    assert abs(np.sum(pv) * TWO_PI**2 / pv.size - 1.0) <= tol  # Phi has unit discrete mass
+    psi, pf = pair.angular.psi.values, pair.angular.psi_factor.values
+    scale = np.max(np.abs(psi))
+    assert max(np.max(np.abs(psi.imag)), np.max(np.abs(pf.imag))) <= tol * scale  # Psi and psi real
+    psi, pf = psi.real, pf.real
+    assert np.max(np.abs(psi - np.sin(theta_points(psi.size)) * pf)) <= tol * scale  # Psi = sin psi
+    assert np.min(pf) >= -tol * scale  # psi nonnegative
+    assert np.max(np.abs(pf - mirror(pf, (0,), np.empty_like(pf)))) <= tol * scale  # psi even
+    assert abs(pair.angular.psi.mass) <= tol * max(scale, 1.0)  # Psi has mean zero
+    u = pair.angular.primitive.values.real
+    assert np.max(u) <= tol * np.max(np.abs(u))  # U <= 0
+    assert abs(u[0]) <= tol * max(scale, 1.0)  # U(-pi) = 0: the theta grid starts at -pi
+    assert np.max(np.abs(pair.angular.primitive.derivative().values.real - psi)) <= 1e-10 * scale  # U' = Psi
+
+
 class TestValidateKernels:
+    """make_influence and angular_kernel check the inputs; the rest holds by construction."""
+
     def test_sine_kernel_passes_and_reproduces_primitive(self):
         grid = TorusGrid(16, 16, 64)
         pair = make_influence(grid, phi="bump", sigma=1.0)
-        report = validate_kernels(pair)
-        assert report.passed, report.failures()
+        _assert_kernel_structure(pair)
         u = pair.angular.primitive.values.real
         th = theta_points(64)
         assert np.max(np.abs(u - (-1.0 - np.cos(th)))) < 1e-12
@@ -79,36 +109,50 @@ class TestValidateKernels:
     def test_shifted_phi_fails_symmetry_with_location(self):
         grid = TorusGrid(16, 16, 16)
         shifted = lambda x1, x2: np.exp((np.cos(x1 - 0.8) + np.cos(x2) - 2.0))
-        pair = make_influence(grid, phi=shifted)
-        report = validate_kernels(pair)
-        assert not report.passed
-        names = [c.name for c in report.failures()]
-        assert "phi_even" in names
-        check = next(c for c in report.checks if c.name == "phi_even")
-        assert "grid index" in check.detail
+        with pytest.raises(ValueError, match=r"Phi is not even: .* of max\|Phi\| at x-grid index \(\d+, \d+\)"):
+            make_influence(grid, phi=shifted)
 
     def test_cos_squared_factor_passes(self):
         grid = TorusGrid(8, 8, 64)
         pair = make_influence(grid, psi_factor="cos_squared")
-        report = validate_kernels(pair)
-        assert report.passed, report.failures()
+        _assert_kernel_structure(pair)
         # quadrature confirmation that the mean of Psi vanishes
         psi_vals = pair.angular.psi.values.real
         assert abs(psi_vals.sum() * TWO_PI / 64) < 1e-12
 
+    def test_dense_factor_passes(self):
+        _assert_kernel_structure(make_influence(TorusGrid(8, 8, 64), psi_factor=PSI_FACTORS["dense"]))
+
+    @pytest.mark.parametrize(
+        "psi_factor, message",
+        [(lambda th: 1.0 + 0.5 * np.sin(th), "psi is not even"),
+         (np.cos, "psi is not finite and nonnegative: its minimum is -1"),
+         (lambda th: np.where(th > 0, np.inf, 1.0), "psi is not finite and nonnegative")],
+        ids=["odd", "negative", "infinite"],
+    )
+    def test_angular_kernel_rejects_a_factor_off_the_structure(self, psi_factor, message):
+        with pytest.raises(ValueError, match=message):
+            angular_kernel(64, psi_factor)
+        with pytest.raises(ValueError, match=message):
+            make_influence(TorusGrid(8, 8, 64), psi_factor=psi_factor)
+
 
 class TestPhiValues:
     @pytest.mark.parametrize("phi", ["bump", "uniform", lambda x1, x2: 2.0 + np.cos(x1) * np.cos(2 * x2)])
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_phi_values_are_phi_fn_on_the_grid_and_read_only(self, phi, normalize):
+    @pytest.mark.parametrize("by_make_influence", [True, False])
+    def test_phi_values_are_phi_fn_on_the_grid_and_read_only(self, phi, by_make_influence):
         grid = TorusGrid(8, 16, 8)
-        pair = make_influence(grid, phi=phi, sigma=0.5, normalize=normalize)
+        if by_make_influence:
+            pair = make_influence(grid, phi=phi, sigma=0.5)
+        else:
+            phi_fn = bump_phi(0.5) if phi == "bump" else uniform_phi() if phi == "uniform" else phi
+            pair = InfluencePair(grid=grid, phi_fn=phi_fn, angular=angular_kernel(8))
         samples = pair.phi_fn(grid.x1[:, None], grid.x2[None, :])
         assert pair.phi_values.shape == (8, 16) and pair.phi_values.dtype == np.float64
         assert np.array_equal(pair.phi_values, np.broadcast_to(samples, (8, 16)))
         with pytest.raises(ValueError, match="read-only"):
             pair.phi_values[0, 0] = 1.0
-        if normalize:
+        if by_make_influence:
             assert abs(np.sum(pair.phi_values) * TWO_PI**2 / 128 - 1.0) < 1e-15
 
     @pytest.mark.parametrize(
