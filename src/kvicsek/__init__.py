@@ -21,9 +21,6 @@ from .linear import (
     HypoWeights,
     ModeState,
     evolve_mode,
-    hypo_functional,
-    jk_coefficients,
-    jk_field,
     measure_ed_rate,
     mixing_curve,
     speed_constant,
@@ -36,7 +33,6 @@ from .homogeneous import (
     evolve_homogeneous,
     fisher_information,
     free_energy,
-    frouvelle_liu_rhs,
     linear_stability,
     solve_compatibility,
     von_mises_state,

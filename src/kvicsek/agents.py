@@ -167,42 +167,6 @@ def sample_angles(profile: AngularProfile, n: int, rng: np.random.Generator) -> 
     return np.interp(rng.random(n), cdf, edges)
 
 
-def ensemble_from_density(
-    n: int,
-    density: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    influence: InfluencePair,
-    kappa: float,
-    nu: float,
-    seed: int = 0,
-    v: Callable[[float], float] = speed_constant(),
-) -> AgentEnsemble:
-    """Rejection sampling of (x, theta) from a density on T^2 x T."""
-    rng = _make_rng(seed)
-    probe = density(
-        np.linspace(0, TWO_PI, 33)[:, None, None],
-        np.linspace(0, TWO_PI, 33)[None, :, None],
-        np.linspace(-np.pi, np.pi, 33)[None, None, :],
-    )
-    top = float(np.max(probe))
-    if not (np.isfinite(top) and top > 0):
-        raise ValueError(f"density probe maximum {top!r} on the 33^3 grid is not finite and > 0")
-    bound = 1.1 * top
-    xs, ths = [], []
-    have = 0
-    while have < n:
-        m = max(2 * (n - have), 1024)
-        x1 = rng.random(m) * TWO_PI
-        x2 = rng.random(m) * TWO_PI
-        th = rng.random(m) * TWO_PI - np.pi
-        accept = rng.random(m) * bound < density(x1, x2, th)
-        xs.append(np.column_stack([x1[accept], x2[accept]]))
-        ths.append(th[accept])
-        have += int(accept.sum())
-    x = np.concatenate(xs)[:n]
-    theta = np.concatenate(ths)[:n]
-    return AgentEnsemble(x=x, theta=theta, kappa=kappa, nu=nu, influence=influence, rng=rng, v=v)
-
-
 # ---------------------------------------------------------------------------
 # Drift evaluation
 # ---------------------------------------------------------------------------

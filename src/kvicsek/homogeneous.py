@@ -69,11 +69,6 @@ class HomogeneousState:
             raise ValueError(f"kappa must be finite and nu finite and > 0, got {self.kappa}, {self.nu}")
 
 
-def constant_state(n_theta: int, kappa: float, nu: float) -> HomogeneousState:
-    vals = np.full(n_theta, 1.0 / TWO_PI)
-    return HomogeneousState(AngularProfile.from_values(vals), 0.0, kappa, nu)
-
-
 def _alignment_rhs(
     g: np.ndarray, kernel: AngularKernel, kappa: np.ndarray | float, with_sup: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -210,17 +205,6 @@ def fisher_information(s: HomogeneousState, kernel: AngularKernel) -> float:
         return quad * float(np.sum(g * drift**2))
 
 
-def homogeneous_rhs(s: HomogeneousState, kernel: AngularKernel) -> AngularProfile:
-    """Full right-hand side kappa d_theta(g (Psi*g)) + nu d^2 g, no dealiasing.
-
-    Used for stationarity residuals; vanishes at compatible von Mises states.
-    """
-    conv = kernel.psi.convolve(s.g)
-    flux = AngularProfile.from_values(s.g.values * conv.values)
-    ddg = AngularProfile(s.g.derivative().derivative().coeffs)
-    return AngularProfile(s.kappa * flux.derivative().coeffs + s.nu * ddg.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Linear stability of the constant state
 # ---------------------------------------------------------------------------
@@ -280,10 +264,8 @@ def bessel_ratios(z, n: int) -> list:
 def bessel_ratio(z):
     """I_1(z)/I_0(z), increasing from 0 at z=0 toward 1 as z -> infinity.
 
-    The k = 1 entry of ``bessel_ratios``, elementwise on an array.
+    The k = 1 entry of ``bessel_ratios``.
     """
-    if isinstance(z, np.ndarray):
-        return np.array([bessel_ratio(zi) for zi in z.ravel()]).reshape(z.shape)
     return bessel_ratios(z, 1)[1]
 
 
@@ -353,35 +335,3 @@ def von_mises_state(ratio: float, r: complex, n_theta: int) -> AngularProfile:
     vals = np.exp(c * np.cos(th + np.angle(r)))
     prof = AngularProfile.from_values(vals)
     return AngularProfile(prof.coeffs / (TWO_PI * prof.coeffs[0]))
-
-
-# ---------------------------------------------------------------------------
-# Frouvelle-Liu sphere formulation (numerical equivalence oracle)
-# ---------------------------------------------------------------------------
-
-
-def frouvelle_liu_rhs(g: AngularProfile) -> tuple[AngularProfile, AngularProfile]:
-    """Alignment drift computed two ways: sphere projection vs flux form.
-
-    Returns (-div_p((I - p(x)p)J[g] g), d_theta(g (sin*g))); the two
-    agree identically, which validates the angular formulation.
-    """
-    n = g.n
-    th = theta_points(n)
-    gv = g.values
-
-    # sphere formulation through the projection matrix algebra
-    j1 = float(TWO_PI * g.coeffs[1].real)     # integral cos(theta') g
-    j2 = float(-TWO_PI * g.coeffs[1].imag)    # integral sin(theta') g
-    sin, cos = np.sin(th), np.cos(th)
-    f1 = (sin**2 * j1 - sin * cos * j2) * gv
-    f2 = (-sin * cos * j1 + cos**2 * j2) * gv
-    df1 = AngularProfile.from_values(f1).derivative().values
-    df2 = AngularProfile.from_values(f2).derivative().values
-    sphere = AngularProfile.from_values(-(-sin * df1 + cos * df2))
-
-    # direct flux form with the angular convolution
-    sin_profile = AngularProfile.from_values(np.sin(th))
-    conv = sin_profile.convolve(g).values
-    direct = AngularProfile.from_values(gv * conv).derivative()
-    return sphere, direct

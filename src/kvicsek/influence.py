@@ -278,7 +278,7 @@ def make_influence(
 
     pair = InfluencePair(grid=grid, phi_fn=phi_fn, angular=angular_kernel(grid.n_theta, pf))
     pv = pair.phi_values
-    total = float(np.sum(pv))
+    total = float(np.sum(pv)) if np.isfinite(pv).all() else np.nan  # +inf and -inf samples would warn in the sum
     mass = total * TWO_PI**2 / (grid.n_x1 * grid.n_x2)
     if not (np.isfinite(mass) and total > 1e-12 * float(np.sum(abs(pv)))):  # round-off: Phi x ~1e15
         raise ValueError(f"Phi has discrete mass {mass!r} on the x-grid, not finite and > 1e-12 of that of |Phi|")

@@ -40,7 +40,7 @@ stack; a single state is a batch of one.  ``measure_ed_rate`` runs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -57,7 +57,6 @@ from .spectral import (
     fft_wavenumbers,
     split_step,
     theta_derivative,
-    theta_points,
     transport,
     transport_factor,
 )
@@ -73,7 +72,6 @@ def speed_decaying(tau: float) -> Callable[[float], float]:
 
 
 MAX_BETA = 1.0 / 4096.0
-CHI_WIDTH = TWO_PI / 3.0  # half-width of the support of cutoff_chi
 
 
 @dataclass(frozen=True)
@@ -253,13 +251,6 @@ def _hypo_terms(sums: _Sums, rows: _ModeRows, zeta: np.ndarray, w: HypoWeights) 
     beta = -w.beta * zeta2
     gamma = w.gamma * (zeta2 * zeta) / rows.scale
     return HypoTerms(l2=TWO_PI * sums.total, alpha_term=alpha * d2, beta_term=beta * cross, gamma_term=gamma * s2)
-
-
-def hypo_functional(s: ModeState, w: HypoWeights = HypoWeights()) -> HypoTerms:
-    """Evaluate the four terms of the weighted energy at the current state."""
-    rows = _ModeRows.of([s])
-    terms = _hypo_terms(_stack_sums(s.eta.coeffs[None], rows), rows, rows.zeta(s.t), w)
-    return HypoTerms(*(float(getattr(terms, f.name)[0]) for f in fields(HypoTerms)))
 
 
 def _sandwich(terms: HypoTerms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -511,37 +502,6 @@ def mixing_curve(
     return curves[0] if isinstance(s, ModeState) else curves
 
 
-# ---------------------------------------------------------------------------
-# Vector fields J_k^+- and their cutoffs
-# ---------------------------------------------------------------------------
-
-
-def jk_coefficients(t: float, nu: float, k_norm: float, sign: int = +1) -> tuple[complex, complex]:
-    """Coefficients A_k^+-, B_k^+- at time t.
-
-    A^+ = (1 + e^{-2(1-i) s})/2,  B^+ = (1+i)(1 - e^{-2(1-i) s})/4,
-    with s = (nu |k|)^{1/2} t; the minus variant conjugates the
-    exponent and uses (i-1)/4.
-    """
-    s = np.sqrt(nu * k_norm) * t
-    if sign >= 0:
-        e = np.exp(-2.0 * (1.0 - 1j) * s)
-        return complex((1.0 + e) / 2.0), complex((1.0 + 1j) / 4.0 * (1.0 - e))
-    e = np.exp(-2.0 * (1.0 + 1j) * s)
-    return complex((1.0 + e) / 2.0), complex((1j - 1.0) / 4.0 * (1.0 - e))
-
-
-def jk_field(s: ModeState, sign: int = +1) -> tuple[AngularProfile, complex, complex]:
-    """Apply J_k^+- to the current state; returns (J eta, A, B)."""
-    A, B = jk_coefficients(s.t, s.nu, s.k_norm, sign)
-    th = theta_points(s.eta.n)
-    center = s.theta_k if sign >= 0 else s.theta_k + np.pi
-    sinw = np.sin(th - center)
-    scale = np.sqrt(s.k_norm / s.nu)
-    values = A * s.eta.derivative().values - 1j * scale * B * sinw * s.eta.values
-    return AngularProfile.from_values(values), A, B
-
-
 def wrap_angle(x: np.ndarray, shift: float = np.pi, out: np.ndarray | None = None) -> np.ndarray:
     """Wrap angles into [-shift, 2pi - shift), bit for bit np.mod(x + shift, 2pi) - shift.
 
@@ -562,12 +522,3 @@ def wrap_angle(x: np.ndarray, shift: float = np.pi, out: np.ndarray | None = Non
         np.add(a, TWO_PI, out=a, where=a < 0.0)
     a -= shift
     return a
-
-
-def cutoff_chi(n: int, theta_k: float) -> np.ndarray:
-    """Smooth bump supported on |theta - theta_k| < CHI_WIDTH, equal to 1 at theta_k."""
-    u = wrap_angle(theta_points(n) - theta_k) / CHI_WIDTH
-    out = np.zeros(n)
-    inside = np.abs(u) < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-    return out

@@ -24,7 +24,7 @@ kinetic flux all use it.
 (per-mode, homogeneous, kinetic), and the one place that composes it: a
 layer passes nu, its kappa on the ``Alignment`` and a transport over the
 sub-step h it is given.  The tables the steps read are built and cached
-here only, one per stack: the theta-derivative, the 2/3 mask, the
+here only, one per stack: the theta-derivative, the
 ``diffusion_factor``, the ``transport_factor`` of ``transport``.
 Its leading axes are a batch: the 1-D layers stack independent rows
 ``c[batch, n_theta]`` (one per alignment strength, or per x-mode and
@@ -116,12 +116,6 @@ def diffusion_factor(n: int, nu: float | tuple[float, ...], dt: float) -> np.nda
     _check_dt(dt)
     l = fft_wavenumbers(n).astype(np.float64)
     return _readonly(np.exp(-np.array(nu, np.float64)[..., None] * l**2 * dt))
-
-
-@lru_cache(maxsize=64)
-def dealias_keep(n: int) -> np.ndarray:
-    """2/3-rule mask of one axis: True on the retained wavenumbers |k| <= n/3."""
-    return _readonly(np.abs(fft_wavenumbers(n)) <= n // 3)
 
 
 def _validate_count(n: int, name: str) -> None:
@@ -216,12 +210,6 @@ class TorusGrid:
         k1[self.n_x1 // 2] = k2[self.n_x2 // 2] = 0
         return tuple((k,) for k in k1), tuple(k2)
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: True on retained modes, all three indices; read-only."""
-        keep1, keep2, keep3 = (dealias_keep(n) for n in self.shape)
-        return _readonly(keep1[:, None, None] & keep2[None, :, None] & keep3[None, None, :])
-
 
 # ---------------------------------------------------------------------------
 # Angular profiles (functions on T)
@@ -273,10 +261,6 @@ class AngularProfile:
     def norm_l2(self) -> float:
         return float(np.sqrt(TWO_PI * np.sum(np.abs(self.coeffs) ** 2)))
 
-    def norm_hs(self, s: float) -> float:
-        w = (1.0 + self.l.astype(np.float64) ** 2) ** s
-        return float(np.sqrt(TWO_PI * np.sum(w * np.abs(self.coeffs) ** 2)))
-
     def derivative(self) -> "AngularProfile":
         return AngularProfile(theta_derivative(self.n) * self.coeffs)
 
@@ -285,10 +269,6 @@ class AngularProfile:
         if other.n != self.n:
             raise ValueError("profile resolution mismatch")
         return AngularProfile(TWO_PI * self.coeffs * other.coeffs)
-
-    def rotate(self, phi: float) -> "AngularProfile":
-        """Profile of theta -> g(theta + phi)."""
-        return AngularProfile(self.coeffs * np.exp(1j * self.l * phi))
 
     def eval(self, theta: np.ndarray) -> np.ndarray:
         """Evaluate the trigonometric sum at arbitrary angles, skipping the terms below EVAL_CUTOFF."""
@@ -604,9 +584,6 @@ class SpectralField:
         dev = np.max(np.abs(mirror(self.coeffs, (0, 1, 2), np.empty_like(self.coeffs)) - self.coeffs))
         scale = np.max(np.abs(self.coeffs))
         return bool(dev <= REAL_RTOL * max(scale, 1e-300))
-
-    def dealiased(self) -> "SpectralField":
-        return SpectralField(self.grid, np.where(self.grid.dealias_mask, self.coeffs, 0.0))
 
 
 def x_average(f: SpectralField) -> AngularProfile:

@@ -27,7 +27,6 @@ from kvicsek.agents import (
     angular_drift,
     em_step,
     empirical_density,
-    ensemble_from_density,
     ensemble_from_profile,
     order_parameter,
     projection_drift_check,
@@ -37,6 +36,8 @@ from kvicsek.errors import StepSizeError
 from kvicsek.influence import AngularKernel, InfluencePair, angular_kernel, make_influence
 from kvicsek.linear import speed_constant, speed_decaying, wrap_angle
 from kvicsek.spectral import TWO_PI, AngularProfile, TorusGrid, norm, remainder, theta_points
+
+from oracles import ensemble_from_density
 
 _PAIRWISE_CHUNK = 512
 

@@ -865,6 +865,68 @@ def test_step_tables_are_cached_only_in_spectral():
     assert found["spectral.py"]
 
 
+def _unread_exports(init: str, readers: list[str]) -> list[str]:
+    """Names ``init`` binds by import that no reader reads, as ``name`` or ``obj.name``.
+
+    A read inside the def or class of the name itself, or of another
+    unread export, does not count.
+    """
+    exports = [
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    reads = []  # (name, the defs and classes around the read)
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name is not None:
+            reads.append((name, inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for source in readers:
+        visit(ast.parse(source), frozenset())
+    unread = []
+    while True:  # each pass can only add to the unread names, so this ends
+        dead = set(unread)
+        read = {name for name, inside in reads if name not in inside and not inside & dead}
+        now = [name for name in exports if name not in read]
+        if now == unread:
+            return unread
+        unread = now
+
+
+def test_unread_exports_detected():
+    init = "from .a import f, g, h as k, C, E\nfrom .b import D\n"
+    readers = [
+        "def f(n):\n    return f(n - 1)\n",  # only its own def reads f
+        "class C:\n    def m(self):\n        return C(), E()\n",  # only C, itself unread, reads E
+        "def u():\n    return pkg.g(1), k\n",
+        "x: D = D()\n",
+    ]
+    assert _unread_exports(init, readers) == ["f", "C", "E"]
+
+
+# Exports that README documents for library users though no package module,
+# bench workload or the library example reads them.
+DOCUMENTED_EXPORTS = {"speed_decaying"}
+
+
+def test_every_export_is_read_outside_the_tests():
+    # an export only the tests call is test code in the package: it belongs in tests/
+    package = ROOT / "src" / "kvicsek"
+    readers = [p.read_text() for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    readers += [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    readers.append(README.read_text().split("```python", 1)[1].split("```", 1)[0])  # the library example
+    unread = _unread_exports((package / "__init__.py").read_text(), readers)
+    assert sorted(set(unread) - DOCUMENTED_EXPORTS) == []
+    assert all(f"`{name}`" in README.read_text() for name in DOCUMENTED_EXPORTS)
+
+
 def _uses(source: str, name: str) -> list[str]:
     """Imports of ``name`` and reads of it, as ``name`` or ``obj.name`` (a call or a ``partial``); its ``def`` is not one."""
     found = []

@@ -3,22 +3,20 @@
 import numpy as np
 import pytest
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 from kvicsek.cli import main
 from kvicsek.errors import NumericsError, SandwichViolation
 from kvicsek.linear import (
+    HypoTerms,
     HypoWeights,
     ModeState,
     _ModeRows,
     _hypo_terms,
     _stack_sums,
-    cutoff_chi,
     ed_schedule,
     evolve_mode,
-    hypo_functional,
-    jk_coefficients,
-    jk_field,
     measure_ed_rate,
     mixing_curve,
     mixing_window,
@@ -143,6 +141,13 @@ class TestStepMode:
         spectral.transport_factor.cache_clear()
         evolve_mode(states, 0.01, 10, sample_every=10)
         assert spectral.transport_factor.cache_info().misses == 1
+
+
+def hypo_functional(s: ModeState, w: HypoWeights = HypoWeights()) -> HypoTerms:
+    """Evaluate the four terms of the weighted energy at the current state."""
+    rows = _ModeRows.of([s])
+    terms = _hypo_terms(_stack_sums(s.eta.coeffs[None], rows), rows, rows.zeta(s.t), w)
+    return HypoTerms(*(float(getattr(terms, f.name)[0]) for f in fields(HypoTerms)))
 
 
 class TestHypoFunctional:
@@ -376,6 +381,52 @@ class TestMixing:
             assert np.array_equal(curve.t, one.t) and np.array_equal(curve.norm_hm1, one.norm_hm1)
 
 
+# The vector fields J_k^+- adapted to a mode, and their cutoffs
+
+
+def jk_coefficients(t: float, nu: float, k_norm: float, sign: int = +1) -> tuple[complex, complex]:
+    """Coefficients A_k^+-, B_k^+- at time t.
+
+    A^+ = (1 + e^{-2(1-i) s})/2,  B^+ = (1+i)(1 - e^{-2(1-i) s})/4,
+    with s = (nu |k|)^{1/2} t; the minus variant conjugates the
+    exponent and uses (i-1)/4.
+    """
+    s = np.sqrt(nu * k_norm) * t
+    if sign >= 0:
+        e = np.exp(-2.0 * (1.0 - 1j) * s)
+        return complex((1.0 + e) / 2.0), complex((1.0 + 1j) / 4.0 * (1.0 - e))
+    e = np.exp(-2.0 * (1.0 + 1j) * s)
+    return complex((1.0 + e) / 2.0), complex((1j - 1.0) / 4.0 * (1.0 - e))
+
+
+def jk_field(s: ModeState, sign: int = +1) -> tuple[AngularProfile, complex, complex]:
+    """Apply J_k^+- to the current state; returns (J eta, A, B)."""
+    A, B = jk_coefficients(s.t, s.nu, s.k_norm, sign)
+    th = theta_points(s.eta.n)
+    center = s.theta_k if sign >= 0 else s.theta_k + np.pi
+    sinw = np.sin(th - center)
+    scale = np.sqrt(s.k_norm / s.nu)
+    values = A * s.eta.derivative().values - 1j * scale * B * sinw * s.eta.values
+    return AngularProfile.from_values(values), A, B
+
+
+CHI_WIDTH = TWO_PI / 3.0  # half-width of the support of cutoff_chi
+
+
+def cutoff_chi(n: int, theta_k: float) -> np.ndarray:
+    """Smooth bump supported on |theta - theta_k| < CHI_WIDTH, equal to 1 at theta_k."""
+    u = wrap_angle(theta_points(n) - theta_k) / CHI_WIDTH
+    out = np.zeros(n)
+    inside = np.abs(u) < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
+    return out
+
+
+def norm_hs(g: AngularProfile, s: float) -> float:
+    w = (1.0 + g.l.astype(np.float64) ** 2) ** s
+    return float(np.sqrt(TWO_PI * np.sum(w * np.abs(g.coeffs) ** 2)))
+
+
 class TestJkFields:
     def test_initial_values(self):
         rng = np.random.default_rng(4)
@@ -409,7 +460,7 @@ class TestJkFields:
         s = ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-3)
         # J_k^+ (sign +1) lives near theta_k, J_k^- (sign -1) near theta_k + pi
         chi = {sign: cutoff_chi(128, s.theta_k + (sign < 0) * np.pi) for sign in (+1, -1)}
-        h1 = eta0.norm_hs(1.0)
+        h1 = norm_hs(eta0, 1.0)
         quad = TWO_PI / 128
         worst = {+1: 0.0, -1: 0.0}
         for _ in range(300):
