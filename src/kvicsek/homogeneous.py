@@ -48,6 +48,7 @@ from .spectral import (
     band_sup,
     evolve_rows,
     split_step,
+    stack_states,
     theta_derivative,
     theta_points,
 )
@@ -122,29 +123,25 @@ class HomogeneousTrajectory:
 
 
 def evolve_homogeneous(
-    s: HomogeneousState | Sequence[HomogeneousState],
+    s: Sequence[HomogeneousState],
     kernel: AngularKernel,
     dt: float,
     n_steps: int,
     sample_every: int = 1,
     record_energy: bool = False,
-) -> HomogeneousTrajectory | list[HomogeneousTrajectory]:
+) -> list[HomogeneousTrajectory]:
     """Advance the homogeneous dynamics, sampling m(t) (and optionally F, D).
 
-    ``s`` is one state or a sequence of states that share n_theta, nu and
-    t, with kappa per state; a sequence is stepped as one stack of rows
-    by ``spectral.evolve_rows`` and gives one trajectory per state, in order.
+    ``s`` is a sequence of states that share n_theta, nu and t, with kappa
+    per state; they are stepped as one stack of rows by
+    ``spectral.evolve_rows`` and give one trajectory per state, in order.
     The final state of a row, built at its last sample time, is the one
     unit-mass check: the step keeps the mass 2pi Re ghat_0 bit for bit (the
     flux at l = 0 is i 0 P_0, the diffusion factor there 1).
     Raises NumericsError naming the row on NaN at a sample.
     """
-    states = [s] if isinstance(s, HomogeneousState) else list(s)
-    if not states:
-        raise ValueError("evolve_homogeneous needs at least one state")
+    states = stack_states(s, "evolve_homogeneous", "state", lambda x: (x.g.n, x.nu, x.t), "n_theta, nu and t")
     first = states[0]
-    if any((x.g.n, x.nu, x.t) != (first.g.n, first.nu, first.t) for x in states):
-        raise ValueError("batched homogeneous states must share n_theta, nu and t")
     if kernel.n_theta != first.g.n:
         raise ValueError(
             f"the kernel's n_theta = {kernel.n_theta} differs from the states' n_theta = {first.g.n}"
@@ -172,7 +169,7 @@ def evolve_homogeneous(
         fe, fi = energy or (None, None)
         final = replace(x, g=AngularProfile(g), t=float(t[-1]))
         out.append(HomogeneousTrajectory(t=t, order_parameter=m, free_energy=fe, fisher=fi, final=final))
-    return out[0] if isinstance(s, HomogeneousState) else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +213,6 @@ class StabilityReport:
     stable: bool
 
 
-def u_hat_unnormalized(kernel: AngularKernel, l: int) -> complex:
-    """The transform integral U e^{-i l theta} dtheta = 2 pi Uhat(l)."""
-    return complex(TWO_PI * kernel.primitive.coeffs[l])
-
-
 def linear_stability(kernel: AngularKernel, kappa: float, nu: float, l_max: int) -> StabilityReport:
     """Per-mode growth rates sigma_l = -l^2 (nu + (kappa/2pi) Re Uhat(l)).
 
@@ -229,7 +221,7 @@ def linear_stability(kernel: AngularKernel, kappa: float, nu: float, l_max: int)
     if not 1 <= l_max <= kernel.n_theta // 2:
         raise ValueError(f"l_max must lie in [1, n_theta/2 = {kernel.n_theta // 2}], got {l_max}")
     ls = np.arange(1, l_max + 1)
-    uh = np.array([u_hat_unnormalized(kernel, int(l)).real for l in ls])
+    uh = TWO_PI * kernel.primitive.coeffs[1 : l_max + 1].real  # the integrals of U e^{-i l theta}: 2pi Uhat(l)
     rates = -(ls.astype(np.float64) ** 2) * (nu + kappa / TWO_PI * uh)
     return StabilityReport(rates=rates, stable=bool(np.all(rates < 0.0)))
 

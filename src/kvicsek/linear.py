@@ -56,6 +56,7 @@ from .spectral import (
     evolve_rows,
     fft_wavenumbers,
     split_step,
+    stack_states,
     theta_derivative,
     transport,
     transport_factor,
@@ -289,14 +290,9 @@ def sample_times(t0: float, dt: float, n_steps: int, sample_every: int) -> np.nd
     return step_times(t0, dt, n_steps)[due(np.arange(n_steps + 1), n_steps, sample_every)]
 
 
-def _mode_batch(s: ModeState | Sequence[ModeState], name: str) -> list[ModeState]:
-    """s as a list of states; ValueError if it is empty or its states differ in t or n_theta."""
-    states = [s] if isinstance(s, ModeState) else list(s)
-    if not states:
-        raise ValueError(f"{name} needs at least one mode state")
-    if any((x.t, x.eta.n) != (states[0].t, states[0].eta.n) for x in states):
-        raise ValueError("batched mode states must share t and n_theta")
-    return states
+def _mode_batch(states: Sequence[ModeState], name: str) -> list[ModeState]:
+    """``spectral.stack_states`` of mode states, which share t and n_theta."""
+    return stack_states(states, name, "mode state", lambda x: (x.t, x.eta.n), "t and n_theta")
 
 
 def _evolve_modes(
@@ -325,19 +321,19 @@ def _evolve_modes(
 
 
 def evolve_mode(
-    s: ModeState | Sequence[ModeState],
+    s: Sequence[ModeState],
     dt: float,
     n_steps: int | Sequence[int],
     weights: HypoWeights = HypoWeights(),
     sample_every: int | Sequence[int] = 1,
-) -> tuple[ModeState, ModeSeries] | list[tuple[ModeState, ModeSeries]]:
+) -> list[tuple[ModeState, ModeSeries]]:
     """Advance n_steps, sampling norms and the sandwich every sample_every steps.
 
-    ``s`` is one state or a sequence of states that share t and n_theta;
-    k, nu and the speed may differ per state, and ``n_steps`` and
-    ``sample_every`` are one int or one per state.  A sequence is stepped
-    as one stack of rows, each row leaving the stack after its last step,
-    and gives one (final state, series) pair per state, in order.  Each
+    ``s`` is a sequence of states that share t and n_theta; k, nu and the
+    speed may differ per state, and ``n_steps`` and ``sample_every`` are
+    one int or one per state.  The states are stepped as one stack of
+    rows, each row leaving the stack after its last step, and give one
+    (final state, series) pair per state, in order.  Each
     row is sampled at the start, every sample_every steps and at its last
     step.  A sample records only the row's ``_Sums`` of eta; once the run
     ends, each row's norms, weighted energy and bounds come from them in
@@ -365,7 +361,7 @@ def evolve_mode(
         out.append((replace(x, eta=AngularProfile(eta), t=float(t[-1])), series))
     if violations:
         raise min(violations, key=lambda v: v[:2])[2]
-    return out[0] if isinstance(s, ModeState) else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +412,10 @@ def ed_schedule(s: ModeState, horizon_factor: float) -> tuple[float, float, int,
 
 
 def measure_ed_rate(
-    s: ModeState | Sequence[ModeState],
+    s: Sequence[ModeState],
     horizon_factor: float = 5.0,
     weights: HypoWeights = HypoWeights(),
-) -> RateFit | list[RateFit]:
+) -> list[RateFit]:
     """Fit the enhanced-dissipation decay rate of ||eta_k(t)||_L2, one fit per state.
 
     Each state runs on its ``ed_schedule``, one ``evolve_mode`` stack per
@@ -444,7 +440,7 @@ def measure_ed_rate(
         keep = (ser.t >= x.t + t_ed) & (ser.norm_l2 > UNDERFLOW_FLOOR * ser.norm_l2[0])
         slope, stderr = fit_rate(ser.t[keep], ser.norm_l2[keep])
         fits.append(RateFit(-slope, stderr, (x.t + t_ed, float(ser.t[keep][-1])), int(keep.sum()), ser))
-    return fits[0] if isinstance(s, ModeState) else fits
+    return fits
 
 
 @dataclass(frozen=True)
@@ -475,9 +471,7 @@ def mixing_window(nu: float, horizon: float, dt: float) -> tuple[float, float]:
     return window
 
 
-def mixing_curve(
-    s: ModeState | Sequence[ModeState], horizon: float, dt: float = 0.05
-) -> MixingCurve | list[MixingCurve]:
+def mixing_curve(s: Sequence[ModeState], horizon: float, dt: float = 0.05) -> list[MixingCurve]:
     """Sample the per-mode H^{-1} norm every step and fit its algebraic decay exponent.
 
     The states run to ``horizon`` as one stack, stepped as by ``evolve_mode``;
@@ -499,7 +493,7 @@ def mixing_curve(
         norm_hm1 = _hm1_norm(hm1)
         slope, stderr = fit_rate(t, norm_hm1, window=window, loglog=True)
         curves.append(MixingCurve(t=t, norm_hm1=norm_hm1, slope=slope, stderr=stderr))
-    return curves[0] if isinstance(s, ModeState) else curves
+    return curves
 
 
 def wrap_angle(x: np.ndarray, shift: float = np.pi, out: np.ndarray | None = None) -> np.ndarray:

@@ -252,9 +252,9 @@ def _homogeneous(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
 
     def run() -> list[Path]:
         traj = hom.evolve_homogeneous(
-            state, kernel, o["dt"], step_count(o["t_end"], o["dt"]),
+            [state], kernel, o["dt"], step_count(o["t_end"], o["dt"]),
             sample_every=o["sample_every"], record_energy=True,
-        )
+        )[0]
         m = traj.order_parameter
         path = write_csv(
             cfg.out_dir / "homogeneous.csv",
@@ -350,7 +350,7 @@ def _compare(cfg: ExperimentConfig, o: dict[str, Any]) -> Run:
 
     def run() -> list[Path]:
         dt_pde, dt_sde = o["dt_pde"], o["dt_sde"]
-        traj = hom.evolve_homogeneous(state, kernel, dt_pde, step_count(t_end, dt_pde), sample_every=5)
+        traj = hom.evolve_homogeneous([state], kernel, dt_pde, step_count(t_end, dt_pde), sample_every=5)[0]
 
         kappa_agents = ratio * nu * TWO_PI**2
         e = ag.ensemble_from_profile(o["n"], g0, influence, kappa=kappa_agents, nu=nu, seed=cfg.seed)

@@ -37,7 +37,8 @@ never scatters into a full coefficient array.  ``evolve_rows``, the one
 run loop of the three PDE layers, steps such a stack on the ``config``
 clock and cadence, keeps the log of its samples and returns each row's
 series; the kinetic run is a stack of one field, and its snapshots come
-from the loop's snapshot hook, on its own cadence.
+from the loop's snapshot hook, on its own cadence.  ``stack_states`` is
+the one check of the sequences of states that the 1-D layers take.
 
 ``band_product`` is the one alignment flux product of the homogeneous and
 kinetic layers: the dealiased modes 0..n_theta/3 of a product of two real
@@ -53,7 +54,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -455,6 +456,16 @@ def split_step(
     if advect is not None:
         c = advect(c, t + 0.75 * dt, h)
     return c
+
+
+def stack_states(states: Sequence, name: str, noun: str, key: Callable, shared: str) -> list:
+    """``states`` as a list; ValueError if it is empty or ``key`` differs between its states."""
+    states = list(states)
+    if not states:
+        raise ValueError(f"{name} needs at least one {noun}")
+    if any(key(x) != key(states[0]) for x in states):
+        raise ValueError(f"batched {noun}s must share {shared}")
+    return states
 
 
 def evolve_rows(

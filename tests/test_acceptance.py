@@ -91,7 +91,7 @@ def test_ac03_hypocoercivity_sandwich_50_trajectories():
         s = ModeState(k=k, eta=AngularProfile(c), t=0.0, nu=nu)
         dt = float(rng.uniform(0.01, 0.2))
         # evolve_mode evaluates the sandwich at every sample and raises on violation
-        evolve_mode(s, dt, 200, weights=weights, sample_every=1)
+        evolve_mode([s], dt, 200, weights=weights, sample_every=1)
     report("AC-03", violations == 0, "bounds held at every sampled time on 50 random trajectories")
 
 
@@ -99,7 +99,7 @@ def test_ac04_linear_mixing_decay():
     t0 = time.time()
     nu = 1e-4
     eta0 = AngularProfile.from_function(np.cos, 512)
-    curve = mixing_curve(ModeState(k=(1, 0), eta=eta0, t=0.0, nu=nu), horizon=1.0 / np.sqrt(nu), dt=0.05)
+    curve = mixing_curve([ModeState(k=(1, 0), eta=eta0, t=0.0, nu=nu)], horizon=1.0 / np.sqrt(nu), dt=0.05)[0]
     elapsed = time.time() - t0
     ok = abs(curve.slope + 0.5) <= 0.15 and elapsed <= 60.0
     report("AC-04", ok, f"H^-1 log-log slope {curve.slope:.4f} (target -0.5 +- 0.15), {elapsed:.1f}s <= 60s")
@@ -151,15 +151,15 @@ def test_ac07_free_energy_dissipation():
     ok = True
     for ratio in (1.0, 4.0):
         s = HomogeneousState(g=perturbed_profile(256, 0.3, seed=7), t=0.0, kappa=ratio * nu, nu=nu)
-        traj = evolve_homogeneous(s, kernel, 0.005, 3000, sample_every=1, record_energy=True)
+        traj = evolve_homogeneous([s], kernel, 0.005, 3000, sample_every=1, record_energy=True)[0]
         deltas = np.diff(traj.free_energy)
         monotone = np.all(deltas <= 1e-10 * (1.0 + np.abs(traj.free_energy[:-1])))
 
         dt = 1e-4
         st = HomogeneousState(g=perturbed_profile(256, 0.3, seed=7), t=0.0, kappa=ratio * nu, nu=nu)
-        st = evolve_homogeneous(st, kernel, dt, 200, sample_every=200).final
-        mid = evolve_homogeneous(st, kernel, dt, 1).final
-        nxt = evolve_homogeneous(mid, kernel, dt, 1).final
+        st = evolve_homogeneous([st], kernel, dt, 200, sample_every=200)[0].final
+        mid = evolve_homogeneous([st], kernel, dt, 1)[0].final
+        nxt = evolve_homogeneous([mid], kernel, dt, 1)[0].final
         fd = (free_energy(nxt, kernel) - free_energy(st, kernel)) / (2 * dt)
         d = fisher_information(mid, kernel)
         rel = abs(fd + d) / d
@@ -298,7 +298,7 @@ def test_ac11_reduction_consistency():
     for _ in range(100):
         f = step_kinetic(f, params, kernels, t)
         t += params.dt
-        hs = evolve_homogeneous(hs, kernel, params.dt, 1).final
+        hs = evolve_homogeneous([hs], kernel, params.dt, 1)[0].final
         hom_dev = max(hom_dev, float(np.max(np.abs(x_average(f).coeffs - hs.g.coeffs))))
 
     ok = linear_dev < 1e-10 and hom_dev < 1e-8
@@ -320,7 +320,7 @@ def test_ac12_sde_pde_agreement():
     g0 = AngularProfile.from_values((1.0 + np.cos(th)) / TWO_PI)
     kernel = angular_kernel(n_theta)
     state = HomogeneousState(g=g0, t=0.0, kappa=ratio * nu, nu=nu)
-    traj = evolve_homogeneous(state, kernel, 0.01, int(t_end / 0.01), sample_every=10)
+    traj = evolve_homogeneous([state], kernel, 0.01, int(t_end / 0.01), sample_every=10)[0]
 
     influence = make_influence(TorusGrid(4, 4, n_theta), phi="uniform")
     # x-uniform probability density on T^2 x T: angular law evolves with

@@ -17,7 +17,6 @@ from kvicsek.homogeneous import (
     free_energy,
     linear_stability,
     solve_compatibility,
-    u_hat_unnormalized,
     von_mises_state,
 )
 from kvicsek.fitting import fit_rate
@@ -45,7 +44,7 @@ def kernel():
 
 class TestEvolution:
     def test_constant_is_fixed_point(self, kernel):
-        traj = evolve_homogeneous(constant_state(256, 0.2, 0.1), kernel, 0.01, 300)
+        traj = evolve_homogeneous([constant_state(256, 0.2, 0.1)], kernel, 0.01, 300)[0]
         drift = np.max(np.abs(traj.final.g.values.real - 1.0 / TWO_PI))
         assert drift < 1e-13
 
@@ -66,7 +65,7 @@ class TestEvolution:
         nu, kappa = 0.1, 0.15
         g0 = perturbed_profile(256, amplitude=0.02, seed=1)
         s = HomogeneousState(g=g0, t=0.0, kappa=kappa, nu=nu)
-        traj = evolve_homogeneous(s, kernel, 0.01, 4000, sample_every=10)
+        traj = evolve_homogeneous([s], kernel, 0.01, 4000, sample_every=10)[0]
         m = np.abs(traj.order_parameter)
         slope, _ = fit_rate(traj.t[m > 1e-12], m[m > 1e-12], window=(5.0, 40.0))
         assert -slope == pytest.approx(nu - kappa / 2, rel=0.10)
@@ -75,12 +74,12 @@ class TestEvolution:
         nu = 0.1
         r2 = solve_compatibility(4.0).r2
         s = HomogeneousState(g=perturbed_profile(256, 0.2, seed=1), t=0.0, kappa=0.4, nu=nu)
-        traj = evolve_homogeneous(s, kernel, 0.01, 20000, sample_every=100)
+        traj = evolve_homogeneous([s], kernel, 0.01, 20000, sample_every=100)[0]
         assert abs(abs(traj.order_parameter[-1]) - r2) < 1e-3
 
     def test_mass_conserved_exactly(self, kernel):
         s = HomogeneousState(g=perturbed_profile(256, 0.3, seed=2), t=0.0, kappa=0.4, nu=0.1)
-        traj = evolve_homogeneous(s, kernel, 0.01, 500)
+        traj = evolve_homogeneous([s], kernel, 0.01, 500)[0]
         assert traj.final.g.mass == pytest.approx(1.0, abs=1e-14)
 
     def test_rotational_equivariance_of_flow(self, kernel):
@@ -88,15 +87,15 @@ class TestEvolution:
         g0 = perturbed_profile(256, 0.3, seed=3)
         a = HomogeneousState(g=g0, t=0.0, kappa=0.3, nu=0.1)
         b = HomogeneousState(g=rotate(g0, phi), t=0.0, kappa=0.3, nu=0.1)
-        ta = evolve_homogeneous(a, kernel, 0.01, 300)
-        tb = evolve_homogeneous(b, kernel, 0.01, 300)
+        ta = evolve_homogeneous([a], kernel, 0.01, 300)[0]
+        tb = evolve_homogeneous([b], kernel, 0.01, 300)[0]
         rotated = rotate(ta.final.g, phi)
         assert np.max(np.abs(rotated.coeffs - tb.final.g.coeffs)) < 1e-10
 
     def test_step_guard(self, kernel):
         s = HomogeneousState(g=von_mises_state(4.0, 0.8, 256), t=0.0, kappa=1.0, nu=0.1)
         with pytest.raises(StepSizeError):
-            evolve_homogeneous(s, kernel, 5.0, 1)
+            evolve_homogeneous([s], kernel, 5.0, 1)
 
     @staticmethod
     def nan_state():
@@ -112,7 +111,7 @@ class TestEvolution:
 
     def test_nan_abort(self, kernel):
         with pytest.raises(NumericsError):
-            evolve_homogeneous(self.nan_state(), kernel, 0.01, 1)
+            evolve_homogeneous([self.nan_state()], kernel, 0.01, 1)
 
     def test_nan_in_one_row_names_that_row(self, kernel):
         good = HomogeneousState(g=perturbed_profile(256, 0.2, seed=1), t=0.0, kappa=0.3, nu=0.1)
@@ -130,7 +129,7 @@ class TestBatchedEvolution:
         batch = evolve_homogeneous(states, kernel, dt, n_steps, sample_every=7, record_energy=True)
         assert len(batch) == len(states)
         for s, traj in zip(states, batch):
-            one = evolve_homogeneous(s, kernel, dt, n_steps, sample_every=7, record_energy=True)
+            one = evolve_homogeneous([s], kernel, dt, n_steps, sample_every=7, record_energy=True)[0]
             for name in ("t", "order_parameter", "free_energy", "fisher"):
                 assert np.array_equal(getattr(traj, name), getattr(one, name))
             assert traj.final.t == one.final.t and traj.final.kappa == s.kappa
@@ -203,14 +202,14 @@ class TestBatchedEvolution:
         s = HomogeneousState(g=perturbed_profile(256, 0.2, seed=5), t=0.0, kappa=0.2, nu=0.1)
         for n_steps in (0, 20):
             with pytest.raises(ValueError, match="dt must be finite and > 0"):
-                evolve_homogeneous(s, kernel, dt, n_steps)
+                evolve_homogeneous([s], kernel, dt, n_steps)
 
     @pytest.mark.parametrize("n_kernel", [64, 256])
     def test_kernel_resolution_must_match_the_states(self, n_kernel):
         # the banded RHS reads only the modes <= n_theta/3, so a finer kernel
         # would run without a broadcast error
         with pytest.raises(ValueError, match=rf"n_theta = {n_kernel}.*n_theta = 128"):
-            evolve_homogeneous(constant_state(128, 0.4, 0.1), angular_kernel(n_kernel), 0.01, 2)
+            evolve_homogeneous([constant_state(128, 0.4, 0.1)], angular_kernel(n_kernel), 0.01, 2)
 
     def test_empty_batch_rejected(self, kernel):
         with pytest.raises(ValueError, match="at least one state"):
@@ -222,7 +221,7 @@ class TestBatchedEvolution:
         bad_steps = n_steps < 0 or not isinstance(n_steps, int)
         message = "n_steps must be an integer >= 0" if bad_steps else "sample_every must be an integer >= 1"
         with pytest.raises(ValueError, match=message):
-            evolve_homogeneous(s, kernel, 0.01, n_steps, sample_every=sample_every)
+            evolve_homogeneous([s], kernel, 0.01, n_steps, sample_every=sample_every)
 
 
 def _pseudospectral_alignment_rhs(g, psi, kappa):
@@ -316,7 +315,7 @@ class TestEnergy:
     def test_free_energy_monotone_along_trajectory(self, kernel):
         for ratio in (1.0, 4.0):
             s = HomogeneousState(g=perturbed_profile(256, 0.3, seed=4), t=0.0, kappa=ratio * 0.1, nu=0.1)
-            traj = evolve_homogeneous(s, kernel, 0.005, 3000, sample_every=1, record_energy=True)
+            traj = evolve_homogeneous([s], kernel, 0.005, 3000, sample_every=1, record_energy=True)[0]
             deltas = np.diff(traj.free_energy)
             assert np.all(deltas <= 1e-10 * (1.0 + np.abs(traj.free_energy[:-1])))
 
@@ -335,9 +334,9 @@ class TestEnergy:
         for ratio in (1.0, 4.0):
             s = HomogeneousState(g=perturbed_profile(256, 0.3, seed=2), t=0.0, kappa=ratio * 0.1, nu=0.1)
             dt = 1e-4
-            s = evolve_homogeneous(s, kernel, dt, 500, sample_every=500).final
-            s_mid = evolve_homogeneous(s, kernel, dt, 1).final
-            s_next = evolve_homogeneous(s_mid, kernel, dt, 1).final
+            s = evolve_homogeneous([s], kernel, dt, 500, sample_every=500)[0].final
+            s_mid = evolve_homogeneous([s], kernel, dt, 1)[0].final
+            s_next = evolve_homogeneous([s_mid], kernel, dt, 1)[0].final
             fd = (free_energy(s_next, kernel) - free_energy(s, kernel)) / (2 * dt)
             d = fisher_information(s_mid, kernel)
             assert fd == pytest.approx(-d, rel=0.01)
@@ -345,7 +344,8 @@ class TestEnergy:
 
 class TestStability:
     def test_sine_kernel_transform(self, kernel):
-        assert u_hat_unnormalized(kernel, 1).real == pytest.approx(-np.pi, abs=1e-12)
+        # linear_stability's 2pi Uhat(l), l = 1..l_max, at l_max = 1
+        assert (TWO_PI * kernel.primitive.coeffs[1:2].real)[0] == pytest.approx(-np.pi, abs=1e-12)
 
     def test_kappa_zero_all_stable(self, kernel):
         rep = linear_stability(kernel, kappa=0.0, nu=0.05, l_max=10)

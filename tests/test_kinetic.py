@@ -281,7 +281,7 @@ class TestStepKinetic:
         for _ in range(100):
             f = step_kinetic(f, params, pair, t)
             t += params.dt
-        hs = evolve_homogeneous(hs, ker, params.dt, 100, sample_every=100).final
+        hs = evolve_homogeneous([hs], ker, params.dt, 100, sample_every=100)[0].final
         assert np.max(np.abs(x_average(f).coeffs - hs.g.coeffs)) < 1e-8
 
     def test_x_independent_data_meet_the_same_step_guard(self):
@@ -294,7 +294,7 @@ class TestStepKinetic:
         _, (sup,) = full_rhs(homogeneous._alignment(kernel, 1.0), g0.coeffs)
         dt_max = 0.5 / (1.0 * 32 * sup + 1.0)
         steps = [
-            lambda dt: evolve_homogeneous(HomogeneousState(g=g0, t=0.0, kappa=1.0, nu=1.0), kernel, dt, 1),
+            lambda dt: evolve_homogeneous([HomogeneousState(g=g0, t=0.0, kappa=1.0, nu=1.0)], kernel, dt, 1)[0],
             lambda dt: step_kinetic(
                 f, KineticParams(kappa=1.0, nu=1.0, grid=grid, dt=dt, t_end=1.0), pair, 0.0
             ),
@@ -595,6 +595,61 @@ class TestHalfSpectrumStep:
         for arr in cached:
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 0
+
+
+class TestEquivariance:
+    """The steps commute with the symmetries of their equations, whatever the layout of their arrays.
+
+    With Phi and psi even, the kinetic equation commutes with x-translations,
+    the reflection (x2, theta) -> (-x2, -theta) and, on a square grid with
+    4 | n_theta, the swap (x1, x2, theta) -> (x2, x1, pi/2 - theta); the
+    homogeneous equation commutes with rotations in theta.  The maps act on
+    collocation values (theta_j = -pi + 2pi j/n), and the data are random
+    values, with content up to the Nyquist rows.
+    """
+
+    MAPS = {
+        "translation": lambda v: np.roll(v, (3, 1), axis=(0, 1)),
+        "reflection": lambda v: np.roll(np.flip(v, (1, 2)), 1, axis=(1, 2)),
+        "swap": lambda v: v.transpose(1, 0, 2)[:, :, (v.shape[2] // 4 - np.arange(v.shape[2])) % v.shape[2]],
+    }
+
+    @staticmethod
+    def _kinetic_run(values, params, pair):
+        f, t = SpectralField.from_values(params.grid, values), 0.0
+        for _ in range(20):
+            f = step_kinetic(f, params, pair, t)
+            t += params.dt
+        return f.values
+
+    @pytest.mark.parametrize("shape", [(16, 16, 32), (8, 12, 24)])
+    @pytest.mark.parametrize("psi", sorted(PSI_FACTORS))
+    @pytest.mark.parametrize("speed", [None, speed_decaying(0.2)], ids=["constant", "decaying"])
+    def test_kinetic_step_commutes_with_the_symmetries(self, shape, psi, speed):
+        grid = TorusGrid(*shape)
+        pair = make_influence(grid, phi="bump", sigma=0.7, psi_factor=PSI_FACTORS[psi])
+        extra = {} if speed is None else {"v": speed}
+        params = KineticParams(kappa=0.9, nu=0.05, grid=grid, dt=0.02, t_end=1.0, **extra)
+        f0 = (1.0 + 0.3 * np.random.default_rng(31).standard_normal(shape)) / TWO_PI**3
+        f = self._kinetic_run(f0, params, pair)
+        square = shape[0] == shape[1] and shape[2] % 4 == 0
+        for name, m in self.MAPS.items():
+            if name != "swap" or square:
+                err = np.max(np.abs(self._kinetic_run(m(f0), params, pair) - m(f)))
+                assert err <= 1e-13 * np.max(np.abs(f)), name
+
+    @pytest.mark.parametrize("psi", sorted(PSI_FACTORS))
+    def test_homogeneous_step_commutes_with_a_rotation(self, psi):
+        n = 32
+        kernel = make_influence(TorusGrid(4, 4, n), psi_factor=PSI_FACTORS[psi]).angular
+        g = AngularProfile.from_values(1.0 + 0.3 * np.random.default_rng(32).standard_normal(n))
+        g = AngularProfile(g.coeffs / (TWO_PI * g.coeffs[0]))
+        rotated = AngularProfile.from_values(np.roll(g.values.real, 1))
+        a, b = evolve_homogeneous(
+            [HomogeneousState(g=x, t=0.0, kappa=0.9, nu=0.05) for x in (g, rotated)], kernel, 0.02, 20
+        )
+        ga, gb = a.final.g.values.real, b.final.g.values.real
+        assert np.max(np.abs(gb - np.roll(ga, 1))) <= 1e-13 * np.max(np.abs(ga))
 
 
 def _scatter_alignment_rhs(half, grid, kernels, kappa):

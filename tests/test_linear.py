@@ -45,7 +45,7 @@ def random_mode(rng, n=64, band=None):
 
 def sandwich(s, w=HypoWeights()):
     """(lower, F, upper) of s: the t0 sample of a run of no steps."""
-    _, ser = evolve_mode(s, 1.0, 0, weights=w)
+    _, ser = evolve_mode([s], 1.0, 0, weights=w)[0]
     return ser.f_lower[0], ser.f_hypo[0], ser.f_upper[0]
 
 
@@ -75,7 +75,7 @@ class TestStepMode:
         # nu -> 0 limit: pure transport conserves the L2 norm
         s = ModeState(k=(2, 1), eta=AngularProfile.from_function(np.cos, 128), t=0.0, nu=1e-300)
         n0 = s.eta.norm_l2()
-        s, _ = evolve_mode(s, 0.05, 1000, sample_every=1000)
+        s, _ = evolve_mode([s], 0.05, 1000, sample_every=1000)[0]
         assert abs(s.eta.norm_l2() - n0) < 1e-12 * n0
 
     def test_pure_heat_exact(self):
@@ -88,14 +88,14 @@ class TestStepMode:
             nu=1e-3,
             v=speed_constant(0.0),
         )
-        s, _ = evolve_mode(s, 0.01, 1000, sample_every=1000)
+        s, _ = evolve_mode([s], 0.01, 1000, sample_every=1000)[0]
         expected = np.sqrt(TWO_PI) * np.exp(-1e-3 * ell**2 * 10.0)
         assert abs(s.eta.norm_l2() - expected) < 1e-12 * expected
 
     def test_full_step_is_contraction(self):
         rng = np.random.default_rng(0)
         s = ModeState(k=(1, 2), eta=random_mode(rng), t=0.0, nu=1e-2)
-        _, series = evolve_mode(s, 0.05, 200)
+        _, series = evolve_mode([s], 0.05, 200)[0]
         assert np.all(series.norm_l2[1:] <= series.norm_l2[:-1] * (1 + 1e-13))
 
     def test_against_dense_rk4_oracle(self):
@@ -122,7 +122,7 @@ class TestStepMode:
             c = c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
         s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 64), t=0.0, nu=nu)
-        s, _ = evolve_mode(s, 5e-4, 2000, sample_every=2000)
+        s, _ = evolve_mode([s], 5e-4, 2000, sample_every=2000)[0]
         mine = np.array([s.eta.coeffs[np.where(s.eta.l == l)[0][0]] for l in ls])
         assert np.linalg.norm(mine - c) < 1e-6 * np.linalg.norm(c)
 
@@ -130,7 +130,7 @@ class TestStepMode:
         v = speed_decaying(2.0)
         assert 0.5 < v(1.0) < v(0.0) == 1.0
         s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 64), t=0.0, nu=1e-3, v=v)
-        s = evolve_mode(s, 0.01, 1)[0]
+        s = evolve_mode([s], 0.01, 1)[0][0]
         assert s.t == pytest.approx(0.01)
 
     def test_wide_stack_builds_each_row_table_once(self):
@@ -213,7 +213,7 @@ class TestHypoFunctional:
             dt = t_sat / 200
             prev = None
             while s.t < 3 * t_sat:
-                s = evolve_mode(s, dt, 1)[0]
+                s = evolve_mode([s], dt, 1)[0][0]
                 val = hypo_functional(s, w).total
                 if s.t > t_sat and prev is not None:
                     assert val - prev <= 1e-10 * abs(prev)
@@ -286,24 +286,24 @@ class TestRates:
     def test_pure_heat_rate(self):
         eta0 = AngularProfile.from_function(lambda th: np.exp(1j * th), 64)
         s = ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-2, v=speed_constant(0.0))
-        fit = measure_ed_rate(s, horizon_factor=6.0)
+        fit = measure_ed_rate([s], horizon_factor=6.0)[0]
         assert fit.rate == pytest.approx(1e-2, rel=0.01)
 
     def test_nu_scaling_smoke(self):
         # full 4-point scaling lives in the acceptance suite
         eta0 = AngularProfile.from_function(np.cos, 256)
-        fit = measure_ed_rate(ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-3))
+        fit = measure_ed_rate([ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-3)])[0]
         assert fit.rate == pytest.approx(0.5 * np.sqrt(1e-3), rel=0.1)
 
     def test_horizon_precondition(self):
         eta0 = AngularProfile.from_function(np.cos, 64)
         with pytest.raises(ValueError):
-            measure_ed_rate(ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-4), horizon_factor=0.1)
+            measure_ed_rate([ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-4)], horizon_factor=0.1)
 
     def test_zero_data_rejected(self):
         s = ModeState(k=(1, 0), eta=AngularProfile(np.zeros(32, dtype=complex)), t=0.0, nu=1e-2)
         with pytest.raises(ValueError):
-            measure_ed_rate(s, horizon_factor=6.0)
+            measure_ed_rate([s], horizon_factor=6.0)
 
     @pytest.mark.parametrize("horizon_factor", [0.0, -2.0, np.nan])
     def test_schedule_rejects_nonpositive_horizon(self, horizon_factor):
@@ -322,7 +322,7 @@ class TestRates:
         batch = measure_ed_rate(states)
         assert len(batch) == len(states)
         for s, fit in zip(states, batch):
-            one = measure_ed_rate(s)
+            one = measure_ed_rate([s])[0]
             assert (fit.rate, fit.stderr, fit.window, fit.n_points) == (
                 one.rate, one.stderr, one.window, one.n_points
             )
@@ -333,19 +333,19 @@ class TestMixing:
     def test_initial_value(self):
         eta0 = AngularProfile.from_function(np.cos, 128)
         s = ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-2)
-        curve = mixing_curve(s, horizon=15.0, dt=0.05)
-        assert curve.norm_hm1[0] == pytest.approx(evolve_mode(s, 0.05, 0)[1].norm_hm1[0], rel=1e-12)
+        curve = mixing_curve([s], horizon=15.0, dt=0.05)[0]
+        assert curve.norm_hm1[0] == pytest.approx(evolve_mode([s], 0.05, 0)[0][1].norm_hm1[0], rel=1e-12)
 
     def test_no_decay_without_shear(self):
         eta0 = AngularProfile.from_function(np.cos, 128)
         s = ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-4, v=speed_constant(0.0))
-        curve = mixing_curve(s, horizon=80.0, dt=0.05)
+        curve = mixing_curve([s], horizon=80.0, dt=0.05)[0]
         assert abs(curve.slope) < 0.05
 
     def test_horizon_precondition(self):
         eta0 = AngularProfile.from_function(np.cos, 64)
         with pytest.raises(ValueError):
-            mixing_curve(ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-2), horizon=100.0)
+            mixing_curve([ModeState(k=(1, 0), eta=eta0, t=0.0, nu=1e-2)], horizon=100.0)
 
     @pytest.mark.parametrize("dt", [0.0, -0.05, np.nan, np.inf])
     def test_window_rejects_bad_dt(self, dt):
@@ -376,7 +376,7 @@ class TestMixing:
         batch = mixing_curve(states, horizon=10.0)
         assert len(batch) == len(states)
         for s, curve in zip(states, batch):
-            one = mixing_curve(s, horizon=10.0)
+            one = mixing_curve([s], horizon=10.0)[0]
             assert (curve.slope, curve.stderr) == (one.slope, one.stderr)
             assert np.array_equal(curve.t, one.t) and np.array_equal(curve.norm_hm1, one.norm_hm1)
 
@@ -464,7 +464,7 @@ class TestJkFields:
         quad = TWO_PI / 128
         worst = {+1: 0.0, -1: 0.0}
         for _ in range(300):
-            s = evolve_mode(s, 0.2, 1)[0]
+            s = evolve_mode([s], 0.2, 1)[0][0]
             for sign in worst:
                 j, _, _ = jk_field(s, sign)
                 val = np.sqrt(quad * np.sum(np.abs(chi[sign] * j.values) ** 2))
@@ -523,7 +523,7 @@ class TestWrapAngle:
 def test_evolve_mode_series_columns():
     rng = np.random.default_rng(6)
     s = ModeState(k=(1, 0), eta=random_mode(rng), t=0.0, nu=1e-2)
-    _, series = evolve_mode(s, 0.05, 40, sample_every=4)
+    _, series = evolve_mode([s], 0.05, 40, sample_every=4)[0]
     assert series.t.shape == series.norm_l2.shape == series.f_hypo.shape
     assert np.all(series.f_lower <= series.f_hypo + 1e-12)
     assert np.all(series.f_hypo <= series.f_upper + 1e-12)
@@ -535,13 +535,13 @@ def _reference_evolution(s, dt, n_steps, weights, sample_every):
     rows = []
 
     def sample(st):
-        _, ser = evolve_mode(st, dt, 0, weights=weights)
+        _, ser = evolve_mode([st], dt, 0, weights=weights)[0]
         cols = (ser.t, ser.norm_l2, ser.norm_hm1, ser.f_hypo, ser.f_lower, ser.f_upper, ser.zeta)
         rows.append(tuple(col[0] for col in cols))
 
     sample(s)
     for i in range(n_steps):
-        s = evolve_mode(s, dt, 1)[0]
+        s = evolve_mode([s], dt, 1)[0][0]
         if (i + 1) % sample_every == 0 or i == n_steps - 1:
             sample(s)
     return s, [np.asarray(c) for c in zip(*rows)]
@@ -652,7 +652,7 @@ class TestBatchedEvolution:
         s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 16), t=0.0, nu=1e-2)
         for n_steps in (0, 3):
             with pytest.raises(ValueError, match="dt must be finite and > 0"):
-                evolve_mode(s, dt, n_steps)
+                evolve_mode([s], dt, n_steps)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one mode state"):

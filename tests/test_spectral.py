@@ -173,9 +173,9 @@ class TestRunSchedule:
         params = KineticParams(kappa=0.0, nu=0.1, grid=grid, dt=dt, t_end=n_steps * dt)
         f0 = SpectralField.from_values(grid, np.ones(grid.shape))
         kinetic = run_experiment(params, make_influence(grid), f0, sample_every=every)
-        hom = evolve_homogeneous(constant_state(8, 0.0, 0.1), angular_kernel(8), dt, n_steps, every)
+        hom = evolve_homogeneous([constant_state(8, 0.0, 0.1)], angular_kernel(8), dt, n_steps, every)[0]
         s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 8), t=0.0, nu=0.1)
-        _, mode = evolve_mode(s, dt, n_steps, sample_every=every)
+        _, mode = evolve_mode([s], dt, n_steps, sample_every=every)[0]
         assert len(kinetic.t) == 6
         assert np.array_equal(kinetic.t, hom.t) and np.array_equal(kinetic.t, mode.t)
         assert kinetic.t[2] != 10 * dt  # ten steps accumulated, not t0 + 10 dt
@@ -242,10 +242,10 @@ class TestRunSchedule:
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             if layer == "mode":
                 s = ModeState(k=(1, 0), eta=AngularProfile.from_function(np.cos, 16), t=0.0, nu=0.1)
-                evolve_mode(s, dt, 3)
+                evolve_mode([s], dt, 3)
             else:
                 s = HomogeneousState(g=perturbed_profile(16, 0.2, seed=1), t=0.0, kappa=0.2, nu=0.1)
-                evolve_homogeneous(s, angular_kernel(16), dt, 3)
+                evolve_homogeneous([s], angular_kernel(16), dt, 3)
         assert diffusion_factor.cache_info().currsize == 0
 
 
