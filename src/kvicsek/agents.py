@@ -34,9 +34,9 @@ still holds MIN_BLOCK_ROWS agents, and leaves wider products whole.  The
 bound was measured for the drift's shape; the density estimate's 16 x 16
 shape stayed on the calling thread even whole, so there it is conservative.
 
-Each ensemble value evaluates one function of theta, once: its read-only
-``heading`` exp(i theta).  em_step reads the velocity (cos, sin) off it
-as a float view, the drift and the density estimate build their angular
+Each ensemble value evaluates its read-only ``heading`` exp(i theta) once,
+from one cos and one sin of theta.  em_step reads the velocity off it as
+a float view, the drift and the density estimate build their angular
 phases from it, and the order parameter is its conjugated mean.  The
 step wraps x into [0, 2pi) and theta into [-pi, pi) with
 ``linear.wrap_angle``: bit for bit np.mod, by one conditional 2pi shift
@@ -130,7 +130,9 @@ class AgentEnsemble:
         angular phases and the order parameter all read it; nothing else in
         this module takes a cos, sin or exp of theta.
         """
-        z = np.exp(1j * self.theta)
+        z = np.empty(self.theta.shape, dtype=np.complex128)  # cos + i sin: np.exp(1j * theta) bit for bit
+        np.cos(self.theta, out=z.real)
+        np.sin(self.theta, out=z.imag)
         z.flags.writeable = False
         return z
 
@@ -214,38 +216,39 @@ def _phases(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """exp(i ks[c] u[j]) as an (N, len(ks)) array.
 
     u holds the angles, or their phasors exp(i u) as a complex array (an
-    ensemble's heading), which are used as given.  Built from running
-    products of exp(i u): at most one complex exponential per point
-    instead of one per entry, at a phase error that grows like |k| ulps,
-    as the rounding of the argument k u does for the direct form.  A k < 0
-    row is the conjugate of the |k| power, written straight into place.
+    ensemble's heading), used as given.  Built in place from running
+    products of exp(i u), at a phase error that grows like |k| ulps, as the
+    rounding of k u does for the direct form: each power goes straight into
+    the first row that holds +k (or one spare row), then is copied into the
+    other +k rows and conjugated into the -k rows.
     """
-    n = u.shape[0]
     k_max = int(np.max(np.abs(ks), initial=0))
-    powers = [np.ones(n, dtype=np.complex128)]
-    if k_max:
-        z = u if np.iscomplexobj(u) else np.exp(1j * u)
-        powers.append(z)
-        for _ in range(2, k_max + 1):
-            powers.append(powers[-1] * z)
-    rows = np.empty((len(ks), n), dtype=np.complex128)
-    for row, k in zip(rows, ks):
-        if k < 0:
-            np.conjugate(powers[-k], out=row)
-        else:
-            row[:] = powers[k]
-    return rows.T
+    spare = not set(range(2, k_max + 1)) <= set(ks.tolist())  # a power no row holds
+    rows = np.empty((len(ks) + spare, u.shape[0]), dtype=np.complex128)
+    rows[np.flatnonzero(ks == 0)] = 1.0
+    z = power = u if np.iscomplexobj(u) or not k_max else np.exp(1j * u)
+    for k in range(1, k_max + 1):
+        held = np.flatnonzero(ks == k)
+        if k > 1:
+            power = np.multiply(power, z, out=rows[held[0] if len(held) else -1])
+            held = held[1:]
+        rows[held] = power
+        for j in np.flatnonzero(ks == -k):
+            np.conjugate(power, out=rows[j])
+    return rows[: len(ks)].T
 
 
 def _characteristic(e1: np.ndarray, e2: np.ndarray, e3: np.ndarray) -> np.ndarray:
     """S[a, b, c] = (1/N) sum_j e1[j, a] e2[j, b] e3[j, c].
 
     The separable factors of the empirical characteristic function; one
-    GEMM over the agents per column of e3, summed over the agent blocks.
+    GEMM over the agents per column of e3, summed over the agent blocks,
+    with the products e1 * e3[:, c] of every column in one buffer.
     """
     s = np.empty((e1.shape[1], e2.shape[1], e3.shape[1]), dtype=np.complex128)
+    weighted = np.empty_like(e1)
     for c in range(e3.shape[1]):
-        weighted = e1 * e3[:, c, None]
+        np.multiply(e1, e3[:, c, None], out=weighted)
         partial = np.zeros(s.shape[:2], dtype=np.complex128)  # contiguous: s[:, :, c] is strided
         for block in _agent_blocks(e1.shape[0], partial.size):
             partial += weighted[block].T @ e2[block]

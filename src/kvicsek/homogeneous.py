@@ -23,8 +23,8 @@ of a half-step to the row and its conjugate to the modes -n_theta/3..-1.
 ``evolve_homogeneous`` advances a sequence of states that share n_theta, nu and t as one stack
 of rows with kappa per row (the ratios of a phase diagram), with the
 RHS and the guard evaluated row-wise; a single state is a batch of one.
-The stack runs on ``spectral.evolve_rows``, the one run loop of the PDE
-layers; it keeps the sample log of m = 2pi ghat_1 per row (and F, D
+The stack runs on ``spectral.evolve_rows``, the one run loop of every
+run; it keeps the sample log of m = 2pi ghat_1 per row (and F, D
 under ``record_energy``), and each row's final state is built once.
 """
 

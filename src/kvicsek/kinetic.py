@@ -39,7 +39,7 @@ Everything the step reuses is cached read-only: the half spectrum's
 transport table for each repeated v h (one for a constant speed), and
 the band planes of the multiplier (on the InfluencePair).
 ``run_experiment`` runs a stack of one field on ``spectral.evolve_rows``,
-the one run loop of the three PDE layers, one ``step_kinetic`` per step;
+the one run loop of every run, one ``step_kinetic`` per step;
 its snapshots come from that loop's snapshot hook.
 """
 

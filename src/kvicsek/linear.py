@@ -22,7 +22,7 @@ layer's ``spectral.transport``: the kinetic step restricted to single
 x-Fourier modes, with one ``transport_factor`` table per stack.
 ``evolve_mode`` advances a stack of modes, one row per (k, nu) with its
 own step count and sampling cadence, through ``spectral.evolve_rows``,
-the one run loop of the three PDE layers, which keeps the sample log.
+the one run loop of every run, which keeps the sample log.
 A sample records per row, on the coefficients, only the sums that
 depend on eta (``_Sums``), checked here for NaN and overflow: of one
 p = |eta_l|^2, the sums that give the L2 and H^{-1} norms and

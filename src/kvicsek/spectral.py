@@ -34,11 +34,12 @@ modes the dealiased flux reads and writes, in the layer's own layout
 (``Alignment``): the layer lifts the block out of its coefficients once
 per Heun step and lowers the increment back once, so the right-hand side
 never scatters into a full coefficient array.  ``evolve_rows``, the one
-run loop of the three PDE layers, steps such a stack on the ``config``
-clock and cadence, keeps the log of its samples and returns each row's
-series; the kinetic run is a stack of one field, and its snapshots come
-from the loop's snapshot hook, on its own cadence.  ``stack_states`` is
-the one check of the sequences of states that the 1-D layers take.
+run loop of every run (the agent SDE's too), steps such a stack on the
+``config`` clock and cadence, keeps the log of its samples and returns
+each row's series; the kinetic run is a stack of one field, an SDE run one
+of one ensemble, and their snapshots come from the loop's snapshot hook.
+``stack_states`` is the one check of the sequences of states that the
+1-D layers take.
 
 ``band_product`` is the one alignment flux product of the homogeneous and
 kinetic layers: the dealiased modes 0..n_theta/3 of a product of two real
@@ -471,10 +472,11 @@ def stack_states(states: Sequence, name: str, noun: str, key: Callable, shared: 
 def evolve_rows(
     c: np.ndarray, t0: float, dt: float, n_steps, every, stepper, sample, snapshot=None, snapshot_every: int = 0
 ) -> tuple[np.ndarray, list]:
-    """The one run loop of the three PDE layers and its sample log: advance the stack c[batch, ...].
+    """The one run loop of every run and its sample log: advance the stack c[batch, ...].
 
     Row j takes n_steps[j] steps (an int or one per row, as ``every``), then leaves the stack;
-    ``stepper(rows)`` is the step (c, t) -> c of the rows still running, which returns a new array.
+    ``stepper(rows)`` is the step (c, t) -> c of the rows still running, which returns a new stack:
+    an array, or a list of ensembles (the SDE's stack of one) if every row takes the same steps.
     ``sample(rows, c[rows], t)`` runs at t0 and where ``config.due`` says, at the times of
     ``config.step_times``, and returns new arrays (no views of c), a value per row each.
     ``snapshot(step, rows, c[rows], t)`` runs after the steps that ``config.due`` gives for the

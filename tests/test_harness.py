@@ -24,7 +24,9 @@ import pytest
 
 import kvicsek
 from kvicsek.cli import _collect_options, build_parser, main
-from kvicsek.config import _format_cell, parse_config, resolve_options, write_csv, write_manifest
+from kvicsek.config import (
+    _format_cell, due, parse_config, resolve_options, step_count, step_times, write_csv, write_manifest,
+)
 from kvicsek.errors import ConfigError, NumericsError
 from kvicsek.fitting import fit_rate
 from kvicsek.linear import ModeState, measure_ed_rate, mixing_curve
@@ -173,24 +175,33 @@ class TestPresets:
         assert digests[0] == digests[1]
 
     def test_agents_deterministic_and_snapshots(self, tmp_path):
+        # the SDE runs on the one clock and cadence: step_times, and due for samples and snapshots
+        dt, n = 0.02, step_count(1.0, 0.02)
+        times = step_times(0.0, dt, n)
+        steps = np.arange(n + 1)
+        saved = steps[due(steps, n, 25) & (steps > 0)]
         digests = []
         for sub in ("a", "b"):
             out = tmp_path / sub
             cfg = ExperimentConfig(
                 preset="agents",
-                options={"n": "256", "t_end": "1.0", "dt": "0.02", "snapshot_every": "25"},
+                options={"n": "256", "t_end": "1.0", "dt": str(dt), "snapshot_every": "25"},
                 out_dir=out,
                 seed=2,
             )
             paths = run_preset(cfg)
             digests.append(hashlib.sha256((out / "agents.csv").read_bytes()).hexdigest())
-            dumps = [p for p in paths if p.suffix == ".bin"]
-            assert dumps
-            payload = dumps[0].read_bytes()
-            header, _, rest = payload.partition(b"\n")
-            meta = json.loads(header)
-            assert meta["n"] == 256
-            assert len(rest) == 256 * 3 * 8
+            dumps = sorted(out.glob("agents_*.bin"))
+            assert [p for p in paths if p.suffix == ".bin"] == dumps
+            assert [p.name for p in dumps] == [f"agents_{m:08d}.bin" for m in saved]
+            for m, dump in zip(saved, dumps):
+                header, _, rest = dump.read_bytes().partition(b"\n")
+                meta = json.loads(header)
+                assert meta["n"] == 256
+                assert meta["time"] == times[m]
+                assert len(rest) == 256 * 3 * 8
+            t = np.array([row[0] for row in _csv_rows(out / "agents.csv")])
+            assert np.array_equal(t, times[due(steps, n, 5)])
         assert digests[0] == digests[1]
 
     def test_phase_diagram_structure(self, tmp_path):
@@ -658,6 +669,66 @@ def test_unused_imports_detected():
 def test_package_modules_have_no_unused_imports(module):
     # __init__.py is exempt: its imports are the package's public names
     assert _unused_imports((ROOT / "src" / "kvicsek" / module).read_text()) == []
+
+
+STEP_FUNCTIONS = frozenset({"em_step", "step_kinetic", "split_step"})
+
+
+def _step_loops(source: str) -> list[str]:
+    """Loops (``for``, ``while`` or a comprehension) that call a step function, as 'function (line n)'.
+
+    A call is ``f(...)`` or ``obj.f(...)`` with f in STEP_FUNCTIONS, anywhere
+    in the loop; the function is the dotted path of the defs around the loop
+    (``<module>`` outside any), and only the outermost of nested loops is named.
+    """
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+
+    def calls_a_step(node):
+        return any(
+            isinstance(n, ast.Call)
+            and (n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)) in STEP_FUNCTIONS
+            for n in ast.walk(node)
+        )
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name if function == "<module>" else f"{function}.{node.name}"
+        if isinstance(node, loops) and calls_a_step(node):
+            found.append((node.lineno, function))
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return [f"{function} (line {line})" for line, function in sorted(found)]
+
+
+def test_step_loops_detected():
+    source = (
+        "import agents as ag\n"
+        "def a(e, n):\n"
+        "    for _ in range(n):\n        e = ag.em_step(e, 0.1)\n"
+        "    return e\n"
+        "def b(f, t):\n"
+        "    while t < 1:\n        for s in (1, 2):\n            f = step_kinetic(f, s)\n        t += 1\n"
+        "    return [split_step(g) for g in f]\n"
+        "def c(stack, run):\n"
+        "    step = lambda s: [ag.em_step(s.pop(), 0.1)]\n"
+        "    for x in stack:\n        run(step, x)\n"
+        "    def d(e):\n        while True:\n            e = em_step(e)\n"
+        "    return em_step\n"
+        "for k in range(3):\n    step_kinetic(k)\n"
+    )
+    assert _step_loops(source) == [
+        "a (line 3)", "b (line 7)", "b (line 11)", "c.d (line 17)", "<module> (line 20)",
+    ]
+
+
+def test_presets_hold_no_step_loop():
+    # every run steps on spectral.evolve_rows, the one run loop: a preset
+    # passes it a stepper and never loops over a step function itself
+    assert _step_loops((ROOT / "src" / "kvicsek" / "presets.py").read_text()) == []
 
 
 def _unset_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
